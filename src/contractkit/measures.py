@@ -12,9 +12,14 @@ contraction rate of A under an operator family Theta(t, u) is
 computed exactly for p = 2 (as a symmetric generalized eigenproblem, with
 kernel directions of a surjective non-invertible weight removed), via the
 classical column/row formulas for p in {1, inf} with invertible weights,
-and by multi-start ray search otherwise.
+and by multi-start ray search otherwise.  The search is steered by a ratio
+set up once per solve (``_sip_ratio``: the stacked derivative operator is
+built up front, so each probe is a few numpy reductions), and the value
+reported is the reference pairing of ``sip.norm`` / ``sip.sip``
+re-evaluated at the argmax; the two must agree there.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +28,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContractViolation, DegenerateWeightError, DimensionError, NumericalError
-from .grids import GridFunction, unit_grid
-from .sip import L2, NormSpec, OracleResult, gram_matrix
+from .grids import GridFunction, derivative_ops, unit_grid
+from .sip import _ARGMAX_RTOL, L2, NormSpec, OracleResult, gram_matrix
 from .sip import norm as sip_norm
 from .sip import sip as sip_pair
 
 DENSE_EIG_LIMIT = 2048  # above this, switch to Lanczos-style iteration
 _KERNEL_RTOL = 1e-10    # singular values below rtol*smax count as kernel
+_CONFIRM_RTOL = 1e-9    # steering ratio vs reference value at the argmax
 
 
 class LinearOp:
@@ -164,8 +170,11 @@ def _mu_linf(M):
     return float(np.max(row))
 
 
-def _ray_search(objective, n, seed=0, restarts=32, maxiter=6):
-    """Multi-start derivative-free ascent of a 0-homogeneous ratio."""
+def _ray_search(objective, reference, n, seed=0, restarts=32, maxiter=6):
+    """Multi-start derivative-free ascent of a 0-homogeneous ratio.
+
+    ``objective`` steers the search; the value returned is ``reference`` at
+    the best point found, which must agree with ``objective`` there."""
     from scipy.optimize import minimize
 
     rng = np.random.default_rng(seed)
@@ -182,13 +191,75 @@ def _ray_search(objective, n, seed=0, restarts=32, maxiter=6):
             best_v = res.x
     if best_v is None:
         raise NumericalError("ray search failed to produce a finite value")
-    return best, best_v, restarts
+    value = reference(best_v)
+    if not abs(best - value) <= _CONFIRM_RTOL * max(1.0, abs(value)):
+        raise NumericalError(
+            f"ray-search objective {best!r} disagrees with the reference {value!r} at its argmax"
+        )
+    return value, best_v, restarts
 
 
-def _wrap_state(v, grid):
-    if grid is None:
-        return v
-    return GridFunction(v, grid)
+def _sip_ratio(T, C, spec, grid):
+    """The closure v -> [Tv, Cv] / ||Tv||^2 in the norm ``spec`` on ``grid``
+    (-inf where Tv vanishes), with T and C dense of shape (N, r).
+
+    D, the vstack of every D^alpha (|alpha| <= k) applied to each component,
+    is built once, so one call is a few numpy reductions over an (orders, N)
+    array.  The arithmetic is that of sip.norm / sip.sip, order by order.
+    D stays sparse: the slices D^alpha T v are then the very numbers sip.sip
+    pairs, whereas a dense D T rounds differently, and Powell, stopped after
+    6 iterations, turns a last-bit difference into a different argmax."""
+    N = T.shape[0]
+    D = None
+    if spec.k > 0:
+        per_comp = sp.identity(N // grid.npoints, format="csr")
+        D = sp.vstack([sp.kron(per_comp, op) for op in derivative_ops(grid, spec.k)],
+                      format="csr")
+    shape = (-1, N)
+    p, w = spec.p, grid.cell_measure
+
+    def ratio(v):
+        a, b = T @ v, C @ v
+        if D is not None:
+            a, b = D @ a, D @ b
+        a, b = a.reshape(shape), b.reshape(shape)
+        if np.isinf(p):
+            au = np.abs(a)
+            top = au.max(axis=1)
+            ties = au >= top[:, None] * (1.0 - _ARGMAX_RTOL)
+            slopes = np.where(ties, np.sign(a) * b.real, -np.inf).max(axis=1)
+            nus, pairs = top.tolist(), (top * slopes).tolist()
+        elif p == 1.0:
+            n1 = w * np.abs(a).sum(axis=1)
+            inner = np.where(a != 0, np.sign(a) * b.real, np.abs(b)).sum(axis=1)
+            nus, pairs = n1.tolist(), (n1 * w * inner).tolist()
+        else:
+            au = np.abs(a)
+            nus = [(w * s) ** (1.0 / p) for s in (au ** p).sum(axis=1).tolist()]
+            cores = (au ** (p - 1.0) * np.sign(a) * b).sum(axis=1).real.tolist()
+            pairs = [nu ** (2.0 - p) * w * c if nu else 0.0 for nu, c in zip(nus, cores)]
+        nv = nus[0] if len(nus) == 1 else math.sqrt(sum(nu**2 for nu in nus))
+        if nv == 0.0:
+            return -np.inf
+        return sum(pairs) / nv**2
+
+    return ratio
+
+
+def _sampled_rate(T, C, spec, grid, seed):
+    """Ray-search sup_v [Tv, Cv] / ||Tv||^2, reported through sip.norm and
+    sip.sip at the argmax."""
+
+    def reference(v):
+        tv = GridFunction(T @ v, grid)
+        nv = sip_norm(tv, spec)
+        if nv == 0.0:
+            return -np.inf
+        return sip_pair(tv, GridFunction(C @ v, grid), spec) / nv**2
+
+    val, argv, count = _ray_search(_sip_ratio(T, C, spec, grid), reference,
+                                   T.shape[1], seed=seed)
+    return RateEstimate(val, "sampled", sample_count=count, argmax=argv)
 
 
 def mu(A, spec=L2, grid=None, seed=0):
@@ -216,34 +287,28 @@ def mu(A, spec=L2, grid=None, seed=0):
     if k == 0 and np.isinf(p):
         return RateEstimate(_mu_linf(M), "closed_form")
 
-    Md = _dense(M)
     g = grid if grid is not None else unit_grid(n)
-
-    def objective(v):
-        u = _wrap_state(v, g)
-        nv = sip_norm(u, spec)
-        if nv == 0.0:
-            return -np.inf
-        return sip_pair(u, _wrap_state(Md @ v, g), spec) / nv**2
-
-    val, argv, count = _ray_search(objective, n, seed=seed)
-    return RateEstimate(val, "sampled", sample_count=count, argmax=argv)
+    return _sampled_rate(np.eye(n), _dense(M), spec, g, seed)
 
 
 def _opnorm(M, p, seed=0):
     if p in (1.0, 2.0) or np.isinf(p):
         return float(np.linalg.norm(M, np.inf if np.isinf(p) else int(p)))
-    n = M.shape[1]
-    g = unit_grid(n)
     spec = NormSpec(p=p)
 
     def objective(v):
+        nv = float(np.sum(np.abs(v) ** p)) ** (1.0 / p)
+        if nv == 0.0:
+            return -np.inf
+        return float(np.sum(np.abs(M @ v) ** p)) ** (1.0 / p) / nv
+
+    def reference(v):
         nv = sip_norm(v, spec)
         if nv == 0.0:
             return -np.inf
         return sip_norm(M @ v, spec) / nv
 
-    val, _, _ = _ray_search(objective, n, seed=seed)
+    val, _, _ = _ray_search(objective, reference, M.shape[1], seed=seed)
     return val
 
 
@@ -326,18 +391,7 @@ def weighted_rate(A, theta, t=0.0, u=None, spec=L2, grid=None, seed=0):
         return RateEstimate(_max_gen_eig_sym(Sr, Gr), "eigen")
 
     gW = grid if grid is not None else unit_grid(Th.shape[0])
-    r = Vr.shape[1]
-
-    def objective(y):
-        v = Vr @ y
-        tv = _wrap_state(Th @ v, gW)
-        nv = sip_norm(tv, spec)
-        if nv == 0.0:
-            return -np.inf
-        return sip_pair(tv, _wrap_state(C @ v, gW), spec) / nv**2
-
-    val, argv, count = _ray_search(objective, r, seed=seed)
-    return RateEstimate(val, "sampled", sample_count=count, argmax=argv)
+    return _sampled_rate(Th @ Vr, C @ Vr, spec, gW, seed)
 
 
 def nonlinear_rate(f, theta, spec=L2, sampler=None, grid=None, seed=0):

@@ -4,20 +4,24 @@ weighted contraction rates."""
 import numpy as np
 import pytest
 
+from contractkit import measures
 from contractkit.errors import (
     ContractViolation,
     DegenerateWeightError,
     DimensionError,
+    NumericalError,
 )
+from contractkit.grids import Grid, GridFunction
 from contractkit.measures import (
     LinearOp,
+    _sip_ratio,
     as_linear_op,
     mu,
     mu_fd_oracle,
     nonlinear_rate,
     weighted_rate,
 )
-from contractkit.sip import L1, L2, LINF, NormSpec
+from contractkit.sip import L1, L2, LINF, NormSpec, norm, sip
 from contractkit import sampling, weights
 from contractkit.flows import linear_field
 
@@ -197,6 +201,55 @@ class TestWeightedRate:
                                   _matrix=lambda t, u, n: np.zeros((n, n)))
         with pytest.raises(DegenerateWeightError):
             weighted_rate(np.eye(3), th)
+
+
+class TestSampledObjective:
+    """The precomputed ray-search ratio against the reference pairing."""
+
+    GRID = Grid((5,), (0.2,), "periodic")
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0, np.inf])
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("ncomp", [1, 2])
+    @pytest.mark.parametrize("weight", ["identity", "diagonal", "projection"])
+    def test_matches_reference_pairing(self, p, k, ncomp, weight):
+        # every other point has small integer entries: exact zeros (the p = 1
+        # kink) and tied maxima (p = inf) in Tv
+        rng = np.random.default_rng(7)
+        n = ncomp * self.GRID.npoints
+        theta = {
+            "identity": weights.identity(),
+            "diagonal": weights.diagonal(rng.uniform(0.2, 5.0, n)),
+            "projection": weights.projection_complement(np.full((n, n), 1.0 / n)),
+        }[weight]
+        T = theta.matrix(0.0, None, n)
+        C = T @ rng.standard_normal((n, n))
+        spec = NormSpec(p=p, k=k)
+        ratio = _sip_ratio(T, C, spec, self.GRID)
+        for i in range(50):
+            v = rng.standard_normal(n) if i % 2 else rng.integers(-2, 3, n) + 0.0
+            v[0] = v[0] or 1.0
+            tv = GridFunction(T @ v, self.GRID)
+            want = sip(tv, GridFunction(C @ v, self.GRID), spec) / norm(tv, spec) ** 2
+            assert ratio(v) == pytest.approx(want, rel=1e-12)
+
+    def test_zero_image_is_minus_inf(self):
+        ratio = _sip_ratio(np.zeros((5, 5)), np.eye(5), NormSpec(p=3.0, k=1), self.GRID)
+        assert ratio(np.ones(5)) == -np.inf
+
+    def test_repeat_call_bit_identical(self):
+        A = np.random.default_rng(8).standard_normal((3, 3))
+        for s in (0, 5):
+            first = mu(A, NormSpec(p=3.0), seed=s)
+            again = mu(A, NormSpec(p=3.0), seed=s)
+            assert first.value == again.value
+            assert np.array_equal(first.argmax, again.argmax)
+
+    def test_reference_mismatch_raises(self, monkeypatch):
+        pair = measures.sip_pair
+        monkeypatch.setattr(measures, "sip_pair", lambda u, v, spec: 2.0 * pair(u, v, spec))
+        with pytest.raises(NumericalError):
+            mu(np.array([[-1.0, 2.0], [0.5, -3.0]]), NormSpec(p=3.0), seed=0)
 
 
 class TestNonlinearRate:
