@@ -1,9 +1,13 @@
 """Trajectory and variational integration, growth-bound verification, and
 maximum-Lyapunov-exponent estimation.
 
-The integrator is the classical fourth-order one-step method with fixed
-step, plus an optional step-doubling error controller.  Perturbations are
-co-integrated with the linearized dynamics d(du)/dt = Df_t(u) du.
+``integrate`` has two branches.  With a fixed step ``dt`` it runs the
+classical fourth-order one-step method, the reference method.  With a
+tolerance ``rtol`` it steps one of scipy's adaptive ``OdeSolver`` classes
+(explicit RK45 by default; the implicit Radau IIA and BDF methods, for stiff
+semi-discretised PDEs, use ``VectorField.jacobian``); scipy.integrate is
+imported only on that branch.  Perturbations are co-integrated with the
+linearized dynamics d(du)/dt = Df_t(u) du on fixed-step RK4.
 """
 
 import math
@@ -125,11 +129,22 @@ def _check_finite(u, t, prev):
         raise DivergenceError(f"state became non-finite at t={t:.6g}", t=t, last_state=prev)
 
 
-def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_000_000):
+# Radau and BDF are implicit and get VectorField.jacobian
+SOLVER_METHODS = ("RK45", "Radau", "BDF")
+
+
+def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_000_000,
+              method="RK45", t_eval=None):
     """Integrate du/dt = f(t, u) over t_span.
 
-    Either a fixed step ``dt`` or a step-doubling tolerance ``rtol`` must be
-    given.  Local truncation error is O(dt^5) per step.
+    Give exactly one of ``dt`` or ``rtol``.  ``dt`` runs fixed-step RK4
+    (local truncation error O(dt^5) per step); stats count its steps as
+    ``accepted``/``rejected``.  ``rtol`` runs the scipy ``OdeSolver`` named
+    by ``method`` (one of ``SOLVER_METHODS``) with absolute tolerance rtol
+    too, for at most ``max_steps`` steps; stats carry ``method``, ``steps``,
+    ``nfev``, ``njev`` and ``nlu``.  ``t_eval`` (``rtol`` only) records
+    exactly those times, from the solver's dense output; otherwise the
+    initial state, every ``record_every``-th step and the last are recorded.
     """
     f = as_vector_field(f)
     if isinstance(u0, GridFunction):
@@ -140,66 +155,99 @@ def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_00
         raise ContractViolation("t_span must have t1 > t0")
     if (dt is None) == (rtol is None):
         raise ContractViolation("give exactly one of dt or rtol")
+    if dt is not None:
+        if t_eval is not None:
+            raise ContractViolation("t_eval needs the adaptive branch (rtol)")
+        times, states, stats = _integrate_rk4(f, u, t0, t1, dt, record_every)
+    else:
+        times, states, stats = _integrate_solver(f, u, t0, t1, rtol, method, t_eval,
+                                                 record_every, max_steps)
+    if f.diagnostics:
+        stats["diagnostics"] = {name: np.asarray([fn(s) for s in states])
+                                for name, fn in f.diagnostics.items()}
+    return Trajectory(np.asarray(times), np.asarray(states), stats=stats)
 
-    diag_series = {name: [fn(u)] for name, fn in f.diagnostics.items()}
+
+def _integrate_rk4(f, u, t0, t1, dt, record_every):
+    if dt <= 0:
+        raise ContractViolation("dt must be positive")
+    nsteps = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
+    dt_eff = (t1 - t0) / nsteps
     times = [t0]
     states = [u.copy()]
-    accepted = rejected = 0
+    t = t0
+    for step in range(nsteps):
+        u_new = _rk4_step(f.eval, t, u, dt_eff)
+        _check_finite(u_new, t + dt_eff, u)
+        u = u_new
+        t = t0 + (step + 1) * dt_eff
+        if (step + 1) % record_every == 0 or step == nsteps - 1:
+            times.append(t)
+            states.append(u.copy())
+    return times, states, {"accepted": nsteps, "rejected": 0}
 
-    if dt is not None:
-        if dt <= 0:
-            raise ContractViolation("dt must be positive")
-        nsteps = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
-        dt_eff = (t1 - t0) / nsteps
-        t = t0
-        for step in range(nsteps):
-            u_new = _rk4_step(f.eval, t, u, dt_eff)
-            _check_finite(u_new, t + dt_eff, u)
-            u = u_new
-            t = t0 + (step + 1) * dt_eff
-            accepted += 1
-            if (step + 1) % record_every == 0 or step == nsteps - 1:
-                times.append(t)
-                states.append(u.copy())
-                for name, fn in f.diagnostics.items():
-                    diag_series[name].append(fn(u))
-    else:
-        t = t0
-        h = (t1 - t0) / 100.0
-        h_min = (t1 - t0) * 1e-12
-        since_record = 0
-        while t < t1 - 1e-14 * (t1 - t0):
-            if accepted + rejected > max_steps:
-                raise StiffnessError("step budget exhausted")
-            h = min(h, t1 - t)
-            full = _rk4_step(f.eval, t, u, h)
-            half = _rk4_step(f.eval, t, u, 0.5 * h)
-            two = _rk4_step(f.eval, t + 0.5 * h, half, 0.5 * h)
-            _check_finite(two, t + h, u)
-            err = np.linalg.norm(two - full) / 15.0
-            tol = rtol * (1.0 + np.linalg.norm(two))
-            if err <= tol:
-                t += h
-                u = two
-                accepted += 1
-                since_record += 1
-                if since_record >= record_every or t >= t1 - 1e-14:
-                    times.append(t)
-                    states.append(u.copy())
-                    for name, fn in f.diagnostics.items():
-                        diag_series[name].append(fn(u))
-                    since_record = 0
-            else:
-                rejected += 1
-            factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 4.0
-            h *= min(4.0, max(0.1, factor))
-            if h < h_min:
-                raise StiffnessError(f"step size underflow at t={t:.6g}")
 
-    stats = {"accepted": accepted, "rejected": rejected}
-    if diag_series:
-        stats["diagnostics"] = {k: np.asarray(v) for k, v in diag_series.items()}
-    return Trajectory(np.asarray(times), np.asarray(states), stats=stats)
+def _integrate_solver(f, u, t0, t1, rtol, method, t_eval, record_every, max_steps):
+    if method not in SOLVER_METHODS:
+        raise ContractViolation(f"unknown method {method!r}; use one of {SOLVER_METHODS}")
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float).reshape(-1)
+        if (t_eval.size == 0 or np.any(np.diff(t_eval) <= 0)
+                or t_eval[0] < t0 or t_eval[-1] > t1):
+            raise ContractViolation("t_eval must be strictly increasing inside t_span")
+    import scipy.integrate
+
+    overflowed = False
+
+    def fun(t, y):
+        nonlocal overflowed
+        out = f.eval(t, y)
+        if not np.all(np.isfinite(out)):
+            overflowed = True
+        return out
+
+    jac = {} if method == "RK45" else {"jac": lambda t, y: f.jacobian(t, y)}
+    solver = getattr(scipy.integrate, method)(fun, t0, u, t1, rtol=rtol, atol=rtol, **jac)
+    times, states = ([t0], [u.copy()]) if t_eval is None else ([], [])
+    n_done = 0                       # t_eval entries recorded so far
+    steps = since_record = 0
+    while solver.status == "running":
+        if steps >= max_steps:
+            raise StiffnessError("step budget exhausted")
+        last = solver.y.copy()
+        overflowed = False
+        try:
+            message = solver.step()
+            failed = solver.status == "failed"
+        except ValueError as exc:
+            # scipy's LU solves refuse the non-finite Newton residual of an
+            # overflowing implicit step
+            if "infs or NaNs" not in str(exc):
+                raise
+            failed = overflowed = True
+        if failed:
+            # the solver still stands on the last accepted state; an
+            # overflowed trial step that was then retried is no failure
+            if overflowed:
+                raise DivergenceError(f"the solution overflowed near t={solver.t:.6g}",
+                                      t=solver.t, last_state=last)
+            raise StiffnessError(f"step size underflow at t={solver.t:.6g}: {message}")
+        _check_finite(solver.y, solver.t, last)
+        steps += 1
+        if t_eval is None:
+            since_record += 1
+            if since_record >= record_every or solver.status == "finished":
+                times.append(solver.t)
+                states.append(solver.y.copy())
+                since_record = 0
+        else:
+            upto = int(np.searchsorted(t_eval, solver.t, side="right"))
+            if upto > n_done:
+                times.extend(t_eval[n_done:upto])
+                states.extend(solver.dense_output()(t_eval[n_done:upto]).T)
+                n_done = upto
+    return times, states, {"method": method, "steps": steps, "nfev": solver.nfev,
+                           "njev": solver.njev, "nlu": solver.nlu}
 
 
 def integrate_variational(f, u0, du0, t_span, dt, record_every=1):

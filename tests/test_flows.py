@@ -49,7 +49,7 @@ class TestIntegrate:
         fixed = integrate(linear_field(A), u0, (0.0, 2.0), dt=1e-4)
         adaptive = integrate(linear_field(A), u0, (0.0, 2.0), rtol=1e-10)
         assert np.linalg.norm(fixed.final_state - adaptive.final_state) <= 1e-6
-        assert adaptive.stats["accepted"] > 0
+        assert adaptive.stats["steps"] > 0
 
     def test_divergence_error_keeps_last_state(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -83,6 +83,119 @@ class TestIntegrate:
         traj = integrate(fld, [1.0, 0.0], (0.0, 3.0), dt=1e-3, record_every=100)
         e = traj.stats["diagnostics"]["energy"]
         assert np.max(np.abs(e - e[0])) <= 1e-10
+
+
+class TestSolverPath:
+    """The rtol branch: a scipy OdeSolver stepped under the integrate contracts."""
+
+    STIFF = np.array([[-1e5, 1.0], [0.0, -1.0]])
+
+    def test_radau_stiff_linear_matches_expm(self):
+        u0 = np.array([1.0, 1.0])
+        traj = integrate(linear_field(self.STIFF), u0, (0.0, 5.0), rtol=1e-8,
+                         method="Radau")
+        expect = sla.expm(5.0 * self.STIFF) @ u0
+        assert np.linalg.norm(traj.final_state - expect) <= 1e-7 * np.linalg.norm(expect)
+        # explicit RK4 is stable only for dt <= 2.785 / 1e5
+        rk4_limit_steps = 5.0 / 2.785e-5
+        assert traj.stats["steps"] < rk4_limit_steps / 100
+        assert traj.stats["njev"] >= 1 and traj.stats["nlu"] >= 1
+
+    def test_t_eval_times_exact(self):
+        t_eval = np.array([0.0, 0.1, 0.25, 1.0 / 3.0, 0.9, 1.0])
+        for method in ("RK45", "Radau"):
+            traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-10,
+                             method=method, t_eval=t_eval)
+            assert np.array_equal(traj.times, t_eval)
+            np.testing.assert_allclose(traj.states[:, 0], np.exp(-t_eval), rtol=1e-8)
+        inner = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-10, t_eval=[0.5])
+        assert np.array_equal(inner.times, [0.5])
+
+    def test_t_eval_validation(self):
+        with pytest.raises(ContractViolation):
+            integrate(lambda t, u: -u, [1.0], (0.0, 1.0), dt=1e-2, t_eval=[0.5])
+        for bad in ([0.5, 0.5], [0.0, 2.0], [-0.1, 0.5], []):
+            with pytest.raises(ContractViolation):
+                integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, t_eval=bad)
+        with pytest.raises(ContractViolation):
+            integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, method="euler")
+
+    def test_record_every_and_diagnostics(self):
+        fld = linear_field(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        fld.diagnostics["energy"] = lambda u: float(u @ u)
+        traj = integrate(fld, [1.0, 0.0], (0.0, 3.0), rtol=1e-10, record_every=5)
+        steps = traj.stats["steps"]
+        assert len(traj.times) == 1 + steps // 5 + (steps % 5 != 0)
+        assert traj.times[0] == 0.0 and traj.times[-1] == 3.0
+        e = traj.stats["diagnostics"]["energy"]
+        assert len(e) == len(traj.times)
+        assert np.max(np.abs(e - 1.0)) <= 1e-8
+
+    @pytest.mark.parametrize("method", ["Radau", "BDF"])
+    def test_step_budget_stiffness_error(self, method):
+        with pytest.raises(StiffnessError):
+            integrate(lambda t, u: -1e6 * u, [1.0], (0.0, 10.0), rtol=1e-12,
+                      method=method, max_steps=5)
+
+    @pytest.mark.parametrize("method", ["RK45", "Radau"])
+    def test_step_underflow_stiffness_error(self, method):
+        # finite-time blow-up at t = 0.5: the step shrinks below the spacing of t
+        with pytest.raises(StiffnessError, match="underflow"):
+            integrate(lambda t, u: u**2, [2.0], (0.0, 1.0), rtol=1e-6, method=method)
+
+    @pytest.mark.parametrize("method", ["RK45", "Radau", "BDF"])
+    def test_divergence_error_keeps_last_state(self, method):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                integrate(lambda t, u: 1000.0 * u, [1.0], (0.0, 1.0), rtol=1e-6,
+                          method=method)
+        state = err.value.last_state
+        assert state is not None and np.all(np.isfinite(state))
+        assert state[0] > 1e300
+        assert 0.6 < err.value.t < 0.8
+
+    def test_stats_keys(self):
+        for method in ("RK45", "Radau"):
+            traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, method=method)
+            assert set(traj.stats) == {"method", "steps", "nfev", "njev", "nlu"}
+            assert traj.stats["method"] == method
+            assert traj.stats["nfev"] >= traj.stats["steps"] > 0
+        fixed = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), dt=0.1)
+        assert fixed.stats == {"accepted": 10, "rejected": 0}
+
+    def test_evaluations_go_through_the_vector_field(self):
+        calls = {"f": 0, "jac": 0}
+        A = self.STIFF
+
+        def f(t, u):
+            calls["f"] += 1
+            return A @ u
+
+        def jac(t, u):
+            calls["jac"] += 1
+            return A
+
+        traj = integrate(VectorField(f=f, jac=jac, dim=2), [1.0, 1.0], (0.0, 1.0),
+                         rtol=1e-6, method="Radau")
+        assert calls["f"] == traj.stats["nfev"]
+        assert calls["jac"] == traj.stats["njev"] >= 1
+
+    def test_import_leaves_scipy_integrate_unimported(self):
+        import os
+        import subprocess
+        import sys
+
+        import contractkit
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(contractkit.__file__)))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, contractkit, contractkit.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestVariational:

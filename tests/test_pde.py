@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from contractkit import pde, sampling
 from contractkit.errors import ContractViolation
@@ -113,6 +114,41 @@ class TestReactionDiffusion:
         assert not rep["homogenized"]
         assert rep["final_qnorm_ratio"] > 0.1
 
+    def test_radau_matches_rk4_reference_brusselator(self):
+        # the experiment's solve: Radau at the times fixed-step RK4 records
+        r = pde.brusselator_reaction(a=1.0, b=1.8)
+        disc = pde.build_discretization(16, boundary="neumann")
+        fld = pde.reaction_diffusion_field(disc, [1e-3, 0.1], r)
+        rng = np.random.default_rng(0)
+        u0 = (np.repeat(r.steady_state[:, None], 16, axis=1)
+              + 0.05 * rng.standard_normal((2, 16))).reshape(-1)
+        t_end, dt, n_out = 10.0, 0.2 * disc.h**2 / 0.1, 50
+        times = pde._rk4_record_times(t_end, dt, n_out)
+        nsteps = int(math.ceil(t_end / dt))
+        ref = integrate(fld, u0, (0.0, t_end), dt=dt, record_every=nsteps // n_out)
+        traj = integrate(fld, u0, (0.0, times[-1]), rtol=pde.STIFF_RTOL,
+                         method="Radau", t_eval=times)
+        assert np.array_equal(traj.times, ref.times)
+        # relative to the state's scale; most of the gap is RK4's own error
+        # in the fast initial transient
+        assert np.max(np.abs(traj.states - ref.states)) <= 1e-6 * np.max(np.abs(ref.states))
+
+    def test_report_names_the_integrator(self):
+        rep, series = pde.reaction_diffusion_experiment(n=16, alphas=0.5, t_end=2.0, seed=0)
+        integ = rep["integrator"]
+        assert set(integ) == {"method", "rtol", "steps", "nfev", "njev", "nlu"}
+        assert integ["method"] == "Radau" and integ["rtol"] == pde.STIFF_RTOL
+        assert integ["nfev"] >= integ["steps"] > 0 and integ["njev"] >= 1
+        times = series["decay"][1][0]
+        assert np.array_equal(times, pde._rk4_record_times(2.0, 0.2 / 16**2 / 0.5, 200))
+
+    def test_rk4_record_times(self):
+        # 10 steps of 0.1, every 3rd recorded, then the last
+        np.testing.assert_array_equal(pde._rk4_record_times(1.0, 0.1, 3),
+                                      [0.0, 3 * 0.1, 6 * 0.1, 9 * 0.1, 10 * 0.1])
+        np.testing.assert_array_equal(pde._rk4_record_times(1.0, 0.5, 200),
+                                      [0.0, 0.5, 1.0])
+
 
 class TestPoisson:
     def test_zero_reaction_gives_zero_solution(self):
@@ -140,6 +176,14 @@ class TestPoisson:
         assert all(b > a for a, b in zip(lams, lams[1:]))
         assert lams[-1] < math.pi**2
         assert lams[-1] == pytest.approx(math.pi**2, rel=5e-3)
+
+    def test_report_names_the_integrator(self):
+        rep, _ = pde.nonlinear_poisson_experiment(n=16, c=5.0, seed=0, n_init=2,
+                                                  refinement=(8, 16))
+        integ = rep["integrator"]
+        assert integ["method"] == "Radau" and integ["rtol"] == pde.STIFF_RTOL
+        assert integ["nfev"] >= integ["steps"] > 0 and integ["nlu"] >= 1
+        assert rep["max_residual"] <= 1e-10
 
 
 class TestSobolevRate:
@@ -185,6 +229,18 @@ class TestSobolevRate:
 
 
 class TestRegularizedFamily:
+    def test_burgers_jacobian_formula(self):
+        from contractkit.grids import derivative_matrix_1d
+
+        disc = pde.build_discretization(32, boundary="periodic")
+        fld = pde.burgers_field(disc, 0.05)
+        D = derivative_matrix_1d(32, disc.h, "periodic")
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            u = rng.standard_normal(32)
+            expect = (-(D @ sp.diags(u)) + 0.05 * disc.laplacian).toarray()
+            assert np.array_equal(fld.jacobian(0.0, u), expect)
+
     def test_burgers_eps_residual_decreasing(self):
         fam = pde.burgers_family(n=64)
         rng = np.random.default_rng(2)
@@ -229,6 +285,46 @@ class TestRegularizedFamily:
 
 
 class TestVanishingOSL:
+    @staticmethod
+    def _small(lambda_bound=None):
+        fam = pde.burgers_family(n=64, eps_schedule=(0.08, 0.04, 0.02, 0.01))
+        x = np.arange(64) / 64
+        return pde.vanishing_osl_experiment(fam, np.sin(2 * np.pi * x), t_end=0.1,
+                                            n_out=20, seed=0, lambda_bound=lambda_bound)[0]
+
+    def test_rate_bound_not_declared_is_not_checked(self):
+        rep = self._small()
+        assert rep["lambda_declared"] == "not declared"
+        assert "uniform_rate_bound" not in [c.name for c in rep["hypotheses"]]
+        assert rep["lambda_observed"] == max(rep["rates"].values())
+
+    def test_declared_rate_bound_is_checked(self):
+        lam = self._small()["lambda_observed"]
+        above = self._small(lambda_bound=lam + 1.0)
+        below = self._small(lambda_bound=lam - 1.0)
+        assert above["lambda_declared"] == lam + 1.0
+        for rep, passed in ((above, True), (below, False)):
+            (check,) = [c for c in rep["hypotheses"] if c.name == "uniform_rate_bound"]
+            assert check.passed is passed
+            assert check.value == lam
+        assert "uniform_rate_bound" not in above["hypotheses_failed"]
+        assert "uniform_rate_bound" in below["hypotheses_failed"]
+
+    def test_weak_form_factors_match_dense_test_functions(self):
+        rng = np.random.default_rng(4)
+        times, xs = np.linspace(0.0, 0.5, 41), np.arange(32) / 32
+        uu = rng.standard_normal((41, 32))
+        flux = lambda u: 0.5 * u * u
+        psis = pde._test_functions(times, xs, np.random.default_rng(0), 5)
+        raw, denom = pde._weak_form_residuals(uu, psis, 1.0 / 32, 0.5 / 40, flux)
+        for (btp, bx, bt, bxp), r, d in zip(psis, raw, denom):
+            psi_t, psi_x = np.outer(btp, bx), np.outer(bt, bxp)
+            dense = np.sum(uu * psi_t + flux(uu) * psi_x) / 32 * 0.5 / 40
+            scale = (np.max(np.abs(uu)) * np.sum(np.abs(psi_t))
+                     + np.max(np.abs(flux(uu))) * np.sum(np.abs(psi_x))) / 32 * 0.5 / 40
+            assert r == pytest.approx(dense, rel=1e-12, abs=1e-15 * scale)
+            assert d == pytest.approx(scale, rel=1e-12)
+
     def test_burgers_small_scale(self):
         fam = pde.burgers_family(n=96)
         x = np.arange(96) / 96
