@@ -4,8 +4,8 @@ maximum-Lyapunov-exponent estimation.
 ``integrate`` has two branches.  With a fixed step ``dt`` it runs the
 classical fourth-order one-step method, the reference method.  With a
 tolerance ``rtol`` it steps one of scipy's adaptive ``OdeSolver`` classes
-(explicit RK45 by default; the implicit Radau IIA and BDF methods, for stiff
-semi-discretised PDEs, use ``VectorField.jacobian``); scipy.integrate is
+(explicit RK45 by default; the implicit Radau IIA method, for stiff
+semi-discretised PDEs, uses ``VectorField.jacobian``); scipy.integrate is
 imported only on that branch.  Perturbations are co-integrated with the
 linearized dynamics d(du)/dt = Df_t(u) du on fixed-step RK4.
 """
@@ -129,8 +129,25 @@ def _check_finite(u, t, prev):
         raise DivergenceError(f"state became non-finite at t={t:.6g}", t=t, last_state=prev)
 
 
-# Radau and BDF are implicit and get VectorField.jacobian
-SOLVER_METHODS = ("RK45", "Radau", "BDF")
+# Radau is implicit and gets VectorField.jacobian
+SOLVER_METHODS = ("RK45", "Radau")
+# |f| above which Radau's Newton residual, sums of f values times
+# coefficients below 10, may overflow
+_NEAR_OVERFLOW = np.finfo(float).max / 2**10
+
+
+def rk4_steps(t0, t1, dt):
+    """The number of steps fixed-step RK4 takes over (t0, t1) for a requested
+    step ``dt``, and the step it then takes."""
+    nsteps = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
+    return nsteps, (t1 - t0) / nsteps
+
+
+def rk4_record_times(t0, t1, dt, record_every):
+    """The times ``integrate(..., dt=dt, record_every=record_every)`` records:
+    t0, every ``record_every``-th step and the last."""
+    nsteps, dt_eff = rk4_steps(t0, t1, dt)
+    return t0 + np.unique(np.r_[0:nsteps + 1:record_every, nsteps]) * dt_eff
 
 
 def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_000_000,
@@ -171,8 +188,7 @@ def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_00
 def _integrate_rk4(f, u, t0, t1, dt, record_every):
     if dt <= 0:
         raise ContractViolation("dt must be positive")
-    nsteps = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
-    dt_eff = (t1 - t0) / nsteps
+    nsteps, dt_eff = rk4_steps(t0, t1, dt)
     times = [t0]
     states = [u.copy()]
     t = t0
@@ -197,12 +213,12 @@ def _integrate_solver(f, u, t0, t1, rtol, method, t_eval, record_every, max_step
             raise ContractViolation("t_eval must be strictly increasing inside t_span")
     import scipy.integrate
 
-    overflowed = False
+    overflowed = False               # f returned non-finite or near-overflow values
 
     def fun(t, y):
         nonlocal overflowed
         out = f.eval(t, y)
-        if not np.all(np.isfinite(out)):
+        if not np.abs(out).max() < _NEAR_OVERFLOW:     # true for inf and nan too
             overflowed = True
         return out
 
@@ -219,12 +235,13 @@ def _integrate_solver(f, u, t0, t1, rtol, method, t_eval, record_every, max_step
         try:
             message = solver.step()
             failed = solver.status == "failed"
-        except ValueError as exc:
+        except ValueError:
             # scipy's LU solves refuse the non-finite Newton residual of an
-            # overflowing implicit step
-            if "infs or NaNs" not in str(exc):
+            # implicit step whose f values overflow in its linear combinations
+            # of them; a ValueError with no such f values is not divergence
+            if not overflowed:
                 raise
-            failed = overflowed = True
+            failed = True
         if failed:
             # the solver still stands on the last accepted state; an
             # overflowed trial step that was then retried is no failure
@@ -261,8 +278,7 @@ def integrate_variational(f, u0, du0, t_span, dt, record_every=1):
     if u.shape != du.shape:
         raise DimensionError("u0 and du0 must have the same shape")
     t0, t1 = float(t_span[0]), float(t_span[1])
-    nsteps = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
-    dt_eff = (t1 - t0) / nsteps
+    nsteps, dt_eff = rk4_steps(t0, t1, dt)
     n = u.shape[0]
 
     def rhs(t, z):

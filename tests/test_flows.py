@@ -15,6 +15,8 @@ from contractkit.flows import (
     integrate_variational,
     linear_field,
     mle_estimate,
+    rk4_record_times,
+    rk4_steps,
     verify_growth_bound,
 )
 from contractkit.sip import L2, NormSpec
@@ -117,8 +119,9 @@ class TestSolverPath:
         for bad in ([0.5, 0.5], [0.0, 2.0], [-0.1, 0.5], []):
             with pytest.raises(ContractViolation):
                 integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, t_eval=bad)
-        with pytest.raises(ContractViolation):
-            integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, method="euler")
+        for method in ("euler", "BDF"):
+            with pytest.raises(ContractViolation):
+                integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, method=method)
 
     def test_record_every_and_diagnostics(self):
         fld = linear_field(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -131,11 +134,10 @@ class TestSolverPath:
         assert len(e) == len(traj.times)
         assert np.max(np.abs(e - 1.0)) <= 1e-8
 
-    @pytest.mark.parametrize("method", ["Radau", "BDF"])
-    def test_step_budget_stiffness_error(self, method):
+    def test_step_budget_stiffness_error(self):
         with pytest.raises(StiffnessError):
             integrate(lambda t, u: -1e6 * u, [1.0], (0.0, 10.0), rtol=1e-12,
-                      method=method, max_steps=5)
+                      method="Radau", max_steps=5)
 
     @pytest.mark.parametrize("method", ["RK45", "Radau"])
     def test_step_underflow_stiffness_error(self, method):
@@ -143,7 +145,7 @@ class TestSolverPath:
         with pytest.raises(StiffnessError, match="underflow"):
             integrate(lambda t, u: u**2, [2.0], (0.0, 1.0), rtol=1e-6, method=method)
 
-    @pytest.mark.parametrize("method", ["RK45", "Radau", "BDF"])
+    @pytest.mark.parametrize("method", ["RK45", "Radau"])
     def test_divergence_error_keeps_last_state(self, method):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
@@ -153,6 +155,16 @@ class TestSolverPath:
         assert state is not None and np.all(np.isfinite(state))
         assert state[0] > 1e300
         assert 0.6 < err.value.t < 0.8
+
+    def test_foreign_value_error_escapes(self):
+        # a ValueError raised inside a step, with no overflow, is not divergence
+        def f(t, u):
+            if t > 0.5:
+                raise ValueError("broken right-hand side")
+            return -u
+
+        with pytest.raises(ValueError, match="broken right-hand side"):
+            integrate(f, [1.0], (0.0, 1.0), rtol=1e-6, method="Radau")
 
     def test_stats_keys(self):
         for method in ("RK45", "Radau"):
@@ -196,6 +208,21 @@ class TestSolverPath:
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
+
+
+class TestRK4Grid:
+    def test_steps(self):
+        assert rk4_steps(0.0, 1.0, 0.1) == (10, 0.1)
+        # 2.1 / 0.7 rounds to 3.0000000000000004: a rounding error adds no step
+        assert rk4_steps(0.0, 2.1, 0.7)[0] == 3
+        assert rk4_steps(0.0, 1.0, 0.3) == (4, 0.25)
+
+    def test_record_times_are_what_integrate_records(self):
+        f = lambda t, u: -u
+        for t0, t1, dt, every in [(0.0, 1.0, 0.1, 3), (0.5, 2.0, 0.07, 4),
+                                  (0.0, 2.1, 0.7, 1), (0.0, 1.0, 0.5, 200)]:
+            traj = integrate(f, [1.0], (t0, t1), dt=dt, record_every=every)
+            assert np.array_equal(rk4_record_times(t0, t1, dt, every), traj.times)
 
 
 class TestVariational:

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from contractkit import pde, sampling
 from contractkit.errors import ContractViolation
-from contractkit.flows import integrate
+from contractkit.flows import integrate, rk4_record_times
 from contractkit.sip import L2, NormSpec, norm
 
 
@@ -122,12 +122,10 @@ class TestReactionDiffusion:
         rng = np.random.default_rng(0)
         u0 = (np.repeat(r.steady_state[:, None], 16, axis=1)
               + 0.05 * rng.standard_normal((2, 16))).reshape(-1)
-        t_end, dt, n_out = 10.0, 0.2 * disc.h**2 / 0.1, 50
-        times = pde._rk4_record_times(t_end, dt, n_out)
-        nsteps = int(math.ceil(t_end / dt))
-        ref = integrate(fld, u0, (0.0, t_end), dt=dt, record_every=nsteps // n_out)
-        traj = integrate(fld, u0, (0.0, times[-1]), rtol=pde.STIFF_RTOL,
-                         method="Radau", t_eval=times)
+        t_end, dt, every = 10.0, 0.2 * disc.h**2 / 0.1, 25
+        ref = integrate(fld, u0, (0.0, t_end), dt=dt, record_every=every)
+        traj = integrate(fld, u0, (0.0, ref.times[-1]), rtol=pde.STIFF_RTOL,
+                         method=pde.STIFF_METHOD, t_eval=ref.times)
         assert np.array_equal(traj.times, ref.times)
         # relative to the state's scale; most of the gap is RK4's own error
         # in the fast initial transient
@@ -139,15 +137,9 @@ class TestReactionDiffusion:
         assert set(integ) == {"method", "rtol", "steps", "nfev", "njev", "nlu"}
         assert integ["method"] == "Radau" and integ["rtol"] == pde.STIFF_RTOL
         assert integ["nfev"] >= integ["steps"] > 0 and integ["njev"] >= 1
+        # the output grid of RK4 at its stability step: 1,280 steps, every 6th
         times = series["decay"][1][0]
-        assert np.array_equal(times, pde._rk4_record_times(2.0, 0.2 / 16**2 / 0.5, 200))
-
-    def test_rk4_record_times(self):
-        # 10 steps of 0.1, every 3rd recorded, then the last
-        np.testing.assert_array_equal(pde._rk4_record_times(1.0, 0.1, 3),
-                                      [0.0, 3 * 0.1, 6 * 0.1, 9 * 0.1, 10 * 0.1])
-        np.testing.assert_array_equal(pde._rk4_record_times(1.0, 0.5, 200),
-                                      [0.0, 0.5, 1.0])
+        assert np.array_equal(times, rk4_record_times(0.0, 2.0, 0.2 / 16**2 / 0.5, 6))
 
 
 class TestPoisson:
