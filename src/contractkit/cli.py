@@ -225,7 +225,7 @@ def _run_manifold(p, seed):
                                                 sampler=sampler, sim=sim, seed=seed)
     rng = np.random.default_rng(seed)
     u0 = np.array([lo, 0.0]) + 0.01 * rng.standard_normal(2)
-    traj = flows.integrate(fld, u0, (0.0, p["t_end"]), dt=p["dt"], record_every=10)
+    traj = geometry.simulate(fld, u0, sim)
     dist = np.array([abs(sub.value(u)[0]) for u in traj.states])
     series = {"decay": (["time", "level_residual"], [traj.times, dist])}
     return rep, series, rep["certified"]
@@ -294,7 +294,10 @@ def _run_limit_cycle(p, seed):
                             record_every=10, ics=ics)
     rep = geometry.certify_limit_cycle(fld, sub, conj, tau=None, sampler=sampler,
                                        sim=sim, seed=seed)
-    traj = flows.integrate(fld, ics[0], (0.0, p["t_end"]), dt=p["dt"], record_every=10)
+    # the certifier's first trajectory starts at ics[0]; it ran only if the
+    # hypotheses held
+    traj = (rep["sim"].pop("trajectory") if "sim" in rep
+            else geometry.simulate(fld, ics[0], sim))
     dist = np.array([abs(sub.value(conj.value(u))[0]) for u in traj.states])
     series = {"decay": (["time", "loop_distance"], [traj.times, dist])}
     return rep, series, rep["certified"]
@@ -419,7 +422,8 @@ def _run_vanishing_osl(p, seed):
     else:
         u0 = np.exp(-50.0 * (x - 0.3) ** 2)
     rep, series = pde.vanishing_osl_experiment(fam, u0, p=p["p"], t_end=p["t_end"],
-                                               seed=seed)
+                                               lambda_bound=p["lambda_bound"],
+                                               c_bound=p["c_bound"], seed=seed)
     ok = not rep["hypotheses_failed"] and rep["cauchy_trend"]
     return rep, series, ok
 
@@ -427,6 +431,11 @@ def _run_vanishing_osl(p, seed):
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
+
+_SIM_DT_HELP = ("step of the recording grid of the simulation cross-check "
+                "(the times fixed-step RK4 at this step would record); the "
+                "adaptive solver's accuracy is set by geometry.ODE_RTOL")
+
 
 @dataclass
 class Experiment:
@@ -488,7 +497,7 @@ EXPERIMENTS = {
         {"omega": Param("float", 1.0), "gain": Param("float", 1.0, positive=True),
          "radial_band": Param("floats", [0.8, 1.2]),
          "t_end": Param("float", 40.0, positive=True),
-         "dt": Param("float", 5e-3, positive=True)},
+         "dt": Param("float", 5e-3, positive=True, help=_SIM_DT_HELP)},
         _run_manifold),
     "symmetry": Experiment(
         "equivariance checks: spatial shifts commuting with periodic "
@@ -509,7 +518,7 @@ EXPERIMENTS = {
          "shear": Param("matrix", None),
          "radial_band": Param("floats", [0.8, 1.2]),
          "t_end": Param("float", 60.0, positive=True),
-         "dt": Param("float", 5e-3, positive=True)},
+         "dt": Param("float", 5e-3, positive=True, help=_SIM_DT_HELP)},
         _run_limit_cycle),
     "phase_locking": Experiment(
         "phase-locking of diffusively coupled heterogeneous oscillators: "
@@ -519,7 +528,7 @@ EXPERIMENTS = {
          "omegas": Param("floats", [1.0]),
          "coupling": Param("float", 0.4),
          "t_end": Param("float", 80.0, positive=True),
-         "dt": Param("float", 2e-3, positive=True)},
+         "dt": Param("float", 2e-3, positive=True, help=_SIM_DT_HELP)},
         _run_phase_locking),
     "heat": Experiment(
         "zero-flux heat equation: certified decay rate of the off-mean "
@@ -565,7 +574,13 @@ EXPERIMENTS = {
          "eps_schedule": Param("floats", [0.05, 0.025, 0.0125, 0.00625]),
          "speed": Param("float", 1.0),
          "initial": Param("str", "sine", choices=("sine", "bump")),
-         "t_end": Param("float", 0.5, positive=True), "p": Param("float", 2.0)},
+         "t_end": Param("float", 0.5, positive=True), "p": Param("float", 2.0),
+         "lambda_bound": Param("float", None,
+                               help="declared uniform rate bound; checked as "
+                                    "uniform_rate_bound when given"),
+         "c_bound": Param("float", None,
+                          help="declared bound on the solution norm over time; defaults to "
+                               "2 ||u0|| + 1")},
         _run_vanishing_osl),
 }
 
@@ -685,6 +700,9 @@ def list_experiments(file=None):
         req = ", ".join(required) if required else "none"
         print(f"    params: {keys}", file=file)
         print(f"    required: {req}", file=file)
+        for k, v in exp.params.items():
+            if v.help:
+                print(f"    {k}: {v.help}", file=file)
     return 0
 
 

@@ -3,10 +3,13 @@ maximum-Lyapunov-exponent estimation.
 
 ``integrate`` has two branches.  With a fixed step ``dt`` it runs the
 classical fourth-order one-step method, the reference method.  With a
-tolerance ``rtol`` it steps one of scipy's adaptive ``OdeSolver`` classes
-(explicit RK45 by default; the implicit Radau IIA method, for stiff
-semi-discretised PDEs, uses ``VectorField.jacobian``); scipy.integrate is
-imported only on that branch.  Perturbations are co-integrated with the
+tolerance ``rtol`` it steps one of scipy's adaptive ``OdeSolver`` classes:
+explicit RK45 (the default) or DOP853, the eighth-order Dormand-Prince
+method the non-stiff ODE simulations use, or the implicit Radau IIA
+method, which gets ``VectorField.jacobian`` and runs the stiff
+semi-discretised PDEs.  scipy.integrate is imported only on that branch.
+Fields on a grid keep fixed-step RK4 in the simulation cross-checks (see
+``geometry.simulate``).  Perturbations are co-integrated with the
 linearized dynamics d(du)/dt = Df_t(u) du on fixed-step RK4.
 """
 
@@ -129,8 +132,8 @@ def _check_finite(u, t, prev):
         raise DivergenceError(f"state became non-finite at t={t:.6g}", t=t, last_state=prev)
 
 
-# Radau is implicit and gets VectorField.jacobian
-SOLVER_METHODS = ("RK45", "Radau")
+# Radau is implicit and the only one given VectorField.jacobian
+SOLVER_METHODS = ("RK45", "DOP853", "Radau")
 # |f| above which Radau's Newton residual, sums of f values times
 # coefficients below 10, may overflow
 _NEAR_OVERFLOW = np.finfo(float).max / 2**10
@@ -222,7 +225,7 @@ def _integrate_solver(f, u, t0, t1, rtol, method, t_eval, record_every, max_step
             overflowed = True
         return out
 
-    jac = {} if method == "RK45" else {"jac": lambda t, y: f.jacobian(t, y)}
+    jac = {"jac": lambda t, y: f.jacobian(t, y)} if method == "Radau" else {}
     solver = getattr(scipy.integrate, method)(fun, t0, u, t1, rtol=rtol, atol=rtol, **jac)
     times, states = ([t0], [u.copy()]) if t_eval is None else ([], [])
     n_done = 0                       # t_eval entries recorded so far

@@ -4,7 +4,8 @@ phase-locking of coupled oscillators.
 
 Each certifier evaluates its hypotheses numerically on sampled states and,
 when a simulation check is requested, cross-checks the certified decay
-quantity against trajectories from random initial conditions.
+quantity against trajectories from random initial conditions, each one
+integrated by ``simulate``.
 """
 
 import math
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericalError
-from .flows import VectorField, as_vector_field, fd_jacobian, fit_decay_rate, integrate
+from .flows import (VectorField, as_vector_field, fd_jacobian, fit_decay_rate, integrate,
+                    rk4_record_times)
 from .measures import as_matrix, nonlinear_rate
 from .reporting import Check, all_passed
 from .sip import L2
@@ -23,6 +25,9 @@ from .weights import WeightFamily, jacobian_of_map, projection_complement
 RESIDUAL_TOL = 1e-8
 _RATE_TOL = 1e-12          # certified means rate < -_RATE_TOL
 _SPEED_FLOOR_FRAC = 1e-6   # loop non-accumulation margin vs mean speed
+# the adaptive solver of the non-stiff simulation cross-checks and its tolerance
+ODE_METHOD = "DOP853"
+ODE_RTOL = 1e-10
 
 
 @dataclass
@@ -151,6 +156,35 @@ class SimCheck:
     ics: list = None
 
 
+def simulate(f, u0, sim, t_end=None, record_every=None):
+    """One simulation of a cross-check over (0, t_end), recorded at the times
+    fixed-step RK4 at ``sim.dt`` would record (``flows.rk4_record_times``).
+
+    A field on a grid (a semi-discretised PDE) runs fixed-step RK4 at
+    ``sim.dt``, its explicit stability step.  Any other field runs
+    ``ODE_METHOD`` at ``ODE_RTOL``, so ``sim.dt`` sets only where it records.
+    ``t_end`` and ``record_every`` default to those of ``sim``."""
+    f = as_vector_field(f)
+    t_end = sim.t_end if t_end is None else t_end
+    record_every = sim.record_every if record_every is None else record_every
+    if f.grid is not None:
+        return integrate(f, u0, (0.0, t_end), dt=sim.dt, record_every=record_every)
+    return integrate(f, u0, (0.0, t_end), rtol=ODE_RTOL, method=ODE_METHOD,
+                     t_eval=rk4_record_times(0.0, t_end, sim.dt, record_every))
+
+
+def _integrator_entry(trajs):
+    """A sim report's ``integrator`` entry: the method, its tolerance, and the
+    steps and right-hand-side evaluations summed over ``trajs``."""
+    stats = [traj.stats for traj in trajs]
+    if "method" in stats[0]:
+        return {"method": stats[0]["method"], "rtol": ODE_RTOL,
+                "steps": sum(s["steps"] for s in stats),
+                "nfev": sum(s["nfev"] for s in stats)}
+    steps = sum(s["accepted"] for s in stats)
+    return {"method": "RK4", "rtol": None, "steps": steps, "nfev": 4 * steps}
+
+
 def _sim_initial_conditions(sim, dim, base=None):
     if sim.ics is not None:
         return [np.asarray(u, dtype=float) for u in sim.ics]
@@ -161,17 +195,20 @@ def _sim_initial_conditions(sim, dim, base=None):
 
 def _decay_cross_check(f, sim, dim, quantity, lam, base_ic=None):
     """Simulate n_ic trajectories and fit the decay exponent of
-    ``quantity(u)``; each fit must not be slower than lam + 0.1 |lam|."""
+    ``quantity(u)``; each fit must not be slower than lam + 0.1 |lam|.
+    Returns the summary and the trajectories."""
     fits = []
+    trajs = []
     for u0 in _sim_initial_conditions(sim, dim, base=base_ic):
-        traj = integrate(f, u0, (0.0, sim.t_end), dt=sim.dt,
-                         record_every=sim.record_every)
+        traj = simulate(f, u0, sim)
         series = np.array([quantity(u) for u in traj.states])
         slope, info = fit_decay_rate(traj.times, series)
         fits.append({"fitted": slope, "points": info.get("points", 0)})
+        trajs.append(traj)
     threshold = lam + 0.1 * abs(lam)
     ok = all(np.isfinite(f_["fitted"]) and f_["fitted"] <= threshold for f_ in fits)
-    return {"fits": fits, "threshold": threshold, "passed": bool(ok)}
+    return {"fits": fits, "threshold": threshold, "passed": bool(ok),
+            "integrator": _integrator_entry(trajs)}, trajs
 
 
 def check_subspace_invariance(f, proj, sampler):
@@ -237,7 +274,7 @@ def certify_subspace_contraction(f, proj, spec=L2, sampler=None,
         dim = proj.P.shape[0]
         gf_norm = (lambda v: sip_norm(v, spec)) if grid is None else \
             (lambda v: sip_norm(_as_gf(v, grid), spec))
-        report["sim"] = _decay_cross_check(
+        report["sim"], _ = _decay_cross_check(
             f, sim, dim, lambda u: gf_norm(proj.Q @ u), rate.value)
         report["certified"] = certified and report["sim"]["passed"]
     return report
@@ -317,7 +354,7 @@ def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None,
     if sim is not None and certified:
         dim = samples[0][1].shape[0]
         base = on_manifold[0][1] if on_manifold else None
-        report["sim"] = _decay_cross_check(
+        report["sim"], _ = _decay_cross_check(
             f, sim, dim, lambda u: float(np.linalg.norm(sub.value(u))),
             rate.value, base_ic=base)
         report["certified"] = certified and report["sim"]["passed"]
@@ -382,8 +419,8 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
             raise ContractViolation("temporal-symmetry simulation needs f.dim")
         u0 = _sim_initial_conditions(sim, f.dim)[0]
         n_periods = max(3, int(sim.t_end / tau))
-        traj = integrate(f, u0, (0.0, (n_periods + 1) * tau), dt=sim.dt,
-                         record_every=max(1, int(round(tau / sim.dt))))
+        traj = simulate(f, u0, sim, t_end=(n_periods + 1) * tau,
+                        record_every=max(1, int(round(tau / sim.dt))))
         # states at t = m tau
         snaps = traj.states[1:]
         diffs = np.array([np.linalg.norm(snaps[m + 1] - snaps[m])
@@ -393,6 +430,7 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
             "snapshot_diffs": diffs,
             "decay_ratios": ratios,
             "geometric_decay": bool(len(ratios) > 0 and np.all(ratios < 1.0)),
+            "integrator": _integrator_entry([traj]),
         }
     return report
 
@@ -463,6 +501,9 @@ def certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
     with weight Dphi), loop symmetry (tau-periodicity of g; autonomy when
     tau is None), and loop non-accumulation (the speed on the loop, minimized
     along the loop, stays above a fraction of its mean).
+
+    With ``sim`` and every hypothesis met, ``report["sim"]`` also carries the
+    period of the first simulated trajectory and that ``trajectory`` itself.
     """
     f = as_vector_field(f)
     g = conjugate_field(f, conj)
@@ -517,18 +558,17 @@ def certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
     }
     if sim is not None and certified:
         dim = samples[0][1].shape[0]
-        sim_out = _decay_cross_check(
+        sim_out, trajs = _decay_cross_check(
             f, sim, dim,
             lambda u: float(np.linalg.norm(sub.value(conj.value(u)))),
             rate.value)
-        # period of the conjugate state from one long run
-        u0 = _sim_initial_conditions(sim, dim)[0]
-        traj = integrate(f, u0, (0.0, sim.t_end), dt=sim.dt,
-                         record_every=sim.record_every)
+        # period of the conjugate state from the first trajectory
+        traj = trajs[0]
         vs = np.array([conj.value(u) for u in traj.states])
         period, crossings = extract_period(traj.times, vs[:, 0])
         sim_out["period"] = period
         sim_out["n_crossings"] = len(crossings)
+        sim_out["trajectory"] = traj
         report["sim"] = sim_out
         report["certified"] = certified and sim_out["passed"]
     return report
@@ -644,9 +684,7 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
     if sim is not None:
         dim = samples[0][1].shape[0]
         m = dim // n_osc
-        u0 = _sim_initial_conditions(sim, dim)[0]
-        traj = integrate(f, u0, (0.0, sim.t_end), dt=sim.dt,
-                         record_every=sim.record_every)
+        traj = simulate(f, _sim_initial_conditions(sim, dim)[0], sim)
         vs = np.stack([
             np.concatenate([c.value(u[i * m:(i + 1) * m])
                             for i, c in enumerate(conjs)])
@@ -676,6 +714,7 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
             "mean_period": float(np.mean(periods)) if np.all(np.isfinite(periods)) else math.nan,
             "phase_drift_final_quarter": drift,
             "phases_locked": bool(drift < spread_tol),
+            "integrator": _integrator_entry([traj]),
         }
         report["certified"] = bool(report["certified"] and common
                                    and report["sim"]["phases_locked"])

@@ -1,12 +1,9 @@
 """Built-in dynamical systems used by the experiments and tests."""
 
 import numpy as np
-import scipy.linalg as sla
 
 from .flows import VectorField
-from .geometry import Conjugacy, Submersion
-
-SHEAR_MATRIX = np.array([[-1.0, 10.0], [0.0, -1.0]])
+from .geometry import Submersion
 
 
 def hopf_field(omega=1.0, gain=1.0):
@@ -83,52 +80,42 @@ def coupled_hopf_field(omegas, conj_mats, coupling):
 
         dv_i/dt = hopf(v_i; omega_i) + K * sum_j (v_j - v_i),
 
-    mapped back through u_i = M_i^{-1} v_i."""
+    mapped back through u_i = M_i^{-1} v_i.  The block-diagonal M and M^{-1}
+    are kept as stacks of their 2 x 2 blocks, and the planar terms act on
+    all oscillators at once."""
     n_osc = len(omegas)
-    mats = [np.asarray(M, dtype=float) for M in conj_mats]
-    inv_mats = [np.linalg.inv(M) for M in mats]
-    hopfs = [hopf_field(omega=w) for w in omegas]
+    M = np.stack([np.asarray(Mi, dtype=float) for Mi in conj_mats])     # (n, 2, 2)
+    Minv = np.linalg.inv(M)
+    omega = np.asarray(omegas, dtype=float)
     K = float(coupling)
+    eye = np.eye(2)
 
-    def split(z):
-        return [z[2 * i:2 * i + 2] for i in range(n_osc)]
+    def to_conjugate(u):
+        return (M @ np.asarray(u, dtype=float).reshape(n_osc, 2, 1))[..., 0]
 
     def f(t, u):
-        vs = [M @ ui for M, ui in zip(mats, split(np.asarray(u, dtype=float)))]
-        vbar = np.mean(vs, axis=0)
-        dvs = [h.eval(t, v) + K * n_osc * (vbar - v) for h, v in zip(hopfs, vs)]
-        return np.concatenate([Mi @ dv for Mi, dv in zip(inv_mats, dvs)])
+        v = to_conjugate(u)
+        x, y = v[:, 0], v[:, 1]
+        radial = 1.0 - (x * x + y * y)
+        dv = (K * n_osc) * (v.sum(axis=0) / n_osc - v)
+        dv[:, 0] += x * radial - omega * y
+        dv[:, 1] += y * radial + omega * x
+        return (Minv @ dv[..., None]).reshape(-1)
 
     def jac(t, u):
-        vs = [M @ ui for M, ui in zip(mats, split(np.asarray(u, dtype=float)))]
-        blocks = [[None] * n_osc for _ in range(n_osc)]
-        for i in range(n_osc):
-            Ji = hopfs[i].jacobian(t, vs[i])
-            for j in range(n_osc):
-                core = (K * np.eye(2)) if i != j else (Ji - K * (n_osc - 1) * np.eye(2))
-                blocks[i][j] = inv_mats[i] @ core @ mats[j]
-        return np.block(blocks)
+        v = to_conjugate(u)
+        x, y = v[:, 0], v[:, 1]
+        hopf = np.stack([
+            np.stack([1.0 - 3.0 * x * x - y * y, -omega - 2.0 * x * y], axis=1),
+            np.stack([omega - 2.0 * x * y, 1.0 - x * x - 3.0 * y * y], axis=1),
+        ], axis=1)
+        core = np.broadcast_to(K * eye, (n_osc, n_osc, 2, 2)).copy()
+        diag = np.arange(n_osc)
+        core[diag, diag] = hopf - K * (n_osc - 1) * eye
+        blocks = Minv[:, None] @ core @ M[None, :]                        # (n, n, 2, 2)
+        return blocks.transpose(0, 2, 1, 3).reshape(2 * n_osc, 2 * n_osc)
 
-    fld = VectorField(f=f, jac=jac, dim=2 * n_osc, name="coupled_hopf")
-    fld.conjugacies = [Conjugacy.linear(M) for M in mats]
-    return fld
-
-
-def stacked_circle_submersion(n_osc):
-    """Level-set map whose zero set is the product of unit circles."""
-
-    def phi(z):
-        return np.array([z[2 * i] ** 2 + z[2 * i + 1] ** 2 - 1.0
-                         for i in range(n_osc)])
-
-    def dphi(z):
-        J = np.zeros((n_osc, 2 * n_osc))
-        for i in range(n_osc):
-            J[i, 2 * i] = 2.0 * z[2 * i]
-            J[i, 2 * i + 1] = 2.0 * z[2 * i + 1]
-        return J
-
-    return Submersion(phi=phi, dphi=dphi, codim=n_osc)
+    return VectorField(f=f, jac=jac, dim=2 * n_osc, name="coupled_hopf")
 
 
 def random_stable_matrix(rng, n, margin=0.5, scale=1.0):
@@ -136,7 +123,3 @@ def random_stable_matrix(rng, n, margin=0.5, scale=1.0):
     A = scale * rng.standard_normal((n, n))
     alpha = np.max(np.real(np.linalg.eigvals(A)))
     return A - (alpha + margin) * np.eye(n)
-
-
-def matrix_exponential_flow(A, t, u0):
-    return sla.expm(t * np.asarray(A)) @ np.asarray(u0)

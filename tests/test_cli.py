@@ -110,6 +110,29 @@ amplitude = 0.05
         failing = [c for c in report["report"]["checks"] if not c["passed"]]
         assert failing, "a named hypothesis must fail"
 
+    @pytest.mark.parametrize("bound, code, passed", [(None, 0, None), (20.0, 0, True),
+                                                      (5.0, 2, False)])
+    def test_vanishing_osl_declared_rate_bound(self, tmp_path, bound, code, passed):
+        out = tmp_path / "v"
+        cfg = (f"[experiment]\nname = vanishing_osl\nseed = 0\noutput_dir = {out}\n\n"
+               "[params]\nn = 64\nt_end = 0.2\nc_bound = 3.5\n")
+        if bound is not None:
+            cfg += f"lambda_bound = {bound}\n"
+        assert cli.run(write_cfg(tmp_path, cfg)) == code
+        rep = json.loads((out / "report.json").read_text())["report"]
+        checks = {c["name"]: c for c in rep["hypotheses"]}
+        assert checks["bounded_solution"]["threshold"] == 3.5
+        if bound is None:
+            assert rep["lambda_declared"] == "not declared"
+            assert "uniform_rate_bound" not in checks
+            return
+        check = checks["uniform_rate_bound"]
+        assert rep["lambda_declared"] == bound
+        assert check["value"] == rep["lambda_observed"]
+        assert check["threshold"] == pytest.approx(bound)
+        assert check["passed"] is passed
+        assert (check["name"] in rep["hypotheses_failed"]) is not passed
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
         monkeypatch.setenv("CONTRACTKIT_OUTPUT_DIR", str(override))

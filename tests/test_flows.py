@@ -103,9 +103,35 @@ class TestSolverPath:
         assert traj.stats["steps"] < rk4_limit_steps / 100
         assert traj.stats["njev"] >= 1 and traj.stats["nlu"] >= 1
 
+    def test_dop853_nonstiff_linear_matches_expm(self):
+        A = np.array([[-0.3, 2.0], [-2.0, -0.3]])
+        u0 = np.array([1.0, -0.5])
+        t_eval = rk4_record_times(0.0, 6.0, 5e-3, 10)
+        traj = integrate(linear_field(A), u0, (0.0, 6.0), rtol=1e-10, method="DOP853",
+                         t_eval=t_eval)
+        assert np.array_equal(traj.times, t_eval)
+        expect = np.array([sla.expm(t * A) @ u0 for t in t_eval])
+        assert np.max(np.abs(traj.states - expect)) <= 1e-9
+        # far fewer steps than fixed-step RK4 takes on the same recording grid
+        assert traj.stats["steps"] < rk4_steps(0.0, 6.0, 5e-3)[0] / 10
+        assert traj.stats["njev"] == 0 and traj.stats["nlu"] == 0
+
+    def test_dop853_never_evaluates_the_jacobian(self):
+        def jac(t, u):
+            raise AssertionError("an explicit method asked for the Jacobian")
+
+        fld = VectorField(f=lambda t, u: -u, jac=jac, dim=1)
+        traj = integrate(fld, [1.0], (0.0, 1.0), rtol=1e-8, method="DOP853")
+        assert traj.final_state[0] == pytest.approx(np.exp(-1.0), rel=1e-7)
+
+    def test_dop853_step_budget_stiffness_error(self):
+        with pytest.raises(StiffnessError, match="budget"):
+            integrate(lambda t, u: -u, [1.0], (0.0, 10.0), rtol=1e-12,
+                      method="DOP853", max_steps=5)
+
     def test_t_eval_times_exact(self):
         t_eval = np.array([0.0, 0.1, 0.25, 1.0 / 3.0, 0.9, 1.0])
-        for method in ("RK45", "Radau"):
+        for method in ("RK45", "DOP853", "Radau"):
             traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-10,
                              method=method, t_eval=t_eval)
             assert np.array_equal(traj.times, t_eval)
@@ -167,7 +193,7 @@ class TestSolverPath:
             integrate(f, [1.0], (0.0, 1.0), rtol=1e-6, method="Radau")
 
     def test_stats_keys(self):
-        for method in ("RK45", "Radau"):
+        for method in ("RK45", "DOP853", "Radau"):
             traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, method=method)
             assert set(traj.stats) == {"method", "steps", "nfev", "njev", "nlu"}
             assert traj.stats["method"] == method

@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from contractkit import sampling, systems, weights
+from contractkit import geometry, sampling, systems, weights
 from contractkit.errors import ContractViolation
-from contractkit.flows import VectorField, integrate, linear_field
+from contractkit.flows import (
+    VectorField,
+    fd_jacobian,
+    integrate,
+    linear_field,
+    rk4_record_times,
+    rk4_steps,
+)
 from contractkit.geometry import (
+    ODE_RTOL,
     Conjugacy,
     Projector,
     SimCheck,
@@ -24,6 +32,7 @@ from contractkit.geometry import (
     extract_period,
     project_to_level_set,
     rotation_subspace_projector,
+    simulate,
     stacked_conjugate_field,
     sweep_loop,
 )
@@ -94,6 +103,10 @@ class TestSubspaceContraction:
         assert rep["rate"].value == pytest.approx(neumann_second_eigenvalue(16, disc.h),
                                                   rel=1e-10)
         assert rep["sim"]["passed"]
+        # a field on a grid keeps fixed-step RK4 at its stability step
+        nsteps = rk4_steps(0.0, 0.5, sim.dt)[0]
+        assert rep["sim"]["integrator"] == {"method": "RK4", "rtol": None,
+                                            "steps": 3 * nsteps, "nfev": 12 * nsteps}
 
     def test_identity_dynamics_not_certified(self):
         fld = VectorField(f=lambda t, u: u, jac=lambda t, u: np.eye(6), dim=6)
@@ -311,6 +324,37 @@ class TestLimitCycle:
         v_end = S @ traj.final_state
         assert np.linalg.norm(v_end) == pytest.approx(1.0, abs=1e-4)
 
+    def test_sim_records_at_rk4_times_and_matches_rk4(self):
+        fld = systems.hopf_field()
+        ics = [np.array([0.5, 0.0]), np.array([0.0, -1.5])]
+        sim = SimCheck(t_end=60.0, dt=5e-3, record_every=10, ics=ics)
+        rep = certify_limit_cycle(fld, self.sub, Conjugacy.identity(), tau=None,
+                                  sampler=band_sampler(seed=22), sim=sim)
+        traj = rep["sim"]["trajectory"]
+        assert np.array_equal(traj.times, rk4_record_times(0.0, 60.0, 5e-3, 10))
+        ref = integrate(fld, ics[0], (0.0, 60.0), dt=5e-3, record_every=10)
+        assert np.max(np.abs(traj.states - ref.states)) <= 1e-8
+        entry = rep["sim"]["integrator"]
+        assert entry["method"] == "DOP853" and entry["rtol"] == ODE_RTOL
+        assert entry["nfev"] > entry["steps"] > 0
+
+    def test_period_and_first_fit_share_one_integration(self, monkeypatch):
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(simulate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(geometry, "simulate", spy)
+        ics = [np.array([0.5, 0.0]), np.array([0.0, -1.5])]
+        sim = SimCheck(t_end=60.0, dt=5e-3, record_every=10, ics=ics)
+        rep = certify_limit_cycle(systems.hopf_field(), self.sub, Conjugacy.identity(),
+                                  tau=None, sampler=band_sampler(seed=22), sim=sim)
+        assert len(runs) == len(ics)
+        assert rep["sim"]["trajectory"] is runs[0]
+        period, _ = extract_period(runs[0].times, runs[0].states[:, 0])
+        assert rep["sim"]["period"] == period
+
     def test_equilibrium_on_loop_withheld(self):
         rep = certify_limit_cycle(systems.hopf_with_equilibrium_on_loop(), self.sub,
                                   Conjugacy.identity(), tau=None,
@@ -361,6 +405,30 @@ class TestPhaseLocking:
         periods = np.asarray(rep["sim"]["periods"])
         assert np.max(periods) - np.min(periods) <= 0.01 * np.mean(periods)
         assert rep["sim"]["phase_drift_final_quarter"] < 1e-3
+
+    def test_sim_records_at_rk4_times_and_matches_rk4(self, monkeypatch):
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(simulate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(geometry, "simulate", spy)
+        fld = systems.coupled_hopf_field([1.0] * 3, self.mats, coupling=0.4)
+        sim = SimCheck(t_end=20.0, dt=2e-3, n_ic=1, seed=29, ic_scale=0.4,
+                       record_every=25)
+        rep = certify_phase_locking(fld, [Conjugacy.linear(M) for M in self.mats],
+                                    rotation_subspace_projector(3),
+                                    sampler=self._torus_samples(3),
+                                    leader=self._leader(), sim=sim)
+        (traj,) = runs
+        assert np.array_equal(traj.times, rk4_record_times(0.0, 20.0, 2e-3, 25))
+        u0 = geometry._sim_initial_conditions(sim, 6)[0]
+        ref = integrate(fld, u0, (0.0, 20.0), dt=2e-3, record_every=25)
+        assert np.max(np.abs(traj.states - ref.states)) <= 1e-8
+        assert rep["sim"]["integrator"] == {"method": "DOP853", "rtol": ODE_RTOL,
+                                            "steps": traj.stats["steps"],
+                                            "nfev": traj.stats["nfev"]}
 
     def test_uncoupled_distinct_frequencies_withheld(self):
         fld = systems.coupled_hopf_field([1.0, 1.13, 0.91], self.mats, coupling=0.0)
@@ -418,3 +486,40 @@ def test_stacked_conjugate_consistency():
         J_exact = G.jacobian(0.0, v)
         J_fd = fd_jacobian(G.eval, 0.0, v)
         assert np.linalg.norm(J_exact - J_fd) <= 1e-4 * (1 + np.linalg.norm(J_exact))
+
+
+def _coupled_hopf_reference(omegas, mats, K, u):
+    """dv_i/dt = hopf(v_i) + K sum_j (v_j - v_i), oscillator by oscillator."""
+    n = len(omegas)
+    vs = [M @ u[2 * i:2 * i + 2] for i, M in enumerate(mats)]
+    out = []
+    for i, (w, v) in enumerate(zip(omegas, vs)):
+        dv = systems.hopf_field(omega=w).eval(0.0, v)
+        dv = dv + K * sum(vj - v for vj in vs)
+        out.append(np.linalg.solve(mats[i], dv))
+    assert len(out) == n
+    return np.concatenate(out)
+
+
+class TestCoupledHopf:
+    omegas = [1.0, 1.13, 0.91, 1.05]
+    mats = [np.eye(2), np.array([[1.4, 0.5], [0.0, 0.8]]),
+            np.array([[0.7, 0.0], [0.3, 1.2]]), np.array([[1.1, -0.4], [0.2, 0.9]])]
+
+    def test_matches_per_oscillator_loop(self):
+        fld = systems.coupled_hopf_field(self.omegas, self.mats, coupling=0.4)
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            u = 1.5 * rng.standard_normal(8)
+            ref = _coupled_hopf_reference(self.omegas, self.mats, 0.4, u)
+            assert np.linalg.norm(fld.eval(0.0, u) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_jacobian_matches_finite_differences(self):
+        fld = systems.coupled_hopf_field(self.omegas, self.mats, coupling=0.4)
+        rng = np.random.default_rng(42)
+        for _ in range(5):
+            u = rng.standard_normal(8)
+            J = fld.jacobian(0.0, u)
+            assert J.shape == (8, 8)
+            J_fd = fd_jacobian(fld.eval, 0.0, u)
+            assert np.linalg.norm(J - J_fd) <= 1e-6 * (1.0 + np.linalg.norm(J))
