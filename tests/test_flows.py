@@ -1,6 +1,8 @@
 """Integrators, variational dynamics, growth bounds, and Lyapunov
 exponent estimation."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -116,12 +118,16 @@ class TestSolverPath:
         assert traj.stats["steps"] < rk4_steps(0.0, 6.0, 5e-3)[0] / 10
         assert traj.stats["njev"] == 0 and traj.stats["nlu"] == 0
 
-    def test_dop853_never_evaluates_the_jacobian(self):
+    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    def test_explicit_methods_get_no_jacobian(self, method):
         def jac(t, u):
             raise AssertionError("an explicit method asked for the Jacobian")
 
         fld = VectorField(f=lambda t, u: -u, jac=jac, dim=1)
-        traj = integrate(fld, [1.0], (0.0, 1.0), rtol=1e-8, method="DOP853")
+        # scipy warns about a jac handed to a solver that has no use for it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(fld, [1.0], (0.0, 1.0), rtol=1e-8, method=method)
         assert traj.final_state[0] == pytest.approx(np.exp(-1.0), rel=1e-7)
 
     def test_dop853_step_budget_stiffness_error(self):
