@@ -292,12 +292,12 @@ def _run_limit_cycle(p, seed):
                      0.5 + rng.uniform(0.0, 1.0, 2))]
     sim = geometry.SimCheck(t_end=p["t_end"], dt=p["dt"], seed=seed,
                             record_every=10, ics=ics)
-    rep = geometry.certify_limit_cycle(fld, sub, conj, tau=None, sampler=sampler,
-                                       sim=sim, seed=seed)
+    rep, traj = geometry._certify_limit_cycle(fld, sub, conj, tau=None, sampler=sampler,
+                                              sim=sim, seed=seed)
     # the certifier's first trajectory starts at ics[0]; it ran only if the
     # hypotheses held
-    traj = (rep["sim"].pop("trajectory") if "sim" in rep
-            else geometry.simulate(fld, ics[0], sim))
+    if traj is None:
+        traj = geometry.simulate(fld, ics[0], sim)
     dist = np.array([abs(sub.value(conj.value(u))[0]) for u in traj.states])
     series = {"decay": (["time", "loop_distance"], [traj.times, dist])}
     return rep, series, rep["certified"]
@@ -422,8 +422,7 @@ def _run_vanishing_osl(p, seed):
     else:
         u0 = np.exp(-50.0 * (x - 0.3) ** 2)
     rep, series = pde.vanishing_osl_experiment(fam, u0, p=p["p"], t_end=p["t_end"],
-                                               lambda_bound=p["lambda_bound"],
-                                               c_bound=p["c_bound"], seed=seed)
+                                               lambda_bound=p["lambda_bound"], seed=seed)
     ok = not rep["hypotheses_failed"] and rep["cauchy_trend"]
     return rep, series, ok
 
@@ -577,10 +576,7 @@ EXPERIMENTS = {
          "t_end": Param("float", 0.5, positive=True), "p": Param("float", 2.0),
          "lambda_bound": Param("float", None,
                                help="declared uniform rate bound; checked as "
-                                    "uniform_rate_bound when given"),
-         "c_bound": Param("float", None,
-                          help="declared bound on the solution norm over time; defaults to "
-                               "2 ||u0|| + 1")},
+                                    "uniform_rate_bound when given")},
         _run_vanishing_osl),
 }
 

@@ -146,11 +146,19 @@ def rk4_steps(t0, t1, dt):
     return nsteps, (t1 - t0) / nsteps
 
 
+def _rk4_time(t0, t1, step, nsteps, dt_eff):
+    """The time after ``step`` of ``nsteps`` steps: exactly t1 after the
+    last, where t0 + nsteps * dt_eff may round one ulp past it."""
+    return t1 if step == nsteps else t0 + step * dt_eff
+
+
 def rk4_record_times(t0, t1, dt, record_every):
     """The times ``integrate(..., dt=dt, record_every=record_every)`` records:
-    t0, every ``record_every``-th step and the last."""
+    t0, every ``record_every``-th step and the last, which is exactly t1."""
     nsteps, dt_eff = rk4_steps(t0, t1, dt)
-    return t0 + np.unique(np.r_[0:nsteps + 1:record_every, nsteps]) * dt_eff
+    times = t0 + np.unique(np.r_[0:nsteps + 1:record_every, nsteps]) * dt_eff
+    times[-1] = t1
+    return times
 
 
 def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_000_000,
@@ -199,7 +207,7 @@ def _integrate_rk4(f, u, t0, t1, dt, record_every):
         u_new = _rk4_step(f.eval, t, u, dt_eff)
         _check_finite(u_new, t + dt_eff, u)
         u = u_new
-        t = t0 + (step + 1) * dt_eff
+        t = _rk4_time(t0, t1, step + 1, nsteps, dt_eff)
         if (step + 1) % record_every == 0 or step == nsteps - 1:
             times.append(t)
             states.append(u.copy())
@@ -298,7 +306,7 @@ def integrate_variational(f, u0, du0, t_span, dt, record_every=1):
         z_new = _rk4_step(rhs, t, z, dt_eff)
         _check_finite(z_new, t + dt_eff, z)
         z = z_new
-        t = t0 + (step + 1) * dt_eff
+        t = _rk4_time(t0, t1, step + 1, nsteps, dt_eff)
         if (step + 1) % record_every == 0 or step == nsteps - 1:
             times.append(t)
             states.append(z[:n].copy())

@@ -397,7 +397,10 @@ def check_equivariance(f, group_elems, sampler, rate=None):
 def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
     """Residuals of f(t, u) = f(t + tau, u); with a negative contraction
     rate this certifies convergence to a tau-periodic solution, checked by
-    the geometric decay of ||u(t + (m+1) tau) - u(t + m tau)||."""
+    the geometric decay of ||u(t + (m+1) tau) - u(t + m tau)||.  Only the
+    ratios whose newer difference is above the simulation's error floor,
+    100 ODE_RTOL (1 + max ||u||), are checked: below it the differences are
+    integration error, which does not repeat from one period to the next."""
     if tau is not None and tau <= 0:
         raise ContractViolation("tau must be positive")
     f = as_vector_field(f)
@@ -426,10 +429,13 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
         diffs = np.array([np.linalg.norm(snaps[m + 1] - snaps[m])
                           for m in range(len(snaps) - 1)])
         ratios = diffs[1:] / np.maximum(diffs[:-1], 1e-300)
+        floor = 100.0 * ODE_RTOL * (1.0 + float(np.max(np.linalg.norm(snaps, axis=1))))
+        resolved = diffs[1:] > floor
         report["sim"] = {
             "snapshot_diffs": diffs,
             "decay_ratios": ratios,
-            "geometric_decay": bool(len(ratios) > 0 and np.all(ratios < 1.0)),
+            "diff_floor": floor,
+            "geometric_decay": bool(np.any(resolved) and np.all(ratios[resolved] < 1.0)),
             "integrator": _integrator_entry([traj]),
         }
     return report
@@ -503,8 +509,16 @@ def certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
     along the loop, stays above a fraction of its mean).
 
     With ``sim`` and every hypothesis met, ``report["sim"]`` also carries the
-    period of the first simulated trajectory and that ``trajectory`` itself.
+    period of the first simulated trajectory.
     """
+    return _certify_limit_cycle(f, sub, conj, tau, spec, sampler, sim, seed,
+                                n_times, sweep_ds)[0]
+
+
+def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
+                         sim=None, seed=0, n_times=3, sweep_ds=0.04):
+    """``certify_limit_cycle``'s report and the first simulated trajectory,
+    the one its period comes from (None when no sim ran)."""
     f = as_vector_field(f)
     g = conjugate_field(f, conj)
     samples = [(t, np.asarray(u, dtype=float)) for t, u in sampler]
@@ -568,10 +582,10 @@ def certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
         period, crossings = extract_period(traj.times, vs[:, 0])
         sim_out["period"] = period
         sim_out["n_crossings"] = len(crossings)
-        sim_out["trajectory"] = traj
         report["sim"] = sim_out
         report["certified"] = certified and sim_out["passed"]
-    return report
+        return report, traj
+    return report, None
 
 
 def extract_period(times, series, tail_fraction=0.5):

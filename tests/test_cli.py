@@ -115,13 +115,12 @@ amplitude = 0.05
     def test_vanishing_osl_declared_rate_bound(self, tmp_path, bound, code, passed):
         out = tmp_path / "v"
         cfg = (f"[experiment]\nname = vanishing_osl\nseed = 0\noutput_dir = {out}\n\n"
-               "[params]\nn = 64\nt_end = 0.2\nc_bound = 3.5\n")
+               "[params]\nn = 64\nt_end = 0.2\n")
         if bound is not None:
             cfg += f"lambda_bound = {bound}\n"
         assert cli.run(write_cfg(tmp_path, cfg)) == code
         rep = json.loads((out / "report.json").read_text())["report"]
         checks = {c["name"]: c for c in rep["hypotheses"]}
-        assert checks["bounded_solution"]["threshold"] == 3.5
         if bound is None:
             assert rep["lambda_declared"] == "not declared"
             assert "uniform_rate_bound" not in checks

@@ -252,9 +252,18 @@ class TestRK4Grid:
     def test_record_times_are_what_integrate_records(self):
         f = lambda t, u: -u
         for t0, t1, dt, every in [(0.0, 1.0, 0.1, 3), (0.5, 2.0, 0.07, 4),
-                                  (0.0, 2.1, 0.7, 1), (0.0, 1.0, 0.5, 200)]:
+                                  (0.0, 2.1, 0.7, 1), (0.0, 1.0, 0.5, 200),
+                                  (0.0, 15.0, 0.52, 1)]:
             traj = integrate(f, [1.0], (t0, t1), dt=dt, record_every=every)
             assert np.array_equal(rk4_record_times(t0, t1, dt, every), traj.times)
+
+    def test_last_time_is_exactly_t1(self):
+        # 29 steps of fl(15 / 29) add up to 15 + 2^-49
+        assert 29 * (15.0 / 29) > 15.0
+        assert rk4_record_times(0.0, 15.0, 0.52, 1)[-1] == 15.0
+        assert integrate(lambda t, u: -u, [1.0], (0.0, 15.0), dt=0.52).times[-1] == 15.0
+        traj = integrate_variational(lambda t, u: -u, [1.0], [1.0], (0.0, 15.0), 0.52)
+        assert traj.times[-1] == 15.0
 
 
 class TestVariational:

@@ -274,6 +274,33 @@ class TestTemporalSymmetry:
         # snapshots differ by a factor e^{-tau} each period
         assert np.allclose(ratios[1:4], np.exp(-1.0), rtol=0.05)
 
+    def _rk4_simulate(self, f, u0, sim, t_end=None, record_every=None):
+        return integrate(f, u0, (0.0, t_end), dt=sim.dt, record_every=record_every)
+
+    @pytest.mark.parametrize("t_end", [15.0, 30.0, 40.0])
+    def test_long_run_verdict_matches_rk4(self, monkeypatch, t_end):
+        sampler = sampling.gaussian_samples(5, 1, seed=19, t_range=(0.0, 2.0))
+        sim = SimCheck(t_end=t_end, dt=1e-3, n_ic=1, seed=18)
+        rate = RateEstimate(-1.0, "eigen")
+        rep = check_temporal_symmetry(self._forced(), 1.0, sampler, sim=sim, rate=rate)
+        assert rep["sim"]["integrator"]["method"] == "DOP853"
+        monkeypatch.setattr(geometry, "simulate", self._rk4_simulate)
+        ref = check_temporal_symmetry(self._forced(), 1.0, sampler, sim=sim, rate=rate)
+        assert ref["sim"]["integrator"]["method"] == "RK4"
+        assert rep["sim"]["geometric_decay"] and ref["sim"]["geometric_decay"]
+        if t_end >= 30.0:
+            # past the floor the differences are integration error and
+            # their ratios reach 1
+            assert np.max(rep["sim"]["decay_ratios"]) >= 1.0
+
+    def test_off_period_tau_no_geometric_decay(self):
+        sim = SimCheck(t_end=8.0, dt=1e-3, n_ic=1, seed=18)
+        rep = check_temporal_symmetry(self._forced(), 0.7,
+                                      sampling.gaussian_samples(5, 1, seed=20,
+                                                                t_range=(0.0, 2.0)),
+                                      sim=sim, rate=RateEstimate(-1.0, "eigen"))
+        assert not rep["sim"]["geometric_decay"]
+
     def test_wrong_tau_fails(self):
         rep = check_temporal_symmetry(self._forced(), 0.7,
                                       sampling.gaussian_samples(5, 1, seed=20,
@@ -328,9 +355,9 @@ class TestLimitCycle:
         fld = systems.hopf_field()
         ics = [np.array([0.5, 0.0]), np.array([0.0, -1.5])]
         sim = SimCheck(t_end=60.0, dt=5e-3, record_every=10, ics=ics)
-        rep = certify_limit_cycle(fld, self.sub, Conjugacy.identity(), tau=None,
-                                  sampler=band_sampler(seed=22), sim=sim)
-        traj = rep["sim"]["trajectory"]
+        rep, traj = geometry._certify_limit_cycle(fld, self.sub, Conjugacy.identity(),
+                                                  tau=None, sampler=band_sampler(seed=22),
+                                                  sim=sim)
         assert np.array_equal(traj.times, rk4_record_times(0.0, 60.0, 5e-3, 10))
         ref = integrate(fld, ics[0], (0.0, 60.0), dt=5e-3, record_every=10)
         assert np.max(np.abs(traj.states - ref.states)) <= 1e-8
@@ -348,12 +375,26 @@ class TestLimitCycle:
         monkeypatch.setattr(geometry, "simulate", spy)
         ics = [np.array([0.5, 0.0]), np.array([0.0, -1.5])]
         sim = SimCheck(t_end=60.0, dt=5e-3, record_every=10, ics=ics)
-        rep = certify_limit_cycle(systems.hopf_field(), self.sub, Conjugacy.identity(),
-                                  tau=None, sampler=band_sampler(seed=22), sim=sim)
+        rep, traj = geometry._certify_limit_cycle(systems.hopf_field(), self.sub,
+                                                  Conjugacy.identity(), tau=None,
+                                                  sampler=band_sampler(seed=22), sim=sim)
         assert len(runs) == len(ics)
-        assert rep["sim"]["trajectory"] is runs[0]
+        assert traj is runs[0]
         period, _ = extract_period(runs[0].times, runs[0].states[:, 0])
         assert rep["sim"]["period"] == period
+        public = certify_limit_cycle(systems.hopf_field(), self.sub, Conjugacy.identity(),
+                                     tau=None, sampler=band_sampler(seed=22), sim=sim)
+        assert set(public["sim"]) == set(rep["sim"])
+        assert "trajectory" not in public["sim"]
+
+    def test_sim_off_grid_end_time(self):
+        # 29 steps of fl(15 / 29) overshoot 15 by 2^-49; the solver's
+        # t_eval must still end at 15 exactly
+        sim = SimCheck(t_end=15.0, dt=0.52, n_ic=1)
+        traj = simulate(systems.hopf_field(), np.array([0.5, 0.0]), sim)
+        assert traj.stats["method"] == "DOP853"
+        assert traj.times[-1] == 15.0
+        assert np.array_equal(traj.times, rk4_record_times(0.0, 15.0, 0.52, 1))
 
     def test_equilibrium_on_loop_withheld(self):
         rep = certify_limit_cycle(systems.hopf_with_equilibrium_on_loop(), self.sub,
