@@ -169,6 +169,8 @@ def _run_growth_bound(p, seed):
         "advisory": rep["advisory"],
         "transient_bound": rep["transient_bound"],
         "contracted_after_tb": rep["contracted_after_tb"],
+        "rate_solves": rep["rate_solves"],
+        "integrator": rep["integrator"],
         "checks": checks,
     }
     series = {
@@ -188,6 +190,7 @@ def _run_mle(p, seed):
         "converged": res.converged,
         "mu_p": mu_p,
         "mle_below_mu": bool(res.value <= mu_p.value + 0.05),
+        "integrator": res.integrator,
     }
     series = {"history": (["time", "running_estimate"], [res.times, res.history])}
     return report, series, None
@@ -431,9 +434,9 @@ def _run_vanishing_osl(p, seed):
 # registry
 # ---------------------------------------------------------------------------
 
-_SIM_DT_HELP = ("step of the recording grid of the simulation cross-check "
+_SIM_DT_HELP = ("step of the recording grid of the simulation "
                 "(the times fixed-step RK4 at this step would record); the "
-                "adaptive solver's accuracy is set by geometry.ODE_RTOL")
+                "adaptive solver's accuracy is set by flows.ODE_RTOL")
 
 
 @dataclass
@@ -474,7 +477,7 @@ EXPERIMENTS = {
                                        "projection_mean")),
          "weight_diag": Param("floats", None), "weight_matrix": Param("matrix", None),
          "t_end": Param("float", 8.0, positive=True),
-         "dt": Param("float", 1e-3, positive=True)},
+         "dt": Param("float", 1e-3, positive=True, help=_SIM_DT_HELP)},
         _run_growth_bound),
     "mle": Experiment(
         "maximum Lyapunov exponent by renormalized perturbations, compared "
@@ -482,7 +485,8 @@ EXPERIMENTS = {
         {"matrix": Param("matrix"), "p": Param("float", 2.0),
          "t_end": Param("float", 40.0, positive=True),
          "renorm_interval": Param("float", 0.5, positive=True),
-         "dt": Param("float", 1e-2, positive=True)},
+         "dt": Param("float", 1e-2, positive=True,
+                     help="unused; the accuracy is set by flows.ODE_RTOL")},
         _run_mle),
     "subspace": Experiment(
         "contraction of the zero-flux heat equation to its spatial mean: "

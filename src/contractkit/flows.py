@@ -5,12 +5,17 @@ maximum-Lyapunov-exponent estimation.
 classical fourth-order one-step method, the reference method.  With a
 tolerance ``rtol`` it steps one of scipy's adaptive ``OdeSolver`` classes:
 explicit RK45 (the default) or DOP853, the eighth-order Dormand-Prince
-method the non-stiff ODE simulations use, or the implicit Radau IIA
-method, which gets ``VectorField.jacobian`` and runs the stiff
-semi-discretised PDEs.  scipy.integrate is imported only on that branch.
-Fields on a grid keep fixed-step RK4 in the simulation cross-checks (see
-``geometry.simulate``).  Perturbations are co-integrated with the
-linearized dynamics d(du)/dt = Df_t(u) du on fixed-step RK4.
+method, or the implicit Radau IIA method, which gets
+``VectorField.jacobian`` and runs the stiff semi-discretised PDEs.
+scipy.integrate is imported only on that branch.
+
+``simulate_flow`` holds the one rule by which the simulations pick a
+branch: a field on a grid keeps fixed-step RK4 at its step ``dt``, and any
+other field runs ``ODE_METHOD`` at ``ODE_RTOL``, recorded at the times RK4
+would record.  The simulation cross-checks of ``geometry`` and the
+variational flows (``integrate_variational``, which co-integrates a tangent
+perturbation with the linearized dynamics d(du)/dt = Df_t(u) du as one
+augmented field) both go through it.
 """
 
 import math
@@ -134,6 +139,9 @@ def _check_finite(u, t, prev):
 
 # Radau is implicit and the only one given VectorField.jacobian
 SOLVER_METHODS = ("RK45", "DOP853", "Radau")
+# the adaptive solver of the simulations off the grid and its tolerance
+ODE_METHOD = "DOP853"
+ODE_RTOL = 1e-10
 # |f| above which Radau's Newton residual, sums of f values times
 # coefficients below 10, may overflow
 _NEAR_OVERFLOW = np.finfo(float).max / 2**10
@@ -144,12 +152,6 @@ def rk4_steps(t0, t1, dt):
     step ``dt``, and the step it then takes."""
     nsteps = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
     return nsteps, (t1 - t0) / nsteps
-
-
-def _rk4_time(t0, t1, step, nsteps, dt_eff):
-    """The time after ``step`` of ``nsteps`` steps: exactly t1 after the
-    last, where t0 + nsteps * dt_eff may round one ulp past it."""
-    return t1 if step == nsteps else t0 + step * dt_eff
 
 
 def rk4_record_times(t0, t1, dt, record_every):
@@ -207,7 +209,9 @@ def _integrate_rk4(f, u, t0, t1, dt, record_every):
         u_new = _rk4_step(f.eval, t, u, dt_eff)
         _check_finite(u_new, t + dt_eff, u)
         u = u_new
-        t = _rk4_time(t0, t1, step + 1, nsteps, dt_eff)
+        # exactly t1 after the last step, where t0 + nsteps * dt_eff may
+        # round one ulp past it
+        t = t1 if step == nsteps - 1 else t0 + (step + 1) * dt_eff
         if (step + 1) % record_every == 0 or step == nsteps - 1:
             times.append(t)
             states.append(u.copy())
@@ -278,9 +282,38 @@ def _integrate_solver(f, u, t0, t1, rtol, method, t_eval, record_every, max_step
                            "njev": solver.njev, "nlu": solver.nlu}
 
 
+def simulate_flow(f, u0, t_span, dt, record_every=1, t_eval=None):
+    """Integrate by the simulation rule.  A field on a grid (a
+    semi-discretised PDE) runs fixed-step RK4 at ``dt``, its explicit
+    stability step, recording every ``record_every``-th step.  Any other
+    field runs ``ODE_METHOD`` at ``ODE_RTOL``, recorded at ``t_eval``, by
+    default at the times that RK4 run would record (``rk4_record_times``),
+    so ``dt`` sets only where it records."""
+    f = as_vector_field(f)
+    if f.grid is not None:
+        return integrate(f, u0, t_span, dt=dt, record_every=record_every)
+    if t_eval is None:
+        t_eval = rk4_record_times(*t_span, dt, record_every)
+    return integrate(f, u0, t_span, rtol=ODE_RTOL, method=ODE_METHOD, t_eval=t_eval)
+
+
+def integrator_entry(trajs):
+    """A report's ``integrator`` entry: the method, its tolerance, and the
+    steps and right-hand-side evaluations summed over ``trajs``, all run by
+    ``simulate_flow``."""
+    stats = [traj.stats for traj in trajs]
+    if "method" in stats[0]:
+        return {"method": stats[0]["method"], "rtol": ODE_RTOL,
+                "steps": sum(s["steps"] for s in stats),
+                "nfev": sum(s["nfev"] for s in stats)}
+    steps = sum(s["accepted"] for s in stats)
+    return {"method": "RK4", "rtol": None, "steps": steps, "nfev": 4 * steps}
+
+
 def integrate_variational(f, u0, du0, t_span, dt, record_every=1):
     """Co-integrate the state and a tangent perturbation with the
-    linearized dynamics d(du)/dt = Df_t(u) du."""
+    linearized dynamics d(du)/dt = Df_t(u) du, as one augmented field run
+    by ``simulate_flow``."""
     f = as_vector_field(f)
     if isinstance(u0, GridFunction):
         u0 = u0.ravel()
@@ -288,40 +321,25 @@ def integrate_variational(f, u0, du0, t_span, dt, record_every=1):
     du = np.array(du0, dtype=float).reshape(-1)
     if u.shape != du.shape:
         raise DimensionError("u0 and du0 must have the same shape")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    nsteps, dt_eff = rk4_steps(t0, t1, dt)
     n = u.shape[0]
 
     def rhs(t, z):
-        uu, dd = z[:n], z[n:]
-        J = f.jacobian(t, uu)
-        return np.concatenate([f.eval(t, uu), J @ dd])
+        return np.concatenate([f.eval(t, z[:n]), f.jacobian(t, z[:n]) @ z[n:]])
 
-    z = np.concatenate([u, du])
-    times = [t0]
-    states = [u.copy()]
-    perts = [du.copy()]
-    t = t0
-    for step in range(nsteps):
-        z_new = _rk4_step(rhs, t, z, dt_eff)
-        _check_finite(z_new, t + dt_eff, z)
-        z = z_new
-        t = _rk4_time(t0, t1, step + 1, nsteps, dt_eff)
-        if (step + 1) % record_every == 0 or step == nsteps - 1:
-            times.append(t)
-            states.append(z[:n].copy())
-            perts.append(z[n:].copy())
-    return Trajectory(np.asarray(times), np.asarray(states),
-                      perturbations=np.asarray(perts),
-                      stats={"accepted": nsteps, "rejected": 0})
+    aug = VectorField(f=rhs, dim=2 * n, name=f.name + "_variational", grid=f.grid)
+    traj = simulate_flow(aug, np.concatenate([u, du]), t_span, dt, record_every)
+    return Trajectory(traj.times, traj.states[:, :n], perturbations=traj.states[:, n:],
+                      stats=traj.stats)
 
 
-def _weighted_norm(theta, t, u, vec, spec, grid):
-    Th = theta.matrix(t, u, vec.shape[0])
-    w = Th @ vec
-    if grid is not None and w.shape[0] == grid.npoints:
-        return sip_norm(GridFunction(w, grid), spec)
-    return sip_norm(w, spec)
+def _bit_equal(a, b):
+    """True when a and b are the same matrix to the bit (None: absent)."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return (sp.issparse(a) and sp.issparse(b) and a.shape == b.shape
+            and (a != b).nnz == 0)
 
 
 def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
@@ -330,8 +348,11 @@ def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
     exp(int lambda ds) ||du(0)||_Theta along a trajectory, and the pairwise
     trajectory bound ||u1 - u2|| <= kappa(Theta) e^{lambda t} ||u1(0) - u2(0)||.
 
-    The report is advisory when any rate along the trajectory came from
-    sampling rather than an eigensolve or closed form.
+    The rate is solved again only where the Jacobian, Theta, dTheta/dt or
+    Theta^{-1} differ from those at the previous state checked, and kappa
+    only where Theta or Theta^{-1} differ; ``rate_solves`` counts the
+    solves.  The report is advisory when any rate along the trajectory came
+    from sampling rather than an eigensolve or closed form.
     """
     f = as_vector_field(f)
     traj = integrate_variational(f, u0, du0, t_span, dt, record_every=record_every)
@@ -339,40 +360,40 @@ def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
     if idx[-1] != len(traj.times) - 1:
         idx.append(len(traj.times) - 1)
     ts = traj.times[idx]
+    n = traj.states.shape[1]
 
-    rates = []
+    rates, wnorms = [], []
     advisory = False
     kappa = 1.0
+    solves = 0
+    prev = None                      # (J, Theta, dTheta/dt, Theta^-1) at the last state
     for i in idx:
         t_i, u_i = traj.times[i], traj.states[i]
-        r = weighted_rate(f.jacobian(t_i, u_i), theta, t_i, u_i, spec=spec, grid=grid)
-        advisory = advisory or r.method == "sampled"
-        rates.append(r.value)
-        if theta.invertible:
-            n = u_i.shape[0]
-            Th = theta.matrix(t_i, u_i, n)
-            Ti = theta.inv_matrix(t_i, u_i, n)
+        Th = theta.matrix(t_i, u_i, n)
+        Ti = theta.inv_matrix(t_i, u_i, n) if theta.invertible else None
+        key = (f.jacobian(t_i, u_i), Th, theta.dmatrix_dt(t_i, u_i, n), Ti)
+        same = [False] * 4 if prev is None else list(map(_bit_equal, key, prev))
+        if not all(same):
+            r = weighted_rate(key[0], theta, t_i, u_i, spec=spec, grid=grid)
+            solves += 1
+            advisory = advisory or r.method == "sampled"
+        if theta.invertible and not (same[1] and same[3]):
             kappa = max(kappa, np.linalg.norm(Th, 2) * np.linalg.norm(Ti, 2))
+        prev = key
+        rates.append(r.value)
+        wnorms.append(sip_norm(Th @ traj.perturbations[i], spec, grid))
     rates = np.asarray(rates)
     cumint = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(ts))])
 
-    wnorms = np.array([
-        _weighted_norm(theta, traj.times[i], traj.states[i], traj.perturbations[i], spec, grid)
-        for i in idx
-    ])
+    wnorms = np.asarray(wnorms)
     if wnorms[0] == 0.0:
         raise ContractViolation("initial perturbation has zero weighted norm")
     ratios = wnorms / (np.exp(cumint) * wnorms[0])
     lam_sup = float(np.max(rates))
 
-    traj2 = integrate(f, np.asarray(u0, dtype=float).reshape(-1) + np.asarray(du0, dtype=float).reshape(-1),
-                      t_span, dt=dt, record_every=record_every)
-    def dist(i):
-        d = traj.states[i] - traj2.states[i]
-        if grid is not None and d.shape[0] == grid.npoints:
-            return sip_norm(GridFunction(d, grid), spec)
-        return sip_norm(d, spec)
-    dists = np.array([dist(i) for i in range(len(traj.times))])
+    u2 = np.asarray(u0, dtype=float).reshape(-1) + np.asarray(du0, dtype=float).reshape(-1)
+    traj2 = simulate_flow(f, u2, t_span, dt, record_every, t_eval=traj.times)
+    dists = np.array([sip_norm(d, spec, grid) for d in traj.states - traj2.states])
     pair_bound = kappa * np.exp(lam_sup * (traj.times - traj.times[0])) * dists[0]
     pair_ratios = dists / pair_bound
 
@@ -388,6 +409,7 @@ def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
         "rates": rates,
         "lambda_sup": lam_sup,
         "advisory": advisory,
+        "rate_solves": solves,
         "weighted_ratios": ratios,
         "max_weighted_ratio": float(np.max(ratios)),
         "weighted_ok": bool(np.max(ratios) <= 1.0 + tol),
@@ -400,6 +422,7 @@ def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
         "contracted_after_tb": contracted_after_tb,
         "tail_monotone": tail_monotone,
         "asymptotic_check": "empirical",
+        "integrator": integrator_entry([traj, traj2]),
     }
 
 
@@ -409,6 +432,7 @@ class MLEResult:
     converged: bool
     times: np.ndarray = None
     history: np.ndarray = None
+    integrator: dict = None
 
 
 def mle_estimate(f, u0, t_span, renorm_interval, dt, p=2.0, seed=0):
@@ -425,10 +449,11 @@ def mle_estimate(f, u0, t_span, renorm_interval, dt, p=2.0, seed=0):
     n_seg = max(1, int(round((t1 - t0) / renorm_interval)))
     log_sum = 0.0
     t = t0
-    hist_t, hist = [], []
+    hist_t, hist, segs = [], [], []
     for _ in range(n_seg):
         seg = integrate_variational(f, u, du, (t, t + renorm_interval), dt,
                                     record_every=10**9)
+        segs.append(seg)
         u = seg.states[-1]
         du = seg.perturbations[-1]
         r = sip_norm(du, spec)
@@ -443,23 +468,23 @@ def mle_estimate(f, u0, t_span, renorm_interval, dt, p=2.0, seed=0):
     value = float(hist[-1])
     i34 = max(0, int(len(hist) * 0.75) - 1)
     converged = bool(abs(hist[i34] - value) <= 0.02 * max(1.0, abs(value)))
-    return MLEResult(value=value, converged=converged,
-                     times=np.asarray(hist_t), history=hist)
+    return MLEResult(value=value, converged=converged, times=np.asarray(hist_t),
+                     history=hist, integrator=integrator_entry(segs))
 
 
-def fit_decay_rate(times, values, rel_window=(1e-8, 1e-1), min_points=5):
-    """Least-squares slope of log(values) vs time, restricted to the window
-    where values have decayed into ``rel_window`` relative to their initial
-    magnitude (falls back to the positive tail half)."""
+def fit_decay_rate(times, values, rel_window=(1e-8, 1e-1), min_points=5, floor=0.0):
+    """Least-squares slope of log(values) vs time, restricted to the values
+    above ``floor`` that have decayed into ``rel_window`` relative to their
+    initial magnitude (falls back to those in the tail half)."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     ref = v[0] if v[0] > 0 else np.max(v)
-    mask = (v > 0) & (v >= rel_window[0] * ref) & (v <= rel_window[1] * ref)
+    above = v > floor
+    mask = above & (v >= rel_window[0] * ref) & (v <= rel_window[1] * ref)
     if np.count_nonzero(mask) < min_points:
-        pos = v > 0
-        tail = np.zeros_like(pos)
+        tail = np.zeros_like(above)
         tail[len(v) // 2:] = True
-        mask = pos & tail
+        mask = above & tail
     if np.count_nonzero(mask) < 2:
         return math.nan, {"points": int(np.count_nonzero(mask))}
     slope, intercept = np.polyfit(t[mask], np.log(v[mask]), 1)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericalError
-from .flows import (VectorField, as_vector_field, fd_jacobian, fit_decay_rate, integrate,
-                    rk4_record_times)
+from .flows import (ODE_METHOD, ODE_RTOL, VectorField, as_vector_field, fd_jacobian,
+                    fit_decay_rate, integrator_entry, simulate_flow)
 from .measures import as_matrix, nonlinear_rate
 from .reporting import Check, all_passed
 from .sip import L2
@@ -25,9 +25,6 @@ from .weights import WeightFamily, jacobian_of_map, projection_complement
 RESIDUAL_TOL = 1e-8
 _RATE_TOL = 1e-12          # certified means rate < -_RATE_TOL
 _SPEED_FLOOR_FRAC = 1e-6   # loop non-accumulation margin vs mean speed
-# the adaptive solver of the non-stiff simulation cross-checks and its tolerance
-ODE_METHOD = "DOP853"
-ODE_RTOL = 1e-10
 
 
 @dataclass
@@ -156,33 +153,21 @@ class SimCheck:
     ics: list = None
 
 
-def simulate(f, u0, sim, t_end=None, record_every=None):
-    """One simulation of a cross-check over (0, t_end), recorded at the times
-    fixed-step RK4 at ``sim.dt`` would record (``flows.rk4_record_times``).
-
-    A field on a grid (a semi-discretised PDE) runs fixed-step RK4 at
-    ``sim.dt``, its explicit stability step.  Any other field runs
-    ``ODE_METHOD`` at ``ODE_RTOL``, so ``sim.dt`` sets only where it records.
+def simulate(f, u0, sim, t_end=None, record_every=None, t_eval=None):
+    """One simulation of a cross-check over (0, t_end) by
+    ``flows.simulate_flow``: fixed-step RK4 at ``sim.dt`` for a field on a
+    grid, ``ODE_METHOD`` at ``ODE_RTOL`` otherwise, recorded at ``t_eval``
+    (off the grid) or at the times RK4 at ``sim.dt`` would record.
     ``t_end`` and ``record_every`` default to those of ``sim``."""
-    f = as_vector_field(f)
     t_end = sim.t_end if t_end is None else t_end
     record_every = sim.record_every if record_every is None else record_every
-    if f.grid is not None:
-        return integrate(f, u0, (0.0, t_end), dt=sim.dt, record_every=record_every)
-    return integrate(f, u0, (0.0, t_end), rtol=ODE_RTOL, method=ODE_METHOD,
-                     t_eval=rk4_record_times(0.0, t_end, sim.dt, record_every))
+    return simulate_flow(f, u0, (0.0, t_end), sim.dt, record_every, t_eval=t_eval)
 
 
-def _integrator_entry(trajs):
-    """A sim report's ``integrator`` entry: the method, its tolerance, and the
-    steps and right-hand-side evaluations summed over ``trajs``."""
-    stats = [traj.stats for traj in trajs]
-    if "method" in stats[0]:
-        return {"method": stats[0]["method"], "rtol": ODE_RTOL,
-                "steps": sum(s["steps"] for s in stats),
-                "nfev": sum(s["nfev"] for s in stats)}
-    steps = sum(s["accepted"] for s in stats)
-    return {"method": "RK4", "rtol": None, "steps": steps, "nfev": 4 * steps}
+def _error_floor(states):
+    """A simulation's error floor, 100 ODE_RTOL (1 + max ||u||) over the
+    recorded states: below it a recorded quantity is integration error."""
+    return 100.0 * ODE_RTOL * (1.0 + float(np.max(np.linalg.norm(states, axis=1))))
 
 
 def _sim_initial_conditions(sim, dim, base=None):
@@ -195,20 +180,22 @@ def _sim_initial_conditions(sim, dim, base=None):
 
 def _decay_cross_check(f, sim, dim, quantity, lam, base_ic=None):
     """Simulate n_ic trajectories and fit the decay exponent of
-    ``quantity(u)``; each fit must not be slower than lam + 0.1 |lam|.
-    Returns the summary and the trajectories."""
+    ``quantity(u)`` over the points above the error floor; each fit must not
+    be slower than lam + 0.1 |lam|.  Returns the summary and the
+    trajectories."""
     fits = []
     trajs = []
     for u0 in _sim_initial_conditions(sim, dim, base=base_ic):
         traj = simulate(f, u0, sim)
         series = np.array([quantity(u) for u in traj.states])
-        slope, info = fit_decay_rate(traj.times, series)
-        fits.append({"fitted": slope, "points": info.get("points", 0)})
+        floor = _error_floor(traj.states)
+        slope, info = fit_decay_rate(traj.times, series, floor=floor)
+        fits.append({"fitted": slope, "points": info.get("points", 0), "floor": floor})
         trajs.append(traj)
     threshold = lam + 0.1 * abs(lam)
     ok = all(np.isfinite(f_["fitted"]) and f_["fitted"] <= threshold for f_ in fits)
     return {"fits": fits, "threshold": threshold, "passed": bool(ok),
-            "integrator": _integrator_entry(trajs)}, trajs
+            "integrator": integrator_entry(trajs)}, trajs
 
 
 def check_subspace_invariance(f, proj, sampler):
@@ -272,18 +259,10 @@ def certify_subspace_contraction(f, proj, spec=L2, sampler=None,
     }
     if sim is not None and certified:
         dim = proj.P.shape[0]
-        gf_norm = (lambda v: sip_norm(v, spec)) if grid is None else \
-            (lambda v: sip_norm(_as_gf(v, grid), spec))
         report["sim"], _ = _decay_cross_check(
-            f, sim, dim, lambda u: gf_norm(proj.Q @ u), rate.value)
+            f, sim, dim, lambda u: sip_norm(proj.Q @ u, spec, grid), rate.value)
         report["certified"] = certified and report["sim"]["passed"]
     return report
-
-
-def _as_gf(v, grid):
-    from .grids import GridFunction
-
-    return GridFunction(v, grid)
 
 
 def project_to_level_set(sub, u0, tol=1e-10, max_iter=60):
@@ -422,21 +401,23 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
             raise ContractViolation("temporal-symmetry simulation needs f.dim")
         u0 = _sim_initial_conditions(sim, f.dim)[0]
         n_periods = max(3, int(sim.t_end / tau))
+        # RK4 on a grid records every round(tau / dt) steps; off the grid
+        # the solver records at t = m tau exactly
         traj = simulate(f, u0, sim, t_end=(n_periods + 1) * tau,
-                        record_every=max(1, int(round(tau / sim.dt))))
-        # states at t = m tau
+                        record_every=max(1, int(round(tau / sim.dt))),
+                        t_eval=tau * np.arange(n_periods + 2))
         snaps = traj.states[1:]
         diffs = np.array([np.linalg.norm(snaps[m + 1] - snaps[m])
                           for m in range(len(snaps) - 1)])
         ratios = diffs[1:] / np.maximum(diffs[:-1], 1e-300)
-        floor = 100.0 * ODE_RTOL * (1.0 + float(np.max(np.linalg.norm(snaps, axis=1))))
+        floor = _error_floor(snaps)
         resolved = diffs[1:] > floor
         report["sim"] = {
             "snapshot_diffs": diffs,
             "decay_ratios": ratios,
             "diff_floor": floor,
             "geometric_decay": bool(np.any(resolved) and np.all(ratios[resolved] < 1.0)),
-            "integrator": _integrator_entry([traj]),
+            "integrator": integrator_entry([traj]),
         }
     return report
 
@@ -728,7 +709,7 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
             "mean_period": float(np.mean(periods)) if np.all(np.isfinite(periods)) else math.nan,
             "phase_drift_final_quarter": drift,
             "phases_locked": bool(drift < spread_tol),
-            "integrator": _integrator_entry([traj]),
+            "integrator": integrator_entry([traj]),
         }
         report["certified"] = bool(report["certified"] and common
                                    and report["sim"]["phases_locked"])

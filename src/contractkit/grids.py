@@ -1,6 +1,7 @@
 """Grids and grid functions: discretized states plus the metadata needed
 for quadrature and finite-difference derivatives."""
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,12 +39,12 @@ class Grid:
 
     @property
     def npoints(self):
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def cell_measure(self):
         """Quadrature weight of a single grid cell, prod of spacings."""
-        return float(np.prod(self.spacing))
+        return float(math.prod(self.spacing))
 
     @property
     def measure(self):
@@ -51,6 +52,7 @@ class Grid:
         return self.cell_measure * self.npoints
 
 
+@lru_cache(maxsize=64)
 def unit_grid(n):
     """1D grid with unit weights; the default for bare vectors."""
     return Grid((int(n),), (1.0,), "none")
@@ -94,9 +96,6 @@ class GridFunction:
         flat = self.values.reshape(self.ncomp, *self.grid.shape)
         for c in range(self.ncomp):
             yield flat[c]
-
-    def with_values(self, values):
-        return GridFunction(values, self.grid)
 
     def __add__(self, other):
         if isinstance(other, GridFunction):

@@ -12,7 +12,7 @@ from . import kernels
 from .errors import ContractViolation, DimensionError
 from .flows import VectorField, fit_decay_rate, integrate, rk4_record_times, rk4_steps
 from .geometry import Projector, check_subspace_invariance
-from .grids import Grid, GridFunction, derivative_matrix_1d
+from .grids import Grid, derivative_matrix_1d
 from .measures import mu, nonlinear_rate, weighted_rate
 from .reporting import Check
 from .sip import L2, NormSpec
@@ -226,11 +226,6 @@ def reaction_diffusion_field(disc, alphas, reaction):
 # experiments
 # ---------------------------------------------------------------------------
 
-def _spec_norm(v, grid, spec=L2):
-    return sip_norm(GridFunction(v, grid), spec) if v.shape[0] == grid.npoints \
-        else sip_norm(v, spec)
-
-
 def heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0, dims=1, n_out=200):
     """Zero-flux heat equation contracting to its spatial mean: certify the
     rate in the mean-complement seminorm, simulate, and compare the fitted
@@ -252,7 +247,7 @@ def heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0, dims=1, n_out=
     nsteps, _ = rk4_steps(0.0, t_end, dt)
     rec = max(1, nsteps // n_out)
     traj = integrate(fld, u0, (0.0, t_end), dt=dt, record_every=rec)
-    qnorm = np.array([_spec_norm(proj.Q @ u, disc.grid) for u in traj.states])
+    qnorm = np.array([sip_norm(proj.Q @ u, L2, disc.grid) for u in traj.states])
     mass = traj.stats["diagnostics"]["mass"]
     fitted, fit_info = fit_decay_rate(traj.times, qnorm)
     mass_drift = float(np.max(np.abs(mass - mass[0])))
@@ -640,7 +635,7 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
         if len(traj.times) != n_out + 1:
             raise ContractViolation("output grid mismatch")
         sols[eps] = traj.states
-        sup_norms[eps] = max(_spec_norm(u, grid, spec) for u in traj.states)
+        sup_norms[eps] = max(sip_norm(u, spec, grid) for u in traj.states)
         idx = np.linspace(0, n_out, n_rate_samples, dtype=int)
         samp = [(float(traj.times[i]), traj.states[i]) for i in idx]
         rates[eps] = nonlinear_rate(fld, identity_weight(), spec=spec,
@@ -654,7 +649,7 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
         rates[e2] >= rates[e1] - 1e-9 for e1, e2 in zip(eps_list, eps_list[1:])))
 
     # hypothesis 2: bounded solution
-    c_decl = c_bound if c_bound is not None else 2.0 * _spec_norm(u0, grid, spec) + 1.0
+    c_decl = c_bound if c_bound is not None else 2.0 * sip_norm(u0, spec, grid) + 1.0
     hyp2 = Check.leq("bounded_solution", max(sup_norms.values()), c_decl)
 
     # hypothesis 3: translation invariance (grid-shift spot check)
@@ -672,7 +667,7 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
     # hypothesis 4: uniform continuity about the initial data at a fixed delta
     delta_steps = max(1, int(math.ceil(10 * max(dts.values()) / dt_out)))
     delta = delta_steps * dt_out
-    m_eps = {eps: _spec_norm(sols[eps][delta_steps] - u0, grid, spec)
+    m_eps = {eps: sip_norm(sols[eps][delta_steps] - u0, spec, grid)
              for eps in eps_list}
     hyp4 = Check.leq("uniform_initial_continuity",
                      max(m_eps.values()), 2.0 * m_eps[eps_list[-1]] + 1e-14)

@@ -29,11 +29,3 @@ def gaussian_samples(n_samples, dim, scale=1.0, t_range=(0.0, 0.0), seed=0):
         t = rng.uniform(t_range[0], t_range[1]) if t_range[1] > t_range[0] else t_range[0]
         out.append((t, u))
     return out
-
-
-def trajectory_samples(traj, stride=1):
-    """(t, u) pairs read off a computed trajectory."""
-    idx = list(range(0, len(traj.times), stride))
-    if idx[-1] != len(traj.times) - 1:
-        idx.append(len(traj.times) - 1)
-    return [(float(traj.times[i]), traj.states[i]) for i in idx]

@@ -138,9 +138,12 @@ def _order_slices(u, spec):
     return out
 
 
-def norm(u, spec=L2):
-    """Quadrature-weighted lp or discrete Sobolev (k,p) norm."""
-    u = as_gridfunction(u)
+def norm(u, spec=L2, grid=None):
+    """Quadrature-weighted lp or discrete Sobolev (k,p) norm.  A bare vector
+    with one value per point of ``grid`` is taken on that grid; any other
+    gets unit weights."""
+    on_grid = grid is not None and np.size(u) == grid.npoints
+    u = as_gridfunction(u, grid if on_grid else None)
     _check_grid(u, spec)
     w = u.grid.cell_measure
     if spec.k == 0:

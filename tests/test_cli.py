@@ -132,6 +132,33 @@ amplitude = 0.05
         assert check["passed"] is passed
         assert (check["name"] in rep["hypotheses_failed"]) is not passed
 
+    def test_manifold_certified_at_seed_577215(self, tmp_path):
+        # the first trajectory starts 3e-4 off the circle; its residual levels
+        # off at the solver's error, which the fit must not count
+        out = tmp_path / "m"
+        cfg = (f"[experiment]\nname = manifold\nseed = 577215\noutput_dir = {out}\n\n"
+               "[params]\nt_end = 40.0\ndt = 5e-3\n")
+        assert cli.run(write_cfg(tmp_path, cfg)) == 0
+        rep = json.loads((out / "report.json").read_text())["report"]
+        assert rep["certified"]
+        for fit in rep["sim"]["fits"]:
+            assert fit["fitted"] <= rep["sim"]["threshold"]
+
+    @pytest.mark.parametrize("name", ["growth_bound", "mle"])
+    def test_variational_reports_name_their_integrator(self, tmp_path, name):
+        out = tmp_path / name
+        cfg = (f"[experiment]\nname = {name}\nseed = 0\noutput_dir = {out}\n\n"
+               "[params]\nmatrix = -1 10; 0 -1\nt_end = 4.0\n")
+        assert cli.run(write_cfg(tmp_path, cfg)) == 0
+        rep = json.loads((out / "report.json").read_text())["report"]
+        entry = rep["integrator"]
+        assert entry["method"] == "DOP853" and entry["nfev"] > entry["steps"] > 0
+        if name == "growth_bound":
+            assert rep["rate_solves"] == 1
+        for csv in out.glob("*.csv"):
+            header = csv.read_text().splitlines()[0]
+            assert "integrator" not in header and "solves" not in header
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
         monkeypatch.setenv("CONTRACTKIT_OUTPUT_DIR", str(override))

@@ -10,6 +10,7 @@ import scipy.linalg as sla
 from contractkit import weights
 from contractkit.errors import ContractViolation, DivergenceError, StiffnessError
 from contractkit.flows import (
+    ODE_RTOL,
     VectorField,
     fd_jacobian,
     fit_decay_rate,
@@ -21,6 +22,7 @@ from contractkit.flows import (
     rk4_steps,
     verify_growth_bound,
 )
+from contractkit.measures import weighted_rate
 from contractkit.sip import L2, NormSpec
 
 SHEAR = np.array([[-1.0, 10.0], [0.0, -1.0]])
@@ -337,6 +339,110 @@ class TestGrowthBound:
         assert rep["max_weighted_ratio"] <= 1.0 + 1e-6
 
 
+class TestRateReuse:
+    def _count_solves(self, monkeypatch):
+        import contractkit.flows as flows
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return weighted_rate(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "weighted_rate", counting)
+        return calls
+
+    def _run(self, f, th, u0=(0.0, 0.0), **kwargs):
+        return verify_growth_bound(f, th, L2, np.array(u0), np.array([0.2, 1.0]),
+                                   (0.0, 4.0), 1e-2, **kwargs)
+
+    def test_constant_rate_solved_once(self, monkeypatch):
+        import contractkit.flows as flows
+
+        th = weights.diagonal([0.01, 1.0])
+        calls = self._count_solves(monkeypatch)
+        rep = self._run(SHEAR, th)
+        assert len(calls) == 1 and rep["rate_solves"] == 1
+        # the same check, solving at every state
+        monkeypatch.setattr(flows, "_bit_equal", lambda a, b: False)
+        ref = self._run(SHEAR, th)
+        assert ref["rate_solves"] == len(ref["times"]) == 401
+        assert np.array_equal(rep["rates"], ref["rates"])
+        assert rep["kappa"] == ref["kappa"] == pytest.approx(100.0)
+        assert rep["max_weighted_ratio"] == ref["max_weighted_ratio"]
+        assert rep["max_pair_ratio"] == ref["max_pair_ratio"]
+
+    def test_nonlinear_field_solves_every_state(self, monkeypatch):
+        f = VectorField(f=lambda t, u: -u - u**3, jac=lambda t, u: np.diag(-1.0 - 3.0 * u**2),
+                        dim=2)
+        calls = self._count_solves(monkeypatch)
+        # at the equilibrium the Jacobian stays put: one solve is exact there
+        assert self._run(f, weights.identity(), rate_stride=10)["rate_solves"] == 1
+        calls.clear()
+        rep = self._run(f, weights.identity(), u0=(1.0, -0.5), rate_stride=10)
+        assert len(calls) == rep["rate_solves"] == len(rep["times"]) == 41
+        assert rep["max_weighted_ratio"] <= 1.0 + 1e-4
+
+    def test_time_varying_weight_solves_every_state(self, monkeypatch):
+        import contractkit.flows as flows
+
+        th = weights.custom(
+            lambda t, u, n: np.diag([1.5 + np.sin(t), 1.0]),
+            inverse=lambda t, u, n: np.diag([1.0 / (1.5 + np.sin(t)), 1.0]),
+            dmatrix_dt=lambda t, u, n: np.diag([np.cos(t), 0.0]), b=2.5, time_varying=True)
+        calls = self._count_solves(monkeypatch)
+        rep = self._run(np.diag([-1.0, -2.0]), th, rate_stride=10)
+        assert len(calls) == rep["rate_solves"] == len(rep["times"]) == 41
+        assert rep["max_weighted_ratio"] <= 1.0 + 1e-4
+        # kappa follows the weight too
+        monkeypatch.setattr(flows, "_bit_equal", lambda a, b: False)
+        assert rep["kappa"] == self._run(np.diag([-1.0, -2.0]), th, rate_stride=10)["kappa"]
+        assert rep["kappa"] > 2.4
+
+    def test_report_names_its_integrator(self):
+        rep = self._run(SHEAR, weights.identity(), rate_stride=10)
+        entry = rep["integrator"]
+        assert entry["method"] == "DOP853" and entry["rtol"] == ODE_RTOL
+        assert entry["nfev"] > entry["steps"] > 0
+        assert np.array_equal(rep["pair_times"], rk4_record_times(0.0, 4.0, 1e-2, 1))
+
+
+class TestVariationalSolverPath:
+    def test_off_grid_records_at_rk4_times_and_matches_rk4(self):
+        f = VectorField(f=lambda t, u: np.array([u[1], -u[0] - 0.3 * u[1] - u[0] ** 3]),
+                        jac=lambda t, u: np.array([[0.0, 1.0], [-1.0 - 3.0 * u[0] ** 2, -0.3]]),
+                        dim=2)
+        u0, du0 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        traj = integrate_variational(f, u0, du0, (0.0, 2.0), 1e-2, record_every=10)
+        assert traj.stats["method"] == "DOP853"
+        assert np.array_equal(traj.times, rk4_record_times(0.0, 2.0, 1e-2, 10))
+
+        def aug(t, z):
+            return np.concatenate([f.eval(t, z[:2]), f.jacobian(t, z[:2]) @ z[2:]])
+
+        ref = integrate(aug, np.concatenate([u0, du0]), (0.0, 2.0), dt=1e-4,
+                        record_every=1000)
+        np.testing.assert_allclose(traj.times, ref.times, rtol=0, atol=1e-12)
+        assert np.max(np.abs(traj.states - ref.states[:, :2])) <= 1e-8
+        assert np.max(np.abs(traj.perturbations - ref.states[:, 2:])) <= 1e-8
+
+    def test_grid_field_runs_rk4(self):
+        from contractkit.pde import build_discretization, heat_field
+
+        disc = build_discretization(16, boundary="neumann")
+        fld = heat_field(disc, 1.0)
+        dt = 0.2 * disc.h**2
+        rng = np.random.default_rng(4)
+        u0, du0 = rng.standard_normal(16), rng.standard_normal(16)
+        traj = integrate_variational(fld, u0, du0, (0.0, 0.05), dt, record_every=5)
+        assert "method" not in traj.stats
+        assert traj.stats["accepted"] == rk4_steps(0.0, 0.05, dt)[0]
+        assert np.array_equal(traj.times, rk4_record_times(0.0, 0.05, dt, 5))
+        L = fld.jacobian(0.0, u0).toarray()
+        np.testing.assert_allclose(traj.perturbations[-1], sla.expm(0.05 * L) @ du0,
+                                   atol=1e-6)
+
+
 class TestMLE:
     def test_diagonal(self):
         est = mle_estimate(np.diag([-1.0, -2.0]), np.zeros(2), (0.0, 30.0), 0.5, 1e-2)
@@ -353,6 +459,13 @@ class TestMLE:
         assert mu(SHEAR, L2).value == pytest.approx(4.0)
         assert est.value <= mu(SHEAR, L2).value + 0.05
 
+    def test_report_names_its_integrator(self):
+        est = mle_estimate(np.diag([-1.0, -2.0]), np.zeros(2), (0.0, 5.0), 0.5, 1e-2)
+        entry = est.integrator
+        assert entry["method"] == "DOP853" and entry["rtol"] == ODE_RTOL
+        # one solve per renormalization interval
+        assert entry["steps"] >= 10 and entry["nfev"] > entry["steps"]
+
     def test_p_norm_variants(self):
         for p in (1.0, 2.0, np.inf):
             est = mle_estimate(np.diag([-0.5, -3.0]), np.zeros(2), (0.0, 30.0),
@@ -367,6 +480,16 @@ class TestFitDecay:
         slope, info = fit_decay_rate(t, v)
         assert slope == pytest.approx(-3.0, rel=1e-6)
         assert info["points"] > 10
+
+
+    def test_floor_drops_the_error_plateau(self):
+        t = np.linspace(0.0, 20.0, 801)
+        # decay at rate -2 that levels off at a 1e-11 integration-error plateau
+        v = 3e-4 * np.exp(-2.0 * t) + 1e-11 * (1.5 + np.sin(37.0 * t))
+        assert fit_decay_rate(t, v)[0] > -1.0
+        slope, info = fit_decay_rate(t, v, floor=1e-8)
+        assert slope == pytest.approx(-2.0, rel=1e-3)
+        assert info["points"] > 5
 
 
 class TestTrajectoryExport:

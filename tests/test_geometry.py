@@ -274,7 +274,25 @@ class TestTemporalSymmetry:
         # snapshots differ by a factor e^{-tau} each period
         assert np.allclose(ratios[1:4], np.exp(-1.0), rtol=0.05)
 
-    def _rk4_simulate(self, f, u0, sim, t_end=None, record_every=None):
+    @pytest.mark.parametrize("dt", [0.3, 0.07])
+    def test_snapshots_a_period_apart_off_the_step_grid(self, monkeypatch, dt):
+        # 1 / dt is no whole number of steps; the snapshots are still at m tau
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(simulate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(geometry, "simulate", spy)
+        sim = SimCheck(t_end=8.0, dt=dt, n_ic=1, seed=18)
+        rep = check_temporal_symmetry(self._forced(), 1.0,
+                                      sampling.gaussian_samples(5, 1, seed=19,
+                                                                t_range=(0.0, 2.0)),
+                                      sim=sim, rate=RateEstimate(-1.0, "eigen"))
+        assert np.array_equal(runs[0].times, np.arange(10.0))
+        assert rep["sim"]["geometric_decay"]
+
+    def _rk4_simulate(self, f, u0, sim, t_end=None, record_every=None, t_eval=None):
         return integrate(f, u0, (0.0, t_end), dt=sim.dt, record_every=record_every)
 
     @pytest.mark.parametrize("t_end", [15.0, 30.0, 40.0])
