@@ -40,21 +40,13 @@ def _parse_matrix(text):
     return np.asarray(mat)
 
 
-def _parse_floats(text):
-    return [float(x) for x in text.replace(",", " ").split()]
-
-
-def _parse_ints(text):
-    return [int(x) for x in text.replace(",", " ").split()]
-
-
 _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
     "bool": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "floats": _parse_floats,
-    "ints": _parse_ints,
+    "floats": lambda s: [float(x) for x in s.replace(",", " ").split()],
+    "ints": lambda s: [int(x) for x in s.replace(",", " ").split()],
     "matrix": _parse_matrix,
 }
 
@@ -98,16 +90,11 @@ def _make_weight_from_params(p, dim):
     kind = p["weight_kind"]
     if kind == "identity":
         return weights.identity()
-    if kind == "diagonal":
-        if p.get("weight_diag") is None:
-            raise ConfigError("field 'weight_diag': required for diagonal weights",
-                              field="weight_diag")
-        return weights.diagonal(p["weight_diag"])
-    if kind == "constant":
-        if p.get("weight_matrix") is None:
-            raise ConfigError("field 'weight_matrix': required for constant weights",
-                              field="weight_matrix")
-        return weights.constant_matrix(p["weight_matrix"])
+    if kind in ("diagonal", "constant"):
+        key = "weight_diag" if kind == "diagonal" else "weight_matrix"
+        if p.get(key) is None:
+            raise ConfigError(f"field '{key}': required for {kind} weights", field=key)
+        return (weights.diagonal if kind == "diagonal" else weights.constant_matrix)(p[key])
     if kind == "projection_mean":
         return geometry.Projector.mean(dim).weight()
     raise ConfigError(f"unknown weight kind {kind}", field="weight_kind")
@@ -182,8 +169,11 @@ def _run_growth_bound(p, seed):
 
 def _run_mle(p, seed):
     A = p["matrix"]
+    # off the grid the step sets only the recording, and each interval
+    # records its end points
     res = flows.mle_estimate(A, np.zeros(A.shape[0]), (0.0, p["t_end"]),
-                             p["renorm_interval"], p["dt"], p=p["p"], seed=seed)
+                             p["renorm_interval"], p["renorm_interval"], p=p["p"],
+                             seed=seed)
     mu_p = mu(A, NormSpec(p=p["p"]), seed=seed)
     report = {
         "mle": res.value,
@@ -238,10 +228,7 @@ def _run_symmetry(p, seed):
     if p["kind"] == "spatial":
         disc = pde.build_discretization(p["n"], boundary="periodic")
         fld = pde.heat_field(disc, p["alpha"])
-        shifts = []
-        eye = np.eye(disc.npoints)
-        for s in p["shifts"]:
-            shifts.append(np.roll(eye, s, axis=0))
+        shifts = [np.roll(np.eye(disc.npoints), s, axis=0) for s in p["shifts"]]
         sampler = sampling.gaussian_samples(6, disc.npoints, seed=seed)
         rep = geometry.check_equivariance(fld, shifts, sampler)
         rng = np.random.default_rng(seed)
@@ -484,9 +471,7 @@ EXPERIMENTS = {
         "with the matrix measure upper bound",
         {"matrix": Param("matrix"), "p": Param("float", 2.0),
          "t_end": Param("float", 40.0, positive=True),
-         "renorm_interval": Param("float", 0.5, positive=True),
-         "dt": Param("float", 1e-2, positive=True,
-                     help="unused; the accuracy is set by flows.ODE_RTOL")},
+         "renorm_interval": Param("float", 0.5, positive=True)},
         _run_mle),
     "subspace": Experiment(
         "contraction of the zero-flux heat equation to its spatial mean: "

@@ -13,9 +13,9 @@ scipy.integrate is imported only on that branch.
 branch: a field on a grid keeps fixed-step RK4 at its step ``dt``, and any
 other field runs ``ODE_METHOD`` at ``ODE_RTOL``, recorded at the times RK4
 would record.  The simulation cross-checks of ``geometry`` and the
-variational flows (``integrate_variational``, which co-integrates a tangent
-perturbation with the linearized dynamics d(du)/dt = Df_t(u) du as one
-augmented field) both go through it.
+variational flows (``integrate_variational`` and ``verify_growth_bound``,
+which carry a tangent perturbation, and a pair separation, with the state as
+one augmented field) both go through it.
 """
 
 import math
@@ -310,26 +310,66 @@ def integrator_entry(trajs):
     return {"method": "RK4", "rtol": None, "steps": steps, "nfev": 4 * steps}
 
 
-def integrate_variational(f, u0, du0, t_span, dt, record_every=1):
-    """Co-integrate the state and a tangent perturbation with the
-    linearized dynamics d(du)/dt = Df_t(u) du, as one augmented field run
-    by ``simulate_flow``."""
+# a pair separation w below this, relative to 1 + ||u||, follows the
+# linearized flow: f(u + w) - f(u) would keep fewer digits than Df(u) w loses
+_PAIR_LINEAR = 1e-6
+
+
+def _variational(f, u0, du0, t_span, dt, record_every, pair=False):
+    """Co-integrate the state u, a tangent perturbation du with d(du)/dt =
+    Df_t(u) du and, with ``pair``, the separation w = u2 - u of the
+    trajectory u2 from u0 + du0, as one augmented field run by
+    ``simulate_flow``.  Off the grid du and w are carried as a direction d
+    and a log magnitude s (x = e^s d / |d|), so the solver's absolute
+    tolerance bounds their relative error however far they decay; fixed-step
+    RK4, linear in them, carries them as they are.  Returns the trajectory
+    of u and, per carried vector, its unit directions and log magnitudes."""
     f = as_vector_field(f)
-    if isinstance(u0, GridFunction):
-        u0 = u0.ravel()
-    u = np.array(u0, dtype=float).reshape(-1)
+    u = np.array(u0.ravel() if isinstance(u0, GridFunction) else u0, dtype=float).reshape(-1)
     du = np.array(du0, dtype=float).reshape(-1)
     if u.shape != du.shape:
         raise DimensionError("u0 and du0 must have the same shape")
+    r = np.linalg.norm(du)
+    if r == 0.0:
+        raise ContractViolation("du0 must be nonzero")
     n = u.shape[0]
+    blocks = [n + k * (n + 1) for k in range(2 if pair else 1)]
+    polar = f.grid is None
 
     def rhs(t, z):
-        return np.concatenate([f.eval(t, z[:n]), f.jacobian(t, z[:n]) @ z[n:]])
+        x = z[:n]
+        fx, J = f.eval(t, x), f.jacobian(t, x)
+        out = [fx]
+        for b in blocks:
+            d, mag = z[b:b + n], np.exp(z[b + n])          # inf: the pair diverged
+            if b == n or (polar and mag <= _PAIR_LINEAR * (1.0 + math.sqrt(x @ x))):
+                h = J @ d
+            else:   # the pair's carried vector is c d; h is its rate of change over c
+                c = mag / math.sqrt(d @ d) if polar else 1.0
+                h = (f.eval(t, x + c * d) - fx) / c
+            g = (d @ h) / (d @ d) if polar else 0.0
+            out += [h - g * d, [g]]
+        return np.concatenate(out)
 
-    aug = VectorField(f=rhs, dim=2 * n, name=f.name + "_variational", grid=f.grid)
-    traj = simulate_flow(aug, np.concatenate([u, du]), t_span, dt, record_every)
-    return Trajectory(traj.times, traj.states[:, :n], perturbations=traj.states[:, n:],
-                      stats=traj.stats)
+    z0 = np.concatenate([u] + [np.r_[du / r, math.log(r)] if polar else np.r_[du, 0.0]
+                              for _ in blocks])
+    aug = VectorField(f=rhs, dim=z0.size, name=f.name + "_variational", grid=f.grid)
+    traj = simulate_flow(aug, z0, t_span, dt, record_every)
+    out = []
+    for b in blocks:
+        d = traj.states[:, b:b + n]
+        norms = np.linalg.norm(d, axis=1)
+        out.append((d / norms[:, None], traj.states[:, b + n] if polar else np.log(norms)))
+    return Trajectory(traj.times, traj.states[:, :n], stats=traj.stats), out
+
+
+def integrate_variational(f, u0, du0, t_span, dt, record_every=1):
+    """Co-integrate the state and a nonzero tangent perturbation with the
+    linearized dynamics d(du)/dt = Df_t(u) du, as one augmented field run
+    by ``simulate_flow``."""
+    traj, [(d, s)] = _variational(f, u0, du0, t_span, dt, record_every)
+    traj.perturbations = np.exp(s)[:, None] * d
+    return traj
 
 
 def _bit_equal(a, b):
@@ -355,10 +395,9 @@ def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
     from sampling rather than an eigensolve or closed form.
     """
     f = as_vector_field(f)
-    traj = integrate_variational(f, u0, du0, t_span, dt, record_every=record_every)
-    idx = list(range(0, len(traj.times), rate_stride))
-    if idx[-1] != len(traj.times) - 1:
-        idx.append(len(traj.times) - 1)
+    traj, [(v, rho), (q, sigma)] = _variational(f, u0, du0, t_span, dt, record_every,
+                                                pair=True)
+    idx = np.unique(np.r_[0:len(traj.times):rate_stride, len(traj.times) - 1])
     ts = traj.times[idx]
     n = traj.states.shape[1]
 
@@ -381,21 +420,21 @@ def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
             kappa = max(kappa, np.linalg.norm(Th, 2) * np.linalg.norm(Ti, 2))
         prev = key
         rates.append(r.value)
-        wnorms.append(sip_norm(Th @ traj.perturbations[i], spec, grid))
+        wnorms.append(sip_norm(Th @ v[i], spec, grid))
     rates = np.asarray(rates)
     cumint = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(ts))])
 
     wnorms = np.asarray(wnorms)
     if wnorms[0] == 0.0:
         raise ContractViolation("initial perturbation has zero weighted norm")
-    ratios = wnorms / (np.exp(cumint) * wnorms[0])
+    # ratios from the log magnitudes, which do not underflow
+    ratios = np.exp(rho[idx] - rho[0] - cumint) * wnorms / wnorms[0]
     lam_sup = float(np.max(rates))
 
-    u2 = np.asarray(u0, dtype=float).reshape(-1) + np.asarray(du0, dtype=float).reshape(-1)
-    traj2 = simulate_flow(f, u2, t_span, dt, record_every, t_eval=traj.times)
-    dists = np.array([sip_norm(d, spec, grid) for d in traj.states - traj2.states])
-    pair_bound = kappa * np.exp(lam_sup * (traj.times - traj.times[0])) * dists[0]
-    pair_ratios = dists / pair_bound
+    qnorms = np.array([sip_norm(d, spec, grid) for d in q])
+    dists = np.exp(sigma) * qnorms
+    pair_ratios = (np.exp(sigma - sigma[0] - lam_sup * (traj.times - traj.times[0]))
+                   * qnorms / (kappa * qnorms[0]))
 
     b = theta.bound_b
     t_b = -2.0 * math.log(b) / lam_sup if (lam_sup < 0 and np.isfinite(b) and b >= 1) else math.inf
@@ -422,7 +461,7 @@ def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
         "contracted_after_tb": contracted_after_tb,
         "tail_monotone": tail_monotone,
         "asymptotic_check": "empirical",
-        "integrator": integrator_entry([traj, traj2]),
+        "integrator": integrator_entry([traj]),
     }
 
 

@@ -180,15 +180,15 @@ def _sim_initial_conditions(sim, dim, base=None):
 
 def _decay_cross_check(f, sim, dim, quantity, lam, base_ic=None):
     """Simulate n_ic trajectories and fit the decay exponent of
-    ``quantity(u)`` over the points above the error floor; each fit must not
-    be slower than lam + 0.1 |lam|.  Returns the summary and the
-    trajectories."""
+    ``quantity(u)`` above the adaptive solver's error floor (fixed-step RK4
+    has none); each fit must not be slower than lam + 0.1 |lam|.  Returns
+    the summary and the trajectories."""
     fits = []
     trajs = []
     for u0 in _sim_initial_conditions(sim, dim, base=base_ic):
         traj = simulate(f, u0, sim)
         series = np.array([quantity(u) for u in traj.states])
-        floor = _error_floor(traj.states)
+        floor = _error_floor(traj.states) if "method" in traj.stats else 0.0
         slope, info = fit_decay_rate(traj.times, series, floor=floor)
         fits.append({"fitted": slope, "points": info.get("points", 0), "floor": floor})
         trajs.append(traj)
@@ -514,8 +514,7 @@ def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
     dim = loop_pts[0].shape[0]
     if dim == sub.codim + 1:
         loop_pts = sweep_loop(sub, loop_pts[0], ds=sweep_ds) + loop_pts
-    times = sorted({t for t, _ in samples}) or [0.0]
-    times = times[:n_times] if len(times) > n_times else times
+    times = (sorted({t for t, _ in samples}) or [0.0])[:n_times]
 
     tangency = 0.0
     sym_res = 0.0
@@ -592,15 +591,8 @@ def rotation_subspace_projector(n_osc, angles=None):
     planar rotations acting blockwise on each oscillator's plane."""
     if angles is None:
         angles = np.zeros(n_osc)
-    cols = []
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = 1.0
-        col = np.concatenate([
-            _rot2(a) @ e for a in angles
-        ]) / math.sqrt(n_osc)
-        cols.append(col)
-    B = np.stack(cols, axis=1)
+    # orthonormal columns: the rotations stacked
+    B = np.concatenate([_rot2(a) for a in angles]) / math.sqrt(n_osc)
     return Projector(B @ B.T)
 
 
@@ -621,9 +613,7 @@ def stacked_conjugate_field(f, conjs):
     def g(t, v):
         vs = split(np.asarray(v, dtype=float))
         us = [c.inverse(vi) for c, vi in zip(conjs, vs)]
-        u = np.concatenate(us)
-        fu = f.eval(t, u)
-        fus = split(fu)
+        fus = split(f.eval(t, np.concatenate(us)))
         return np.concatenate([c.jac(ui) @ fi for c, ui, fi in zip(conjs, us, fus)])
 
     jac = None
@@ -685,11 +675,8 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
                             for i, c in enumerate(conjs)])
             for u in traj.states
         ])
-        periods = []
-        for i in range(n_osc):
-            T_i, _ = extract_period(traj.times, vs[:, i * m])
-            periods.append(T_i)
-        periods = np.asarray(periods)
+        periods = np.array([extract_period(traj.times, vs[:, i * m])[0]
+                            for i in range(n_osc)])
         common = bool(np.all(np.isfinite(periods)) and
                       (np.max(periods) - np.min(periods)) <= period_rtol * np.mean(periods))
 

@@ -60,10 +60,6 @@ class LinearOp:
     def dim_in(self):
         return self.shape[1]
 
-    @property
-    def dim_out(self):
-        return self.shape[0]
-
     def apply(self, v):
         v = np.asarray(v)
         if self.mat is not None:

@@ -75,18 +75,12 @@ def build_discretization(n, dims=1, boundary="periodic", length=1.0):
     h = length / (n + 1) if boundary == "dirichlet" else length / n
     L1d = _laplacian_1d(n, h, boundary)
     eye = sp.identity(n, format="csr")
+    d = derivative_matrix_1d(n, h, boundary)
     if dims == 1:
-        lap = L1d
+        lap, grads = L1d, [d]
     else:
         lap = sp.kron(L1d, eye, format="csr") + sp.kron(eye, L1d, format="csr")
-    grads = []
-    for ax in range(dims):
-        d = derivative_matrix_1d(n, h, boundary)
-        if dims == 1:
-            grads.append(d)
-        else:
-            grads.append(sp.kron(d, eye, format="csr") if ax == 0
-                         else sp.kron(eye, d, format="csr"))
+        grads = [sp.kron(d, eye, format="csr"), sp.kron(eye, d, format="csr")]
     grid = Grid((n,) * dims, (h,) * dims, boundary)
     return Discretization(dims=dims, n=n, h=h, boundary=boundary,
                           laplacian=lap, gradients=grads, grid=grid)

@@ -299,7 +299,7 @@ QUICK_CONFIGS = {
     "optimize_weight": "matrix = -1 10; 0 -1\nb = 50\n",
     "growth_bound": ("matrix = -1 10; 0 -1\nweight_kind = diagonal\n"
                      "weight_diag = 0.01 1\nt_end = 4\ndt = 1e-3\n"),
-    "mle": "matrix = -1 0; 0 -2\nt_end = 10\nrenorm_interval = 0.5\ndt = 0.01\n",
+    "mle": "matrix = -1 0; 0 -2\nt_end = 10\nrenorm_interval = 0.5\n",
     "subspace": "n = 8\nt_end = 0.2\n",
     "manifold": "t_end = 15\ndt = 0.01\n",
     "symmetry": "kind = spatial\nn = 8\nt_end = 3\n",

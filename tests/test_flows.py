@@ -426,6 +426,48 @@ class TestVariationalSolverPath:
         assert np.max(np.abs(traj.states - ref.states[:, :2])) <= 1e-8
         assert np.max(np.abs(traj.perturbations - ref.states[:, 2:])) <= 1e-8
 
+    def test_fast_decay_keeps_relative_accuracy(self):
+        # ||du(8)|| ~ e^-24 ~ 4e-11 lies below the solver's absolute
+        # tolerance; the growth and pair ratios are exactly 1
+        du0 = np.array([0.3, 0.7])
+        rep = verify_growth_bound(-3.0 * np.eye(2), weights.identity(), L2,
+                                  np.array([1.0, -0.5]), du0, (0.0, 8.0), 1e-3)
+        assert rep["max_weighted_ratio"] <= 1.0 + 1e-4
+        assert rep["max_pair_ratio"] <= 1.0 + 1e-4
+        assert np.max(np.abs(rep["weighted_ratios"] - 1.0)) <= 1e-8
+        assert rep["pair_distances"][-1] == pytest.approx(
+            np.exp(-24.0) * np.linalg.norm(du0), rel=1e-8)
+        traj = integrate_variational(-3.0 * np.eye(2), np.ones(2), du0, (0.0, 8.0), 1e-3)
+        np.testing.assert_allclose(traj.perturbations[-1], np.exp(-24.0) * du0, rtol=1e-8)
+
+    def test_nonlinear_pair_separation_matches_two_runs(self):
+        # a nonzero equilibrium: the pair separation decays far below the
+        # state and ends on the linearized flow
+        f = VectorField(f=lambda t, u: 1.0 - u - u**3 / 3.0,
+                        jac=lambda t, u: np.diag(-1.0 - u**2), dim=1)
+        u0, du0 = np.array([0.0]), np.array([0.8])
+        rep = verify_growth_bound(f, weights.identity(), L2, u0, du0, (0.0, 20.0), 1e-2,
+                                  rate_stride=10)
+        assert rep["integrator"]["steps"] < 500
+        assert rep["max_pair_ratio"] <= 1.0 and rep["pair_distances"][-1] < 1e-12
+        ref = [integrate(f, u, (0.0, 20.0), dt=1e-3, record_every=10).states[:, 0]
+               for u in (u0, u0 + du0)]
+        sep = np.abs(ref[1] - ref[0])
+        big = sep > 1e-8
+        np.testing.assert_allclose(rep["pair_distances"][big], sep[big], rtol=1e-6)
+
+    def test_overflowing_pair_separation_is_divergence(self):
+        # u = 0 stays put while the pair separation grows like e^t
+        f = VectorField(f=lambda t, u: u, jac=lambda t, u: np.eye(2), dim=2)
+        with warnings.catch_warnings(), pytest.raises(DivergenceError):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            verify_growth_bound(f, weights.identity(), L2, np.zeros(2), np.array([1.0, 0.5]),
+                                (0.0, 800.0), 1.0)
+
+    def test_zero_perturbation_refused(self):
+        with pytest.raises(ContractViolation):
+            integrate_variational(linear_field(SHEAR), np.ones(2), np.zeros(2), (0.0, 1.0), 0.1)
+
     def test_grid_field_runs_rk4(self):
         from contractkit.pde import build_discretization, heat_field
 
