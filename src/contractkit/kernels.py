@@ -1,59 +1,28 @@
-"""Hot numeric kernels: finite-difference stencils, conservative Burgers
-fluxes, and lp accumulation loops.
+"""Numpy stencils and lp accumulation cores.
 
-Every kernel has a pure-numpy implementation (``*_numpy``) and, when numba
-is importable, a compiled loop version (``*_jit``).  The public names are
-bound to one of the two at import time according to the environment flag
-
-    CONTRACTKIT_NUMBA = auto (default) | 1 | 0
-
-``1`` requires numba and raises if it is missing, ``0`` forces the numpy
-path, ``auto`` uses numba when available.  ``benchmarks/bench_kernels.py``
-times the two paths against each other.
+The grid right-hand sides in :mod:`contractkit.pde` evaluate the sparse
+matrices of ``Discretization`` and no longer call the stencils here.  The
+module stays because the benchmark harness in ``perfbench/`` reads
+``backend()`` and times these nine names by looking them up on it, and
+because :mod:`contractkit.sip` still takes its real-valued lp sums through
+``lp_power_sum`` and ``lp_sip_smooth``.
 
 All kernels take and return float64 arrays; complex-valued states go
 through the vectorized numpy code in :mod:`contractkit.sip` instead.
 """
 
-import os
-
 import numpy as np
-
-
-def _numba_mode():
-    flag = os.environ.get("CONTRACTKIT_NUMBA", "auto").strip().lower()
-    if flag in ("0", "false", "no", "off"):
-        return False
-    if flag in ("1", "true", "yes", "on", "force"):
-        return True
-    return None
-
-
-_mode = _numba_mode()
-if _mode is False:
-    _njit = None
-else:
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        if _mode is True:
-            raise ImportError(
-                "CONTRACTKIT_NUMBA=1 requires numba, which is not installed"
-            )
-        _njit = None
-
-USING_NUMBA = _njit is not None
 
 
 # ---------------------------------------------------------------------------
 # 1D Laplacian stencils (second order).  inv_h2 = 1/h^2.
 # ---------------------------------------------------------------------------
 
-def lap1d_periodic_numpy(u, inv_h2):
+def lap1d_periodic(u, inv_h2):
     return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) * inv_h2
 
 
-def lap1d_neumann_numpy(u, inv_h2):
+def lap1d_neumann(u, inv_h2):
     out = np.empty_like(u)
     out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_h2
     out[0] = (u[1] - u[0]) * inv_h2
@@ -61,41 +30,11 @@ def lap1d_neumann_numpy(u, inv_h2):
     return out
 
 
-def lap1d_dirichlet_numpy(u, inv_h2):
+def lap1d_dirichlet(u, inv_h2):
     out = np.empty_like(u)
     out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_h2
     out[0] = (u[1] - 2.0 * u[0]) * inv_h2
     out[-1] = (u[-2] - 2.0 * u[-1]) * inv_h2
-    return out
-
-
-def _lap1d_periodic_loop(u, inv_h2):
-    n = u.shape[0]
-    out = np.empty_like(u)
-    for i in range(n):
-        up = u[i + 1] if i + 1 < n else u[0]
-        um = u[i - 1] if i > 0 else u[n - 1]
-        out[i] = (up - 2.0 * u[i] + um) * inv_h2
-    return out
-
-
-def _lap1d_neumann_loop(u, inv_h2):
-    n = u.shape[0]
-    out = np.empty_like(u)
-    out[0] = (u[1] - u[0]) * inv_h2
-    for i in range(1, n - 1):
-        out[i] = (u[i + 1] - 2.0 * u[i] + u[i - 1]) * inv_h2
-    out[n - 1] = (u[n - 2] - u[n - 1]) * inv_h2
-    return out
-
-
-def _lap1d_dirichlet_loop(u, inv_h2):
-    n = u.shape[0]
-    out = np.empty_like(u)
-    out[0] = (u[1] - 2.0 * u[0]) * inv_h2
-    for i in range(1, n - 1):
-        out[i] = (u[i + 1] - 2.0 * u[i] + u[i - 1]) * inv_h2
-    out[n - 1] = (u[n - 2] - 2.0 * u[n - 1]) * inv_h2
     return out
 
 
@@ -106,95 +45,33 @@ def _lap1d_dirichlet_loop(u, inv_h2):
 # flux u^2/2, robust at eps = 0.
 # ---------------------------------------------------------------------------
 
-def burgers_rhs_centered_numpy(u, inv_h, inv_h2, eps):
+def burgers_rhs_centered(u, inv_h, inv_h2, eps):
     flux = 0.5 * u * u
     adv = (np.roll(flux, -1) - np.roll(flux, 1)) * (0.5 * inv_h)
-    return -adv + eps * lap1d_periodic_numpy(u, inv_h2)
+    return -adv + eps * lap1d_periodic(u, inv_h2)
 
 
-def burgers_rhs_upwind_numpy(u, inv_h, inv_h2, eps):
+def burgers_rhs_upwind(u, inv_h, inv_h2, eps):
     up = np.roll(u, -1)
     left = np.maximum(u, 0.0)
     right = np.minimum(up, 0.0)
     face = np.maximum(0.5 * left * left, 0.5 * right * right)
     adv = (face - np.roll(face, 1)) * inv_h
-    return -adv + eps * lap1d_periodic_numpy(u, inv_h2)
-
-
-def _burgers_rhs_centered_loop(u, inv_h, inv_h2, eps):
-    n = u.shape[0]
-    out = np.empty_like(u)
-    for i in range(n):
-        up = u[i + 1] if i + 1 < n else u[0]
-        um = u[i - 1] if i > 0 else u[n - 1]
-        adv = (0.5 * up * up - 0.5 * um * um) * 0.5 * inv_h
-        out[i] = -adv + eps * (up - 2.0 * u[i] + um) * inv_h2
-    return out
-
-
-def _burgers_rhs_upwind_loop(u, inv_h, inv_h2, eps):
-    n = u.shape[0]
-    face = np.empty_like(u)
-    for i in range(n):
-        a = u[i]
-        b = u[i + 1] if i + 1 < n else u[0]
-        fa = 0.5 * a * a if a > 0.0 else 0.0
-        fb = 0.5 * b * b if b < 0.0 else 0.0
-        face[i] = fa if fa > fb else fb
-    out = np.empty_like(u)
-    for i in range(n):
-        up = u[i + 1] if i + 1 < n else u[0]
-        um = u[i - 1] if i > 0 else u[n - 1]
-        fm = face[i - 1] if i > 0 else face[n - 1]
-        out[i] = -(face[i] - fm) * inv_h + eps * (up - 2.0 * u[i] + um) * inv_h2
-    return out
+    return -adv + eps * lap1d_periodic(u, inv_h2)
 
 
 # ---------------------------------------------------------------------------
 # Fused reaction-diffusion right-hand sides (zero-flux boundaries).
 # ---------------------------------------------------------------------------
 
-def allen_cahn_rhs_numpy(u, alpha, inv_h2):
-    return alpha * lap1d_neumann_numpy(u, inv_h2) + u - u * u * u
+def allen_cahn_rhs(u, alpha, inv_h2):
+    return alpha * lap1d_neumann(u, inv_h2) + u - u * u * u
 
 
-def _allen_cahn_rhs_loop(u, alpha, inv_h2):
-    n = u.shape[0]
-    out = np.empty_like(u)
-    out[0] = alpha * (u[1] - u[0]) * inv_h2 + u[0] - u[0] ** 3
-    for i in range(1, n - 1):
-        lap = (u[i + 1] - 2.0 * u[i] + u[i - 1]) * inv_h2
-        out[i] = alpha * lap + u[i] - u[i] ** 3
-    out[n - 1] = (
-        alpha * (u[n - 2] - u[n - 1]) * inv_h2 + u[n - 1] - u[n - 1] ** 3
-    )
-    return out
-
-
-def brusselator_rhs_numpy(x, y, a, b, dx, dy, inv_h2):
+def brusselator_rhs(x, y, a, b, dx, dy, inv_h2):
     xy2 = x * x * y
-    fx = dx * lap1d_neumann_numpy(x, inv_h2) + a - (b + 1.0) * x + xy2
-    fy = dy * lap1d_neumann_numpy(y, inv_h2) + b * x - xy2
-    return fx, fy
-
-
-def _brusselator_rhs_loop(x, y, a, b, dx, dy, inv_h2):
-    n = x.shape[0]
-    fx = np.empty_like(x)
-    fy = np.empty_like(y)
-    for i in range(n):
-        if i == 0:
-            lx = (x[1] - x[0]) * inv_h2
-            ly = (y[1] - y[0]) * inv_h2
-        elif i == n - 1:
-            lx = (x[n - 2] - x[n - 1]) * inv_h2
-            ly = (y[n - 2] - y[n - 1]) * inv_h2
-        else:
-            lx = (x[i + 1] - 2.0 * x[i] + x[i - 1]) * inv_h2
-            ly = (y[i + 1] - 2.0 * y[i] + y[i - 1]) * inv_h2
-        xy2 = x[i] * x[i] * y[i]
-        fx[i] = dx * lx + a - (b + 1.0) * x[i] + xy2
-        fy[i] = dy * ly + b * x[i] - xy2
+    fx = dx * lap1d_neumann(x, inv_h2) + a - (b + 1.0) * x + xy2
+    fy = dy * lap1d_neumann(y, inv_h2) + b * x - xy2
     return fx, fy
 
 
@@ -202,62 +79,16 @@ def _brusselator_rhs_loop(x, y, a, b, dx, dy, inv_h2):
 # lp accumulation cores (real data, scalar quadrature weight).
 # ---------------------------------------------------------------------------
 
-def lp_power_sum_numpy(u, p):
+def lp_power_sum(u, p):
     """sum |u_i|^p for finite p."""
     return float(np.sum(np.abs(u) ** p))
 
 
-def lp_sip_smooth_numpy(u, v, p):
+def lp_sip_smooth(u, v, p):
     """sum |u_i|^(p-1) sgn(u_i) v_i, the smooth-norm core for 1 < p < inf."""
     return float(np.sum(np.abs(u) ** (p - 1.0) * np.sign(u) * v))
 
 
-def _lp_power_sum_loop(u, p):
-    acc = 0.0
-    for i in range(u.shape[0]):
-        acc += abs(u[i]) ** p
-    return acc
-
-
-def _lp_sip_smooth_loop(u, v, p):
-    acc = 0.0
-    for i in range(u.shape[0]):
-        ui = u[i]
-        if ui > 0.0:
-            acc += ui ** (p - 1.0) * v[i]
-        elif ui < 0.0:
-            acc -= (-ui) ** (p - 1.0) * v[i]
-    return acc
-
-
-_LOOPS = {
-    "lap1d_periodic": (_lap1d_periodic_loop, lap1d_periodic_numpy),
-    "lap1d_neumann": (_lap1d_neumann_loop, lap1d_neumann_numpy),
-    "lap1d_dirichlet": (_lap1d_dirichlet_loop, lap1d_dirichlet_numpy),
-    "burgers_rhs_centered": (_burgers_rhs_centered_loop, burgers_rhs_centered_numpy),
-    "burgers_rhs_upwind": (_burgers_rhs_upwind_loop, burgers_rhs_upwind_numpy),
-    "allen_cahn_rhs": (_allen_cahn_rhs_loop, allen_cahn_rhs_numpy),
-    "brusselator_rhs": (_brusselator_rhs_loop, brusselator_rhs_numpy),
-    "lp_power_sum": (_lp_power_sum_loop, lp_power_sum_numpy),
-    "lp_sip_smooth": (_lp_sip_smooth_loop, lp_sip_smooth_numpy),
-}
-
-# the lp accumulation loops are pow-bound and measure no faster under numba
-# (see benchmarks/bench_kernels.py); keep them on the vectorized path
-_NUMPY_PREFERRED = {"lp_power_sum", "lp_sip_smooth"}
-
-if USING_NUMBA:
-    for _name, (_loop, _np_fn) in _LOOPS.items():
-        _jit_fn = _njit(cache=True)(_loop)
-        globals()[_name + "_jit"] = _jit_fn
-        globals()[_name] = _np_fn if _name in _NUMPY_PREFERRED else _jit_fn
-else:
-    for _name, (_loop, _np_fn) in _LOOPS.items():
-        globals()[_name] = _np_fn
-
-KERNEL_NAMES = tuple(sorted(_LOOPS))
-
-
 def backend():
-    """Name of the active kernel path ('numba' or 'numpy')."""
-    return "numba" if USING_NUMBA else "numpy"
+    """Name of the kernel path; numpy is the only one."""
+    return "numpy"
