@@ -14,7 +14,6 @@ from .errors import (
 from .grids import Grid, GridFunction, as_gridfunction, unit_grid
 from .sip import L1, L2, LINF, NormSpec, norm, sip, sip_fd_oracle
 from .measures import (
-    LinearOp,
     RateEstimate,
     mu,
     mu_fd_oracle,
@@ -25,7 +24,6 @@ from .weights import (
     AsymptoticRateResult,
     WeightFamily,
     check_radius_b,
-    make_weight,
     optimize_diagonal_weight,
 )
 from .flows import (

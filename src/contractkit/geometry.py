@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import ContractViolation, NumericalError
 from .flows import (ODE_METHOD, ODE_RTOL, VectorField, as_vector_field, fd_jacobian,
@@ -120,20 +121,28 @@ class Conjugacy:
                    dh=lambda u: M, linear_matrix=M)
 
 
-def conjugate_field(f, conj):
-    """Push a field through v = h(u):  g(t, v) = Dh(h^{-1}(v)) f(t, h^{-1}(v))."""
+def conjugate_field(f, conjs):
+    """Push a field through blockwise conjugacies v_i = h_i(u_i), one per
+    equal block of the state (a list of one for the whole state):
+    g(t, v) = Dh(h^{-1}(v)) f(t, h^{-1}(v)), block by block."""
     f = as_vector_field(f)
+    blocks = []                      # (h_i, slice of block i), set at the first call
 
     def g(t, v):
-        u = conj.inverse(v)
-        return conj.jac(u) @ f.eval(t, u)
+        if not blocks:
+            m = len(v) // len(conjs)
+            blocks.extend((c, slice(i * m, (i + 1) * m)) for i, c in enumerate(conjs))
+        us = [c.inverse(v[b]) for c, b in blocks]
+        fu = f.eval(t, us[0] if len(us) == 1 else np.concatenate(us))
+        out = [c.jac(u) @ fu[b] for (c, b), u in zip(blocks, us)]
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     jac = None
-    if conj.linear_matrix is not None and f.jac is not None:
-        M = conj.linear_matrix
+    if f.jac is not None and all(c.linear_matrix is not None for c in conjs):
+        M = sla.block_diag(*[c.linear_matrix for c in conjs])
         Minv = np.linalg.inv(M)
 
-        def jac(t, v, M=M, Minv=Minv):
+        def jac(t, v):
             return M @ as_matrix(f.jacobian(t, Minv @ v)) @ Minv
 
     return VectorField(f=g, jac=jac, dim=f.dim, name=f.name + "_conjugate")
@@ -380,8 +389,8 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
     ratios whose newer difference is above the simulation's error floor,
     100 ODE_RTOL (1 + max ||u||), are checked: below it the differences are
     integration error, which does not repeat from one period to the next."""
-    if tau is not None and tau <= 0:
-        raise ContractViolation("tau must be positive")
+    if tau is None or tau <= 0:
+        raise ContractViolation(f"tau must be positive, got {tau!r}")
     f = as_vector_field(f)
     worst = 0.0
     count = 0
@@ -501,7 +510,7 @@ def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
     """``certify_limit_cycle``'s report and the first simulated trajectory,
     the one its period comes from (None when no sim ran)."""
     f = as_vector_field(f)
-    g = conjugate_field(f, conj)
+    g = conjugate_field(f, [conj])
     samples = [(t, np.asarray(u, dtype=float)) for t, u in sampler]
     loop_pts = []
     for t, u in samples:
@@ -601,34 +610,6 @@ def _rot2(a):
     return np.array([[c, -s], [s, c]])
 
 
-def stacked_conjugate_field(f, conjs):
-    """Conjugate field of a coupled system under blockwise v_i = h_i(u_i)."""
-    f = as_vector_field(f)
-    n_osc = len(conjs)
-
-    def split(z):
-        m = z.shape[0] // n_osc
-        return [z[i * m:(i + 1) * m] for i in range(n_osc)]
-
-    def g(t, v):
-        vs = split(np.asarray(v, dtype=float))
-        us = [c.inverse(vi) for c, vi in zip(conjs, vs)]
-        fus = split(f.eval(t, np.concatenate(us)))
-        return np.concatenate([c.jac(ui) @ fi for c, ui, fi in zip(conjs, us, fus)])
-
-    jac = None
-    if all(c.linear_matrix is not None for c in conjs) and f.jac is not None:
-        import scipy.linalg as sla
-
-        M = sla.block_diag(*[c.linear_matrix for c in conjs])
-        Minv = np.linalg.inv(M)
-
-        def jac(t, v, M=M, Minv=Minv):
-            return M @ as_matrix(f.jacobian(t, Minv @ v)) @ Minv
-
-    return VectorField(f=g, jac=jac, dim=f.dim, name="stacked_conjugate")
-
-
 def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
                           leader=None, sim=None, seed=0, period_rtol=0.01,
                           spread_tol=1e-3):
@@ -653,7 +634,7 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
             "reduces_to": "limit_cycle",
             "leader": leader,
         }
-    G = stacked_conjugate_field(f, conjs)
+    G = conjugate_field(f, conjs)
     samples = [(t, np.asarray(u, dtype=float)) for t, u in sampler]
     rate = nonlinear_rate(G, projection_complement(proj_w.P), spec=spec,
                           sampler=samples, seed=seed)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ContractViolation, DegenerateWeightError, DimensionError, NumericalError
 from .grids import GridFunction, derivative_ops, unit_grid
@@ -33,64 +32,12 @@ from .sip import _ARGMAX_RTOL, L2, NormSpec, OracleResult, gram_matrix
 from .sip import norm as sip_norm
 from .sip import sip as sip_pair
 
-DENSE_EIG_LIMIT = 2048  # above this, switch to Lanczos-style iteration
 _KERNEL_RTOL = 1e-10    # singular values below rtol*smax count as kernel
 _CONFIRM_RTOL = 1e-9    # steering ratio vs reference value at the argmax
 
 
-class LinearOp:
-    """Dense, sparse, or matrix-free linear operator."""
-
-    def __init__(self, mat=None, *, matvec=None, shape=None):
-        if mat is not None:
-            if sp.issparse(mat):
-                self.mat = mat.tocsr()
-            else:
-                self.mat = np.asarray(mat)
-            self.shape = self.mat.shape
-            self._matvec = None
-        else:
-            if matvec is None or shape is None:
-                raise ContractViolation("matrix-free LinearOp needs matvec and shape")
-            self.mat = None
-            self._matvec = matvec
-            self.shape = tuple(shape)
-
-    @property
-    def dim_in(self):
-        return self.shape[1]
-
-    def apply(self, v):
-        v = np.asarray(v)
-        if self.mat is not None:
-            return self.mat @ v
-        return np.asarray(self._matvec(v))
-
-    __call__ = apply
-
-    def to_dense(self, max_dim=4096):
-        if self.mat is not None:
-            return self.mat.toarray() if sp.issparse(self.mat) else np.asarray(self.mat)
-        if self.dim_in > max_dim:
-            raise NumericalError(
-                f"refusing to densify matrix-free operator of dim {self.dim_in}"
-            )
-        cols = [self.apply(e) for e in np.eye(self.dim_in)]
-        return np.stack(cols, axis=1)
-
-
-def as_linear_op(A, shape=None):
-    if isinstance(A, LinearOp):
-        return A
-    if callable(A) and not (sp.issparse(A) or isinstance(A, np.ndarray)):
-        return LinearOp(matvec=A, shape=shape)
-    return LinearOp(A)
-
-
 def as_matrix(A):
-    """Dense or sparse matrix view of a LinearOp-like object."""
-    if isinstance(A, LinearOp):
-        return A.mat if A.mat is not None else A.to_dense()
+    """A sparse matrix as it is, anything else as a dense array."""
     if sp.issparse(A):
         return A
     return np.asarray(A)
@@ -119,31 +66,14 @@ def _check_square(M):
         raise DimensionError(f"operator must be square, got shape {M.shape}")
 
 
-def _max_eig_sym(S):
-    """Largest eigenvalue of a symmetric/Hermitian matrix."""
+def _max_eig(S, G=None):
+    """Largest eigenvalue of the symmetric matrix S, or of the symmetric
+    pencil (S, G) with G positive definite."""
     n = S.shape[0]
-    if n <= DENSE_EIG_LIMIT and not sp.issparse(S):
-        try:
-            return float(sla.eigh(S, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0])
-        except Exception as exc:  # pragma: no cover - LAPACK failure
-            raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
-    Ssp = sp.csr_matrix(S) if not sp.issparse(S) else S
     try:
-        vals = spla.eigsh(Ssp, k=1, which="LA", return_eigenvectors=False)
-    except Exception as exc:
-        raise NumericalError(f"Lanczos eigensolver failed: {exc}") from exc
-    return float(vals[0])
-
-
-def _max_gen_eig_sym(S, G):
-    """Largest eigenvalue of the symmetric pencil (S, G), G positive definite."""
-    S = _dense(S)
-    G = _dense(G)
-    try:
-        return float(sla.eigh(S, G, eigvals_only=True,
-                              subset_by_index=(S.shape[0] - 1, S.shape[0] - 1))[0])
-    except Exception as exc:
-        raise NumericalError(f"generalized eigensolver failed: {exc}") from exc
+        return float(sla.eigh(S, G, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0])
+    except Exception as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
 
 
 def _sym(M):
@@ -274,10 +204,9 @@ def mu(A, spec=L2, grid=None, seed=0):
         raise ContractViolation("Sobolev measures need the grid argument")
     if p == 2.0:
         if k == 0:
-            return RateEstimate(_max_eig_sym(_sym(M)), "eigen")
+            return RateEstimate(_max_eig(_sym(M)), "eigen")
         G = gram_matrix(spec, grid, ncomp=n // grid.npoints)
-        S = _sym(G @ M)
-        return RateEstimate(_max_gen_eig_sym(S, G), "eigen")
+        return RateEstimate(_max_eig(_sym(G @ M), _dense(G)), "eigen")
     if k == 0 and p == 1.0:
         return RateEstimate(_mu_l1(M), "closed_form")
     if k == 0 and np.isinf(p):
@@ -336,6 +265,16 @@ def _theta_dtheta(theta, t, u, n):
     return Th, (None if dTh is None else np.asarray(dTh))
 
 
+def _kernel_complement(Th):
+    """Orthonormal basis (n x r) of ker(Theta)^perp, from the SVD of Theta."""
+    _, svals, vt = np.linalg.svd(Th)
+    smax = svals[0] if svals.size else 0.0
+    keep = svals > _KERNEL_RTOL * max(smax, 1.0)
+    if not np.any(keep):
+        raise DegenerateWeightError("weight vanishes on every direction")
+    return vt[: np.count_nonzero(keep)].conj().T
+
+
 def weighted_rate(A, theta, t=0.0, u=None, spec=L2, grid=None, seed=0):
     """Theta-weighted contraction rate of a linear operator.
 
@@ -352,29 +291,8 @@ def weighted_rate(A, theta, t=0.0, u=None, spec=L2, grid=None, seed=0):
         raise DimensionError(f"weight maps dim {Th.shape[1]}, operator dim {n}")
     C = Th @ M if dTh is None else dTh + Th @ M
     p, k = spec.p, spec.k
+    Vr = None if theta.invertible else _kernel_complement(Th)
 
-    if theta.invertible:
-        if p == 2.0:
-            if k == 0:
-                Gw = np.eye(Th.shape[0]) * (grid.cell_measure if grid is not None else 1.0)
-            else:
-                Gw = _dense(gram_matrix(spec, grid, ncomp=Th.shape[0] // grid.npoints))
-            S = _sym(Th.conj().T @ Gw @ C)
-            G = Th.conj().T @ Gw @ Th
-            return RateEstimate(_max_gen_eig_sym(S, G), "eigen")
-        Thi = np.asarray(theta.inv_matrix(t, u, n))
-        B = C @ Thi
-        if k == 0 and (p == 1.0 or np.isinf(p)):
-            return RateEstimate(_mu_l1(B) if p == 1.0 else _mu_linf(B), "closed_form")
-        return mu(B, spec, grid=grid, seed=seed)
-
-    # surjective, non-invertible: restrict to the complement of ker(Theta)
-    svd_u, svals, vt = np.linalg.svd(Th)
-    smax = svals[0] if svals.size else 0.0
-    keep = svals > _KERNEL_RTOL * max(smax, 1.0)
-    if not np.any(keep):
-        raise DegenerateWeightError("weight vanishes on every direction")
-    Vr = vt[: np.count_nonzero(keep)].conj().T  # n x r basis of ker(Theta)^perp
     if p == 2.0:
         if k == 0:
             Gw = np.eye(Th.shape[0]) * (grid.cell_measure if grid is not None else 1.0)
@@ -382,10 +300,11 @@ def weighted_rate(A, theta, t=0.0, u=None, spec=L2, grid=None, seed=0):
             Gw = _dense(gram_matrix(spec, grid, ncomp=Th.shape[0] // grid.npoints))
         S = _sym(Th.conj().T @ Gw @ C)
         G = Th.conj().T @ Gw @ Th
-        Sr = Vr.conj().T @ S @ Vr
-        Gr = Vr.conj().T @ G @ Vr
-        return RateEstimate(_max_gen_eig_sym(Sr, Gr), "eigen")
-
+        if Vr is not None:
+            S, G = Vr.conj().T @ S @ Vr, Vr.conj().T @ G @ Vr
+        return RateEstimate(_max_eig(S, G), "eigen")
+    if Vr is None:
+        return mu(C @ np.asarray(theta.inv_matrix(t, u, n)), spec, grid=grid, seed=seed)
     gW = grid if grid is not None else unit_grid(Th.shape[0])
     return _sampled_rate(Th @ Vr, C @ Vr, spec, gW, seed)
 

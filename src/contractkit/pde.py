@@ -68,9 +68,9 @@ def build_discretization(n, dims=1, boundary="periodic", length=1.0):
         raise ContractViolation("need n >= 4 grid points")
     if dims not in (1, 2):
         raise ContractViolation("dims must be 1 or 2")
-    boundary = _BOUNDARY_ALIASES.get(boundary)
-    if boundary is None:
+    if boundary not in _BOUNDARY_ALIASES:
         raise ContractViolation(f"unknown boundary {boundary!r}")
+    boundary = _BOUNDARY_ALIASES[boundary]
     h = length / (n + 1) if boundary == "dirichlet" else length / n
     L1d = _laplacian_1d(n, h, boundary)
     eye = sp.identity(n, format="csr")

@@ -48,14 +48,6 @@ class WeightFamily:
             )
         return np.asarray(self._dmat(t, u, n))
 
-    def apply(self, t, u, v):
-        v = np.asarray(v)
-        return self.matrix(t, u, v.shape[0]) @ v
-
-    def inverse_apply(self, t, u, w):
-        w = np.asarray(w)
-        return self.inv_matrix(t, u, w.shape[0]) @ w
-
 
 def identity():
     return WeightFamily(
@@ -143,61 +135,18 @@ def custom(matrix, inverse=None, dmatrix_dt=None, b=np.inf, time_varying=False):
     )
 
 
-_KINDS = {
-    "identity": lambda **kw: identity(),
-    "constant_matrix": lambda **kw: constant_matrix(**kw),
-    "diagonal": lambda **kw: diagonal(**kw),
-    "projection_complement": lambda **kw: projection_complement(**kw),
-    "jacobian_of_map": lambda **kw: jacobian_of_map(**kw),
-    "custom": lambda **kw: custom(**kw),
-}
-
-
-def make_weight(kind, **params):
-    if kind not in _KINDS:
-        raise ContractViolation(f"unknown weight kind {kind!r}")
-    return _KINDS[kind](**params)
-
-
-def _power_norm(matvec, n, rng, iters=50, probes=64):
-    """Operator 2-norm by random probing plus power iteration on M^T M."""
-    best = 0.0
-    for _ in range(probes):
-        v = rng.standard_normal(n)
-        nv = np.linalg.norm(v)
-        if nv > 0:
-            best = max(best, np.linalg.norm(matvec(v)) / nv)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = matvec(v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        best = max(best, nw)
-        v = w / nw
-    return best
-
-
-def check_radius_b(theta, b, sampler, seed=0):
+def check_radius_b(theta, b, sampler):
     """Probe ||Theta|| and ||Theta^{-1}|| over sampled (t, u) against b."""
     if not theta.invertible:
         raise ContractViolation("radius check needs an invertible weight")
-    rng = np.random.default_rng(seed)
     max_fwd = 0.0
     max_inv = 0.0
     count = 0
     for t, u in sampler:
         u = np.asarray(u, dtype=float)
         n = u.shape[0]
-        try:
-            Th = theta.matrix(t, u, n)
-            Ti = theta.inv_matrix(t, u, n)
-            max_fwd = max(max_fwd, _spectral_norm(Th))
-            max_inv = max(max_inv, _spectral_norm(Ti))
-        except NotImplementedError:  # matrix-free fallback
-            max_fwd = max(max_fwd, _power_norm(lambda v: theta.apply(t, u, v), n, rng))
-            max_inv = max(max_inv, _power_norm(lambda v: theta.inverse_apply(t, u, v), n, rng))
+        max_fwd = max(max_fwd, _spectral_norm(theta.matrix(t, u, n)))
+        max_inv = max(max_inv, _spectral_norm(theta.inv_matrix(t, u, n)))
         count += 1
     if count == 0:
         raise ContractViolation("radius check needs at least one sample")

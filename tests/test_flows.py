@@ -120,7 +120,7 @@ class TestSolverPath:
         assert traj.stats["steps"] < rk4_steps(0.0, 6.0, 5e-3)[0] / 10
         assert traj.stats["njev"] == 0 and traj.stats["nlu"] == 0
 
-    @pytest.mark.parametrize("method", ["RK45", "DOP853"])
+    @pytest.mark.parametrize("method", ["DOP853"])
     def test_explicit_methods_get_no_jacobian(self, method):
         def jac(t, u):
             raise AssertionError("an explicit method asked for the Jacobian")
@@ -139,7 +139,7 @@ class TestSolverPath:
 
     def test_t_eval_times_exact(self):
         t_eval = np.array([0.0, 0.1, 0.25, 1.0 / 3.0, 0.9, 1.0])
-        for method in ("RK45", "DOP853", "Radau"):
+        for method in ("DOP853", "Radau"):
             traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-10,
                              method=method, t_eval=t_eval)
             assert np.array_equal(traj.times, t_eval)
@@ -153,7 +153,7 @@ class TestSolverPath:
         for bad in ([0.5, 0.5], [0.0, 2.0], [-0.1, 0.5], []):
             with pytest.raises(ContractViolation):
                 integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, t_eval=bad)
-        for method in ("euler", "BDF"):
+        for method in ("euler", "BDF", "RK45"):
             with pytest.raises(ContractViolation):
                 integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, method=method)
 
@@ -173,13 +173,13 @@ class TestSolverPath:
             integrate(lambda t, u: -1e6 * u, [1.0], (0.0, 10.0), rtol=1e-12,
                       method="Radau", max_steps=5)
 
-    @pytest.mark.parametrize("method", ["RK45", "Radau"])
+    @pytest.mark.parametrize("method", ["DOP853", "Radau"])
     def test_step_underflow_stiffness_error(self, method):
         # finite-time blow-up at t = 0.5: the step shrinks below the spacing of t
         with pytest.raises(StiffnessError, match="underflow"):
             integrate(lambda t, u: u**2, [2.0], (0.0, 1.0), rtol=1e-6, method=method)
 
-    @pytest.mark.parametrize("method", ["RK45", "Radau"])
+    @pytest.mark.parametrize("method", ["DOP853", "Radau"])
     def test_divergence_error_keeps_last_state(self, method):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
@@ -201,7 +201,7 @@ class TestSolverPath:
             integrate(f, [1.0], (0.0, 1.0), rtol=1e-6, method="Radau")
 
     def test_stats_keys(self):
-        for method in ("RK45", "DOP853", "Radau"):
+        for method in ("DOP853", "Radau"):
             traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, method=method)
             assert set(traj.stats) == {"method", "steps", "nfev", "njev", "nlu"}
             assert traj.stats["method"] == method
@@ -507,6 +507,12 @@ class TestMLE:
         assert entry["method"] == "DOP853" and entry["rtol"] == ODE_RTOL
         # one solve per renormalization interval
         assert entry["steps"] >= 10 and entry["nfev"] > entry["steps"]
+
+    def test_perturbation_below_the_smallest_float(self):
+        # exp(-900) underflows: the growth comes from the carried log magnitude
+        est = mle_estimate(np.diag([-1000.0, -900.0]), np.zeros(2), (0.0, 4.0), 1.0, 1.0)
+        assert np.isfinite(est.value)
+        assert est.value == pytest.approx(-900.0, rel=5e-3)
 
     def test_p_norm_variants(self):
         for p in (1.0, 2.0, np.inf):

@@ -33,7 +33,6 @@ from contractkit.geometry import (
     project_to_level_set,
     rotation_subspace_projector,
     simulate,
-    stacked_conjugate_field,
     sweep_loop,
 )
 from contractkit.measures import RateEstimate, nonlinear_rate, weighted_rate
@@ -260,6 +259,11 @@ class TestTemporalSymmetry:
             rep = check_temporal_symmetry(fld, tau,
                                           sampling.gaussian_samples(4, 1, seed=17))
             assert rep["passed"] and rep["max_residual"] == 0.0
+
+    def test_tau_none_refused(self):
+        with pytest.raises(ContractViolation, match="tau"):
+            check_temporal_symmetry(self._forced(), None,
+                                    sampling.gaussian_samples(2, 1, seed=17))
 
     def test_forced_period_one(self):
         sim = SimCheck(t_end=8.0, dt=1e-3, n_ic=1, seed=18)
@@ -532,10 +536,26 @@ class TestPeriodExtraction:
         assert np.isnan(period)
 
 
+def test_linear_conjugate_field():
+    # v = M u turns f into M f(M^-1 v), with Jacobian M J M^-1
+    M = np.array([[2.0, 1.0], [0.0, 0.5]])
+    Minv = np.linalg.inv(M)
+    fld = systems.hopf_field(omega=1.3)
+    g = conjugate_field(fld, [Conjugacy.linear(M)])
+    rng = np.random.default_rng(30)
+    for _ in range(3):
+        v = rng.standard_normal(2)
+        np.testing.assert_allclose(g.eval(0.0, v), M @ fld.eval(0.0, Minv @ v),
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(g.jacobian(0.0, v),
+                                   M @ fld.jacobian(0.0, Minv @ v) @ Minv,
+                                   rtol=1e-13, atol=1e-13)
+
+
 def test_stacked_conjugate_consistency():
     mats = [np.eye(2), np.diag([2.0, 0.5])]
     fld = systems.coupled_hopf_field([1.0, 1.0], mats, coupling=0.3)
-    G = stacked_conjugate_field(fld, [Conjugacy.linear(M) for M in mats])
+    G = conjugate_field(fld, [Conjugacy.linear(M) for M in mats])
     rng = np.random.default_rng(31)
     # exact chain-rule Jacobian vs finite differences of the conjugate field
     from contractkit.flows import fd_jacobian

@@ -13,9 +13,7 @@ from contractkit.errors import (
 )
 from contractkit.grids import Grid, GridFunction
 from contractkit.measures import (
-    LinearOp,
     _sip_ratio,
-    as_linear_op,
     mu,
     mu_fd_oracle,
     nonlinear_rate,
@@ -26,28 +24,6 @@ from contractkit import sampling, weights
 from contractkit.flows import linear_field
 
 SHEAR = np.array([[-1.0, 10.0], [0.0, -1.0]])
-
-
-class TestLinearOp:
-    def test_apply_is_linear_on_probes(self):
-        rng = np.random.default_rng(0)
-        M = rng.standard_normal((5, 5))
-        op = LinearOp(M)
-        for _ in range(10):
-            a, b = rng.standard_normal(2)
-            u, v = rng.standard_normal(5), rng.standard_normal(5)
-            lhs = op(a * u + b * v)
-            rhs = a * op(u) + b * op(v)
-            assert np.linalg.norm(lhs - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
-
-    def test_matrix_free_round_trip(self):
-        M = np.arange(9.0).reshape(3, 3)
-        op = as_linear_op(lambda v: M @ v, shape=(3, 3))
-        np.testing.assert_allclose(op.to_dense(), M)
-
-    def test_matrix_free_requires_shape(self):
-        with pytest.raises(ContractViolation):
-            LinearOp(matvec=lambda v: v)
 
 
 class TestMu:
@@ -195,6 +171,21 @@ class TestWeightedRate:
         A = np.diag([-1.0, -2.0])
         wr = weighted_rate(A, th, t=0.7)
         assert wr.value == pytest.approx(-1.0 + c, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_empty_kernel_restriction_matches_invertible(self, k):
+        # a weight given no inverse takes the kernel-restricted path; with an
+        # invertible matrix the kernel is empty and the rate is unchanged
+        rng = np.random.default_rng(7)
+        grid = Grid((6,), (1.0 / 6,), "periodic")
+        A = rng.standard_normal((6, 6))
+        Th = np.eye(6) + 0.3 * rng.standard_normal((6, 6))
+        spec = NormSpec(p=2.0, k=k)
+        restricted = weighted_rate(A, weights.custom(matrix=lambda t, u, n: Th),
+                                   spec=spec, grid=grid)
+        invertible = weighted_rate(A, weights.constant_matrix(Th), spec=spec, grid=grid)
+        assert restricted.method == invertible.method == "eigen"
+        assert abs(restricted.value - invertible.value) <= 1e-12 * max(1.0, abs(invertible.value))
 
     def test_degenerate_weight_raises(self):
         th = weights.WeightFamily(kind="custom", bound_b=1.0, invertible=False,

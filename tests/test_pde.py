@@ -39,6 +39,10 @@ class TestDiscretization:
             phi = rng.standard_normal(16)
             assert phi @ (L @ phi) <= -lam_min * (phi @ phi) + 1e-9
 
+    def test_unknown_boundary_names_itself(self):
+        with pytest.raises(ContractViolation, match="robin"):
+            pde.build_discretization(16, boundary="robin")
+
     def test_periodic_symmetric_kernel_constants(self):
         disc = pde.build_discretization(16, boundary="periodic")
         L = disc.laplacian.toarray()

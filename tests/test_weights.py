@@ -13,13 +13,13 @@ SHEAR = np.array([[-1.0, 10.0], [0.0, -1.0]])
 
 class TestConstructors:
     def test_identity(self):
-        th = weights.make_weight("identity")
+        th = weights.identity()
         v = np.array([1.0, 2.0])
-        np.testing.assert_allclose(th.apply(0.0, None, v), v)
+        np.testing.assert_allclose(th.matrix(0.0, None, 2) @ v, v)
         assert th.bound_b == 1.0
 
     def test_diagonal_condition_number_within_b_squared(self):
-        th = weights.make_weight("diagonal", entries=[1.0, 0.01], b=100.0)
+        th = weights.diagonal([1.0, 0.01], b=100.0)
         Th = th.matrix(0.0, None, 2)
         Ti = th.inv_matrix(0.0, None, 2)
         kappa = np.linalg.norm(Th, 2) * np.linalg.norm(Ti, 2)
@@ -28,8 +28,8 @@ class TestConstructors:
 
     def test_projection_complement_annihilates_constants(self):
         P = np.full((8, 8), 1.0 / 8)
-        th = weights.make_weight("projection_complement", P=P)
-        out = th.apply(0.0, None, np.ones(8))
+        th = weights.projection_complement(P)
+        out = th.matrix(0.0, None, 8) @ np.ones(8)
         assert np.linalg.norm(out) <= 1e-12
         assert not th.invertible
 
@@ -55,13 +55,9 @@ class TestConstructors:
         th = weights.constant_matrix(M)
         for _ in range(5):
             v = rng.standard_normal(3)
-            w = th.apply(0.0, None, v)
-            back = th.inverse_apply(0.0, None, w)
+            w = th.matrix(0.0, None, 3) @ v
+            back = th.inv_matrix(0.0, None, 3) @ w
             assert np.linalg.norm(back - v) <= 1e-10 * (1 + np.linalg.norm(v))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ContractViolation):
-            weights.make_weight("mystery")
 
 
 class TestRadiusCheck:
