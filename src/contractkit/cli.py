@@ -19,6 +19,7 @@ from .errors import ConfigError, ContractkitError
 from .measures import mu, mu_fd_oracle, weighted_rate
 from .reporting import Check, jsonify, write_csv, write_report
 from .sip import L2, NormSpec
+from .sip import norm as sip_norm
 
 _REQUIRED = object()
 
@@ -201,7 +202,7 @@ def _run_subspace(p, seed):
     traj = flows.integrate(fld, rng.standard_normal(disc.npoints),
                            (0.0, p["t_end"]), dt=dt,
                            record_every=sim.record_every)
-    qn = np.array([np.linalg.norm(proj.Q @ u) for u in traj.states])
+    qn = np.array([sip_norm(proj.Q @ u, L2, disc.grid) for u in traj.states])
     series = {"decay": (["time", "q_norm"], [traj.times, qn])}
     return rep, series, rep["certified"]
 
@@ -372,9 +373,7 @@ def _run_sobolev_rate(p, seed):
         sampler = sampling.gaussian_samples(4, disc.npoints, seed=seed)
     elif sysname == "transport":
         disc = pde.build_discretization(n, boundary="periodic")
-        from .grids import derivative_matrix_1d
-
-        D = derivative_matrix_1d(n, disc.h, "periodic")
+        D = disc.gradients[0]
         fld = flows.VectorField(f=lambda t, u: -(D @ u), jac=lambda t, u: (-D).toarray(),
                                 dim=n, name="transport", grid=disc.grid)
         sampler = sampling.gaussian_samples(4, n, seed=seed)

@@ -139,6 +139,8 @@ def _check_finite(u, t, prev):
 ODE_METHOD = "DOP853"
 # Radau is implicit and the only one given VectorField.jacobian
 SOLVER_METHODS = ("DOP853", "Radau")
+# the counts an adaptive run's stats carry
+_SOLVER_COUNTS = ("steps", "nfev", "njev", "nlu")
 ODE_RTOL = 1e-10
 # |f| above which Radau's Newton residual, sums of f values times
 # coefficients below 10, may overflow
@@ -169,10 +171,11 @@ def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_00
     (local truncation error O(dt^5) per step); stats count its steps as
     ``accepted``/``rejected``.  ``rtol`` runs the scipy ``OdeSolver`` named
     by ``method`` (one of ``SOLVER_METHODS``) with absolute tolerance rtol
-    too, for at most ``max_steps`` steps; stats carry ``method``, ``steps``,
-    ``nfev``, ``njev`` and ``nlu``.  ``t_eval`` (``rtol`` only) records
-    exactly those times, from the solver's dense output; otherwise the
-    initial state, every ``record_every``-th step and the last are recorded.
+    too, for at most ``max_steps`` steps; stats carry ``method``, ``rtol``,
+    ``steps``, ``nfev``, ``njev`` and ``nlu``.  ``t_eval`` (``rtol`` only)
+    records exactly those times, from the solver's dense output; otherwise
+    the initial state, every ``record_every``-th step and the last are
+    recorded.
     """
     f = as_vector_field(f)
     if isinstance(u0, GridFunction):
@@ -276,8 +279,8 @@ def _integrate_solver(f, u, t0, t1, rtol, method, t_eval, record_every, max_step
                 times.extend(t_eval[n_done:upto])
                 states.extend(solver.dense_output()(t_eval[n_done:upto]).T)
                 n_done = upto
-    return times, states, {"method": method, "steps": steps, "nfev": solver.nfev,
-                           "njev": solver.njev, "nlu": solver.nlu}
+    return times, states, {"method": method, "rtol": rtol, "steps": steps,
+                           "nfev": solver.nfev, "njev": solver.njev, "nlu": solver.nlu}
 
 
 def simulate_flow(f, u0, t_span, dt, record_every=1, t_eval=None):
@@ -296,14 +299,14 @@ def simulate_flow(f, u0, t_span, dt, record_every=1, t_eval=None):
 
 
 def integrator_entry(trajs):
-    """A report's ``integrator`` entry: the method, its tolerance, and the
-    steps and right-hand-side evaluations summed over ``trajs``, all run by
-    ``simulate_flow``."""
+    """A report's ``integrator`` entry for runs of one method and tolerance:
+    the method, its rtol, and each count the runs carry summed over
+    ``trajs`` (steps and right-hand-side evaluations, and for the adaptive
+    solvers Jacobians and LU factorisations too)."""
     stats = [traj.stats for traj in trajs]
     if "method" in stats[0]:
-        return {"method": stats[0]["method"], "rtol": ODE_RTOL,
-                "steps": sum(s["steps"] for s in stats),
-                "nfev": sum(s["nfev"] for s in stats)}
+        return {"method": stats[0]["method"], "rtol": stats[0]["rtol"],
+                **{k: sum(s[k] for s in stats) for k in _SOLVER_COUNTS}}
     steps = sum(s["accepted"] for s in stats)
     return {"method": "RK4", "rtol": None, "steps": steps, "nfev": 4 * steps}
 

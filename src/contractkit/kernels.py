@@ -1,14 +1,13 @@
-"""Numpy stencils and lp accumulation cores.
+"""Numpy stencils and lp accumulation cores, kept for the benchmark.
 
-The grid right-hand sides in :mod:`contractkit.pde` evaluate the sparse
-matrices of ``Discretization`` and no longer call the stencils here.  The
-module stays because the benchmark harness in ``perfbench/`` reads
-``backend()`` and times these nine names by looking them up on it, and
-because :mod:`contractkit.sip` still takes its real-valued lp sums through
-``lp_power_sum`` and ``lp_sip_smooth``.
+No module of the package imports this one.  The grid right-hand sides in
+:mod:`contractkit.pde` evaluate the sparse matrices of ``Discretization``,
+and :mod:`contractkit.sip` takes its lp sums itself, for real and complex
+states alike.  The module stays because the benchmark harness in
+``perfbench/`` imports it, reads ``backend()`` and times these nine names
+by looking them up on it.
 
-All kernels take and return float64 arrays; complex-valued states go
-through the vectorized numpy code in :mod:`contractkit.sip` instead.
+All kernels take and return float64 arrays.
 """
 
 import numpy as np

@@ -9,7 +9,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractViolation, DimensionError
-from .flows import VectorField, fit_decay_rate, integrate, rk4_record_times, rk4_steps
+from .flows import (VectorField, fit_decay_rate, integrate, integrator_entry,
+                    rk4_record_times, rk4_steps)
 from .geometry import Projector, check_subspace_invariance
 from .grids import Grid, derivative_matrix_1d
 from .measures import mu, nonlinear_rate, weighted_rate
@@ -241,12 +242,6 @@ def heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0, dims=1, n_out=
 # the implicit solver of the stiff experiments and its tolerance
 STIFF_METHOD = "Radau"
 STIFF_RTOL = 1e-8
-_COUNTS = ("steps", "nfev", "njev", "nlu")
-
-
-def _integrator_report(counts):
-    """A report's ``integrator`` entry: the solver, its tolerance, its counts."""
-    return {"method": STIFF_METHOD, "rtol": STIFF_RTOL, **{k: counts[k] for k in _COUNTS}}
 
 
 def reaction_diffusion_experiment(n=16, alphas=0.5, reaction=None, t_end=4.0,
@@ -300,8 +295,7 @@ def reaction_diffusion_experiment(n=16, alphas=0.5, reaction=None, t_end=4.0,
     times = rk4_record_times(0.0, t_end, dt_ref, max(1, nsteps // n_out))
     traj = integrate(fld, u0, (0.0, times[-1]), rtol=STIFF_RTOL, method=STIFF_METHOD,
                      t_eval=times)
-    qnorm = np.array([np.linalg.norm(proj_full.Q @ u) * math.sqrt(disc.grid.cell_measure)
-                      for u in traj.states])
+    qnorm = np.array([sip_norm(proj_full.Q @ u, L2, disc.grid) for u in traj.states])
     fitted, fit_info = fit_decay_rate(traj.times, qnorm)
     final_ratio = float(qnorm[-1] / qnorm[0])
 
@@ -318,7 +312,7 @@ def reaction_diffusion_experiment(n=16, alphas=0.5, reaction=None, t_end=4.0,
         "fit": fit_info,
         "final_qnorm_ratio": final_ratio,
         "homogenized": bool(final_ratio < 0.1),
-        "integrator": _integrator_report(traj.stats),
+        "integrator": integrator_entry([traj]),
     }
     series = {"decay": (["time", "q_norm"], [traj.times, qnorm])}
     return report, series
@@ -360,7 +354,7 @@ def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
 
     fixed_points = []
     residual_hist = []
-    counts = dict.fromkeys(_COUNTS, 0)
+    chunks = []
     for _ in range(n_init):
         u = rng.standard_normal(npts)
         t = 0.0
@@ -368,8 +362,7 @@ def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
         while res > tol and t < t_max:
             chunk = integrate(fld, u, (t, t + 1.0), rtol=STIFF_RTOL, method=STIFF_METHOD,
                               record_every=10**9)
-            for k in _COUNTS:
-                counts[k] += chunk.stats[k]
+            chunks.append(chunk)
             u = chunk.final_state
             t = chunk.times[-1]
             res = np.linalg.norm(fld.eval(0.0, u))
@@ -403,7 +396,7 @@ def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
         "checks": checks,
         "refinement": {"n": table_n, "lambda": table_lam,
                        "continuum": math.pi**2},
-        "integrator": _integrator_report(counts),
+        "integrator": integrator_entry(chunks),
         "passed": all(c.passed for c in checks),
     }
     series = {
@@ -458,7 +451,7 @@ def burgers_field(disc, eps, scheme="centered"):
         raise ContractViolation("Burgers fields are built on periodic grids")
     diffusion = eps * disc.laplacian
     if scheme == "centered":
-        D = derivative_matrix_1d(disc.n, disc.h, "periodic")
+        D = disc.gradients[0]
         f = lambda t, u: diffusion @ u - D @ (0.5 * u * u)
 
         def jac(t, u):
@@ -494,7 +487,7 @@ def advection_family(n=256, speed=1.0, eps_schedule=(0.1, 0.05, 0.025, 0.0125)):
     """Linear advection with eps-diffusion; the eps -> 0 limit is the
     exactly transported profile."""
     disc = build_discretization(n, dims=1, boundary="periodic")
-    D = derivative_matrix_1d(n, disc.h, "periodic")
+    D = disc.gradients[0]
 
     def make(eps):
         A = (-speed * D + eps * disc.laplacian).tocsr()
@@ -643,12 +636,8 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
                      max(m_eps.values()), 2.0 * m_eps[eps_list[-1]] + 1e-14)
 
     # conclusion: Cauchy trend of successive space-time differences
-    def spacetime_lp(diff):
-        if np.isinf(p):
-            return float(np.max(np.abs(diff)))
-        return float((np.sum(np.abs(diff) ** p) * h * dt_out) ** (1.0 / p))
-
-    diffs = [spacetime_lp(sols[e1] - sols[e2])
+    spacetime = Grid((n_out + 1, n), (dt_out, h))
+    diffs = [sip_norm(sols[e1] - sols[e2], spec, spacetime)
              for e1, e2 in zip(eps_list, eps_list[1:])]
     cauchy = bool(all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:])))
 

@@ -16,6 +16,7 @@ from contractkit.flows import (
     fit_decay_rate,
     integrate,
     integrate_variational,
+    integrator_entry,
     linear_field,
     mle_estimate,
     rk4_record_times,
@@ -203,11 +204,19 @@ class TestSolverPath:
     def test_stats_keys(self):
         for method in ("DOP853", "Radau"):
             traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, method=method)
-            assert set(traj.stats) == {"method", "steps", "nfev", "njev", "nlu"}
-            assert traj.stats["method"] == method
+            assert set(traj.stats) == {"method", "rtol", "steps", "nfev", "njev", "nlu"}
+            assert traj.stats["method"] == method and traj.stats["rtol"] == 1e-6
             assert traj.stats["nfev"] >= traj.stats["steps"] > 0
         fixed = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), dt=0.1)
         assert fixed.stats == {"accepted": 10, "rejected": 0}
+
+    def test_integrator_entry_reports_the_run_it_is_given(self):
+        traj = integrate(linear_field(self.STIFF), [1.0, 1.0], (0.0, 1.0), rtol=1e-8,
+                         method="Radau")
+        entry = integrator_entry([traj, traj])
+        assert entry == {"method": "Radau", "rtol": 1e-8,
+                         **{k: 2 * traj.stats[k] for k in ("steps", "nfev", "njev", "nlu")}}
+        assert entry["njev"] >= 2 and entry["nlu"] >= 2
 
     def test_evaluations_go_through_the_vector_field(self):
         calls = {"f": 0, "jac": 0}

@@ -491,7 +491,8 @@ class TestPhaseLocking:
         assert np.max(np.abs(traj.states - ref.states)) <= 1e-8
         assert rep["sim"]["integrator"] == {"method": "DOP853", "rtol": ODE_RTOL,
                                             "steps": traj.stats["steps"],
-                                            "nfev": traj.stats["nfev"]}
+                                            "nfev": traj.stats["nfev"],
+                                            "njev": 0, "nlu": 0}
 
     def test_uncoupled_distinct_frequencies_withheld(self):
         fld = systems.coupled_hopf_field([1.0, 1.13, 0.91], self.mats, coupling=0.0)

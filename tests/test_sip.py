@@ -48,6 +48,18 @@ class TestNorm:
         with pytest.raises(DimensionError):
             norm(u, NormSpec(p=2.0, grid_spacing=(0.2,)))
 
+    @pytest.mark.parametrize("p,k", [(1.0, 0), (2.0, 0), (3.0, 0), (np.inf, 0), (2.0, 1)])
+    def test_flat_stacked_components_taken_on_the_grid(self, p, k):
+        # two species on a 16-point grid, flat: 32 values, one per species and point
+        g = Grid((16,), (1.0 / 16,), "periodic")
+        u = np.random.default_rng(5).standard_normal(32)
+        assert norm(u, spec(p, k), g) == norm(GridFunction(u, g), spec(p, k))
+
+    def test_two_species_of_ones_hand_value(self):
+        # each species has squared L2 norm 16 * (1/16) = 1
+        g = Grid((16,), (1.0 / 16,))
+        assert norm(np.ones(32), L2, g) == pytest.approx(np.sqrt(2.0))
+
     def test_invalid_spec(self):
         with pytest.raises(ContractViolation):
             NormSpec(p=0.5)
@@ -84,6 +96,31 @@ class TestSipClosedForms:
         v = np.array([0.5 - 0.5j, 1.0j])
         assert sip(u, v, L2) == pytest.approx(np.real(np.vdot(u, v)))
         assert sip(u, u, L2) == pytest.approx(norm(u, L2) ** 2)
+
+
+class TestComplexStates:
+    rng = np.random.default_rng(13)
+
+    def _complex(self, n=5):
+        return self.rng.standard_normal(n) + 1j * self.rng.standard_normal(n)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
+    def test_closed_form_matches_oracle(self, p):
+        s = spec(p)
+        for _ in range(20):
+            u, v = self._complex(), self._complex()
+            if p == 1.0:
+                u[1] = 0.0                   # the p = 1 kink at a zero entry
+            got = sip_fd_oracle(u, v, s)
+            scale = max(1.0, norm(u, s) * norm(v, s))
+            assert abs(sip(u, v, s) - got.value) <= 1e-6 * scale
+            assert got.converged
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
+    def test_sip_uu_is_norm_squared(self, p):
+        for _ in range(20):
+            u = self._complex()
+            assert sip(u, u, spec(p)) == pytest.approx(norm(u, spec(p)) ** 2, rel=1e-12)
 
 
 class TestSipAxioms:
