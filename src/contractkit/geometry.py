@@ -26,6 +26,13 @@ from .weights import WeightFamily, jacobian_of_map, projection_complement
 RESIDUAL_TOL = 1e-8
 _RATE_TOL = 1e-12          # certified means rate < -_RATE_TOL
 _SPEED_FLOOR_FRAC = 1e-6   # loop non-accumulation margin vs mean speed
+_LEVEL_TOL = 1e-10         # level-set projection: residual ||phi(u)|| reached
+_LEVEL_MAX_ITER = 60       # ... within this many damped Newton steps
+_SWEEP_DS = 0.04           # arclength step of the loop sweep and speed search
+_SWEEP_MAX_STEPS = 4000
+_LOOP_TIMES = 3            # sample times at which the loop hypotheses are checked
+_PERIOD_RTOL = 0.01        # phase-locking: common period within this spread
+_PHASE_DRIFT_TOL = 1e-3    # ... and phase differences drifting less than this
 
 
 @dataclass
@@ -83,8 +90,8 @@ class Submersion:
     def min_singular_value(self, u):
         return float(np.linalg.svd(self.jac(u), compute_uv=False)[-1])
 
-    def weight(self, b=None):
-        return jacobian_of_map(self.jac, b=b)
+    def weight(self):
+        return jacobian_of_map(self.jac)
 
 
 @dataclass
@@ -187,6 +194,14 @@ def _sim_initial_conditions(sim, dim, base=None):
     return [base + sim.ic_scale * rng.standard_normal(dim) for _ in range(sim.n_ic)]
 
 
+def _verdict(report, certified, not_certified):
+    """Set a certificate's final verdict, after any simulation check, and a
+    status that agrees with it (``not_certified`` when withheld)."""
+    report["certified"] = bool(certified)
+    report["status"] = "certified" if certified else not_certified
+    return report
+
+
 def _decay_cross_check(f, sim, dim, quantity, lam, base_ic=None):
     """Simulate n_ic trajectories and fit the decay exponent of
     ``quantity(u)`` above the adaptive solver's error floor (fixed-step RK4
@@ -256,11 +271,8 @@ def certify_subspace_contraction(f, proj, spec=L2, sampler=None,
     rate = nonlinear_rate(f, weight, spec=spec, sampler=samples, grid=grid, seed=seed)
     rate_check = Check.lt("subspace_rate", rate.value, -_RATE_TOL)
     certified = inv["passed"] and rate_check.passed
-    status = "certified" if certified else ("rate_only" if not inv["passed"] else "withheld")
     report = {
         "certificate": "decay of the off-subspace component ||Q u(t)||",
-        "status": status,
-        "certified": certified,
         "asymptotic": inner_theta is not None,
         "rate": rate,
         "checks": [inv["check"], rate_check],
@@ -270,18 +282,18 @@ def certify_subspace_contraction(f, proj, spec=L2, sampler=None,
         dim = proj.P.shape[0]
         report["sim"], _ = _decay_cross_check(
             f, sim, dim, lambda u: sip_norm(proj.Q @ u, spec, grid), rate.value)
-        report["certified"] = certified and report["sim"]["passed"]
-    return report
+        certified = report["sim"]["passed"]
+    return _verdict(report, certified, "withheld" if inv["passed"] else "rate_only")
 
 
-def project_to_level_set(sub, u0, tol=1e-10, max_iter=60):
+def project_to_level_set(sub, u0):
     """Damped Newton projection of u0 onto phi^{-1}(0) using the
-    pseudo-inverse of Dphi."""
+    pseudo-inverse of Dphi, to a residual of ``_LEVEL_TOL``."""
     u = np.asarray(u0, dtype=float).copy()
     r = sub.value(u)
-    for _ in range(max_iter):
+    for _ in range(_LEVEL_MAX_ITER):
         nr = np.linalg.norm(r)
-        if nr <= tol:
+        if nr <= _LEVEL_TOL:
             return u
         step = np.linalg.lstsq(sub.jac(u), r, rcond=None)[0]
         lam = 1.0
@@ -294,13 +306,12 @@ def project_to_level_set(sub, u0, tol=1e-10, max_iter=60):
             lam *= 0.5
         else:
             break
-    if np.linalg.norm(sub.value(u)) > tol:
+    if np.linalg.norm(sub.value(u)) > _LEVEL_TOL:
         raise NumericalError("level-set projection did not converge")
     return u
 
 
-def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None,
-                                 grid=None, seed=0):
+def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None, seed=0):
     """Certificate of contraction to the level set M = phi^{-1}(0):
     tangency of the flow on M plus a negative rate with weight Dphi(u)."""
     f = as_vector_field(f)
@@ -323,7 +334,7 @@ def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None,
     for t, u in samples:
         min_sv = min(min_sv, sub.min_singular_value(u))
 
-    rate = nonlinear_rate(f, sub.weight(), spec=spec, sampler=samples, grid=grid, seed=seed)
+    rate = nonlinear_rate(f, sub.weight(), spec=spec, sampler=samples, seed=seed)
     checks = [
         Check.leq("manifold_tangency", tangency, RESIDUAL_TOL),
         Check.lt("manifold_rate", rate.value, -_RATE_TOL),
@@ -332,8 +343,6 @@ def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None,
     certified = all_passed(checks) and coverage > 0
     report = {
         "certificate": "decay of the level-set residual ||phi(u(t))||",
-        "status": "certified" if certified else "withheld",
-        "certified": certified,
         "rate": rate,
         "checks": checks,
         "on_manifold_coverage": coverage,
@@ -345,8 +354,8 @@ def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None,
         report["sim"], _ = _decay_cross_check(
             f, sim, dim, lambda u: float(np.linalg.norm(sub.value(u))),
             rate.value, base_ic=base)
-        report["certified"] = certified and report["sim"]["passed"]
-    return report
+        certified = report["sim"]["passed"]
+    return _verdict(report, certified, "withheld")
 
 
 def check_equivariance(f, group_elems, sampler, rate=None):
@@ -441,29 +450,30 @@ def _loop_tangent(sub, w):
     return ns[:, 0] / np.linalg.norm(ns[:, 0])
 
 
-def sweep_loop(sub, w0, ds=0.04, max_steps=4000):
+def sweep_loop(sub, w0):
     """Trace the closed curve phi^{-1}(0) from w0 by arclength continuation
-    (march along the null space of Dphi, re-projecting each step)."""
+    (march along the null space of Dphi in steps of ``_SWEEP_DS``,
+    re-projecting each step)."""
     w = project_to_level_set(sub, w0)
     t_prev = _loop_tangent(sub, w)
     if t_prev is None:
         return [w]
     pts = [w.copy()]
-    for step in range(max_steps):
-        w_next = project_to_level_set(sub, w + ds * t_prev)
+    for step in range(_SWEEP_MAX_STEPS):
+        w_next = project_to_level_set(sub, w + _SWEEP_DS * t_prev)
         t_new = _loop_tangent(sub, w_next)
         if t_new is None:
             break
         if np.dot(t_new, t_prev) < 0:
             t_new = -t_new
         w, t_prev = w_next, t_new
-        if step > 3 and np.linalg.norm(w - pts[0]) < 0.75 * ds:
+        if step > 3 and np.linalg.norm(w - pts[0]) < 0.75 * _SWEEP_DS:
             break
         pts.append(w.copy())
     return pts
 
 
-def _min_loop_speed(sub, g, times, loop_pts, ds):
+def _min_loop_speed(sub, g, times, loop_pts):
     """Minimum over the loop and the given times of ||g(t, w)||, refined by
     a 1D search along the arclength direction around the lowest samples."""
     from scipy.optimize import minimize_scalar
@@ -481,15 +491,14 @@ def _min_loop_speed(sub, g, times, loop_pts, ds):
             continue
         res = minimize_scalar(
             lambda s: speed(project_to_level_set(sub, w + s * tan)),
-            bounds=(-ds, ds), method="bounded",
+            bounds=(-_SWEEP_DS, _SWEEP_DS), method="bounded",
             options={"xatol": 1e-12},
         )
         best = min(best, float(res.fun))
     return best, values
 
 
-def certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
-                        sim=None, seed=0, n_times=3, sweep_ds=0.04):
+def certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None, sim=None, seed=0):
     """Certificate of convergence to a limit cycle on h^{-1}(phi^{-1}(0)).
 
     Checks, on the conjugate field g(t, v) = Dh(h^{-1}(v)) f(t, h^{-1}(v)):
@@ -501,12 +510,10 @@ def certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
     With ``sim`` and every hypothesis met, ``report["sim"]`` also carries the
     period of the first simulated trajectory.
     """
-    return _certify_limit_cycle(f, sub, conj, tau, spec, sampler, sim, seed,
-                                n_times, sweep_ds)[0]
+    return _certify_limit_cycle(f, sub, conj, tau, spec, sampler, sim, seed)[0]
 
 
-def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
-                         sim=None, seed=0, n_times=3, sweep_ds=0.04):
+def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None, sim=None, seed=0):
     """``certify_limit_cycle``'s report and the first simulated trajectory,
     the one its period comes from (None when no sim ran)."""
     f = as_vector_field(f)
@@ -522,8 +529,8 @@ def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
         raise ContractViolation("no sampler point could be projected onto the loop")
     dim = loop_pts[0].shape[0]
     if dim == sub.codim + 1:
-        loop_pts = sweep_loop(sub, loop_pts[0], ds=sweep_ds) + loop_pts
-    times = (sorted({t for t, _ in samples}) or [0.0])[:n_times]
+        loop_pts = sweep_loop(sub, loop_pts[0]) + loop_pts
+    times = (sorted({t for t, _ in samples}) or [0.0])[:_LOOP_TIMES]
 
     tangency = 0.0
     sym_res = 0.0
@@ -536,7 +543,7 @@ def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
             for dt_ in taus:
                 sym_res = max(sym_res, np.linalg.norm(gv - g.eval(t + dt_, w))
                               / (1.0 + np.linalg.norm(gv)))
-    min_speed, speeds = _min_loop_speed(sub, g, times, loop_pts, sweep_ds)
+    min_speed, speeds = _min_loop_speed(sub, g, times, loop_pts)
     rate = nonlinear_rate(g, sub.weight(), spec=spec, sampler=samples, seed=seed)
 
     checks = [
@@ -550,8 +557,6 @@ def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
     failing = [c.name for c in checks if not c.passed]
     report = {
         "certificate": "convergence to a limit cycle on the conjugate loop",
-        "status": "certified" if certified else "withheld",
-        "certified": certified,
         "failing_hypotheses": failing,
         "rate": rate,
         "checks": checks,
@@ -572,17 +577,16 @@ def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None,
         sim_out["period"] = period
         sim_out["n_crossings"] = len(crossings)
         report["sim"] = sim_out
-        report["certified"] = certified and sim_out["passed"]
-        return report, traj
-    return report, None
+        return _verdict(report, sim_out["passed"], "withheld"), traj
+    return _verdict(report, certified, "withheld"), None
 
 
-def extract_period(times, series, tail_fraction=0.5):
-    """Period from linearly interpolated up-crossings of the tail-centered
-    signal; nan when fewer than three crossings are found."""
+def extract_period(times, series):
+    """Period from linearly interpolated up-crossings of the centered last
+    half of the signal; nan when fewer than three crossings are found."""
     t = np.asarray(times, dtype=float)
     x = np.asarray(series, dtype=float)
-    i0 = int(len(t) * (1.0 - tail_fraction))
+    i0 = len(t) // 2
     t, x = t[i0:], x[i0:]
     x = x - np.mean(x)
     crossings = []
@@ -595,30 +599,24 @@ def extract_period(times, series, tail_fraction=0.5):
     return float(np.mean(np.diff(crossings))), crossings
 
 
-def rotation_subspace_projector(n_osc, angles=None):
-    """Orthogonal projector onto {(R(a_1) z, ..., R(a_n) z) : z in R^2},
-    planar rotations acting blockwise on each oscillator's plane."""
-    if angles is None:
-        angles = np.zeros(n_osc)
-    # orthonormal columns: the rotations stacked
-    B = np.concatenate([_rot2(a) for a in angles]) / math.sqrt(n_osc)
+def rotation_subspace_projector(n_osc):
+    """Orthogonal projector onto the synchronous states {(z, ..., z) : z in
+    R^2}, the rotation-shift subspace with zero shifts, one plane per
+    oscillator."""
+    # orthonormal columns: the 2 x 2 identities stacked
+    B = np.tile(np.eye(2), (n_osc, 1)) / math.sqrt(n_osc)
     return Projector(B @ B.T)
 
 
-def _rot2(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s], [s, c]])
-
-
 def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
-                          leader=None, sim=None, seed=0, period_rtol=0.01,
-                          spread_tol=1e-3):
+                          leader=None, sim=None, seed=0):
     """Certificate of phase-locking for coupled heterogeneous oscillators:
     a certified limit-cycle leader plus a negative rate of the stacked
     conjugate dynamics in the complement of the rotation-shift subspace.
 
     On success the simulated subsystems must reach a common period (within
-    ``period_rtol``) with constant phase differences."""
+    ``_PERIOD_RTOL``) with phase differences that drift by less than
+    ``_PHASE_DRIFT_TOL``."""
     if leader is None or not leader.get("certified", False):
         return {
             "status": "withheld",
@@ -639,10 +637,9 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
     rate = nonlinear_rate(G, projection_complement(proj_w.P), spec=spec,
                           sampler=samples, seed=seed)
     rate_check = Check.lt("phase_lock_rate", rate.value, -_RATE_TOL)
+    certified = rate_check.passed
     report = {
         "certificate": "common asymptotic period with constant phase shifts",
-        "status": "certified" if rate_check.passed else "withheld",
-        "certified": rate_check.passed,
         "rate": rate,
         "checks": [rate_check],
         "leader": {"certified": leader["certified"], "rate": leader["rate"]},
@@ -659,7 +656,7 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
         periods = np.array([extract_period(traj.times, vs[:, i * m])[0]
                             for i in range(n_osc)])
         common = bool(np.all(np.isfinite(periods)) and
-                      (np.max(periods) - np.min(periods)) <= period_rtol * np.mean(periods))
+                      (np.max(periods) - np.min(periods)) <= _PERIOD_RTOL * np.mean(periods))
 
         phases = np.stack([
             np.unwrap(np.arctan2(vs[:, i * m + 1], vs[:, i * m]))
@@ -676,10 +673,8 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
             "common_period": common,
             "mean_period": float(np.mean(periods)) if np.all(np.isfinite(periods)) else math.nan,
             "phase_drift_final_quarter": drift,
-            "phases_locked": bool(drift < spread_tol),
+            "phases_locked": bool(drift < _PHASE_DRIFT_TOL),
             "integrator": integrator_entry([traj]),
         }
-        report["certified"] = bool(report["certified"] and common
-                                   and report["sim"]["phases_locked"])
-        report["status"] = "certified" if report["certified"] else "withheld"
-    return report
+        certified = certified and common and report["sim"]["phases_locked"]
+    return _verdict(report, certified, "withheld")

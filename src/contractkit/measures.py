@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from .errors import ContractViolation, DegenerateWeightError, DimensionError, NumericalError
 from .grids import GridFunction, derivative_ops, unit_grid
-from .sip import _ARGMAX_RTOL, L2, NormSpec, OracleResult, gram_matrix
+from .sip import _ARGMAX_RTOL, _ORACLE_RTOL, L2, NormSpec, OracleResult, gram_matrix
 from .sip import norm as sip_norm
 from .sip import sip as sip_pair
 
@@ -237,9 +237,10 @@ def _opnorm(M, p, seed=0):
     return val
 
 
-def mu_fd_oracle(A, spec=L2, h_list=None, rtol=1e-6, seed=0):
+def mu_fd_oracle(A, spec=L2, h_list=None, seed=0):
     """Definition-level oracle (||I + h A|| - 1)/h with linear-in-h
-    extrapolation of the two smallest quotients.  Dims <= 6 only."""
+    extrapolation of the two smallest quotients, converged when the last
+    quotient is within ``_ORACLE_RTOL`` of it.  Dims <= 6 only."""
     M = _dense(as_matrix(A))
     _check_square(M)
     if M.shape[0] > 6:
@@ -255,7 +256,7 @@ def mu_fd_oracle(A, spec=L2, h_list=None, rtol=1e-6, seed=0):
     q = np.array([(_opnorm(eye + h * M, spec.p, seed=seed) - 1.0) / h for h in h_list])
     h1, h0 = h_list[-2], h_list[-1]
     value = (h1 * q[-1] - h0 * q[-2]) / (h1 - h0)
-    converged = bool(abs(q[-1] - value) <= rtol * max(1.0, abs(value)))
+    converged = bool(abs(q[-1] - value) <= _ORACLE_RTOL * max(1.0, abs(value)))
     return OracleResult(value=float(value), converged=converged, quotients=q)
 
 

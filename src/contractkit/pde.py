@@ -59,11 +59,11 @@ def _laplacian_1d(n, h, boundary):
     return (L * inv_h2).tocsr()
 
 
-def build_discretization(n, dims=1, boundary="periodic", length=1.0):
-    """Uniform grid on [0, length]^dims with the requested boundary.
+def build_discretization(n, dims=1, boundary="periodic"):
+    """Uniform grid on [0, 1]^dims with the requested boundary.
 
-    Spacing: length/n for periodic and zero-flux grids, length/(n+1) for
-    the zero-Dirichlet grid (interior points only).
+    Spacing: 1/n for periodic and zero-flux grids, 1/(n+1) for the
+    zero-Dirichlet grid (interior points only).
     """
     if n < 4:
         raise ContractViolation("need n >= 4 grid points")
@@ -72,7 +72,7 @@ def build_discretization(n, dims=1, boundary="periodic", length=1.0):
     if boundary not in _BOUNDARY_ALIASES:
         raise ContractViolation(f"unknown boundary {boundary!r}")
     boundary = _BOUNDARY_ALIASES[boundary]
-    h = length / (n + 1) if boundary == "dirichlet" else length / n
+    h = 1.0 / (n + 1) if boundary == "dirichlet" else 1.0 / n
     L1d = _laplacian_1d(n, h, boundary)
     eye = sp.identity(n, format="csr")
     d = derivative_matrix_1d(n, h, boundary)
@@ -182,7 +182,18 @@ def reaction_diffusion_field(disc, alphas, reaction):
 # experiments
 # ---------------------------------------------------------------------------
 
-def heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0, dims=1, n_out=200):
+# the implicit solver of the stiff experiments and its tolerance
+STIFF_METHOD = "Radau"
+STIFF_RTOL = 1e-8
+_N_OUT = 200               # heat, reaction-diffusion: about this many records
+_RD_SAMPLES = 12           # reaction-diffusion: states sampled for the rates
+_POISSON_TOL = 1e-10       # Poisson: each flow runs until its residual is below
+_POISSON_T_MAX = 400.0     # ... this, or until this time
+_N_TEST = 10               # vanishing limit: weak-form test functions, and
+_N_RATE_SAMPLES = 6        # ... states sampled per eps for the rate
+
+
+def heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0, dims=1):
     """Zero-flux heat equation contracting to its spatial mean: certify the
     rate in the mean-complement seminorm, simulate, and compare the fitted
     decay of ||Q u(t)|| with the certified value."""
@@ -201,7 +212,7 @@ def heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0, dims=1, n_out=
     u0 = rng.standard_normal(npts)
     dt = 0.2 * disc.h**2 / alpha
     nsteps, _ = rk4_steps(0.0, t_end, dt)
-    rec = max(1, nsteps // n_out)
+    rec = max(1, nsteps // _N_OUT)
     traj = integrate(fld, u0, (0.0, t_end), dt=dt, record_every=rec)
     qnorm = np.array([sip_norm(proj.Q @ u, L2, disc.grid) for u in traj.states])
     mass = traj.stats["diagnostics"]["mass"]
@@ -239,14 +250,8 @@ def heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0, dims=1, n_out=
     return report, series
 
 
-# the implicit solver of the stiff experiments and its tolerance
-STIFF_METHOD = "Radau"
-STIFF_RTOL = 1e-8
-
-
 def reaction_diffusion_experiment(n=16, alphas=0.5, reaction=None, t_end=4.0,
-                                  seed=0, amplitude=0.05, n_out=200,
-                                  base_state=None, n_samples=12):
+                                  seed=0, amplitude=0.05, base_state=None):
     """Homogenization certificate for reaction-diffusion with zero flux:
     condition (1) the constant subspace is invariant, condition (2) every
     species' reaction rate in the mean-complement seminorm is beaten by its
@@ -267,7 +272,7 @@ def reaction_diffusion_experiment(n=16, alphas=0.5, reaction=None, t_end=4.0,
         return (np.repeat(base[:, None], npts, axis=1)
                 + amplitude * rng.standard_normal((m, npts))).reshape(-1)
 
-    samples = [(0.0, sample_state()) for _ in range(n_samples)]
+    samples = [(0.0, sample_state()) for _ in range(_RD_SAMPLES)]
 
     cond1 = check_subspace_invariance(fld, proj_full, samples)
     mqd = abs(neumann_second_eigenvalue(n, disc.h))
@@ -292,7 +297,7 @@ def reaction_diffusion_experiment(n=16, alphas=0.5, reaction=None, t_end=4.0,
     # step is the explicit stability limit
     dt_ref = 0.2 * disc.h**2 / max(float(np.max(alphas)), 1e-12)
     nsteps, _ = rk4_steps(0.0, t_end, dt_ref)
-    times = rk4_record_times(0.0, t_end, dt_ref, max(1, nsteps // n_out))
+    times = rk4_record_times(0.0, t_end, dt_ref, max(1, nsteps // _N_OUT))
     traj = integrate(fld, u0, (0.0, times[-1]), rtol=STIFF_RTOL, method=STIFF_METHOD,
                      t_eval=times)
     qnorm = np.array([sip_norm(proj_full.Q @ u, L2, disc.grid) for u in traj.states])
@@ -333,8 +338,7 @@ def poisson_gradient_flow(disc, fn, dfn):
 
 
 def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
-                                 n_init=3, tol=1e-10, t_max=400.0,
-                                 refinement=(8, 16, 32, 64)):
+                                 n_init=3, refinement=(8, 16, 32, 64)):
     """Existence and uniqueness for Lap u + f(u) = 0 with zero Dirichlet
     data: when the expansion rate of f stays below the discrete Poincare
     constant, the gradient flow contracts to a unique fixed point."""
@@ -359,7 +363,7 @@ def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
         u = rng.standard_normal(npts)
         t = 0.0
         res = np.linalg.norm(fld.eval(0.0, u))
-        while res > tol and t < t_max:
+        while res > _POISSON_TOL and t < _POISSON_T_MAX:
             chunk = integrate(fld, u, (t, t + 1.0), rtol=STIFF_RTOL, method=STIFF_METHOD,
                               record_every=10**9)
             chunks.append(chunk)
@@ -406,17 +410,15 @@ def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
     return report, series
 
 
-def sobolev_rate(f, k, p, theta=None, sampler=None, grid=None, seed=0):
-    """Contraction rate of f in the discrete Sobolev (k, p) norm; used for
-    regularity bounds on trajectory pairs."""
+def sobolev_rate(f, k, p, sampler=None, seed=0):
+    """Unweighted contraction rate of f in the discrete Sobolev (k, p) norm
+    on its grid ``f.grid``; used for regularity bounds on trajectory pairs."""
     if k > 2:
         raise ContractViolation("finite-difference Sobolev rates support k <= 2")
-    grid = grid or getattr(f, "grid", None)
-    if grid is None:
-        raise ContractViolation("sobolev_rate needs a grid")
-    theta = theta or identity_weight()
-    spec = NormSpec(p=p, k=k)
-    return nonlinear_rate(f, theta, spec=spec, sampler=sampler, grid=grid, seed=seed)
+    if f.grid is None:
+        raise ContractViolation("sobolev_rate needs a field on a grid")
+    return nonlinear_rate(f, identity_weight(), spec=NormSpec(p=p, k=k), sampler=sampler,
+                          grid=f.grid, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +468,17 @@ def burgers_field(disc, eps, scheme="centered"):
                        name=f"burgers(eps={eps},{scheme})", grid=disc.grid)
 
 
-def burgers_family(n=256, eps_schedule=(0.05, 0.025, 0.0125, 0.00625),
-                   scheme="centered"):
+def burgers_family(n=256, eps_schedule=(0.05, 0.025, 0.0125, 0.00625)):
     """Viscous Burgers u_t + (u^2/2)_x = eps u_xx on the periodic unit
-    interval; centered fluxes for eps > 0, upwinding available for eps = 0."""
+    interval; centered fluxes for eps > 0, upwind ones at eps = 0."""
     disc = build_discretization(n, dims=1, boundary="periodic")
 
     def make(eps):
-        sch = scheme if eps > 0 else "upwind"
-        return burgers_field(disc, eps, scheme=sch)
+        return burgers_field(disc, eps, scheme="centered" if eps > 0 else "upwind")
 
     return RegularizedFamily(
         f_eps=make, eps_schedule=tuple(eps_schedule),
-        description=f"viscous Burgers, {scheme} flux, eps*Laplacian regularizer",
+        description="viscous Burgers, centered flux, eps*Laplacian regularizer",
         flux=lambda u: 0.5 * u * u, grid=disc.grid,
     )
 
@@ -552,8 +552,7 @@ def _weak_form_residuals(uu, psis, h, dt, flux):
 
 
 def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
-                             lambda_bound=None, c_bound=None, seed=0,
-                             n_test=10, n_rate_samples=6):
+                             lambda_bound=None, seed=0):
     """Vanishing-regularization limit on the periodic interval.
 
     Per eps: check a uniform sampled contraction rate, a uniformly bounded
@@ -599,7 +598,7 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
             raise ContractViolation("output grid mismatch")
         sols[eps] = traj.states
         sup_norms[eps] = max(sip_norm(u, spec, grid) for u in traj.states)
-        idx = np.linspace(0, n_out, n_rate_samples, dtype=int)
+        idx = np.linspace(0, n_out, _N_RATE_SAMPLES, dtype=int)
         samp = [(float(traj.times[i]), traj.states[i]) for i in idx]
         rates[eps] = nonlinear_rate(fld, identity_weight(), spec=spec,
                                     sampler=samp, grid=grid).value
@@ -611,8 +610,8 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
     rate_trend_increasing = bool(all(
         rates[e2] >= rates[e1] - 1e-9 for e1, e2 in zip(eps_list, eps_list[1:])))
 
-    # hypothesis 2: bounded solution
-    c_decl = c_bound if c_bound is not None else 2.0 * sip_norm(u0, spec, grid) + 1.0
+    # hypothesis 2: bounded solution, by 2 ||u0|| + 1
+    c_decl = 2.0 * sip_norm(u0, spec, grid) + 1.0
     hyp2 = Check.leq("bounded_solution", max(sup_norms.values()), c_decl)
 
     # hypothesis 3: translation invariance (grid-shift spot check)
@@ -650,7 +649,7 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
     u_ext = sols[eJ] + w * (sols[eJ] - sols[eP])
     weak = weak_func = None
     if family.flux is not None:
-        psis = _test_functions(times, xs, rng, n_test)
+        psis = _test_functions(times, xs, rng, _N_TEST)
         raw_state, denom_state = _weak_form_residuals(u_ext, psis, h, dt_out, family.flux)
         weak = list(np.abs(raw_state) / np.maximum(denom_state, 1e-300))
         raw_J, denom_J = _weak_form_residuals(sols[eJ], psis, h, dt_out, family.flux)

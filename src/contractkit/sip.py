@@ -23,6 +23,7 @@ from .errors import ContractViolation, DimensionError
 from .grids import as_gridfunction, derivative_ops
 
 _ARGMAX_RTOL = 1e-12  # relative tie tolerance for the p = inf argmax set
+_ORACLE_RTOL = 1e-6   # the difference-quotient oracles' convergence tolerance
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,10 @@ class OracleResult:
     quotients: np.ndarray = field(repr=False, default=None)
 
 
-def sip_fd_oracle(u, v, spec=L2, h_list=None, rtol=1e-6):
+def sip_fd_oracle(u, v, spec=L2, h_list=None):
     """Definition-level oracle for [u, v]: one-sided difference quotients of
     the norm at decreasing h.  Returns the value at the smallest h and a
-    convergence flag (successive quotients within tolerance)."""
+    convergence flag (the last two quotients within ``_ORACLE_RTOL``)."""
     if h_list is None:
         h_list = np.geomspace(1e-3, 1e-8, 11)
     h_list = np.asarray(h_list, dtype=float)
@@ -173,7 +174,7 @@ def sip_fd_oracle(u, v, spec=L2, h_list=None, rtol=1e-6):
         nq = norm(u + h * v, spec)
         vals[i] = nu * (nq - nu) / h
     scale = max(1.0, abs(vals[-1]))
-    converged = bool(h_list.size > 1 and abs(vals[-1] - vals[-2]) <= rtol * scale)
+    converged = bool(h_list.size > 1 and abs(vals[-1] - vals[-2]) <= _ORACLE_RTOL * scale)
     return OracleResult(value=float(vals[-1]), converged=converged, quotients=vals)
 
 

@@ -35,7 +35,7 @@ def circle_submersion():
     )
 
 
-def conjugated_field(base, M, name=None):
+def conjugated_field(base, M):
     """Field whose conjugate under v = M u is ``base``: f(t, u) =
     M^{-1} base(t, M u)."""
     M = np.asarray(M, dtype=float)
@@ -48,21 +48,21 @@ def conjugated_field(base, M, name=None):
         return Minv @ base.jacobian(t, M @ u) @ M
 
     return VectorField(f=f, jac=jac, dim=base.dim,
-                       name=name or (base.name + "_pulled_back"))
+                       name=base.name + "_pulled_back")
 
 
-def rotation_field(omega=1.0):
-    """Pure rotation f(u) = Omega u with Omega skew; spheres are invariant
-    but nothing contracts toward them."""
-    Om = np.array([[0.0, -omega], [omega, 0.0]])
+def rotation_field():
+    """Pure rotation f(u) = Omega u with Omega skew (unit angular speed);
+    spheres are invariant but nothing contracts toward them."""
+    Om = np.array([[0.0, -1.0], [1.0, 0.0]])
     return VectorField(f=lambda t, u: Om @ u, jac=lambda t, u: Om, dim=2,
                        name="rotation")
 
 
-def hopf_with_equilibrium_on_loop(omega=1.0):
+def hopf_with_equilibrium_on_loop():
     """Hopf-like field scaled by (1 - cos(theta)): the speed vanishes at
     the point (1, 0) of the unit circle, violating non-accumulation."""
-    base = hopf_field(omega=omega)
+    base = hopf_field()
 
     def f(t, u):
         x, y = u
@@ -118,8 +118,8 @@ def coupled_hopf_field(omegas, conj_mats, coupling):
     return VectorField(f=f, jac=jac, dim=2 * n_osc, name="coupled_hopf")
 
 
-def random_stable_matrix(rng, n, margin=0.5, scale=1.0):
+def random_stable_matrix(rng, n, margin=0.5):
     """Random matrix shifted so its spectral abscissa is about -margin."""
-    A = scale * rng.standard_normal((n, n))
+    A = rng.standard_normal((n, n))
     alpha = np.max(np.real(np.linalg.eigvals(A)))
     return A - (alpha + margin) * np.eye(n)

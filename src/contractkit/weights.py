@@ -17,6 +17,10 @@ from .measures import nonlinear_rate
 from .sip import L2
 
 _PROJ_TOL = 1e-10
+_PROJ_PROBES = 8          # random probes of Q^2 = Q, seeded with 0
+# the diagonal optimizer stops after this many sweeps or below this log-step
+_MAX_SWEEPS = 200
+_STEP_TOL = 1e-3
 
 
 @dataclass
@@ -100,13 +104,13 @@ def diagonal(entries, b=None):
     )
 
 
-def projection_complement(P, rng_probes=8, seed=0):
+def projection_complement(P):
     """Q = I - P for a bounded linear projection P (P^2 = P)."""
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
     Q = np.eye(n) - P
-    rng = np.random.default_rng(seed)
-    for _ in range(rng_probes):
+    rng = np.random.default_rng(0)
+    for _ in range(_PROJ_PROBES):
         v = rng.standard_normal(n)
         if np.linalg.norm(Q @ (Q @ v) - Q @ v) > _PROJ_TOL * (1 + np.linalg.norm(v)):
             raise ContractViolation("P is not a projection: Q^2 != Q on probes")
@@ -117,11 +121,11 @@ def projection_complement(P, rng_probes=8, seed=0):
     )
 
 
-def jacobian_of_map(dphi, b=None, kind="jacobian_of_map"):
-    """State-dependent surjective weight Theta(u) = Dphi(u)."""
+def jacobian_of_map(dphi):
+    """State-dependent surjective weight Theta(u) = Dphi(u), with no bound
+    declared."""
     return WeightFamily(
-        kind=kind, bound_b=float(b) if b is not None else np.inf,
-        invertible=False,
+        kind="jacobian_of_map", bound_b=np.inf, invertible=False,
         params={"dphi": dphi},
         _matrix=lambda t, u, n, dphi=dphi: np.atleast_2d(dphi(np.asarray(u))),
     )
@@ -161,10 +165,19 @@ def check_radius_b(theta, b, sampler):
     }
 
 
+def transient_bound(lam, b):
+    """The transient bound t_b = -2 ln(b) / lambda after which a contraction
+    at rate lambda beats the prefactor b^2 of a radius-b weight; inf unless
+    lambda < 0 and b is a finite bound >= 1."""
+    if lam < 0 and math.isfinite(b) and b >= 1:
+        return -2.0 * math.log(b) / lam
+    return math.inf
+
+
 @dataclass
 class AsymptoticRateResult:
     """Best rate found within a radius-b diagonal family, with the transient
-    bound t_b = -2 ln(b) / lambda for negative rates."""
+    bound t_b (``transient_bound``)."""
 
     lambda_b: float
     best_weight: WeightFamily
@@ -173,18 +186,13 @@ class AsymptoticRateResult:
     iterations: int
     history: list = field(default_factory=list)
 
-    @staticmethod
-    def transient(lam, b):
-        return -2.0 * math.log(b) / lam if lam < 0 else math.inf
 
-
-def optimize_diagonal_weight(A_or_f, spec=L2, b=10.0, sampler=None, seed=0,
-                             max_sweeps=200, step_tol=1e-3, grid=None):
+def optimize_diagonal_weight(A_or_f, spec=L2, b=10.0, sampler=None, seed=0):
     """Coordinate descent over time-invariant diagonal weights with entries
     in [1/b, b], minimizing the sampled nonlinear rate.
 
-    Multiplicative steps (initial factor 2) shrink on failed sweeps; stops
-    when the log-step drops below ``step_tol`` or after ``max_sweeps``.
+    Multiplicative steps (initial factor 2) halve on failed sweeps; stops
+    when the log-step drops below ``_STEP_TOL`` or after ``_MAX_SWEEPS``.
     The result upper-bounds the radius-b rate within the diagonal family.
     """
     if b <= 1.0:
@@ -201,7 +209,7 @@ def optimize_diagonal_weight(A_or_f, spec=L2, b=10.0, sampler=None, seed=0,
 
     def evaluate(d):
         w = diagonal(d, b=b)
-        return nonlinear_rate(f, w, spec=spec, sampler=samples, grid=grid, seed=seed).value
+        return nonlinear_rate(f, w, spec=spec, sampler=samples, seed=seed).value
 
     d = np.ones(n)
     best = evaluate(d)
@@ -209,7 +217,7 @@ def optimize_diagonal_weight(A_or_f, spec=L2, b=10.0, sampler=None, seed=0,
     sweeps = 0
     lo, hi = 1.0 / b, b
     history = [best]
-    while sweeps < max_sweeps and log_step >= step_tol:
+    while sweeps < _MAX_SWEEPS and log_step >= _STEP_TOL:
         improved = False
         for i in range(n):
             for sgn in (1.0, -1.0):
@@ -231,7 +239,7 @@ def optimize_diagonal_weight(A_or_f, spec=L2, b=10.0, sampler=None, seed=0,
         lambda_b=best,
         best_weight=diagonal(d, b=b),
         b=float(b),
-        transient_bound=AsymptoticRateResult.transient(best, b),
+        transient_bound=transient_bound(best, b),
         iterations=sweeps,
         history=history,
     )

@@ -1,5 +1,6 @@
 """Config parsing, exit codes, report/CSV emission, and determinism."""
 
+import glob
 import json
 import os
 
@@ -15,6 +16,9 @@ def write_cfg(tmp_path, body, name="exp.cfg"):
     path.write_text(body)
     return str(path)
 
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs")
 
 MEASURE_CFG = """
 [experiment]
@@ -189,6 +193,14 @@ class TestListValidate:
         bad = write_cfg(tmp_path, "[experiment]\nname = heat\n\n[params]\nq = 1\n",
                         name="bad.cfg")
         assert cli.validate(bad) == 1
+
+    def test_shipped_configs_validate(self, capsys):
+        configs = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))
+        assert len(configs) == 16
+        for path in configs:
+            assert cli.validate(path) == 0, path
+        names = {cli.parse_config(path)[0] for path in configs}
+        assert names == set(cli.EXPERIMENTS)
 
     def test_main_subcommands(self, tmp_path):
         path = write_cfg(tmp_path, MEASURE_CFG.format(out=tmp_path / "m"))

@@ -331,6 +331,14 @@ class TestGrowthBound:
         assert rep["transient_bound"] == pytest.approx(2 * np.log(100.0) / 0.95)
         assert rep["contracted_after_tb"]
 
+    def test_unbounded_weight_has_no_transient_bound(self):
+        th = weights.custom(lambda t, u, n: np.diag([0.01, 1.0]),
+                            inverse=lambda t, u, n: np.diag([100.0, 1.0]))
+        rep = verify_growth_bound(SHEAR, th, L2, np.zeros(2), np.array([0.0, 1.0]),
+                                  (0.0, 2.0), 1e-2)
+        assert rep["lambda_sup"] < 0 and th.bound_b == np.inf
+        assert rep["transient_bound"] == np.inf and not rep["contracted_after_tb"]
+
     def test_heat_pairwise_contraction(self):
         from contractkit.pde import build_discretization, heat_field
         from contractkit.geometry import Projector
@@ -548,18 +556,3 @@ class TestFitDecay:
         assert slope == pytest.approx(-2.0, rel=1e-3)
         assert info["points"] > 5
 
-
-class TestTrajectoryExport:
-    def test_csv_table_with_perturbation_norms(self, tmp_path):
-        from contractkit.reporting import write_csv
-
-        traj = integrate_variational(linear_field(np.diag([-1.0, -2.0])),
-                                     np.array([1.0, 1.0]), np.array([0.1, 0.2]),
-                                     (0.0, 1.0), 1e-2, record_every=10)
-        header, cols = traj.table()
-        assert header == ["time", "u0", "u1", "perturbation_norm"]
-        path = tmp_path / "traj.csv"
-        write_csv(str(path), header, cols)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time,u0,u1,perturbation_norm"
-        assert len(lines) == len(traj.times) + 1

@@ -433,6 +433,34 @@ class TestLimitCycle:
         assert rep["failing_hypotheses"] == ["loop_contraction"]
 
 
+class TestVerdict:
+    """A failed simulation cross-check withholds the certificate, and the
+    status says so too."""
+
+    def test_too_short_limit_cycle_simulation(self):
+        sim = SimCheck(t_end=0.02, dt=5e-3, n_ic=1)
+        rep = certify_limit_cycle(systems.hopf_field(), systems.circle_submersion(),
+                                  Conjugacy.identity(), tau=None,
+                                  sampler=band_sampler(seed=22), sim=sim)
+        assert all(c.passed for c in rep["checks"]) and not rep["sim"]["passed"]
+        assert rep["certified"] is False and rep["status"] == "withheld"
+
+    @pytest.mark.parametrize("certifier", ["subspace", "manifold"])
+    def test_failed_fit_withholds_status(self, certifier, monkeypatch):
+        monkeypatch.setattr(geometry, "fit_decay_rate", lambda *a, **k: (np.nan, {}))
+        sim = SimCheck(t_end=0.1, dt=1e-2, n_ic=1)
+        if certifier == "subspace":
+            disc = build_discretization(8, boundary="neumann")
+            rep = certify_subspace_contraction(
+                heat_field(disc, 1.0), Projector.mean(8), spec=L2,
+                sampler=sampling.gaussian_samples(4, 8, seed=7), sim=sim, grid=disc.grid)
+        else:
+            rep = certify_manifold_contraction(systems.hopf_field(), systems.circle_submersion(),
+                                               spec=L2, sampler=band_sampler(seed=9), sim=sim)
+        assert all(c.passed for c in rep["checks"]) and not rep["sim"]["passed"]
+        assert rep["certified"] is False and rep["status"] == "withheld"
+
+
 class TestPhaseLocking:
     mats = [np.eye(2), np.array([[1.4, 0.5], [0.0, 0.8]]),
             np.array([[0.7, 0.0], [0.3, 1.2]])]

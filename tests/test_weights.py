@@ -132,6 +132,17 @@ class TestOptimizer:
             weights.optimize_diagonal_weight(SHEAR, L2, b=10.0, sampler=[])
 
 
+class TestTransientBound:
+    def test_negative_rate_and_finite_b(self):
+        assert weights.transient_bound(-0.5, 10.0) == pytest.approx(4.0 * np.log(10.0))
+        assert weights.transient_bound(-0.5, 1.0) == 0.0
+
+    @pytest.mark.parametrize("lam, b", [(0.0, 10.0), (0.3, 10.0), (-1.0, np.inf),
+                                        (-1.0, 0.5)])
+    def test_infinite_without_contraction_or_a_bound(self, lam, b):
+        assert weights.transient_bound(lam, b) == np.inf
+
+
 class TestTrajectoryRateInvariance:
     def test_decay_rate_same_under_admissible_weights(self):
         # measured asymptotic decay of a trajectory pair is weight-invariant;
