@@ -175,11 +175,8 @@ def _run_growth_bound(p, seed):
 
 def _run_mle(p, seed):
     A = p["matrix"]
-    # off the grid the step sets only the recording, and each interval
-    # records its end points
     res = flows.mle_estimate(A, np.zeros(A.shape[0]), (0.0, p["t_end"]),
-                             p["renorm_interval"], p["renorm_interval"], p=p["p"],
-                             seed=seed)
+                             p["renorm_interval"], p=p["p"], seed=seed)
     mu_p = mu(A, NormSpec(p=p["p"]), seed=seed)
     report = {
         "mle": res.value,
@@ -471,11 +468,14 @@ EXPERIMENTS = {
          "dt": Param("float", 1e-3, positive=True, help=_SIM_DT_HELP)},
         _run_growth_bound),
     "mle": Experiment(
-        "maximum Lyapunov exponent by renormalized perturbations, compared "
-        "with the matrix measure upper bound",
+        "maximum Lyapunov exponent from one run of a co-integrated "
+        "perturbation, compared with the matrix measure upper bound",
         {"matrix": Param("matrix"), "p": Param("float", 2.0),
          "t_end": Param("float", 40.0, positive=True),
-         "renorm_interval": Param("float", 0.5, positive=True)},
+         "renorm_interval": Param("float", 0.5, positive=True,
+                                  help="interval at which the running estimate is "
+                                       "recorded; the perturbation is never "
+                                       "renormalized")},
         _run_mle),
     "subspace": Experiment(
         "contraction of the zero-flux heat equation to its spatial mean: "

@@ -13,9 +13,9 @@ scipy.integrate is imported only on that branch.
 branch: a field on a grid keeps fixed-step RK4 at its step ``dt``, and any
 other field runs ``ODE_METHOD`` at ``ODE_RTOL``, recorded at the times RK4
 would record.  The simulation cross-checks of ``geometry`` and the
-variational flows (``integrate_variational`` and ``verify_growth_bound``,
-which carry a tangent perturbation, and a pair separation, with the state as
-one augmented field) both go through it.
+variational flows (``integrate_variational``, ``verify_growth_bound`` and
+``mle_estimate``, which carry a tangent perturbation, and a pair separation,
+with the state as one augmented field) both go through it.
 """
 
 import math
@@ -458,11 +458,16 @@ class MLEResult:
     integrator: dict = None
 
 
-def mle_estimate(f, u0, t_span, renorm_interval, dt, p=2.0, seed=0):
-    """Maximum Lyapunov exponent by the renormalized-perturbation method:
-    average the log growth of a co-integrated tangent vector over fixed
-    renormalization intervals."""
+def mle_estimate(f, u0, t_span, renorm_interval, p=2.0, seed=0):
+    """Maximum Lyapunov exponent from one co-integrated tangent vector du:
+    the running estimate log(||du(t)||_p / ||du(t0)||_p) / (t - t0), recorded
+    every ``renorm_interval``.  The perturbation is carried as a direction
+    and a log magnitude, so one run needs no renormalization, and one that
+    decays below the smallest float still counts.  Fields on a grid are
+    refused: fixed-step RK4 carries the perturbation unscaled."""
     f = as_vector_field(f)
+    if f.grid is not None:
+        raise ContractViolation("mle_estimate needs a field off the grid")
     u = np.array(u0, dtype=float).reshape(-1)
     rng = np.random.default_rng(seed)
     du = rng.standard_normal(u.shape[0])
@@ -470,28 +475,15 @@ def mle_estimate(f, u0, t_span, renorm_interval, dt, p=2.0, seed=0):
     du /= sip_norm(du, spec)
     t0, t1 = float(t_span[0]), float(t_span[1])
     n_seg = max(1, int(round((t1 - t0) / renorm_interval)))
-    log_sum = 0.0
-    t = t0
-    hist_t, hist, segs = [], [], []
-    for _ in range(n_seg):
-        # the log growth over the segment from the carried log magnitude, so
-        # a perturbation that decays below the smallest float still counts
-        seg, [(d, s)] = _variational(f, u, du, (t, t + renorm_interval), dt,
-                                     record_every=10**9)
-        segs.append(seg)
-        u = seg.states[-1]
-        r = sip_norm(d[-1], spec)
-        log_sum += s[-1] + math.log(r)
-        du = d[-1] / r
-        t += renorm_interval
-        hist_t.append(t)
-        hist.append(log_sum / (t - t0))
-    hist = np.asarray(hist)
+    traj, [(d, s)] = _variational(f, u, du, (t0, t0 + n_seg * renorm_interval),
+                                  renorm_interval, 1)
+    times = traj.times[1:]
+    hist = (s[1:] + np.log([sip_norm(x, spec) for x in d[1:]])) / (times - t0)
     value = float(hist[-1])
     i34 = max(0, int(len(hist) * 0.75) - 1)
     converged = bool(abs(hist[i34] - value) <= 0.02 * max(1.0, abs(value)))
-    return MLEResult(value=value, converged=converged, times=np.asarray(hist_t),
-                     history=hist, integrator=integrator_entry(segs))
+    return MLEResult(value=value, converged=converged, times=times,
+                     history=hist, integrator=integrator_entry([traj]))
 
 
 # fewer points than this in the fit window: fall back to the tail half

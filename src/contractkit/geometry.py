@@ -16,7 +16,7 @@ import scipy.linalg as sla
 
 from .errors import ContractViolation, NumericalError
 from .flows import (ODE_METHOD, ODE_RTOL, VectorField, as_vector_field, fd_jacobian,
-                    fit_decay_rate, integrator_entry, simulate_flow)
+                    fit_decay_rate, integrator_entry, rk4_steps, simulate_flow)
 from .measures import as_matrix, nonlinear_rate
 from .reporting import Check, all_passed
 from .sip import L2
@@ -283,7 +283,8 @@ def certify_subspace_contraction(f, proj, spec=L2, sampler=None,
         report["sim"], _ = _decay_cross_check(
             f, sim, dim, lambda u: sip_norm(proj.Q @ u, spec, grid), rate.value)
         certified = report["sim"]["passed"]
-    return _verdict(report, certified, "withheld" if inv["passed"] else "rate_only")
+    rate_only = rate_check.passed and not inv["passed"]
+    return _verdict(report, certified, "rate_only" if rate_only else "withheld")
 
 
 def project_to_level_set(sub, u0):
@@ -419,10 +420,15 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
             raise ContractViolation("temporal-symmetry simulation needs f.dim")
         u0 = _sim_initial_conditions(sim, f.dim)[0]
         n_periods = max(3, int(sim.t_end / tau))
-        # RK4 on a grid records every round(tau / dt) steps; off the grid
-        # the solver records at t = m tau exactly
-        traj = simulate(f, u0, sim, t_end=(n_periods + 1) * tau,
-                        record_every=max(1, int(round(tau / sim.dt))),
+        # RK4 on a grid records every round(tau / dt) steps, a period apart
+        # only when that is the whole number of steps it takes per period;
+        # off the grid the solver records at t = m tau exactly
+        every = max(1, int(round(tau / sim.dt)))
+        if (f.grid is not None
+                and rk4_steps(0.0, (n_periods + 1) * tau, sim.dt)[0] != (n_periods + 1) * every):
+            raise ContractViolation(f"tau / dt = {tau / sim.dt:.6g} is not a whole number "
+                                    "of RK4 steps, so snapshots would not be a period apart")
+        traj = simulate(f, u0, sim, t_end=(n_periods + 1) * tau, record_every=every,
                         t_eval=tau * np.arange(n_periods + 2))
         snaps = traj.states[1:]
         diffs = np.array([np.linalg.norm(snaps[m + 1] - snaps[m])

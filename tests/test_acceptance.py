@@ -130,10 +130,10 @@ def test_criterion_5_mle_bounds():
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             evals = -rng.uniform(0.2, 1.5, n)
             A = q @ np.diag(evals) @ q.T
-            est2 = flows.mle_estimate(A, np.zeros(n), (0.0, 60.0), 0.5, 1e-2,
+            est2 = flows.mle_estimate(A, np.zeros(n), (0.0, 60.0), 0.5,
                                       p=2.0, seed=k)
             for p in (1.0, 2.0, np.inf):
-                est_p = flows.mle_estimate(A, np.zeros(n), (0.0, 60.0), 0.5, 1e-2,
+                est_p = flows.mle_estimate(A, np.zeros(n), (0.0, 60.0), 0.5,
                                            p=p, seed=k)
                 assert est_p.value <= mu(A, NormSpec(p=p)).value + 0.05
             lam_b = weights.optimize_diagonal_weight(A, L2, b=b,
@@ -144,12 +144,12 @@ def test_criterion_5_mle_bounds():
         for k in range(10):
             n = int(rng.integers(2, 5))
             A = systems.random_stable_matrix(rng, n, margin=0.3)
-            est = flows.mle_estimate(A, np.zeros(n), (0.0, 100.0), 0.5, 1e-2,
+            est = flows.mle_estimate(A, np.zeros(n), (0.0, 100.0), 0.5,
                                      p=2.0, seed=k)
             lam_b = weights.optimize_diagonal_weight(A, L2, b=b,
                                                      sampler=origin(n)).lambda_b
             assert est.value <= lam_b + 0.05
-        assert time.monotonic() - t0 < 60.0
+        assert time.monotonic() - t0 < 15.0
 
 
 def test_criterion_6_heat_zero_flux():

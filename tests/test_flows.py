@@ -504,7 +504,7 @@ class TestVariationalSolverPath:
 
 class TestMLE:
     def test_diagonal(self):
-        est = mle_estimate(np.diag([-1.0, -2.0]), np.zeros(2), (0.0, 30.0), 0.5, 1e-2)
+        est = mle_estimate(np.diag([-1.0, -2.0]), np.zeros(2), (0.0, 30.0), 0.5)
         assert est.value == pytest.approx(-1.0, abs=0.05)
         assert est.converged
 
@@ -513,29 +513,49 @@ class TestMLE:
 
         # defective double eigenvalue: ||du|| ~ t e^{-t}, so the estimate
         # approaches -1 like log(t)/t and needs a long horizon
-        est = mle_estimate(SHEAR, np.zeros(2), (0.0, 160.0), 0.5, 1e-2)
+        est = mle_estimate(SHEAR, np.zeros(2), (0.0, 160.0), 0.5)
         assert est.value == pytest.approx(-1.0, abs=0.05)
         assert mu(SHEAR, L2).value == pytest.approx(4.0)
         assert est.value <= mu(SHEAR, L2).value + 0.05
 
     def test_report_names_its_integrator(self):
-        est = mle_estimate(np.diag([-1.0, -2.0]), np.zeros(2), (0.0, 5.0), 0.5, 1e-2)
+        est = mle_estimate(np.diag([-1.0, -2.0]), np.zeros(2), (0.0, 5.0), 0.5)
         entry = est.integrator
         assert entry["method"] == "DOP853" and entry["rtol"] == ODE_RTOL
-        # one solve per renormalization interval
+        # one solve over the whole span, recorded every 0.5
         assert entry["steps"] >= 10 and entry["nfev"] > entry["steps"]
+        np.testing.assert_allclose(est.times, 0.5 * np.arange(1, 11), rtol=0, atol=1e-12)
 
     def test_perturbation_below_the_smallest_float(self):
         # exp(-900) underflows: the growth comes from the carried log magnitude
-        est = mle_estimate(np.diag([-1000.0, -900.0]), np.zeros(2), (0.0, 4.0), 1.0, 1.0)
+        est = mle_estimate(np.diag([-1000.0, -900.0]), np.zeros(2), (0.0, 4.0), 1.0)
         assert np.isfinite(est.value)
         assert est.value == pytest.approx(-900.0, rel=5e-3)
 
     def test_p_norm_variants(self):
         for p in (1.0, 2.0, np.inf):
             est = mle_estimate(np.diag([-0.5, -3.0]), np.zeros(2), (0.0, 30.0),
-                               0.5, 1e-2, p=p)
+                               0.5, p=p)
             assert est.value == pytest.approx(-0.5, abs=0.05)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_history_matches_expm(self, p):
+        # the running estimate is log(||e^{At} du0||_p / ||du0||_p) / t at
+        # every record, du0 the seeded draw mle_estimate makes
+        A = np.array([[-1.0, 10.0, 0.0], [0.0, -1.0, 2.0], [0.05, 0.0, -2.0]])  # stable
+        est = mle_estimate(A, np.zeros(3), (0.0, 20.0), 0.5, p=p, seed=4)
+        du0 = np.random.default_rng(4).standard_normal(3)
+        exact = [np.log(np.linalg.norm(sla.expm(t * A) @ du0, p) / np.linalg.norm(du0, p)) / t
+                 for t in est.times]
+        assert len(est.times) == 40
+        np.testing.assert_allclose(est.history, exact, rtol=0, atol=1e-9)
+
+    def test_grid_field_refused(self):
+        from contractkit.pde import build_discretization, heat_field
+
+        disc = build_discretization(8, boundary="neumann")
+        with pytest.raises(ContractViolation, match="off the grid"):
+            mle_estimate(heat_field(disc, 1.0), np.zeros(8), (0.0, 1.0), 0.5)
 
 
 class TestFitDecay:

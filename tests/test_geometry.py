@@ -114,6 +114,26 @@ class TestSubspaceContraction:
         assert not rep["certified"]
         assert rep["rate"].value == pytest.approx(1.0, rel=1e-10)
 
+    def test_both_checks_failed_status_withheld(self):
+        # "rate_only" would claim a rate that was not shown
+        fld = linear_field(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        rep = certify_subspace_contraction(
+            fld, Projector.mean(2),
+            sampler=[(0.0, np.array([1.0, -0.3])), (0.0, np.array([0.2, 0.7]))])
+        inv, rate = rep["checks"]
+        assert not inv.passed and inv.value == pytest.approx(0.088, abs=1e-3)
+        assert not rate.passed and rate.value == pytest.approx(0.75)
+        assert rep["certified"] is False and rep["status"] == "withheld"
+
+    def test_rate_without_invariance_status_rate_only(self):
+        c = np.array([1.0, -1.0, 0.5, 2.0])  # not constant, so not in im(P)
+        fld = VectorField(f=lambda t, u: -u + c, jac=lambda t, u: -np.eye(4), dim=4)
+        rep = certify_subspace_contraction(fld, Projector.mean(4),
+                                           sampler=sampling.gaussian_samples(4, 4, seed=3))
+        inv, rate = rep["checks"]
+        assert not inv.passed and rate.passed
+        assert rep["certified"] is False and rep["status"] == "rate_only"
+
     def test_degenerate_complement_raises(self):
         from contractkit.errors import DegenerateWeightError
 
@@ -314,6 +334,36 @@ class TestTemporalSymmetry:
             # past the floor the differences are integration error and
             # their ratios reach 1
             assert np.max(rep["sim"]["decay_ratios"]) >= 1.0
+
+    def test_grid_field_refuses_snapshots_off_the_period(self):
+        # autonomous periodic heat: any tau is a symmetry, but RK4 at dt
+        # takes 50.5 steps per tau = 0.0505, so no record is a period apart
+        disc = build_discretization(16, boundary="periodic")
+        sampler = sampling.gaussian_samples(3, 16, seed=21, t_range=(0.0, 1.0))
+        sim = SimCheck(t_end=0.2, dt=1e-3, n_ic=1, seed=22)
+        with pytest.raises(ContractViolation, match="whole number"):
+            check_temporal_symmetry(heat_field(disc, 1.0), 0.0505, sampler, sim=sim,
+                                    rate=RateEstimate(-1.0, "eigen"))
+
+    def test_grid_field_snapshots_a_period_apart(self, monkeypatch):
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(simulate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(geometry, "simulate", spy)
+        disc = build_discretization(16, boundary="periodic")
+        sampler = sampling.gaussian_samples(3, 16, seed=21, t_range=(0.0, 1.0))
+        sim = SimCheck(t_end=0.2, dt=1e-3, n_ic=1, seed=22)
+        rep = check_temporal_symmetry(heat_field(disc, 1.0), 0.05, sampler, sim=sim,
+                                      rate=RateEstimate(-1.0, "eigen"))
+        assert runs[0].stats["accepted"] == 250
+        np.testing.assert_allclose(runs[0].times, 0.05 * np.arange(6), rtol=0, atol=1e-12)
+        assert rep["passed"] and rep["sim"]["geometric_decay"]
+        # the off-mean part decays by e^{lambda_2 tau} each period
+        lam2 = -2.0 / disc.h**2 * (1.0 - np.cos(2.0 * np.pi / 16))
+        np.testing.assert_allclose(rep["sim"]["decay_ratios"], np.exp(0.05 * lam2), rtol=1e-4)
 
     def test_off_period_tau_no_geometric_decay(self):
         sim = SimCheck(t_end=8.0, dt=1e-3, n_ic=1, seed=18)
