@@ -12,14 +12,13 @@ contraction rate of A under an operator family Theta(t, u) is
 computed exactly for p = 2 (as a symmetric generalized eigenproblem, with
 kernel directions of a surjective non-invertible weight removed), via the
 classical column/row formulas for p in {1, inf} with invertible weights,
-and by multi-start ray search otherwise.  The search is steered by a ratio
-set up once per solve (``_sip_ratio``: the stacked derivative operator is
-built up front, so each probe is a few numpy reductions), and the value
-reported is the reference pairing of ``sip.norm`` / ``sip.sip``
-re-evaluated at the argmax; the two must agree there.
+and otherwise by a seeded multi-start pattern search over rays, whose 32
+starts advance together: each probe batch is one call of a ratio set up
+once per solve (``_sip_ratio``).  The value reported is the reference
+pairing of ``sip.norm`` / ``sip.sip`` re-evaluated at the best probe; the
+two must agree there.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,11 @@ from .sip import sip as sip_pair
 
 _KERNEL_RTOL = 1e-10    # singular values below rtol*smax count as kernel
 _CONFIRM_RTOL = 1e-9    # steering ratio vs reference value at the argmax
+_RESTARTS = 32          # seeded starts of the ray search
+_STEPS = np.array([1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 0.125, -0.125])  # step multiples probed
+_SWEEPS = 40            # pattern-search sweeps
+_SHRINK = 0.25          # step factor after a sweep without gain
+_MIN_STEP = 1e-9        # a start whose step falls below this stops
 
 
 def as_matrix(A):
@@ -52,7 +56,8 @@ class RateEstimate:
     """A contraction-rate value together with how it was obtained.
 
     ``sampled`` values are maxima over finitely many probes and hence lower
-    bounds on the true supremum."""
+    bounds on the true supremum; ``sample_count`` is then the number of ray
+    search starts, or of ``nonlinear_rate``'s (t, u) samples."""
 
     value: float
     method: str              # closed_form | eigen | sampled
@@ -96,78 +101,95 @@ def _mu_linf(M):
     return float(np.max(row))
 
 
-def _ray_search(objective, reference, n, seed=0, restarts=32, maxiter=6):
-    """Multi-start derivative-free ascent of a 0-homogeneous ratio.
+def _finite(vals):
+    """NaN and +-inf mapped to -inf, so that argmax picks a finite probe."""
+    return np.where(np.isfinite(vals), vals, -np.inf)
 
-    ``objective`` steers the search; the value returned is ``reference`` at
-    the best point found, which must agree with ``objective`` there."""
-    from scipy.optimize import minimize
 
+def _ray_search(objective, reference, n, seed):
+    """Multi-start pattern-search ascent of a 0-homogeneous ratio.
+
+    ``objective`` maps a batch (m, n) of vectors to m values.  The
+    ``_RESTARTS`` seeded unit starts advance together.  A sweep walks the
+    n coordinate axes, n random unit directions per start and the sweep's
+    own displacement; along each, every start probes ``_STEPS`` times its
+    step (times the displacement itself) in one objective call and moves
+    to its best probe if that gains.  A start without gain in a sweep
+    shrinks its step by ``_SHRINK`` and stops below ``_MIN_STEP``.  The
+    value returned is ``reference`` at the best point found, which must
+    agree with ``objective`` scoring that point alone."""
     rng = np.random.default_rng(seed)
-    best = -np.inf
-    best_v = None
-    for _ in range(restarts):
-        v0 = rng.standard_normal(n)
-        v0 /= np.linalg.norm(v0)
-        res = minimize(lambda x: -objective(x), v0, method="Powell",
-                       options={"maxiter": maxiter, "xtol": 1e-10, "ftol": 1e-12})
-        val = -res.fun
-        if np.isfinite(val) and val > best:
-            best = val
-            best_v = res.x
-    if best_v is None:
+    x = rng.standard_normal((_RESTARTS, n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    fx = _finite(objective(x))
+    step, rows = np.ones(_RESTARTS), np.arange(_RESTARTS)
+    for _ in range(_SWEEPS):
+        rand = rng.standard_normal((n, _RESTARTS, n))
+        rand /= np.linalg.norm(rand, axis=2, keepdims=True)
+        x0, f0 = x, fx
+        for d in [*np.eye(n), *rand, None]:
+            d = x - x0 if d is None else step[:, None] * d
+            probes = x[:, None] + _STEPS[:, None] * d[:, None]
+            vals = _finite(objective(probes.reshape(-1, n))).reshape(_RESTARTS, -1)
+            j = vals.argmax(axis=1)
+            up = vals[rows, j] > fx
+            x = np.where(up[:, None], probes[rows, j], x)
+            fx = np.where(up, vals[rows, j], fx)
+        step = np.where(fx > f0, step, step * _SHRINK)
+        step[step < _MIN_STEP] = 0.0
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        fx = _finite(objective(x))
+    i = int(fx.argmax())
+    if not np.isfinite(fx[i]):
         raise NumericalError("ray search failed to produce a finite value")
-    value = reference(best_v)
+    best, value = objective(x[i][None])[0], reference(x[i])
     if not abs(best - value) <= _CONFIRM_RTOL * max(1.0, abs(value)):
         raise NumericalError(
             f"ray-search objective {best!r} disagrees with the reference {value!r} at its argmax"
         )
-    return value, best_v, restarts
+    return value, x[i], _RESTARTS
 
 
 def _sip_ratio(T, C, spec, grid):
-    """The closure v -> [Tv, Cv] / ||Tv||^2 in the norm ``spec`` on ``grid``
-    (-inf where Tv vanishes), with T and C dense of shape (N, r).
+    """The batched ratio V -> [Tv, Cv] / ||Tv||^2 per row v of V in the norm
+    ``spec`` on ``grid`` (-inf where Tv vanishes), T and C dense (N, r).
 
     D, the vstack of every D^alpha (|alpha| <= k) applied to each component,
-    is built once, so one call is a few numpy reductions over an (orders, N)
-    array.  The arithmetic is that of sip.norm / sip.sip, order by order.
-    D stays sparse: the slices D^alpha T v are then the very numbers sip.sip
-    pairs, whereas a dense D T rounds differently, and Powell, stopped after
-    6 iterations, turns a last-bit difference into a different argmax."""
+    is built once, so a call is a few numpy reductions over an (orders, N, m)
+    array, with the arithmetic of sip.norm / sip.sip order by order.  For a
+    single row, T v is the matrix-vector product the reference forms, and D
+    stays sparse, so the slices D^alpha T v are the very numbers sip.sip
+    pairs: a last-bit difference at an exact zero (p = 1) or a tie (p = inf)
+    would set the two values apart.  A batch of many rows rounds T V
+    differently, which is why ``_ray_search`` scores its best point alone."""
     N = T.shape[0]
     D = None
     if spec.k > 0:
         per_comp = sp.identity(N // grid.npoints, format="csr")
         D = sp.vstack([sp.kron(per_comp, op) for op in derivative_ops(grid, spec.k)],
                       format="csr")
-    shape = (-1, N)
     p, w = spec.p, grid.cell_measure
 
-    def ratio(v):
-        a, b = T @ v, C @ v
+    def ratio(V):
+        a, b = T @ V.T, C @ V.T
         if D is not None:
             a, b = D @ a, D @ b
-        a, b = a.reshape(shape), b.reshape(shape)
+        a, b = a.reshape(-1, N, V.shape[0]), b.reshape(-1, N, V.shape[0])
+        au = np.abs(a)
         if np.isinf(p):
-            au = np.abs(a)
-            top = au.max(axis=1)
-            ties = au >= top[:, None] * (1.0 - _ARGMAX_RTOL)
-            slopes = np.where(ties, np.sign(a) * b.real, -np.inf).max(axis=1)
-            nus, pairs = top.tolist(), (top * slopes).tolist()
+            nus = au.max(axis=1)
+            ties = au >= nus[:, None] * (1.0 - _ARGMAX_RTOL)
+            pairs = nus * np.where(ties, np.sign(a) * b.real, -np.inf).max(axis=1)
         elif p == 1.0:
-            n1 = w * np.abs(a).sum(axis=1)
-            inner = np.where(a != 0, np.sign(a) * b.real, np.abs(b)).sum(axis=1)
-            nus, pairs = n1.tolist(), (n1 * w * inner).tolist()
+            nus = w * au.sum(axis=1)
+            pairs = nus * w * np.where(a != 0, np.sign(a) * b.real, np.abs(b)).sum(axis=1)
         else:
-            au = np.abs(a)
-            nus = [(w * s) ** (1.0 / p) for s in (au ** p).sum(axis=1).tolist()]
-            cores = (au ** (p - 1.0) * np.sign(a) * b).sum(axis=1).real.tolist()
-            pairs = [nu ** (2.0 - p) * w * c if nu else 0.0 for nu, c in zip(nus, cores)]
-        nv = nus[0] if len(nus) == 1 else math.sqrt(sum(nu**2 for nu in nus))
-        if nv == 0.0:
-            return -np.inf
-        return sum(pairs) / nv**2
+            nus = (w * (au ** p).sum(axis=1)) ** (1.0 / p)
+            cores = (au ** (p - 1.0) * np.sign(a) * b).sum(axis=1).real
+            pairs = np.where(nus > 0, np.where(nus > 0, nus, 1.0) ** (2.0 - p) * w * cores, 0.0)
+        nv = nus[0] if len(nus) == 1 else np.sqrt((nus ** 2).sum(axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(nv > 0, pairs.sum(axis=0) / nv**2, -np.inf)
 
     return ratio
 
@@ -216,24 +238,17 @@ def mu(A, spec=L2, grid=None, seed=0):
     return _sampled_rate(np.eye(n), _dense(M), spec, g, seed)
 
 
-def _opnorm(M, p, seed=0):
+def _opnorm(M, p, seed):
     if p in (1.0, 2.0) or np.isinf(p):
         return float(np.linalg.norm(M, np.inf if np.isinf(p) else int(p)))
     spec = NormSpec(p=p)
 
-    def objective(v):
-        nv = float(np.sum(np.abs(v) ** p)) ** (1.0 / p)
-        if nv == 0.0:
-            return -np.inf
-        return float(np.sum(np.abs(M @ v) ** p)) ** (1.0 / p) / nv
+    def objective(V):  # ||M v||_p / ||v||_p per row, NaN at v = 0
+        return ((np.abs(V @ M.T) ** p).sum(axis=1) / (np.abs(V) ** p).sum(axis=1)) ** (1.0 / p)
 
-    def reference(v):
-        nv = sip_norm(v, spec)
-        if nv == 0.0:
-            return -np.inf
-        return sip_norm(M @ v, spec) / nv
-
-    val, _, _ = _ray_search(objective, reference, M.shape[1], seed=seed)
+    # the search returns a unit vector, so the reference never divides by 0
+    val, _, _ = _ray_search(objective, lambda v: sip_norm(M @ v, spec) / sip_norm(v, spec),
+                            M.shape[1], seed)
     return val
 
 

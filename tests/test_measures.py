@@ -1,6 +1,8 @@
 """Matrix measures (closed forms vs the definition-level oracle) and
 weighted contraction rates."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from contractkit.errors import (
     DimensionError,
     NumericalError,
 )
-from contractkit.grids import Grid, GridFunction
+from contractkit.grids import Grid, GridFunction, unit_grid
 from contractkit.measures import (
     _sip_ratio,
     mu,
@@ -217,16 +219,55 @@ class TestSampledObjective:
         C = T @ rng.standard_normal((n, n))
         spec = NormSpec(p=p, k=k)
         ratio = _sip_ratio(T, C, spec, self.GRID)
-        for i in range(50):
-            v = rng.standard_normal(n) if i % 2 else rng.integers(-2, 3, n) + 0.0
-            v[0] = v[0] or 1.0
-            tv = GridFunction(T @ v, self.GRID)
-            want = sip(tv, GridFunction(C @ v, self.GRID), spec) / norm(tv, spec) ** 2
-            assert ratio(v) == pytest.approx(want, rel=1e-12)
+        V = np.array([rng.standard_normal(n) if i % 2 else rng.integers(-2, 3, n) + 0.0
+                      for i in range(50)])
+        V[V[:, 0] == 0, 0] = 1.0
+        got = ratio(V)
+        assert got.shape == (50,)
+
+        def want(tv, v):
+            tv = GridFunction(tv, self.GRID)
+            return sip(tv, GridFunction(C @ v, self.GRID), spec) / norm(tv, spec) ** 2
+
+        # the batch against T v from the batch product, whose rounding differs
+        # from T @ v and would move exact zeros and ties; each row alone
+        # against T @ v, the product the reference forms
+        for v, tv, r in zip(V, (T @ V.T).T, got):
+            assert r == pytest.approx(want(tv, v), rel=1e-12)
+            assert ratio(v[None])[0] == pytest.approx(want(T @ v, v), rel=1e-12)
 
     def test_zero_image_is_minus_inf(self):
         ratio = _sip_ratio(np.zeros((5, 5)), np.eye(5), NormSpec(p=3.0, k=1), self.GRID)
-        assert ratio(np.ones(5)) == -np.inf
+        assert ratio(np.ones((1, 5)))[0] == -np.inf
+
+    def test_nonfinite_ratio_never_wins(self):
+        # rows 0 and 4 have Tv = 0, row 2 overflows to NaN; the best finite
+        # row is 3
+        ratio = _sip_ratio(np.eye(3), np.diag([-1.0, -2.0, -3.0]), NormSpec(p=3.0),
+                           unit_grid(3))
+        V = np.array([[0.0, 0, 0], [1, 2, 3], [1e200, 1, 0], [1, 0, 0], [0, 0, 0]])
+        with np.errstate(all="ignore"):
+            vals = ratio(V)
+        assert vals[0] == vals[4] == -np.inf
+        assert np.isnan(vals[2]) and np.argmax(vals) == 2
+        assert np.argmax(measures._finite(vals)) == 3
+
+    def test_search_ignores_nan_probes(self, monkeypatch):
+        A = np.array([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, -2.0]])
+        clean = mu(A, NormSpec(p=3.0), seed=0).value
+        make = measures._sip_ratio
+
+        def poisoned(*args):
+            ratio = make(*args)
+
+            def nan_where_first_negative(V):
+                out = ratio(V)
+                out[V[:, 0] < 0] = np.nan
+                return out
+            return nan_where_first_negative
+
+        monkeypatch.setattr(measures, "_sip_ratio", poisoned)
+        assert mu(A, NormSpec(p=3.0), seed=0).value >= clean - 1e-9
 
     def test_repeat_call_bit_identical(self):
         A = np.random.default_rng(8).standard_normal((3, 3))
@@ -241,6 +282,57 @@ class TestSampledObjective:
         monkeypatch.setattr(measures, "sip_pair", lambda u, v, spec: 2.0 * pair(u, v, spec))
         with pytest.raises(NumericalError):
             mu(np.array([[-1.0, 2.0], [0.5, -3.0]]), NormSpec(p=3.0), seed=0)
+
+
+def _periodic_laplacian(n):
+    eye = np.eye(n)
+    return (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1) - 2.0 * eye) * n**2
+
+
+class TestRaySearchAccuracy:
+    """The sampled supremum against values known in closed form or by a
+    dense sweep."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_periodic_laplacian_reaches_zero(self, n):
+        # the Young bound is 0 and constants attain it
+        L = _periodic_laplacian(n)
+        for seed in (0, 1, 2):
+            assert mu(L, NormSpec(p=3.0), seed=seed).value >= -1e-6 * np.max(np.abs(L))
+
+    def test_sobolev_laplacian_reaches_zero(self):
+        grid = Grid((8,), (1.0 / 8,), "periodic")
+        for seed in (0, 1, 2):
+            est = mu(_periodic_laplacian(8), NormSpec(p=3.0, k=1), grid=grid, seed=seed)
+            assert est.value >= -1e-3
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_not_below_dense_sphere_sweep(self, p, dim):
+        A = np.random.default_rng(int(10 * p) + dim).standard_normal((dim, dim))
+        if dim == 2:
+            th = np.linspace(0.0, np.pi, 20001)
+            V = np.stack([np.cos(th), np.sin(th)], axis=1)
+        else:  # a Fibonacci lattice on the sphere
+            k = np.arange(200000) + 0.5
+            z = 1.0 - 2.0 * k / k.size
+            phi = np.pi * (1.0 + 5**0.5) * k
+            r = np.sqrt(1.0 - z**2)
+            V = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+        nv = (np.abs(V) ** p).sum(axis=1) ** (1.0 / p)
+        pair = nv ** (2.0 - p) * (np.abs(V) ** (p - 1.0) * np.sign(V) * (V @ A.T)).sum(axis=1)
+        sweep = np.max(pair / nv**2)
+        assert mu(A, NormSpec(p=p), seed=0).value >= sweep - 1e-6
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(12)
+        t0 = time.perf_counter()
+        for p in (1.5, 3.0, 4.0):
+            for dim in (2, 3, 4):
+                A = rng.standard_normal((dim, dim))
+                oracle = mu_fd_oracle(A, NormSpec(p=p)).value
+                assert mu(A, NormSpec(p=p)).value == pytest.approx(oracle, abs=1e-4)
+        assert time.perf_counter() - t0 < 10.0
 
 
 class TestNonlinearRate:
