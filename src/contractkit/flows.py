@@ -392,7 +392,7 @@ def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
     ts = traj.times[idx]
     n = traj.states.shape[1]
 
-    rates, wnorms = [], []
+    rates, tv = [], []
     advisory = False
     kappa = 1.0
     solves = 0
@@ -411,18 +411,18 @@ def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
             kappa = max(kappa, np.linalg.norm(Th, 2) * np.linalg.norm(Ti, 2))
         prev = key
         rates.append(r.value)
-        wnorms.append(sip_norm(Th @ v[i], spec, grid))
+        tv.append(Th @ v[i])
     rates = np.asarray(rates)
     cumint = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(ts))])
 
-    wnorms = np.asarray(wnorms)
+    wnorms = sip_norm(np.array(tv), spec, grid, rows=True)
     if wnorms[0] == 0.0:
         raise ContractViolation("initial perturbation has zero weighted norm")
     # ratios from the log magnitudes, which do not underflow
     ratios = np.exp(rho[idx] - rho[0] - cumint) * wnorms / wnorms[0]
     lam_sup = float(np.max(rates))
 
-    qnorms = np.array([sip_norm(d, spec, grid) for d in q])
+    qnorms = sip_norm(q, spec, grid, rows=True)
     dists = np.exp(sigma) * qnorms
     pair_ratios = (np.exp(sigma - sigma[0] - lam_sup * (traj.times - traj.times[0]))
                    * qnorms / (kappa * qnorms[0]))

@@ -9,14 +9,15 @@ contraction rate of A under an operator family Theta(t, u) is
 
     sup_{v != 0} [Theta v, (dTheta/dt + Theta A) v] / ||Theta v||^2,
 
-computed exactly for p = 2 (as a symmetric generalized eigenproblem, with
-kernel directions of a surjective non-invertible weight removed), via the
-classical column/row formulas for p in {1, inf} with invertible weights,
-and otherwise by a seeded multi-start pattern search over rays, whose 32
-starts advance together: each probe batch is one call of a ratio set up
-once per solve (``_sip_ratio``).  The value reported is the reference
-pairing of ``sip.norm`` / ``sip.sip`` re-evaluated at the best probe; the
-two must agree there.
+computed exactly for p = 2 as one standard symmetric eigenproblem (on
+(dTheta/dt + Theta A) Theta^{-1}, or on the coimage of a surjective
+non-invertible weight; a pencil with the Gram matrix for Sobolev norms),
+via the classical column/row formulas for p in {1, inf} with invertible
+weights, and otherwise by a seeded multi-start pattern search over rays,
+whose 32 starts advance together: each probe batch is one call of a ratio
+set up once per solve (``_sip_ratio``).  The value reported is the
+reference pairing of ``sip.norm`` / ``sip.sip`` re-evaluated at the best
+probe; the two must agree there.
 """
 
 from dataclasses import dataclass
@@ -254,8 +255,9 @@ def _opnorm(M, p, seed):
 
 def mu_fd_oracle(A, spec=L2, h_list=None, seed=0):
     """Definition-level oracle (||I + h A|| - 1)/h with linear-in-h
-    extrapolation of the two smallest quotients, converged when the last
-    quotient is within ``_ORACLE_RTOL`` of it.  Dims <= 6 only."""
+    extrapolation of each successive pair of quotients.  The value is the
+    extrapolation of the two smallest h, converged when the one before it
+    is within ``_ORACLE_RTOL`` (never with only two h).  Dims <= 6 only."""
     M = _dense(as_matrix(A))
     _check_square(M)
     if M.shape[0] > 6:
@@ -269,58 +271,50 @@ def mu_fd_oracle(A, spec=L2, h_list=None, seed=0):
         raise ContractViolation("h_list must have >= 2 strictly decreasing positive entries")
     eye = np.eye(M.shape[0])
     q = np.array([(_opnorm(eye + h * M, spec.p, seed=seed) - 1.0) / h for h in h_list])
-    h1, h0 = h_list[-2], h_list[-1]
-    value = (h1 * q[-1] - h0 * q[-2]) / (h1 - h0)
-    converged = bool(abs(q[-1] - value) <= _ORACLE_RTOL * max(1.0, abs(value)))
-    return OracleResult(value=float(value), converged=converged, quotients=q)
+    h1, h0 = h_list[:-1], h_list[1:]
+    ext = (h1 * q[1:] - h0 * q[:-1]) / (h1 - h0)
+    converged = ext.size > 1 and abs(ext[-2] - ext[-1]) <= _ORACLE_RTOL * max(1.0, abs(ext[-1]))
+    return OracleResult(value=float(ext[-1]), converged=bool(converged), quotients=q)
 
 
-def _theta_dtheta(theta, t, u, n):
-    Th = np.asarray(theta.matrix(t, u, n))
-    dTh = theta.dmatrix_dt(t, u, n)
-    return Th, (None if dTh is None else np.asarray(dTh))
-
-
-def _kernel_complement(Th):
-    """Orthonormal basis (n x r) of ker(Theta)^perp, from the SVD of Theta."""
-    _, svals, vt = np.linalg.svd(Th)
+def coimage_of(Th):
+    """One SVD Theta = U S V^H of a non-invertible weight: its largest
+    singular value and its coimage (V_r, s_r, U_r^H), where V_r is an
+    orthonormal basis of ker(Theta)^perp, s_r the nonzero singular values
+    and U_r = Theta V_r / s_r has orthonormal columns."""
+    u, svals, vt = np.linalg.svd(Th)
     smax = svals[0] if svals.size else 0.0
-    keep = svals > _KERNEL_RTOL * max(smax, 1.0)
-    if not np.any(keep):
+    r = np.count_nonzero(svals > _KERNEL_RTOL * max(smax, 1.0))
+    if r == 0:
         raise DegenerateWeightError("weight vanishes on every direction")
-    return vt[: np.count_nonzero(keep)].conj().T
+    return float(smax), (vt[:r].conj().T, svals[:r], u[:, :r].conj().T)
 
 
 def weighted_rate(A, theta, t=0.0, u=None, spec=L2, grid=None, seed=0):
     """Theta-weighted contraction rate of a linear operator.
 
-    For an invertible weight this equals the measure of the generalized
-    Jacobian (dTheta/dt + Theta A) Theta^{-1}; for a surjective
-    non-invertible weight the supremum is taken over the complement of
-    ker(Theta), where the weighted seminorm is a norm.
+    For an invertible weight this is the measure of the generalized
+    Jacobian C Theta^{-1}, C = dTheta/dt + Theta A.  For a surjective
+    non-invertible weight the supremum is taken over ker(Theta)^perp, where
+    the weighted seminorm is a norm; at p = 2 it is the largest eigenvalue
+    of sym(U_r^H C V_r / s_r) on the coimage of ``coimage_of`` (of the
+    pencil with U_r^H G U_r for a Sobolev Gram matrix G).
     """
-    M = _dense(as_matrix(A))
+    M = _dense(A)
     _check_square(M)
     n = M.shape[0]
-    Th, dTh = _theta_dtheta(theta, t, u, n)
+    Th, dTh = theta.matrix(t, u, n), theta.dmatrix_dt(t, u, n)
     if Th.shape[1] != n:
         raise DimensionError(f"weight maps dim {Th.shape[1]}, operator dim {n}")
     C = Th @ M if dTh is None else dTh + Th @ M
-    p, k = spec.p, spec.k
-    Vr = None if theta.invertible else _kernel_complement(Th)
-
-    if p == 2.0:
-        if k == 0:
-            Gw = np.eye(Th.shape[0]) * (grid.cell_measure if grid is not None else 1.0)
-        else:
-            Gw = _dense(gram_matrix(spec, grid, ncomp=Th.shape[0] // grid.npoints))
-        S = _sym(Th.conj().T @ Gw @ C)
-        G = Th.conj().T @ Gw @ Th
-        if Vr is not None:
-            S, G = Vr.conj().T @ S @ Vr, Vr.conj().T @ G @ Vr
-        return RateEstimate(_max_eig(S, G), "eigen")
-    if Vr is None:
+    if theta.invertible:
         return mu(C @ np.asarray(theta.inv_matrix(t, u, n)), spec, grid=grid, seed=seed)
+    Vr, s, UrH = theta.coimage if theta.coimage is not None else coimage_of(Th)[1]
+    if spec.p == 2.0:
+        if spec.k == 0:
+            return RateEstimate(_max_eig(_sym(UrH @ C @ Vr / s)), "eigen")
+        GU = gram_matrix(spec, grid, ncomp=Th.shape[0] // grid.npoints) @ UrH.conj().T
+        return RateEstimate(_max_eig(_sym(GU.conj().T @ C @ Vr / s), UrH @ GU), "eigen")
     gW = grid if grid is not None else unit_grid(Th.shape[0])
     return _sampled_rate(Th @ Vr, C @ Vr, spec, gW, seed)
 

@@ -66,16 +66,16 @@ def _check_grid(u, spec):
         )
 
 
-def _lp_norm(flat, w, p):
-    if flat.size == 0:
+def _lp_norm(a, w, p):
+    """lp norm of a flat state, or of each row of a 2-D array of states."""
+    if a.shape[-1] == 0:
         raise DimensionError("empty state")
+    if p == 2.0 and a.ndim == 1:
+        return np.sqrt(w * np.real(np.vdot(a, a)))
+    au = np.abs(a)
     if np.isinf(p):
-        return float(np.max(np.abs(flat)))
-    if p == 2.0:
-        return float(np.sqrt(w * np.real(np.vdot(flat, flat))))
-    if p == 1.0:
-        return float(w * np.sum(np.abs(flat)))
-    return float((w * np.sum(np.abs(flat) ** p)) ** (1.0 / p))
+        return au.max(axis=-1)
+    return (w * (au ** p).sum(axis=-1)) ** (1.0 / p)
 
 
 def _lp_sip(uf, vf, w, p):
@@ -118,17 +118,27 @@ def _order_slices(u, spec):
     return out
 
 
-def norm(u, spec=L2, grid=None):
+def _state(u, spec, grid):
+    u = as_gridfunction(u, grid if grid is not None and np.size(u) % grid.npoints == 0 else None)
+    _check_grid(u, spec)
+    return u
+
+
+def norm(u, spec=L2, grid=None, *, rows=False):
     """Quadrature-weighted lp or discrete Sobolev (k,p) norm.  A bare vector
     whose length is a whole multiple of ``grid.npoints`` is taken on that
     grid as stacked components, as ``GridFunction`` takes it; any other
-    gets unit weights."""
-    on_grid = grid is not None and np.size(u) % grid.npoints == 0
-    u = as_gridfunction(u, grid if on_grid else None)
-    _check_grid(u, spec)
+    gets unit weights.  With ``rows``, each row of the 2-D array ``u`` is
+    one such vector, and the result is the array of their norms."""
+    if rows:
+        if spec.k > 0:
+            return np.array([norm(r, spec, grid) for r in u])
+        u = np.asarray(u)
+        return _lp_norm(u, _state(u[0], spec, grid).grid.cell_measure, spec.p)
+    u = _state(u, spec, grid)
     w = u.grid.cell_measure
     if spec.k == 0:
-        return _lp_norm(u.ravel(), w, spec.p)
+        return float(_lp_norm(u.ravel(), w, spec.p))
     slices = _order_slices(u, spec)
     return float(np.sqrt(sum(_lp_norm(s, w, spec.p) ** 2 for s in slices)))
 

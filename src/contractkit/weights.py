@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .measures import nonlinear_rate
+from .measures import coimage_of, nonlinear_rate
 from .sip import L2
 
 _PROJ_TOL = 1e-10
@@ -33,6 +33,8 @@ class WeightFamily:
     _matrix: object = None   # (t, u, n) -> ndarray
     _inv: object = None      # (t, u, n) -> ndarray
     _dmat: object = None     # (t, u, n) -> ndarray
+    # (V_r, s_r, U_r^H) of a constant non-invertible weight (measures.coimage_of)
+    coimage: tuple = None
 
     def matrix(self, t, u, n):
         return np.asarray(self._matrix(t, u, n))
@@ -61,22 +63,16 @@ def identity():
     )
 
 
-def _spectral_norm(M):
-    return float(np.linalg.norm(M, 2))
-
-
 def constant_matrix(M, b=None):
     M = np.asarray(M, dtype=float)
     if M.shape[0] != M.shape[1]:
         raise ContractViolation("constant weight matrix must be square")
     Minv = np.linalg.inv(M)
-    measured = max(_spectral_norm(M), _spectral_norm(Minv))
+    measured = float(max(np.linalg.norm(M, 2), np.linalg.norm(Minv, 2)))
     if b is None:
         b = measured
     elif measured > b * (1 + 1e-9):
-        raise ContractViolation(
-            f"declared bound b={b} violated: measured {measured:.6g}"
-        )
+        raise ContractViolation(f"declared bound b={b} violated: measured {measured:.6g}")
     return WeightFamily(
         kind="constant_matrix", bound_b=float(b), invertible=True,
         params={"matrix": M},
@@ -93,9 +89,8 @@ def diagonal(entries, b=None):
     if b is None:
         b = measured
     elif measured > b * (1 + 1e-9):
-        raise ContractViolation(
-            f"diagonal entries must lie in [1/b, b] for b={b}; measured {measured:.6g}"
-        )
+        raise ContractViolation(f"diagonal entries must lie in [1/b, b] for b={b}; "
+                                f"measured {measured:.6g}")
     return WeightFamily(
         kind="diagonal", bound_b=float(b), invertible=True,
         params={"entries": d},
@@ -114,10 +109,11 @@ def projection_complement(P):
         v = rng.standard_normal(n)
         if np.linalg.norm(Q @ (Q @ v) - Q @ v) > _PROJ_TOL * (1 + np.linalg.norm(v)):
             raise ContractViolation("P is not a projection: Q^2 != Q on probes")
+    bound, basis = coimage_of(Q)
     return WeightFamily(
-        kind="projection_complement", bound_b=_spectral_norm(Q), invertible=False,
+        kind="projection_complement", bound_b=bound, invertible=False,
         params={"P": P, "Q": Q},
-        _matrix=lambda t, u, n_, Q=Q: Q,
+        _matrix=lambda t, u, n_, Q=Q: Q, coimage=basis,
     )
 
 
@@ -149,8 +145,8 @@ def check_radius_b(theta, b, sampler):
     for t, u in sampler:
         u = np.asarray(u, dtype=float)
         n = u.shape[0]
-        max_fwd = max(max_fwd, _spectral_norm(theta.matrix(t, u, n)))
-        max_inv = max(max_inv, _spectral_norm(theta.inv_matrix(t, u, n)))
+        max_fwd = max(max_fwd, float(np.linalg.norm(theta.matrix(t, u, n), 2)))
+        max_inv = max(max_inv, float(np.linalg.norm(theta.inv_matrix(t, u, n), 2)))
         count += 1
     if count == 0:
         raise ContractViolation("radius check needs at least one sample")

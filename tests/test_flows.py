@@ -355,6 +355,19 @@ class TestGrowthBound:
                                   grid=disc.grid, record_every=10)
         assert rep["max_weighted_ratio"] <= 1.0 + 1e-6
 
+    def test_one_norm_call_per_series(self, monkeypatch):
+        # the weighted perturbations and the pair separations are each one
+        # sip.norm call over the recorded rows
+        from contractkit import flows
+
+        calls = []
+        norm = flows.sip_norm
+        monkeypatch.setattr(flows, "sip_norm", lambda *a, **kw: calls.append(1) or norm(*a, **kw))
+        rep = verify_growth_bound(SHEAR, weights.diagonal([0.01, 1.0]), L2, np.zeros(2),
+                                  np.array([0.0, 1.0]), (0.0, 2.0), 1e-3)
+        assert len(calls) == 2
+        assert len(rep["weighted_ratios"]) == len(rep["times"]) > 1000
+
 
 class TestRateReuse:
     def _count_solves(self, monkeypatch):

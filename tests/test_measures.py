@@ -98,6 +98,21 @@ class TestMuOracle:
         got = mu_fd_oracle(np.zeros((2, 2)), LINF)
         assert got.value == pytest.approx(0.0, abs=1e-10)
 
+    def test_converged_where_extrapolation_is_right(self):
+        # the ninth draw of TestRaySearchAccuracy::test_matches_oracle (4 x 4 at
+        # p = 4): the raw quotient at h = 1e-6 still carries its O(h) term,
+        # the extrapolations agree with each other and with mu
+        rng = np.random.default_rng(12)
+        A = [rng.standard_normal((d, d)) for d in (2, 3, 4) * 3][-1]
+        got = mu_fd_oracle(A, NormSpec(p=4.0))
+        assert got.converged
+        assert got.value == pytest.approx(mu(A, NormSpec(p=4.0)).value, abs=1e-9)
+
+    def test_two_steps_never_converged(self):
+        got = mu_fd_oracle(np.diag([-1.0, -2.0]), L2, h_list=[1e-3, 1e-4])
+        assert got.value == pytest.approx(-1.0, abs=1e-9)
+        assert not got.converged
+
     def test_dim_limit(self):
         with pytest.raises(ContractViolation):
             mu_fd_oracle(np.eye(7), L2)
@@ -194,6 +209,138 @@ class TestWeightedRate:
                                   _matrix=lambda t, u, n: np.zeros((n, n)))
         with pytest.raises(DegenerateWeightError):
             weighted_rate(np.eye(3), th)
+
+
+def _pencil_rate(A, Th, dTh=None, spec=L2, grid=None):
+    """The p = 2 weighted rate as the symmetric pencil (sym(Th^H Gw C),
+    Th^H Gw Th) on ker(Th)^perp, Gw the cell measure times I or the Sobolev
+    Gram matrix, reduced by a Cholesky factor of its second matrix."""
+    C = Th @ A if dTh is None else dTh + Th @ A
+    m = Th.shape[0]
+    if spec.k == 0:
+        Gw = np.eye(m) * (grid.cell_measure if grid is not None else 1.0)
+    else:
+        D = np.vstack([np.eye(grid.npoints), _centered_difference(grid)])
+        Gw = np.kron(np.eye(m // grid.npoints), grid.cell_measure * D.T @ D)
+    S = Th.conj().T @ Gw @ C
+    S = 0.5 * (S + S.conj().T)
+    G = Th.conj().T @ Gw @ Th
+    _, svals, vt = np.linalg.svd(Th)
+    Vr = vt[: np.count_nonzero(svals > 1e-10 * max(svals[0], 1.0))].conj().T
+    S, G = Vr.conj().T @ S @ Vr, Vr.conj().T @ G @ Vr
+    Li = np.linalg.inv(np.linalg.cholesky(G))
+    return float(np.linalg.eigvalsh(Li @ S @ Li.conj().T)[-1])
+
+
+def _centered_difference(grid):
+    n, h = grid.npoints, grid.spacing[0]
+    return (np.roll(np.eye(n), 1, axis=1) - np.roll(np.eye(n), -1, axis=1)) / (2 * h)
+
+
+class TestStandardEigenproblem:
+    """The p = 2 rate as one standard eigenproblem (C Theta^{-1}, or U_r^H C W
+    on the coimage) against the pencil it replaces."""
+
+    rng = np.random.default_rng(21)
+    PERIODIC = Grid((6,), (1.0 / 6,), "periodic")
+
+    def _check(self, A, theta, t=0.0, u=None, spec=L2, grid=None):
+        n = A.shape[0]
+        Th = theta.matrix(t, u, n)
+        dTh = theta.dmatrix_dt(t, u, n)
+        got = weighted_rate(A, theta, t, u, spec=spec, grid=grid)
+        want = _pencil_rate(A, Th, dTh, spec, grid)
+        assert got.method == "eigen"
+        assert abs(got.value - want) <= 1e-10 * max(1.0, np.abs(A).sum(axis=0).max())
+        return got.value
+
+    def test_identity(self):
+        self._check(self.rng.standard_normal((5, 5)), weights.identity())
+
+    def test_diagonal_condition_100(self):
+        self._check(self.rng.standard_normal((5, 5)),
+                    weights.diagonal(np.geomspace(0.1, 10.0, 5)))
+
+    def test_constant_matrix(self):
+        Th = np.eye(4) + 0.4 * self.rng.standard_normal((4, 4))
+        self._check(self.rng.standard_normal((4, 4)), weights.constant_matrix(Th))
+
+    def test_time_varying_custom(self):
+        M0 = np.eye(3) + 0.3 * self.rng.standard_normal((3, 3))
+        M1 = self.rng.standard_normal((3, 3))
+        th = weights.custom(matrix=lambda t, u, n: M0 + 0.1 * t * M1,
+                            inverse=lambda t, u, n: np.linalg.inv(M0 + 0.1 * t * M1),
+                            dmatrix_dt=lambda t, u, n: 0.1 * M1, time_varying=True)
+        self._check(self.rng.standard_normal((3, 3)), th, t=0.8)
+
+    @pytest.mark.parametrize("kind", ["orthogonal", "oblique"])
+    def test_projection_complement(self, kind):
+        n = 6
+        if kind == "orthogonal":
+            P, rank = np.full((n, n), 1.0 / n), n - 1
+        else:  # a rank-two projection along a random complement
+            a, b = self.rng.standard_normal((2, n, 2))
+            P, rank = a @ np.linalg.solve(b.T @ a, b.T), n - 2
+        th = weights.projection_complement(P)
+        assert np.linalg.matrix_rank(th.matrix(0.0, None, n)) == rank
+        self._check(self.rng.standard_normal((n, n)), th)
+        self._check(self.rng.standard_normal((n, n)), th, grid=self.PERIODIC)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 3)])
+    def test_jacobian_of_map(self, shape):
+        m, n = shape
+        B = self.rng.standard_normal(shape)
+        th = weights.jacobian_of_map(lambda u: B * (1.0 + 0.1 * np.sum(u ** 2)))
+        self._check(self.rng.standard_normal((n, n)), th, u=self.rng.standard_normal(n))
+
+    def test_complex_operator(self):
+        A = self.rng.standard_normal((4, 4)) + 1j * self.rng.standard_normal((4, 4))
+        Th = np.eye(4) + 0.3 * self.rng.standard_normal((4, 4))
+        self._check(A, weights.constant_matrix(Th))
+        self._check(A, weights.projection_complement(np.full((4, 4), 0.25)))
+
+    def test_sobolev_k1_invertible(self):
+        Th = np.eye(6) + 0.3 * self.rng.standard_normal((6, 6))
+        self._check(self.rng.standard_normal((6, 6)), weights.constant_matrix(Th),
+                    spec=NormSpec(p=2.0, k=1), grid=self.PERIODIC)
+
+    def test_stored_coimage_matches_one_taken_on_the_call(self):
+        A = self.rng.standard_normal((5, 5))
+        qw = weights.projection_complement(np.full((5, 5), 0.2))
+        Q = qw.matrix(0.0, None, 5)
+        on_call = weights.custom(matrix=lambda t, u, n: Q)
+        assert qw.coimage is not None and on_call.coimage is None
+        for spec, grid in ((L2, None), (NormSpec(p=2.0, k=1), Grid((5,), (0.2,), "periodic")),
+                           (NormSpec(p=3.0), None)):
+            stored = weighted_rate(A, qw, spec=spec, grid=grid)
+            taken = weighted_rate(A, on_call, spec=spec, grid=grid)
+            assert stored.value == taken.value
+
+    def test_no_svd_after_the_weight_is_built(self, monkeypatch):
+        qw = weights.projection_complement(np.full((8, 8), 1.0 / 8))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        weighted_rate(self.rng.standard_normal((8, 8)), qw, spec=L2)
+        assert calls == []
+
+    def test_no_second_matrix_at_k0(self, monkeypatch):
+        import scipy.linalg
+
+        seconds = []
+        eigh = scipy.linalg.eigh
+
+        def spy(a, b=None, *args, **kwargs):
+            seconds.append(b)
+            return eigh(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        A = self.rng.standard_normal((4, 4))
+        for th in (weights.identity(), weights.diagonal([0.5, 1.0, 2.0, 4.0]),
+                   weights.constant_matrix(np.eye(4) + 0.2 * self.rng.standard_normal((4, 4))),
+                   weights.projection_complement(np.full((4, 4), 0.25))):
+            weighted_rate(A, th, spec=L2)
+        assert seconds == [None] * 4
 
 
 class TestSampledObjective:

@@ -55,6 +55,18 @@ class TestNorm:
         u = np.random.default_rng(5).standard_normal(32)
         assert norm(u, spec(p, k), g) == norm(GridFunction(u, g), spec(p, k))
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    @pytest.mark.parametrize("k,on_grid", [(0, False), (0, True), (1, True)])
+    def test_rows_are_states(self, p, k, on_grid):
+        # five two-species states on a 16-point grid, one per row; unit
+        # weights off the grid
+        g = Grid((16,), (1.0 / 16,), "periodic") if on_grid else None
+        U = np.random.default_rng(6).standard_normal((5, 32))
+        got = norm(U, spec(p, k), g, rows=True)
+        want = np.array([norm(u, spec(p, k), g) for u in U])
+        assert got.shape == (5,)
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+
     def test_two_species_of_ones_hand_value(self):
         # each species has squared L2 norm 16 * (1/16) = 1
         g = Grid((16,), (1.0 / 16,))
