@@ -1,8 +1,13 @@
 """Experiment orchestration: strict config parsing, seeded runners for all
 experiments, and deterministic report/CSV emission.
 
-Exit codes: 0 success, 2 certificate withheld (a hypothesis failed but the
-run completed), 1 parse/validation/numerical error.
+Every runner returns ``(report, series)``.  A runner that certifies ends in
+``reporting.verdict``: the certificate is granted exactly when its report
+holds at least one ``Check`` and every one of them passed, and the run
+prints exactly those checks.
+
+Exit codes: 0 success, 2 certificate withheld (a check in the report failed
+but the run completed), 1 parse/validation/numerical error.
 """
 
 import argparse
@@ -17,7 +22,7 @@ import numpy as np
 from . import flows, geometry, measures, pde, sampling, systems, weights
 from .errors import ConfigError, ContractkitError
 from .measures import mu, mu_fd_oracle, weighted_rate
-from .reporting import Check, jsonify, write_csv, write_report
+from .reporting import Check, checks_in, jsonify, verdict, write_csv, write_report
 from .sip import L2, NormSpec
 from .sip import norm as sip_norm
 
@@ -68,7 +73,8 @@ def _coerce(name, param, raw):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: (params, seed) -> (report, series, certified|None)
+# experiment runners: (params, seed) -> (report, series); a report that
+# certifies carries its verdict from reporting.verdict
 # ---------------------------------------------------------------------------
 
 def _run_measure(p, seed):
@@ -84,7 +90,7 @@ def _run_measure(p, seed):
         report["oracle_gap"] = abs(orc.value - est.value)
         series["oracle"] = (["time", "h", "quotient"],
                             [np.arange(len(hs), dtype=float), hs, orc.quotients])
-    return report, series, None
+    return report, series
 
 
 def _make_weight_from_params(p, dim):
@@ -114,7 +120,7 @@ def _run_weighted_rate(p, seed):
         report["generalized_jacobian_rate"] = cross
         report["identity_gap"] = abs(cross.value - est.value)
     series = {"rate": (["time", "value"], [np.zeros(1), np.array([est.value])])}
-    return report, series, None
+    return report, series
 
 
 def _run_optimize_weight(p, seed):
@@ -134,7 +140,7 @@ def _run_optimize_weight(p, seed):
     hist = np.asarray(res.history)
     series = {"iterations": (["time", "lambda"],
                              [np.arange(len(hist), dtype=float), hist])}
-    return report, series, None
+    return report, series
 
 
 # the growth and pair ratios may exceed 1 by this much (integration and
@@ -170,7 +176,7 @@ def _run_growth_bound(p, seed):
         "ratios": (["time", "weighted_ratio"], [rep["times"], rep["weighted_ratios"]]),
         "pair": (["time", "distance"], [rep["pair_times"], rep["pair_distances"]]),
     }
-    return report, series, all(c.passed for c in checks)
+    return verdict(report), series
 
 
 def _run_mle(p, seed):
@@ -186,7 +192,7 @@ def _run_mle(p, seed):
         "integrator": res.integrator,
     }
     series = {"history": (["time", "running_estimate"], [res.times, res.history])}
-    return report, series, None
+    return report, series
 
 
 def _run_subspace(p, seed):
@@ -206,7 +212,7 @@ def _run_subspace(p, seed):
                            record_every=sim.record_every)
     qn = np.array([sip_norm(proj.Q @ u, L2, disc.grid) for u in traj.states])
     series = {"decay": (["time", "q_norm"], [traj.times, qn])}
-    return rep, series, rep["certified"]
+    return rep, series
 
 
 def _run_manifold(p, seed):
@@ -224,7 +230,7 @@ def _run_manifold(p, seed):
     traj = geometry.simulate(fld, u0, sim)
     dist = np.array([abs(sub.value(u)[0]) for u in traj.states])
     series = {"decay": (["time", "level_residual"], [traj.times, dist])}
-    return rep, series, rep["certified"]
+    return rep, series
 
 
 def _run_symmetry(p, seed):
@@ -247,8 +253,7 @@ def _run_symmetry(p, seed):
         series = {"limit": (["time", "state_spread"],
                             [traj.times,
                              np.array([float(np.max(u) - np.min(u)) for u in traj.states])])}
-        ok = rep["passed"] and inv_check.passed
-        return rep, series, ok
+        return verdict(rep), series
     # temporal: scalar relaxation with periodic forcing
     tau = p["tau"]
     forcing_period = p["forcing_period"]
@@ -262,8 +267,7 @@ def _run_symmetry(p, seed):
     diffs = rep["sim"]["snapshot_diffs"]
     series = {"snapshots": (["time", "snapshot_diff"],
                             [np.arange(len(diffs), dtype=float), diffs])}
-    ok = rep["passed"] and rep["sim"]["geometric_decay"]
-    return rep, series, ok
+    return verdict(rep), series
 
 
 def _run_limit_cycle(p, seed):
@@ -293,7 +297,7 @@ def _run_limit_cycle(p, seed):
         traj = geometry.simulate(fld, ics[0], sim)
     dist = np.array([abs(sub.value(conj.value(u))[0]) for u in traj.states])
     series = {"decay": (["time", "loop_distance"], [traj.times, dist])}
-    return rep, series, rep["certified"]
+    return rep, series
 
 
 def _run_phase_locking(p, seed):
@@ -337,13 +341,12 @@ def _run_phase_locking(p, seed):
         periods = np.asarray(rep["sim"]["periods"], dtype=float)
         series["periods"] = (["time", "period"],
                              [np.arange(n_osc, dtype=float), periods])
-    return rep, series, rep["certified"]
+    return rep, series
 
 
 def _run_heat(p, seed):
-    rep, series = pde.heat_zero_flux_experiment(
+    return pde.heat_zero_flux_experiment(
         n=p["n"], alpha=p["alpha"], t_end=p["t_end"], seed=seed, dims=p["dims"])
-    return rep, series, rep["certified"]
 
 
 def _run_reaction_diffusion(p, seed):
@@ -353,17 +356,15 @@ def _run_reaction_diffusion(p, seed):
     else:
         reaction = pde.brusselator_reaction(a=p["a"], b=p["b"])
         base = reaction.steady_state
-    rep, series = pde.reaction_diffusion_experiment(
+    return pde.reaction_diffusion_experiment(
         n=p["n"], alphas=p["alphas"], reaction=reaction, t_end=p["t_end"],
         seed=seed, amplitude=p["amplitude"], base_state=base)
-    return rep, series, rep["certified"]
 
 
 def _run_poisson(p, seed):
-    rep, series = pde.nonlinear_poisson_experiment(
+    return pde.nonlinear_poisson_experiment(
         n=p["n"], c=p["c"], seed=seed,
         refinement=tuple(p["refinement"]))
-    return rep, series, rep["certified"]
 
 
 def _run_sobolev_rate(p, seed):
@@ -397,7 +398,7 @@ def _run_sobolev_rate(p, seed):
     series = {"rates": (["time", "k", "rate"],
                         [np.arange(len(ks), dtype=float),
                          np.asarray(ks, dtype=float), np.asarray(rates)])}
-    return report, series, None
+    return report, series
 
 
 def _run_vanishing_osl(p, seed):
@@ -412,10 +413,8 @@ def _run_vanishing_osl(p, seed):
         u0 = np.sin(2.0 * math.pi * x)
     else:
         u0 = np.exp(-50.0 * (x - 0.3) ** 2)
-    rep, series = pde.vanishing_osl_experiment(fam, u0, p=p["p"], t_end=p["t_end"],
-                                               lambda_bound=p["lambda_bound"], seed=seed)
-    ok = not rep["hypotheses_failed"] and rep["cauchy_trend"]
-    return rep, series, ok
+    return pde.vanishing_osl_experiment(fam, u0, p=p["p"], t_end=p["t_end"],
+                                        lambda_bound=p["lambda_bound"], seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +629,11 @@ def run(config_path):
         return 1
     output_dir = os.environ.get("CONTRACTKIT_OUTPUT_DIR", output_dir)
     try:
-        report, series, certified = EXPERIMENTS[name].runner(params, seed)
+        report, series = EXPERIMENTS[name].runner(params, seed)
     except ContractkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    certified = report.get("certified")
     os.makedirs(output_dir, exist_ok=True)
     files = []
     for sname, (header, cols) in series.items():
@@ -652,7 +652,7 @@ def run(config_path):
     write_report(rpath, full_report)
     files.append(rpath)
     print(f"experiment: {name} (seed {seed})")
-    for c in _collect_checks(report):
+    for c in checks_in(report):
         mark = "PASS" if c.passed else "FAIL"
         print(f"  [{mark}] {c.name}: {c.value:.6g} {c.direction} {c.threshold:.6g}")
     if certified is not None:
@@ -662,22 +662,6 @@ def run(config_path):
     if certified is False:
         return 2
     return 0
-
-
-def _collect_checks(obj, seen=None):
-    seen = set() if seen is None else seen
-    out = []
-    if isinstance(obj, Check):
-        if id(obj) not in seen:
-            seen.add(id(obj))
-            out.append(obj)
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            out.extend(_collect_checks(v, seen))
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            out.extend(_collect_checks(v, seen))
-    return out
 
 
 def list_experiments():

@@ -18,7 +18,7 @@ from .errors import ContractViolation, NumericalError
 from .flows import (ODE_METHOD, ODE_RTOL, VectorField, as_vector_field, fd_jacobian,
                     fit_decay_rate, integrator_entry, rk4_steps, simulate_flow)
 from .measures import as_matrix, nonlinear_rate
-from .reporting import Check, all_passed
+from .reporting import Check, verdict
 from .sip import L2
 from .sip import norm as sip_norm
 from .weights import WeightFamily, jacobian_of_map, projection_complement
@@ -194,19 +194,12 @@ def _sim_initial_conditions(sim, dim, base=None):
     return [base + sim.ic_scale * rng.standard_normal(dim) for _ in range(sim.n_ic)]
 
 
-def _verdict(report, certified, not_certified):
-    """Set a certificate's final verdict, after any simulation check, and a
-    status that agrees with it (``not_certified`` when withheld)."""
-    report["certified"] = bool(certified)
-    report["status"] = "certified" if certified else not_certified
-    return report
-
-
 def _decay_cross_check(f, sim, dim, quantity, lam, base_ic=None):
     """Simulate n_ic trajectories and fit the decay exponent of
     ``quantity(u)`` above the adaptive solver's error floor (fixed-step RK4
-    has none); each fit must not be slower than lam + 0.1 |lam|.  Returns
-    the summary and the trajectories."""
+    has none); the slowest fit must not be slower than lam + 0.1 |lam|
+    (``simulated_decay``; a nan fit fails).  Returns the summary and the
+    trajectories."""
     fits = []
     trajs = []
     for u0 in _sim_initial_conditions(sim, dim, base=base_ic):
@@ -217,8 +210,9 @@ def _decay_cross_check(f, sim, dim, quantity, lam, base_ic=None):
         fits.append({"fitted": slope, "points": info.get("points", 0), "floor": floor})
         trajs.append(traj)
     threshold = lam + 0.1 * abs(lam)
-    ok = all(np.isfinite(f_["fitted"]) and f_["fitted"] <= threshold for f_ in fits)
-    return {"fits": fits, "threshold": threshold, "passed": bool(ok),
+    slowest = np.max([f_["fitted"] for f_ in fits])
+    return {"fits": fits, "threshold": threshold,
+            "check": Check.leq("simulated_decay", slowest, threshold),
             "integrator": integrator_entry(trajs)}, trajs
 
 
@@ -270,7 +264,6 @@ def certify_subspace_contraction(f, proj, spec=L2, sampler=None,
         else projection_complement(proj.P)
     rate = nonlinear_rate(f, weight, spec=spec, sampler=samples, grid=grid, seed=seed)
     rate_check = Check.lt("subspace_rate", rate.value, -_RATE_TOL)
-    certified = inv["passed"] and rate_check.passed
     report = {
         "certificate": "decay of the off-subspace component ||Q u(t)||",
         "asymptotic": inner_theta is not None,
@@ -278,13 +271,12 @@ def certify_subspace_contraction(f, proj, spec=L2, sampler=None,
         "checks": [inv["check"], rate_check],
         "invariance": inv,
     }
-    if sim is not None and certified:
+    if sim is not None and inv["passed"] and rate_check.passed:
         dim = proj.P.shape[0]
         report["sim"], _ = _decay_cross_check(
             f, sim, dim, lambda u: sip_norm(proj.Q @ u, spec, grid), rate.value)
-        certified = report["sim"]["passed"]
     rate_only = rate_check.passed and not inv["passed"]
-    return _verdict(report, certified, "rate_only" if rate_only else "withheld")
+    return verdict(report, "rate_only" if rate_only else "withheld")
 
 
 def project_to_level_set(sub, u0):
@@ -340,8 +332,8 @@ def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None, seed=0
         Check.leq("manifold_tangency", tangency, RESIDUAL_TOL),
         Check.lt("manifold_rate", rate.value, -_RATE_TOL),
         Check.geq("submersion_min_singular_value", min_sv, 1e-8),
+        Check.geq("samples_on_manifold", len(on_manifold), 1),
     ]
-    certified = all_passed(checks) and coverage > 0
     report = {
         "certificate": "decay of the level-set residual ||phi(u(t))||",
         "rate": rate,
@@ -349,19 +341,19 @@ def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None, seed=0
         "on_manifold_coverage": coverage,
         "projection_failures": failures,
     }
-    if sim is not None and certified:
+    if sim is not None and all(c.passed for c in checks):
         dim = samples[0][1].shape[0]
-        base = on_manifold[0][1] if on_manifold else None
         report["sim"], _ = _decay_cross_check(
             f, sim, dim, lambda u: float(np.linalg.norm(sub.value(u))),
-            rate.value, base_ic=base)
-        certified = report["sim"]["passed"]
-    return _verdict(report, certified, "withheld")
+            rate.value, base_ic=on_manifold[0][1])
+    return verdict(report)
 
 
 def check_equivariance(f, group_elems, sampler, rate=None):
     """Residuals of f(t, T u) = T f(t, u) for linear T, or of the
-    differential version f(t, h(u)) = Dh(u) f(t, u) for diffeomorphisms."""
+    differential version f(t, h(u)) = Dh(u) f(t, u) for diffeomorphisms.
+    With a contraction rate, ``invariant_limit`` checks that it is negative:
+    the limiting solution is then invariant under the group."""
     f = as_vector_field(f)
     samples = [(t, np.asarray(u, dtype=float)) for t, u in sampler]
     per_elem = []
@@ -377,7 +369,7 @@ def check_equivariance(f, group_elems, sampler, rate=None):
                 rhs = Tm @ f.eval(t, u)
             worst = max(worst, np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(rhs)))
         per_elem.append(Check.leq(f"equivariance_elem_{idx}", worst, RESIDUAL_TOL))
-    passed = all_passed(per_elem)
+    passed = all(c.passed for c in per_elem)
     report = {
         "checks": per_elem,
         "passed": passed,
@@ -386,19 +378,21 @@ def check_equivariance(f, group_elems, sampler, rate=None):
     }
     if rate is not None:
         report["contraction_rate"] = rate
-        report["invariant_limit"] = bool(passed and rate.value < 0)
-        if report["invariant_limit"]:
+        report["invariant_limit"] = Check.lt("contraction_rate", rate.value, -_RATE_TOL)
+        if passed and report["invariant_limit"].passed:
             report["conclusion"] = "limiting solution is invariant under the group"
     return report
 
 
 def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
     """Residuals of f(t, u) = f(t + tau, u); with a negative contraction
-    rate this certifies convergence to a tau-periodic solution, checked by
-    the geometric decay of ||u(t + (m+1) tau) - u(t + m tau)||.  Only the
-    ratios whose newer difference is above the simulation's error floor,
-    100 ODE_RTOL (1 + max ||u||), are checked: below it the differences are
-    integration error, which does not repeat from one period to the next."""
+    rate (``periodic_limit``) this certifies convergence to a tau-periodic
+    solution, checked by the geometric decay of ||u(t + (m+1) tau) -
+    u(t + m tau)||: the largest ratio of successive differences must be
+    below 1 (inf when none is resolved).  Only the ratios whose newer
+    difference is above the simulation's error floor, 100 ODE_RTOL
+    (1 + max ||u||), are checked: below it the differences are integration
+    error, which does not repeat from one period to the next."""
     if tau is None or tau <= 0:
         raise ContractViolation(f"tau must be positive, got {tau!r}")
     f = as_vector_field(f)
@@ -414,7 +408,7 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
               "samples": count, "tau": tau}
     if rate is not None:
         report["contraction_rate"] = rate
-        report["periodic_limit"] = bool(check.passed and rate.value < 0)
+        report["periodic_limit"] = Check.lt("contraction_rate", rate.value, -_RATE_TOL)
     if sim is not None:
         if f.dim is None:
             raise ContractViolation("temporal-symmetry simulation needs f.dim")
@@ -440,7 +434,8 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
             "snapshot_diffs": diffs,
             "decay_ratios": ratios,
             "diff_floor": floor,
-            "geometric_decay": bool(np.any(resolved) and np.all(ratios[resolved] < 1.0)),
+            "geometric_decay": Check.lt("geometric_decay", np.max(ratios[resolved])
+                                        if np.any(resolved) else np.inf, 1.0),
             "integrator": integrator_entry([traj]),
         }
     return report
@@ -559,7 +554,6 @@ def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None, sim=None, see
         Check.geq("loop_non_accumulation", min_speed,
                   _SPEED_FLOOR_FRAC * float(np.mean(speeds))),
     ]
-    certified = all_passed(checks)
     failing = [c.name for c in checks if not c.passed]
     report = {
         "certificate": "convergence to a limit cycle on the conjugate loop",
@@ -570,7 +564,8 @@ def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None, sim=None, see
         "mean_loop_speed": float(np.mean(speeds)),
         "loop_points": len(loop_pts),
     }
-    if sim is not None and certified:
+    traj = None
+    if sim is not None and not failing:
         dim = samples[0][1].shape[0]
         sim_out, trajs = _decay_cross_check(
             f, sim, dim,
@@ -583,8 +578,7 @@ def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None, sim=None, see
         sim_out["period"] = period
         sim_out["n_crossings"] = len(crossings)
         report["sim"] = sim_out
-        return _verdict(report, sim_out["passed"], "withheld"), traj
-    return _verdict(report, certified, "withheld"), None
+    return verdict(report), traj
 
 
 def extract_period(times, series):
@@ -620,30 +614,22 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
     a certified limit-cycle leader plus a negative rate of the stacked
     conjugate dynamics in the complement of the rotation-shift subspace.
 
-    On success the simulated subsystems must reach a common period (within
-    ``_PERIOD_RTOL``) with phase differences that drift by less than
-    ``_PHASE_DRIFT_TOL``."""
-    if leader is None or not leader.get("certified", False):
-        return {
-            "status": "withheld",
-            "certified": False,
-            "reason": "leader limit-cycle certification missing",
-        }
+    The simulated subsystems must reach a common period (relative spread
+    within ``_PERIOD_RTOL``, ``common_period``) with phase differences that
+    drift by less than ``_PHASE_DRIFT_TOL`` (``phases_locked``).  Without a
+    certified leader the report holds no check, so it is withheld; a single
+    oscillator carries the leader's report and so its verdict."""
+    if leader is None or not leader["certified"]:
+        return verdict({"reason": "leader limit-cycle certification missing"})
     f = as_vector_field(f)
     n_osc = len(conjs)
     if n_osc == 1:
-        return {
-            "status": leader["status"],
-            "certified": leader["certified"],
-            "reduces_to": "limit_cycle",
-            "leader": leader,
-        }
+        return verdict({"reduces_to": "limit_cycle", "leader": leader})
     G = conjugate_field(f, conjs)
     samples = [(t, np.asarray(u, dtype=float)) for t, u in sampler]
     rate = nonlinear_rate(G, projection_complement(proj_w.P), spec=spec,
                           sampler=samples, seed=seed)
     rate_check = Check.lt("phase_lock_rate", rate.value, -_RATE_TOL)
-    certified = rate_check.passed
     report = {
         "certificate": "common asymptotic period with constant phase shifts",
         "rate": rate,
@@ -661,8 +647,7 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
         ])
         periods = np.array([extract_period(traj.times, vs[:, i * m])[0]
                             for i in range(n_osc)])
-        common = bool(np.all(np.isfinite(periods)) and
-                      (np.max(periods) - np.min(periods)) <= _PERIOD_RTOL * np.mean(periods))
+        spread = (np.max(periods) - np.min(periods)) / np.mean(periods)
 
         phases = np.stack([
             np.unwrap(np.arctan2(vs[:, i * m + 1], vs[:, i * m]))
@@ -676,11 +661,10 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
                 drift = max(drift, float(np.max(np.abs(d[quarter:] - d[-1]))))
         report["sim"] = {
             "periods": periods,
-            "common_period": common,
-            "mean_period": float(np.mean(periods)) if np.all(np.isfinite(periods)) else math.nan,
+            "common_period": Check.leq("common_period", spread, _PERIOD_RTOL),
+            "mean_period": float(np.mean(periods)),
             "phase_drift_final_quarter": drift,
-            "phases_locked": bool(drift < _PHASE_DRIFT_TOL),
+            "phases_locked": Check.lt("phases_locked", drift, _PHASE_DRIFT_TOL),
             "integrator": integrator_entry([traj]),
         }
-        certified = certified and common and report["sim"]["phases_locked"]
-    return _verdict(report, certified, "withheld")
+    return verdict(report)

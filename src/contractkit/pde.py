@@ -14,7 +14,7 @@ from .flows import (VectorField, fit_decay_rate, integrate, integrator_entry,
 from .geometry import Projector, check_subspace_invariance
 from .grids import Grid, derivative_matrix_1d
 from .measures import mu, nonlinear_rate, weighted_rate
-from .reporting import Check
+from .reporting import Check, verdict
 from .sip import L2, NormSpec
 from .sip import norm as sip_norm
 from .weights import identity as identity_weight
@@ -240,13 +240,11 @@ def heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0, dims=1):
         "fit": fit_info,
         "mass_drift": mass_drift,
         "checks": checks,
-        "certified": bool(inv["passed"] and rate.value < 0),
-        "passed": all(c.passed for c in checks),
     }
     series = {
         "decay": (["time", "q_norm", "mass"], [traj.times, qnorm, mass]),
     }
-    return report, series
+    return verdict(report), series
 
 
 def reaction_diffusion_experiment(n=16, alphas=0.5, reaction=None, t_end=4.0,
@@ -290,7 +288,6 @@ def reaction_diffusion_experiment(n=16, alphas=0.5, reaction=None, t_end=4.0,
     full_weight = projection_complement(proj_full.P)
     coupled = nonlinear_rate(fld, full_weight, spec=L2, sampler=samples, grid=None)
 
-    certified = cond1["passed"] and all(c.passed for c in species_checks)
     u0 = sample_state()
     # recorded on the output grid of the fixed-step RK4 reference run, whose
     # step is the explicit stability limit
@@ -311,7 +308,6 @@ def reaction_diffusion_experiment(n=16, alphas=0.5, reaction=None, t_end=4.0,
         "lambda_certified": float(coupled.value),
         "coupled_rate": coupled,
         "checks": [cond1["check"], *species_checks],
-        "certified": bool(certified),
         "fitted_decay": fitted,
         "fit": fit_info,
         "final_qnorm_ratio": final_ratio,
@@ -319,7 +315,7 @@ def reaction_diffusion_experiment(n=16, alphas=0.5, reaction=None, t_end=4.0,
         "integrator": integrator_entry([traj]),
     }
     series = {"decay": (["time", "q_norm"], [traj.times, qnorm])}
-    return report, series
+    return verdict(report), series
 
 
 def sine_reaction(c):
@@ -380,7 +376,6 @@ def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
         "n": n, "c_or_sup_df": sup_df,
         "lambda_omega": float(lam_omega),
         "lambda_formula": float(lam_formula),
-        "certified": bool(rate_check.passed),
         "existence_note": None if rate_check.passed else "existence not certified",
         "max_pairwise_distance": max_pair,
         "max_residual": max_resid,
@@ -388,13 +383,12 @@ def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
         "refinement": {"n": table_n, "lambda": table_lam,
                        "continuum": math.pi**2},
         "integrator": integrator_entry(runs),
-        "passed": all(c.passed for c in checks),
     }
     series = {
         "refinement": (["time", "poincare_constant"],
                        [np.asarray(table_n, dtype=float), np.asarray(table_lam)]),
     }
-    return report, series
+    return verdict(report), series
 
 
 def sobolev_rate(f, k, p, sampler=None, seed=0):
@@ -625,7 +619,7 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
     spacetime = Grid((n_out + 1, n), (dt_out, h))
     diffs = [sip_norm(sols[e1] - sols[e2], spec, spacetime)
              for e1, e2 in zip(eps_list, eps_list[1:])]
-    cauchy = bool(all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:])))
+    cauchy = Check.lt("cauchy_trend", max(np.diff(diffs), default=-math.inf), 0.0)
 
     # extrapolated limit (linear in eps) and its weak-form residual,
     # normalized per test function by the triangle-inequality scale of the
@@ -678,4 +672,4 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
         "profiles": (["time"] + [f"u_eps{i}" for i in range(len(eps_list))] + ["u_extrapolated"],
                      [xs] + [sols[e][-1] for e in eps_list] + [u_ext[-1]]),
     }
-    return report, series
+    return verdict(report), series

@@ -31,8 +31,36 @@ class Check:
         return cls(name, float(value), float(threshold), bool(value >= threshold), ">=")
 
 
-def all_passed(checks):
-    return all(c.passed for c in checks)
+def checks_in(report):
+    """Every ``Check`` in a nested report (dicts, lists, tuples), in order of
+    appearance and once each by identity."""
+    seen, out = set(), []
+
+    def walk(obj):
+        if isinstance(obj, Check):
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                out.append(obj)
+        elif isinstance(obj, dict):
+            for v in obj.values():
+                walk(v)
+        elif isinstance(obj, (list, tuple)):
+            for v in obj:
+                walk(v)
+
+    walk(report)
+    return out
+
+
+def verdict(report, not_certified="withheld"):
+    """The one certificate rule: granted exactly when the report holds at
+    least one ``Check`` and every ``Check`` in it passed, hypotheses and
+    simulation cross-checks alike.  Sets ``certified`` and ``status``
+    (``not_certified`` when withheld) and returns the report."""
+    checks = checks_in(report)
+    report["certified"] = bool(checks) and all(c.passed for c in checks)
+    report["status"] = "certified" if report["certified"] else not_certified
+    return report
 
 
 def jsonify(obj):

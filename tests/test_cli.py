@@ -136,6 +136,19 @@ amplitude = 0.05
         assert check["passed"] is passed
         assert (check["name"] in rep["hypotheses_failed"]) is not passed
 
+    def test_failed_fit_withholds_heat(self, tmp_path, capsys):
+        # too short a run for the fit: the failed check must withhold
+        out = tmp_path / "h"
+        cfg = (f"[experiment]\nname = heat\nseed = 0\noutput_dir = {out}\n\n"
+               "[params]\nt_end = 0.002\n")
+        assert cli.run(write_cfg(tmp_path, cfg)) == 2
+        printed = capsys.readouterr().out
+        assert "[FAIL] fitted_decay_within_2pct" in printed
+        assert "certificate: withheld" in printed
+        report = json.loads((out / "report.json").read_text())
+        assert report["certified"] is False
+        assert report["report"]["status"] == "withheld"
+
     def test_manifold_certified_at_seed_577215(self, tmp_path):
         # the first trajectory starts 3e-4 off the circle; its residual levels
         # off at the solver's error, which the fit must not count
@@ -169,6 +182,33 @@ amplitude = 0.05
         cli.run(write_cfg(tmp_path, MEASURE_CFG.format(out=tmp_path / "ignored")))
         assert (override / "report.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+def _json_checks(obj):
+    if isinstance(obj, dict):
+        if {"name", "value", "threshold", "passed", "direction"} <= set(obj):
+            return [obj]
+        return [c for v in obj.values() for c in _json_checks(v)]
+    if isinstance(obj, list):
+        return [c for v in obj for c in _json_checks(v)]
+    return []
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))),
+                             ids=lambda p: os.path.basename(p)[:-4])
+    def test_exit_2_exactly_when_a_check_failed(self, tmp_path, monkeypatch, path):
+        monkeypatch.setenv("CONTRACTKIT_OUTPUT_DIR", str(tmp_path))
+        code = cli.run(path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        checks = _json_checks(report["report"])
+        failed = [c["name"] for c in checks if not c["passed"]]
+        assert code == (2 if failed else 0), failed
+        if report["certified"] is None:
+            assert not checks
+        else:
+            assert checks and report["certified"] is (not failed)
+            assert report["report"]["certified"] is report["certified"]
 
 
 class TestListValidate:

@@ -37,6 +37,7 @@ from contractkit.geometry import (
 )
 from contractkit.measures import RateEstimate, nonlinear_rate, weighted_rate
 from contractkit.pde import build_discretization, heat_field, neumann_second_eigenvalue
+from contractkit.reporting import checks_in, verdict
 from contractkit.sip import L2
 
 
@@ -101,7 +102,7 @@ class TestSubspaceContraction:
         assert rep["certified"]
         assert rep["rate"].value == pytest.approx(neumann_second_eigenvalue(16, disc.h),
                                                   rel=1e-10)
-        assert rep["sim"]["passed"]
+        assert rep["sim"]["check"].passed
         # a field on a grid keeps fixed-step RK4 at its stability step
         nsteps = rk4_steps(0.0, 0.5, sim.dt)[0]
         assert rep["sim"]["integrator"] == {"method": "RK4", "rtol": None,
@@ -163,7 +164,7 @@ class TestManifold:
                                            sampler=band_sampler(seed=9), sim=sim)
         assert rep["certified"]
         assert -3.33 <= rep["rate"].value <= -0.9
-        assert rep["sim"]["passed"]
+        assert rep["sim"]["check"].passed
 
     def test_affine_level_map_matches_subspace_rate(self):
         disc = build_discretization(12, boundary="neumann")
@@ -187,6 +188,18 @@ class TestManifold:
         assert not checks["manifold_rate"].passed
         assert abs(rep["rate"].value) <= 1e-8
         assert not rep["certified"]
+
+    def test_no_sample_on_the_level_set_withheld(self):
+        # |u|^2 + 1 has no zero: no sample projects, and the sim never runs
+        sub = Submersion(phi=lambda u: u @ u + 1.0, dphi=lambda u: 2.0 * u[None, :])
+        sim = SimCheck(t_end=1.0, dt=5e-3, n_ic=1)
+        rep = certify_manifold_contraction(systems.hopf_field(), sub, spec=L2,
+                                           sampler=band_sampler(seed=9), sim=sim)
+        checks = {c.name: c for c in rep["checks"]}
+        assert checks["samples_on_manifold"].value == 0.0
+        assert not checks["samples_on_manifold"].passed
+        assert "sim" not in rep
+        assert rep["certified"] is False and rep["status"] == "withheld"
 
     def test_projection_onto_level_set(self):
         sub = systems.circle_submersion()
@@ -265,7 +278,7 @@ class TestEquivariance:
         rate = RateEstimate(-1.0, "eigen")
         rep = check_equivariance(fld, [T], sampling.gaussian_samples(4, 2, seed=16),
                                  rate=rate)
-        assert rep["invariant_limit"]
+        assert rep["invariant_limit"].passed
 
 
 class TestTemporalSymmetry:
@@ -293,7 +306,7 @@ class TestTemporalSymmetry:
                                                                 t_range=(0.0, 2.0)),
                                       sim=sim, rate=rate)
         assert rep["passed"]
-        assert rep["periodic_limit"]
+        assert rep["periodic_limit"].passed
         ratios = rep["sim"]["decay_ratios"]
         # snapshots differ by a factor e^{-tau} each period
         assert np.allclose(ratios[1:4], np.exp(-1.0), rtol=0.05)
@@ -314,7 +327,7 @@ class TestTemporalSymmetry:
                                                                 t_range=(0.0, 2.0)),
                                       sim=sim, rate=RateEstimate(-1.0, "eigen"))
         assert np.array_equal(runs[0].times, np.arange(10.0))
-        assert rep["sim"]["geometric_decay"]
+        assert rep["sim"]["geometric_decay"].passed
 
     def _rk4_simulate(self, f, u0, sim, t_end=None, record_every=None, t_eval=None):
         return integrate(f, u0, (0.0, t_end), dt=sim.dt, record_every=record_every)
@@ -329,7 +342,7 @@ class TestTemporalSymmetry:
         monkeypatch.setattr(geometry, "simulate", self._rk4_simulate)
         ref = check_temporal_symmetry(self._forced(), 1.0, sampler, sim=sim, rate=rate)
         assert ref["sim"]["integrator"]["method"] == "RK4"
-        assert rep["sim"]["geometric_decay"] and ref["sim"]["geometric_decay"]
+        assert rep["sim"]["geometric_decay"].passed and ref["sim"]["geometric_decay"].passed
         if t_end >= 30.0:
             # past the floor the differences are integration error and
             # their ratios reach 1
@@ -360,7 +373,7 @@ class TestTemporalSymmetry:
                                       rate=RateEstimate(-1.0, "eigen"))
         assert runs[0].stats["accepted"] == 250
         np.testing.assert_allclose(runs[0].times, 0.05 * np.arange(6), rtol=0, atol=1e-12)
-        assert rep["passed"] and rep["sim"]["geometric_decay"]
+        assert rep["passed"] and rep["sim"]["geometric_decay"].passed
         # the off-mean part decays by e^{lambda_2 tau} each period
         lam2 = -2.0 / disc.h**2 * (1.0 - np.cos(2.0 * np.pi / 16))
         np.testing.assert_allclose(rep["sim"]["decay_ratios"], np.exp(0.05 * lam2), rtol=1e-4)
@@ -371,7 +384,14 @@ class TestTemporalSymmetry:
                                       sampling.gaussian_samples(5, 1, seed=20,
                                                                 t_range=(0.0, 2.0)),
                                       sim=sim, rate=RateEstimate(-1.0, "eigen"))
-        assert not rep["sim"]["geometric_decay"]
+        assert not rep["sim"]["geometric_decay"].passed
+
+    def test_positive_rate_fails_periodic_limit(self):
+        fld = linear_field(np.diag([-1.0]))
+        rep = check_temporal_symmetry(fld, 1.0, sampling.gaussian_samples(4, 1, seed=17),
+                                      rate=RateEstimate(0.5, "eigen"))
+        assert rep["passed"] and not rep["periodic_limit"].passed
+        assert verdict(rep)["certified"] is False
 
     def test_wrong_tau_fails(self):
         rep = check_temporal_symmetry(self._forced(), 0.7,
@@ -492,10 +512,10 @@ class TestVerdict:
         rep = certify_limit_cycle(systems.hopf_field(), systems.circle_submersion(),
                                   Conjugacy.identity(), tau=None,
                                   sampler=band_sampler(seed=22), sim=sim)
-        assert all(c.passed for c in rep["checks"]) and not rep["sim"]["passed"]
+        assert all(c.passed for c in rep["checks"]) and not rep["sim"]["check"].passed
         assert rep["certified"] is False and rep["status"] == "withheld"
 
-    @pytest.mark.parametrize("certifier", ["subspace", "manifold"])
+    @pytest.mark.parametrize("certifier", ["subspace", "manifold", "limit_cycle"])
     def test_failed_fit_withholds_status(self, certifier, monkeypatch):
         monkeypatch.setattr(geometry, "fit_decay_rate", lambda *a, **k: (np.nan, {}))
         sim = SimCheck(t_end=0.1, dt=1e-2, n_ic=1)
@@ -504,11 +524,17 @@ class TestVerdict:
             rep = certify_subspace_contraction(
                 heat_field(disc, 1.0), Projector.mean(8), spec=L2,
                 sampler=sampling.gaussian_samples(4, 8, seed=7), sim=sim, grid=disc.grid)
-        else:
+        elif certifier == "manifold":
             rep = certify_manifold_contraction(systems.hopf_field(), systems.circle_submersion(),
                                                spec=L2, sampler=band_sampler(seed=9), sim=sim)
-        assert all(c.passed for c in rep["checks"]) and not rep["sim"]["passed"]
+        else:
+            rep = certify_limit_cycle(systems.hopf_field(), systems.circle_submersion(),
+                                      Conjugacy.identity(), tau=None,
+                                      sampler=band_sampler(seed=22), sim=sim)
+        assert all(c.passed for c in rep["checks"]) and not rep["sim"]["check"].passed
+        assert np.isnan(rep["sim"]["check"].value)
         assert rep["certified"] is False and rep["status"] == "withheld"
+
 
 
 class TestPhaseLocking:
@@ -582,6 +608,20 @@ class TestPhaseLocking:
                                     leader=self._leader(), sim=sim)
         assert not rep["certified"]
         assert rep["rate"].value >= -1e-9
+
+    def test_no_period_fails_common_period(self, monkeypatch):
+        monkeypatch.setattr(geometry, "extract_period", lambda *a: (np.nan, []))
+        fld = systems.coupled_hopf_field([1.0] * 3, self.mats, coupling=0.4)
+        sim = SimCheck(t_end=5.0, dt=2e-3, n_ic=1, seed=29, ic_scale=0.4,
+                       record_every=25)
+        rep = certify_phase_locking(fld, [Conjugacy.linear(M) for M in self.mats],
+                                    rotation_subspace_projector(3),
+                                    sampler=self._torus_samples(3),
+                                    leader=self._leader(), sim=sim)
+        common = rep["sim"]["common_period"]
+        assert not common.passed and np.isnan(common.value)
+        assert any(c is common for c in checks_in(rep))
+        assert rep["certified"] is False and rep["status"] == "withheld"
 
     def test_missing_leader_withheld(self):
         fld = systems.coupled_hopf_field([1.0] * 2, self.mats[:2], coupling=0.4)
