@@ -210,7 +210,7 @@ def _run_subspace(p, seed):
     traj = flows.integrate(fld, rng.standard_normal(disc.npoints),
                            (0.0, p["t_end"]), dt=dt,
                            record_every=sim.record_every)
-    qn = np.array([sip_norm(proj.Q @ u, L2, disc.grid) for u in traj.states])
+    qn = sip_norm(proj.q_rows(traj.states), L2, disc.grid, rows=True)
     series = {"decay": (["time", "q_norm"], [traj.times, qn])}
     return rep, series
 
@@ -250,9 +250,7 @@ def _run_symmetry(p, seed):
         inv_check = Check.leq("limit_state_invariance", inv_res, 1e-6)
         rep["limit_invariance"] = inv_check
         rep["checks"] = rep["checks"] + [inv_check]
-        series = {"limit": (["time", "state_spread"],
-                            [traj.times,
-                             np.array([float(np.max(u) - np.min(u)) for u in traj.states])])}
+        series = {"limit": (["time", "state_spread"], [traj.times, np.ptp(traj.states, axis=1)])}
         return verdict(rep), series
     # temporal: scalar relaxation with periodic forcing
     tau = p["tau"]

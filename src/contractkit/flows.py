@@ -113,11 +113,15 @@ class Trajectory:
 
 
 def _rk4_step(f, t, u, dt):
+    h = 0.5 * dt
     k1 = f(t, u)
-    k2 = f(t + 0.5 * dt, u + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, u + 0.5 * dt * k2)
-    k4 = f(t + dt, u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + h, u + h * k1)
+    acc = k1 + 2.0 * k2         # the step's own buffer: f may return a shared array
+    k3 = f(t + h, u + h * k2)
+    acc += 2.0 * k3
+    acc += f(t + dt, u + dt * k3)
+    acc *= dt / 6.0
+    return np.add(u, acc, out=acc)
 
 
 def _check_finite(u, t, prev):
@@ -193,9 +197,7 @@ def _integrate_rk4(f, u, t0, t1, dt, record_every):
     if dt <= 0:
         raise ContractViolation("dt must be positive")
     nsteps, dt_eff = rk4_steps(t0, t1, dt)
-    times = [t0]
-    states = [u.copy()]
-    t = t0
+    times, states, t = [t0], [u.copy()], t0
     for step in range(nsteps):
         u_new = _rk4_step(f.eval, t, u, dt_eff)
         _check_finite(u_new, t + dt_eff, u)
@@ -392,10 +394,8 @@ def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
     ts = traj.times[idx]
     n = traj.states.shape[1]
 
-    rates, tv = [], []
-    advisory = False
-    kappa = 1.0
-    solves = 0
+    rates, runs = [], []             # runs: (Theta, the records it weights) per run
+    advisory, kappa, solves = False, 1.0, 0
     prev = None                      # (J, Theta, dTheta/dt, Theta^-1) at the last state
     for i in idx:
         t_i, u_i = traj.times[i], traj.states[i]
@@ -409,13 +409,17 @@ def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
             advisory = advisory or r.method == "sampled"
         if theta.invertible and not (same[1] and same[3]):
             kappa = max(kappa, np.linalg.norm(Th, 2) * np.linalg.norm(Ti, 2))
+        if not same[1]:
+            runs.append((Th, []))
+        runs[-1][1].append(i)
         prev = key
         rates.append(r.value)
-        tv.append(Th @ v[i])
     rates = np.asarray(rates)
     cumint = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(ts))])
 
-    wnorms = sip_norm(np.array(tv), spec, grid, rows=True)
+    # the weighted tangent vectors Theta v, one product per run of one Theta
+    tv = np.concatenate([v[rows] @ Th.T for Th, rows in runs])
+    wnorms = sip_norm(tv, spec, grid, rows=True)
     if wnorms[0] == 0.0:
         raise ContractViolation("initial perturbation has zero weighted norm")
     # ratios from the log magnitudes, which do not underflow
@@ -478,7 +482,7 @@ def mle_estimate(f, u0, t_span, renorm_interval, p=2.0, seed=0):
     traj, [(d, s)] = _variational(f, u, du, (t0, t0 + n_seg * renorm_interval),
                                   renorm_interval, 1)
     times = traj.times[1:]
-    hist = (s[1:] + np.log([sip_norm(x, spec) for x in d[1:]])) / (times - t0)
+    hist = (s[1:] + np.log(sip_norm(d[1:], spec, rows=True))) / (times - t0)
     value = float(hist[-1])
     i34 = max(0, int(len(hist) * 0.75) - 1)
     converged = bool(abs(hist[i34] - value) <= 0.02 * max(1.0, abs(value)))

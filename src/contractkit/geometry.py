@@ -69,6 +69,10 @@ class Projector:
     def weight(self):
         return projection_complement(self.P)
 
+    def q_rows(self, states):
+        """Q u per row u of ``states``, as Q @ u rounds it (not as a matrix product)."""
+        return np.matmul(self.Q, states[:, :, None])[:, :, 0]
+
 
 @dataclass
 class Submersion:

@@ -306,6 +306,10 @@ def weighted_rate(A, theta, t=0.0, u=None, spec=L2, grid=None, seed=0):
     Th, dTh = theta.matrix(t, u, n), theta.dmatrix_dt(t, u, n)
     if Th.shape[1] != n:
         raise DimensionError(f"weight maps dim {Th.shape[1]}, operator dim {n}")
+    if theta.kind in ("identity", "diagonal"):
+        # Theta A Theta^{-1} as (d_i a_ij)(1/d_j): the dense products add only 0s to these
+        d = np.diag(Th)
+        return mu(d[:, None] * M * (1.0 / d), spec, grid=grid, seed=seed)
     C = Th @ M if dTh is None else dTh + Th @ M
     if theta.invertible:
         return mu(C @ np.asarray(theta.inv_matrix(t, u, n)), spec, grid=grid, seed=seed)

@@ -18,6 +18,9 @@ class Check:
     passed: bool
     direction: str = "<="
 
+    def __bool__(self):
+        raise TypeError(f"the truth of Check {self.name!r} is ambiguous; read .passed")
+
     @classmethod
     def leq(cls, name, value, threshold):
         return cls(name, float(value), float(threshold), bool(value <= threshold), "<=")
@@ -95,10 +98,11 @@ def write_csv(path, header, columns):
     if len(set(len(c) for c in cols)) > 1:
         raise ValueError("CSV columns must have equal length")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    line = ",".join(["%.17g"] * len(cols)) + "\n"     # the table is one %-format
+    cells = tuple(x for row in zip(*(c.tolist() for c in cols)) for x in row)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(len(cols[0])):
-            fh.write(",".join(f"{c[i]:.17g}" for c in cols) + "\n")
+        fh.write((line * len(cols[0])) % cells)
     return path
 
 

@@ -70,8 +70,8 @@ def _lp_norm(a, w, p):
     """lp norm of a flat state, or of each row of a 2-D array of states."""
     if a.shape[-1] == 0:
         raise DimensionError("empty state")
-    if p == 2.0 and a.ndim == 1:
-        return np.sqrt(w * np.real(np.vdot(a, a)))
+    if p == 2.0:    # one dot product per state: vecdot's row is vdot's bits
+        return np.sqrt(w * np.real(np.vecdot(a, a)))
     au = np.abs(a)
     if np.isinf(p):
         return au.max(axis=-1)
@@ -108,14 +108,9 @@ def _lp_sip(uf, vf, w, p):
 
 def _order_slices(u, spec):
     """Flattened D^alpha u for every multi-index |alpha| <= k."""
-    gf = u
-    ops = derivative_ops(gf.grid, spec.k)
-    comps = list(gf.components())
-    out = []
-    for op in ops:
-        pieces = [op @ c.reshape(-1) for c in comps]
-        out.append(np.concatenate(pieces))
-    return out
+    comps = list(u.components())
+    return [np.concatenate([op @ c.reshape(-1) for c in comps])
+            for op in derivative_ops(u.grid, spec.k)]
 
 
 def _state(u, spec, grid):
@@ -129,7 +124,8 @@ def norm(u, spec=L2, grid=None, *, rows=False):
     whose length is a whole multiple of ``grid.npoints`` is taken on that
     grid as stacked components, as ``GridFunction`` takes it; any other
     gets unit weights.  With ``rows``, each row of the 2-D array ``u`` is
-    one such vector, and the result is the array of their norms."""
+    one such vector, and the result is the array of their norms (at p = 2
+    and p = inf each the one-state norm bit for bit)."""
     if rows:
         if spec.k > 0:
             return np.array([norm(r, spec, grid) for r in u])

@@ -7,6 +7,7 @@ manifold.  ``bound_b`` is the declared uniform bound on ||Theta|| and
 ||Theta^{-1}||.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,19 +56,26 @@ class WeightFamily:
         return np.asarray(self._dmat(t, u, n))
 
 
+def _frozen(a):
+    a.setflags(write=False)     # a constant weight hands this one array to every caller
+    return a
+
+
+_eye = functools.lru_cache(maxsize=None)(lambda n: _frozen(np.eye(n)))
+
+
 def identity():
     return WeightFamily(
         kind="identity", bound_b=1.0, invertible=True,
-        _matrix=lambda t, u, n: np.eye(n),
-        _inv=lambda t, u, n: np.eye(n),
+        _matrix=lambda t, u, n: _eye(n), _inv=lambda t, u, n: _eye(n),
     )
 
 
 def constant_matrix(M, b=None):
-    M = np.asarray(M, dtype=float)
+    M = _frozen(np.array(M, dtype=float))
     if M.shape[0] != M.shape[1]:
         raise ContractViolation("constant weight matrix must be square")
-    Minv = np.linalg.inv(M)
+    Minv = _frozen(np.linalg.inv(M))
     measured = float(max(np.linalg.norm(M, 2), np.linalg.norm(Minv, 2)))
     if b is None:
         b = measured
@@ -94,8 +102,8 @@ def diagonal(entries, b=None):
     return WeightFamily(
         kind="diagonal", bound_b=float(b), invertible=True,
         params={"entries": d},
-        _matrix=lambda t, u, n, d=d: np.diag(d),
-        _inv=lambda t, u, n, d=d: np.diag(1.0 / d),
+        _matrix=lambda t, u, n, D=_frozen(np.diag(d)): D,
+        _inv=lambda t, u, n, Di=_frozen(np.diag(1.0 / d)): Di,
     )
 
 

@@ -268,6 +268,19 @@ class TestRK4Grid:
             traj = integrate(f, [1.0], (t0, t1), dt=dt, record_every=every)
             assert np.array_equal(rk4_record_times(t0, t1, dt, every), traj.times)
 
+    def test_constant_field_keeps_its_array(self):
+        # the field returns the same array at every stage; the step must not
+        # write into it
+        c = np.array([0.5, -2.0, 3.0])
+        keep = c.copy()
+        u0 = np.array([1.0, 0.0, -1.0])
+        traj = integrate(VectorField(f=lambda t, u: c, dim=3, grid=object()), u0,
+                         (0.0, 2.0), dt=0.25)
+        assert np.array_equal(c, keep)
+        np.testing.assert_allclose(traj.final_state, u0 + 2.0 * c, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(traj.states, u0 + traj.times[:, None] * c,
+                                   rtol=0, atol=1e-14)
+
     def test_last_time_is_exactly_t1(self):
         # 29 steps of fl(15 / 29) add up to 15 + 2^-49
         assert 29 * (15.0 / 29) > 15.0
@@ -428,6 +441,33 @@ class TestRateReuse:
         monkeypatch.setattr(flows, "_bit_equal", lambda a, b: False)
         assert rep["kappa"] == self._run(np.diag([-1.0, -2.0]), th, rate_stride=10)["kappa"]
         assert rep["kappa"] > 2.4
+
+    def test_state_dependent_weight_solves_where_it_changes(self, monkeypatch):
+        import contractkit.flows as flows
+
+        # Theta(u) = diag(1 + u_0^2, 1): a new array at every record, equal to
+        # the last only while u_0 stays put
+        th = weights.custom(lambda t, u, n: np.diag([1.0 + u[0] ** 2, 1.0]),
+                            inverse=lambda t, u, n: np.diag([1.0 / (1.0 + u[0] ** 2), 1.0]),
+                            b=2.0)
+        A = np.diag([-1.0, -2.0])
+        rep = self._run(A, th, u0=(0.5, 0.0), rate_stride=10)
+        assert 1 < rep["rate_solves"] <= len(rep["times"]) == 41
+        monkeypatch.setattr(flows, "_bit_equal", lambda a, b: False)
+        ref = self._run(A, th, u0=(0.5, 0.0), rate_stride=10)
+        assert rep["kappa"] == ref["kappa"] > 1.0
+        assert np.array_equal(rep["rates"], ref["rates"])
+        assert np.array_equal(rep["weighted_ratios"], ref["weighted_ratios"])
+
+    def test_constant_weight_hands_out_one_array(self, monkeypatch):
+        import contractkit.flows as flows
+
+        # every record compares Theta and its inverse by identity alone
+        compared = []
+        monkeypatch.setattr(flows, "_bit_equal",
+                            lambda a, b: compared.append(a is b) or a is b)
+        rep = self._run(SHEAR, weights.diagonal([0.01, 1.0]), rate_stride=10)
+        assert rep["rate_solves"] == 1 and all(compared) and len(compared) == 4 * 40
 
     def test_report_names_its_integrator(self):
         rep = self._run(SHEAR, weights.identity(), rate_stride=10)

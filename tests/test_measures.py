@@ -126,6 +126,24 @@ class TestWeightedRate:
             wr = weighted_rate(A, weights.identity(), spec=spec)
             assert wr.value == pytest.approx(mu(A, spec).value, rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("spec", [L1, L2, LINF])
+    @pytest.mark.parametrize("n", [2, 5, 32])
+    def test_diagonal_weights_match_the_dense_products(self, spec, n):
+        # the scaled entries (d_i a_ij)(1/d_j) are the bits of the dense
+        # products Theta A Theta^-1, which a custom weight of the same
+        # matrices still takes
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+            d = np.exp(rng.uniform(-4, 4, n))
+            for th in (weights.identity(), weights.diagonal(d)):
+                Th, Ti = th.matrix(0.0, None, n), th.inv_matrix(0.0, None, n)
+                dense = weights.custom(lambda t, u, n_: Th, inverse=lambda t, u, n_: Ti)
+                got = weighted_rate(A, th, spec=spec)
+                assert got.value == weighted_rate(A, dense, spec=spec).value
+                assert got.value == mu((Th @ A) @ Ti, spec).value
+                assert got.method == ("eigen" if spec is L2 else "closed_form")
+
     def test_shear_with_squeezing_weight(self):
         # mu_2 of the similarity [[-1, 0.1], [0, -1]] is -1 + 0.05
         th = weights.diagonal([0.01, 1.0])

@@ -160,6 +160,33 @@ class TestGridFields:
             diff = fld.eval(0.0, np.roll(u, shift)) - np.roll(fu, shift)
             assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(fu))
 
+    @pytest.mark.parametrize("n,eps", [(64, 0.03), (256, 0.00625)])
+    def test_fused_burgers_matches_two_products(self, n, eps):
+        # one product [eps L | -D] [u; u^2/2] against eps L u - D (u^2/2)
+        disc = pde.build_discretization(n, boundary="periodic")
+        fld = pde.burgers_field(disc, eps)
+        D = disc.gradients[0]
+        for u in (self.rng.standard_normal(n), 1e3 * np.sin(2 * np.pi * np.arange(n) / n)):
+            diffusion, advection = eps * disc.laplacian @ u, D @ (0.5 * u * u)
+            # rounding error relative to the size of the two terms summed
+            scale = np.max(np.abs(diffusion)) + np.max(np.abs(advection))
+            assert np.max(np.abs(fld.eval(0.0, u) - (diffusion - advection))) <= 1e-14 * scale
+        J = fld.jacobian(0.0, u)
+        fd = fd_jacobian(fld.eval, 0.0, u)
+        assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
+
+    def test_reactions_keep_their_bits(self):
+        # each reaction fills one (m, npts) array with the arithmetic of the
+        # expressions it replaced
+        u = self.rng.standard_normal(33)
+        got = pde.allen_cahn_reaction().fn(u[None, :])
+        assert got.shape == (1, 33) and np.array_equal(got, (u - u * u * u)[None, :])
+        a, b = 1.0, 1.8
+        x, y = np.abs(self.rng.standard_normal((2, 33))) + 0.5
+        xy2 = x * x * y
+        got = pde.brusselator_reaction(a, b).fn(np.stack([x, y]))
+        assert np.array_equal(got, np.stack([a - (b + 1.0) * x + xy2, b * x - xy2]))
+
     @pytest.mark.parametrize("species", [1, 2])
     def test_reaction_diffusion_jacobian_matches_fd(self, species):
         disc = pde.build_discretization(16, boundary="neumann")

@@ -1,9 +1,12 @@
 """The certificate rule: granted exactly when a report holds at least one
 check and every check in it passed."""
 
+import math
+
+import numpy as np
 import pytest
 
-from contractkit.reporting import Check, checks_in, verdict
+from contractkit.reporting import Check, checks_in, verdict, write_csv
 
 
 def ok(name="ok"):
@@ -53,3 +56,44 @@ class TestVerdict:
     def test_checks_in_order_of_appearance(self):
         rep = {"checks": [ok("a"), bad("b")], "sim": {"check": ok("c")}, "d": ok("d")}
         assert [c.name for c in checks_in(rep)] == ["a", "b", "c", "d"]
+
+
+class TestCheckTruth:
+    @pytest.mark.parametrize("check", [ok(), bad()])
+    def test_truth_of_a_check_is_an_error(self, check):
+        # a failed check must never read as true through `assert check` or `if check`
+        with pytest.raises(TypeError, match="passed"):
+            bool(check)
+        with pytest.raises(TypeError):
+            assert check
+        assert ok().passed and not bad().passed
+
+
+def _per_cell_csv(path, header, columns):
+    """The per-cell writer write_csv replaced, kept as its byte reference."""
+    cols = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(len(cols[0])):
+            fh.write(",".join(f"{c[i]:.17g}" for c in cols) + "\n")
+
+
+class TestWriteCSV:
+    TINY = np.nextafter(0.0, 1.0)          # the smallest subnormal
+
+    @pytest.mark.parametrize("columns", [
+        [np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, TINY, -2.5e-310, 1e308]),
+         np.arange(8), np.array([True, False] * 4),
+         np.array([0.1, 1 / 3, 2.0**60, -1e-17, 123456789.123456789, 1.0, -1.0, 5e-324])],
+        [np.array([2**53 + 1, -7, 0]), np.array([1.5, -0.0, math.nan])],
+        [np.array([], dtype=float), np.array([], dtype=int)],
+    ], ids=["specials", "ints", "no_rows"])
+    def test_bytes_match_the_per_cell_writer(self, tmp_path, columns):
+        header = [f"c{j}" for j in range(len(columns))]
+        write_csv(tmp_path / "new.csv", header, columns)
+        _per_cell_csv(tmp_path / "old.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_unequal_columns_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0], [1.0, 2.0]])

@@ -26,6 +26,23 @@ class TestConstructors:
         assert kappa == pytest.approx(100.0)
         assert kappa <= th.bound_b**2
 
+    @pytest.mark.parametrize("make", [weights.identity, lambda: weights.diagonal([2.0, 0.5]),
+                                      lambda: weights.constant_matrix([[2.0, 1.0], [0.0, 1.0]])],
+                             ids=["identity", "diagonal", "constant_matrix"])
+    def test_constant_weights_hand_out_one_read_only_array(self, make):
+        th = make()
+        for get in (th.matrix, th.inv_matrix):
+            first = get(0.0, None, 2)
+            assert get(1.0, np.ones(2), 2) is first
+            assert not first.flags.writeable
+        np.testing.assert_allclose(th.matrix(0.0, None, 2) @ th.inv_matrix(0.0, None, 2),
+                                   np.eye(2), atol=1e-15)
+
+    def test_constant_matrix_leaves_its_argument_writeable(self):
+        M = np.array([[2.0, 1.0], [0.0, 1.0]])
+        weights.constant_matrix(M)
+        M[0, 0] = 3.0
+
     def test_projection_complement_annihilates_constants(self):
         P = np.full((8, 8), 1.0 / 8)
         th = weights.projection_complement(P)
