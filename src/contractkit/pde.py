@@ -100,7 +100,7 @@ def dirichlet_poincare_constant(n, h):
 def heat_field(disc, alpha=1.0):
     lap = alpha * disc.laplacian
     fld = VectorField(f=lambda t, u: lap @ u, jac=lambda t, u: lap, dim=disc.npoints,
-                      name=f"heat(alpha={alpha})", grid=disc.grid)
+                      name=f"heat(alpha={alpha})", grid=disc.grid, matrix=lap)
     fld.diagnostics["mass"] = lambda u: float(np.mean(u))
     return fld
 
@@ -165,16 +165,14 @@ def reaction_diffusion_field(disc, alphas, reaction):
     def f(t, z):
         return diffusion @ z + reaction.fn(z.reshape(m, npts)).ravel()
 
-    # the dense Jacobian keeps Radau on its dense LU; the reaction adds the
-    # (i, j) species coupling on the diagonal of block (i, j)
-    diffusion_dense = diffusion.toarray()
+    # diffusion's COO entries, plus the reaction's on the diagonal of each block (i, j)
+    D = diffusion.tocoo()
     i, j, k = np.indices((m, m, npts)).reshape(3, -1)
-    coupling = (i * npts + k, j * npts + k)
+    rows, cols = np.r_[D.row, i * npts + k], np.r_[D.col, j * npts + k]
 
     def jac(t, z):
-        J = diffusion_dense.copy()
-        J[coupling] += reaction.jac(z.reshape(m, npts)).ravel()
-        return J
+        vals = reaction.jac(z.reshape(m, npts)).ravel()
+        return sp.csc_matrix((np.r_[D.data, vals], (rows, cols)), shape=D.shape)
 
     return VectorField(f=f, jac=jac, dim=m * npts,
                        name=f"reaction_diffusion({reaction.name})", grid=disc.grid)
@@ -328,9 +326,8 @@ def sine_reaction(c):
 def poisson_gradient_flow(disc, fn, dfn):
     """u_t = Lap u + f(u), whose equilibria solve the Poisson problem."""
     lap = disc.laplacian
-    lap_dense = lap.toarray()
     return VectorField(f=lambda t, u: lap @ u + fn(u),
-                       jac=lambda t, u: lap_dense + np.diag(dfn(u)),
+                       jac=lambda t, u: sp.csc_matrix(lap + sp.diags(dfn(u))),
                        dim=disc.npoints, name="poisson_gradient_flow", grid=disc.grid)
 
 

@@ -75,7 +75,8 @@ def _lp_norm(a, w, p):
     au = np.abs(a)
     if np.isinf(p):
         return au.max(axis=-1)
-    return (w * (au ** p).sum(axis=-1)) ** (1.0 / p)
+    # np.power, the array loop even for one state: a scalar ** may round otherwise
+    return np.power(w * (au ** p).sum(axis=-1), 1.0 / p)
 
 
 def _lp_sip(uf, vf, w, p):
@@ -124,8 +125,8 @@ def norm(u, spec=L2, grid=None, *, rows=False):
     whose length is a whole multiple of ``grid.npoints`` is taken on that
     grid as stacked components, as ``GridFunction`` takes it; any other
     gets unit weights.  With ``rows``, each row of the 2-D array ``u`` is
-    one such vector, and the result is the array of their norms (at p = 2
-    and p = inf each the one-state norm bit for bit)."""
+    one such vector, and the result is the array of their norms, each the
+    one-state norm bit for bit."""
     if rows:
         if spec.k > 0:
             return np.array([norm(r, spec, grid) for r in u])

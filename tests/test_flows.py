@@ -1,13 +1,15 @@
 """Integrators, variational dynamics, growth bounds, and Lyapunov
 exponent estimation."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
-from contractkit import weights
+from contractkit import flows, pde, weights
 from contractkit.errors import ContractViolation, DivergenceError, StiffnessError
 from contractkit.flows import (
     ODE_RTOL,
@@ -208,7 +210,10 @@ class TestSolverPath:
             assert traj.stats["method"] == method and traj.stats["rtol"] == 1e-6
             assert traj.stats["nfev"] >= traj.stats["steps"] > 0
         fixed = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), dt=0.1)
-        assert fixed.stats == {"accepted": 10, "rejected": 0}
+        assert fixed.stats == {"accepted": 10, "rejected": 0, "nfev": 40}
+        # a linear field's step is its one-step matrix: no evaluations of f
+        linear = integrate(linear_field(-np.eye(1)), [1.0], (0.0, 1.0), dt=0.1)
+        assert linear.stats == {"accepted": 10, "rejected": 0, "nfev": 0}
 
     def test_integrator_entry_reports_the_run_it_is_given(self):
         traj = integrate(linear_field(self.STIFF), [1.0, 1.0], (0.0, 1.0), rtol=1e-8,
@@ -288,6 +293,87 @@ class TestRK4Grid:
         assert integrate(lambda t, u: -u, [1.0], (0.0, 15.0), dt=0.52).times[-1] == 15.0
         traj = integrate_variational(lambda t, u: -u, [1.0], [1.0], (0.0, 15.0), 0.52)
         assert traj.times[-1] == 15.0
+
+
+def _linear_cases():
+    """(field, stable dt) per linear field: heat on 1-D periodic, Neumann and
+    Dirichlet grids and a 2-D periodic grid, a dense and a sparse matrix."""
+    rng = np.random.default_rng(3)
+    cases = {}
+    for boundary in ("periodic", "neumann", "dirichlet"):
+        disc = pde.build_discretization(32, boundary=boundary)
+        cases[boundary] = (pde.heat_field(disc, 0.7), 0.2 * disc.h**2 / 0.7)
+    disc = pde.build_discretization(8, dims=2, boundary="periodic")
+    cases["periodic_2d"] = (pde.heat_field(disc, 1.0), 0.1 * disc.h**2)
+    B, C = rng.standard_normal((2, 6, 6))
+    cases["dense"] = (linear_field(-B @ B.T / 6 - np.eye(6) + (C - C.T) / 2), 0.05)
+    S = sp.random(40, 40, density=0.1, random_state=1, format="csr")
+    cases["sparse"] = (linear_field(S - 3.0 * sp.identity(40, format="csr")), 0.05)
+    return cases
+
+
+LINEAR_CASES = _linear_cases()
+
+
+def _four_stage(fld):
+    """The same field without its matrix: RK4 takes its four stages."""
+    return dataclasses.replace(fld, matrix=None)
+
+
+class TestRK4OneStepMatrix:
+    @pytest.mark.parametrize("name", list(LINEAR_CASES))
+    @pytest.mark.parametrize("nsteps", [1, 640])
+    def test_matrix_step_is_the_four_stage_step(self, name, nsteps):
+        fld, dt = LINEAR_CASES[name]
+        assert fld.matrix is not None
+        u0 = np.random.default_rng(nsteps).standard_normal(fld.dim)
+        span = (0.0, nsteps * dt)
+        got = integrate(fld, u0, span, dt=dt, record_every=64)
+        want = integrate(_four_stage(fld), u0, span, dt=dt, record_every=64)
+        assert np.array_equal(got.times, want.times)
+        assert (np.max(np.abs(got.states - want.states))
+                <= 1e-13 * np.max(np.abs(want.states)))
+        assert got.stats["nfev"] == 0 and want.stats["nfev"] == 4 * nsteps
+
+    @pytest.mark.parametrize("matrix", [True, False])
+    def test_one_step_call_per_accepted_step(self, monkeypatch, matrix):
+        calls = []
+        step = flows._rk4_step
+
+        def counted(f, t, u, dt, P=None):
+            calls.append(P is not None)
+            return step(f, t, u, dt, P)
+
+        monkeypatch.setattr(flows, "_rk4_step", counted)
+        fld, dt = LINEAR_CASES["neumann"]
+        fld = fld if matrix else _four_stage(fld)
+        traj = integrate(fld, np.ones(fld.dim), (0.0, 37 * dt), dt=dt, record_every=5)
+        assert calls == [matrix] * traj.stats["accepted"] and len(calls) == 37
+        calls.clear()
+        traj = integrate(lambda t, u: -u**3, [1.0], (0.0, 1.0), dt=0.1)
+        assert calls == [False] * traj.stats["accepted"] and len(calls) == 10
+
+    @pytest.mark.parametrize("name", list(LINEAR_CASES))
+    def test_both_steps_diverge_together(self, name):
+        # an unstable dt for a field scaled to spectral radius 1: the four
+        # stages' f values then stay below the state they build, so both
+        # paths overflow in the same step (f values |A| times larger than
+        # the state can overflow a step sooner on the four-stage path)
+        fld, _ = LINEAR_CASES[name]
+        A = fld.matrix.toarray() if sp.issparse(fld.matrix) else fld.matrix
+        fld = linear_field(fld.matrix / np.max(np.abs(np.linalg.eigvals(A))))
+        u0 = np.random.default_rng(4).standard_normal(fld.dim)
+        errs = []
+        for f in (fld, _four_stage(fld)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DivergenceError) as err:
+                    integrate(f, u0, (0.0, 1e9), dt=1e3)
+            errs.append(err.value)
+        got, want = errs
+        assert got.t == want.t
+        assert np.all(np.isfinite(got.last_state)) and np.all(np.isfinite(want.last_state))
+        assert (np.max(np.abs(got.last_state - want.last_state))
+                <= 1e-13 * np.max(np.abs(want.last_state)))
 
 
 class TestVariational:

@@ -201,6 +201,38 @@ class TestGridFields:
         assert J.shape == (16 * species, 16 * species)
         assert np.max(np.abs(J - fd_jacobian(fld.eval, 0.0, z))) <= 1e-6 * np.max(np.abs(J))
 
+    @staticmethod
+    def _dense_reaction_diffusion_jacobian(disc, alphas, reaction, z):
+        # the dense construction the sparse Jacobian replaces: the diffusion
+        # matrix, plus the (i, j) species coupling on the diagonal of block (i, j)
+        m, npts = reaction.n_species, disc.npoints
+        J = sp.kron(sp.diags(np.atleast_1d(alphas)), disc.laplacian).toarray()
+        i, j, k = np.indices((m, m, npts)).reshape(3, -1)
+        J[i * npts + k, j * npts + k] += reaction.jac(z.reshape(m, npts)).ravel()
+        return J
+
+    @pytest.mark.parametrize("species,n", [(1, 16), (2, 64)])
+    def test_reaction_diffusion_jacobian_is_the_dense_one_sparse(self, species, n):
+        disc = pde.build_discretization(n, boundary="neumann")
+        if species == 1:
+            alphas, r = 0.5, pde.allen_cahn_reaction()
+            z = self.rng.standard_normal(n)
+        else:
+            alphas, r = [1e-3, 0.1], pde.brusselator_reaction(a=1.0, b=1.8)
+            z = (r.steady_state[:, None] + 0.3 * self.rng.standard_normal((2, n))).ravel()
+        J = pde.reaction_diffusion_field(disc, alphas, r).jacobian(0.0, z)
+        assert sp.issparse(J) and J.format == "csc"
+        assert np.array_equal(J.toarray(), self._dense_reaction_diffusion_jacobian(
+            disc, alphas, r, z))
+
+    def test_poisson_jacobian_is_the_dense_one_sparse(self):
+        disc = pde.build_discretization(32, boundary="dirichlet")
+        fn, dfn, _ = pde.sine_reaction(5.0)
+        u = self.rng.standard_normal(32)
+        J = pde.poisson_gradient_flow(disc, fn, dfn).jacobian(0.0, u)
+        assert sp.issparse(J) and J.format == "csc"
+        assert np.array_equal(J.toarray(), disc.laplacian.toarray() + np.diag(dfn(u)))
+
 
 class TestHeatExperiment:
     def test_all_checks_pass(self):
