@@ -12,7 +12,7 @@ from .errors import (
     StiffnessError,
 )
 from .grids import Grid, GridFunction, as_gridfunction, unit_grid
-from .sip import L1, L2, LINF, NormSpec, norm, sip, sip_fd_oracle
+from .sip import L1, L2, LINF, NormSpec, norm, sip
 from .measures import (
     RateEstimate,
     mu,

@@ -228,7 +228,7 @@ def _run_manifold(p, seed):
     rng = np.random.default_rng(seed)
     u0 = np.array([lo, 0.0]) + 0.01 * rng.standard_normal(2)
     traj = geometry.simulate(fld, u0, sim)
-    dist = np.array([abs(sub.value(u)[0]) for u in traj.states])
+    dist = np.abs(sub.values(traj.states)[:, 0])
     series = {"decay": (["time", "level_residual"], [traj.times, dist])}
     return rep, series
 
@@ -293,7 +293,7 @@ def _run_limit_cycle(p, seed):
     # hypotheses held
     if traj is None:
         traj = geometry.simulate(fld, ics[0], sim)
-    dist = np.array([abs(sub.value(conj.value(u))[0]) for u in traj.states])
+    dist = np.abs(sub.values(conj.values(traj.states))[:, 0])
     series = {"decay": (["time", "loop_distance"], [traj.times, dist])}
     return rep, series
 

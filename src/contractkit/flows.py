@@ -9,7 +9,9 @@ tolerance ``rtol`` it steps one of scipy's adaptive ``OdeSolver`` classes:
 DOP853, the explicit eighth-order Dormand-Prince method (the default), or
 the implicit Radau IIA method, which gets ``VectorField.jacobian`` (sparse
 on a grid: SuperLU) and runs the stiff semi-discretised PDEs.
-scipy.integrate is imported only on that branch.
+scipy.integrate is imported only on that branch.  A failed adaptive step
+raises ``DivergenceError`` when f neared overflow in it: Radau checks each
+value of f as it returns, DOP853 its last attempt's stages once, after failing.
 
 ``simulate_flow`` holds the one rule by which the simulations pick a
 branch: a field on a grid keeps fixed-step RK4 at its step ``dt``, and any
@@ -233,17 +235,22 @@ def _integrate_solver(f, u, t0, t1, rtol, method, t_eval, record_every, max_step
             raise ContractViolation("t_eval must be strictly increasing inside t_span")
     import scipy.integrate
 
-    overflowed = False               # f returned non-finite or near-overflow values
+    radau = method == "Radau"
+    flagged = False                  # Radau: an f value of this step neared overflow
 
-    def fun(t, y):
-        nonlocal overflowed
+    def guarded(t, y):               # Radau keeps no Newton iterate: check each f
+        nonlocal flagged
         out = f.eval(t, y)
         if not np.abs(out).max() < _NEAR_OVERFLOW:     # true for inf and nan too
-            overflowed = True
+            flagged = True
         return out
 
-    jac = {"jac": lambda t, y: f.jacobian(t, y)} if method == "Radau" else {}
-    solver = getattr(scipy.integrate, method)(fun, t0, u, t1, rtol=rtol, atol=rtol, **jac)
+    def overflowed():                # DOP853 keeps its last attempt's stages in K
+        return flagged if radau else not np.abs(solver.K).max() < _NEAR_OVERFLOW
+
+    jac = {"jac": lambda t, y: f.jacobian(t, y)} if radau else {}
+    solver = getattr(scipy.integrate, method)(guarded if radau else f.eval, t0, u, t1,
+                                              rtol=rtol, atol=rtol, **jac)
     times, states = ([t0], [u.copy()]) if t_eval is None else ([], [])
     n_done = 0                       # t_eval entries recorded so far
     steps = since_record = 0
@@ -251,7 +258,7 @@ def _integrate_solver(f, u, t0, t1, rtol, method, t_eval, record_every, max_step
         if steps >= max_steps:
             raise StiffnessError("step budget exhausted")
         last = solver.y.copy()
-        overflowed = False
+        flagged = False
         try:
             message = solver.step()
             failed = solver.status == "failed"
@@ -259,13 +266,13 @@ def _integrate_solver(f, u, t0, t1, rtol, method, t_eval, record_every, max_step
             # scipy's LU solves refuse the non-finite Newton residual of an
             # implicit step whose f values overflow in its linear combinations
             # of them; a ValueError with no such f values is not divergence
-            if not overflowed:
+            if not overflowed():
                 raise
             failed = True
         if failed:
             # the solver still stands on the last accepted state; an
             # overflowed trial step that was then retried is no failure
-            if overflowed:
+            if overflowed():
                 raise DivergenceError(f"the solution overflowed near t={solver.t:.6g}",
                                       t=solver.t, last_state=last)
             raise StiffnessError(f"step size underflow at t={solver.t:.6g}: {message}")

@@ -35,6 +35,10 @@ _PERIOD_RTOL = 0.01        # phase-locking: common period within this spread
 _PHASE_DRIFT_TOL = 1e-3    # ... and phase differences drifting less than this
 
 
+def _identity(u):
+    return u
+
+
 @dataclass
 class Projector:
     """Bounded linear projection P with its complement Q = I - P cached."""
@@ -85,6 +89,12 @@ class Submersion:
     def value(self, u):
         return np.atleast_1d(np.asarray(self.phi(np.asarray(u)), dtype=float))
 
+    def values(self, states):
+        """phi(u) for each row u of ``states``, one state at a time (on the
+        stacked states numpy rounds some maps otherwise: x ** 2 is pow on a
+        scalar, x * x on an array), as one (len(states), codim) array."""
+        return np.array([self.phi(u) for u in states], dtype=float).reshape(len(states), -1)
+
     def jac(self, u):
         u = np.asarray(u, dtype=float)
         if self.dphi is not None:
@@ -110,6 +120,16 @@ class Conjugacy:
     def value(self, u):
         return np.asarray(self.h(np.asarray(u)), dtype=float)
 
+    def values(self, states):
+        """h(u) for each row u of ``states``: the states themselves for the
+        identity, and for a linear h one stacked product, which rounds each
+        row as M @ u does."""
+        if self.h is _identity:
+            return states
+        if self.linear_matrix is not None:
+            return np.matmul(self.linear_matrix, states[:, :, None])[:, :, 0]
+        return np.array([self.h(u) for u in states], dtype=float)
+
     def inverse(self, v):
         return np.asarray(self.h_inv(np.asarray(v)), dtype=float)
 
@@ -121,7 +141,7 @@ class Conjugacy:
 
     @classmethod
     def identity(cls):
-        return cls(h=lambda u: u, h_inv=lambda v: v,
+        return cls(h=_identity, h_inv=_identity,
                    dh=lambda u: np.eye(np.asarray(u).shape[0]))
 
     @classmethod
@@ -199,16 +219,16 @@ def _sim_initial_conditions(sim, dim, base=None):
 
 
 def _decay_cross_check(f, sim, dim, quantity, lam, base_ic=None):
-    """Simulate n_ic trajectories and fit the decay exponent of
-    ``quantity(u)`` above the adaptive solver's error floor (fixed-step RK4
-    has none); the slowest fit must not be slower than lam + 0.1 |lam|
-    (``simulated_decay``; a nan fit fails).  Returns the summary and the
-    trajectories."""
+    """Simulate n_ic trajectories and fit the decay exponent of the series
+    ``quantity(states)`` (one value per recorded state) above the adaptive
+    solver's error floor (fixed-step RK4 has none); the slowest fit must not
+    be slower than lam + 0.1 |lam| (``simulated_decay``; a nan fit fails).
+    Returns the summary and the trajectories."""
     fits = []
     trajs = []
     for u0 in _sim_initial_conditions(sim, dim, base=base_ic):
         traj = simulate(f, u0, sim)
-        series = np.array([quantity(u) for u in traj.states])
+        series = quantity(traj.states)
         floor = _error_floor(traj.states) if "method" in traj.stats else 0.0
         slope, info = fit_decay_rate(traj.times, series, floor=floor)
         fits.append({"fitted": slope, "points": info.get("points", 0), "floor": floor})
@@ -278,7 +298,8 @@ def certify_subspace_contraction(f, proj, spec=L2, sampler=None,
     if sim is not None and inv["passed"] and rate_check.passed:
         dim = proj.P.shape[0]
         report["sim"], _ = _decay_cross_check(
-            f, sim, dim, lambda u: sip_norm(proj.Q @ u, spec, grid), rate.value)
+            f, sim, dim, lambda U: sip_norm(proj.q_rows(U), spec, grid, rows=True),
+            rate.value)
     rate_only = rate_check.passed and not inv["passed"]
     return verdict(report, "rate_only" if rate_only else "withheld")
 
@@ -348,7 +369,7 @@ def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None, seed=0
     if sim is not None and all(c.passed for c in checks):
         dim = samples[0][1].shape[0]
         report["sim"], _ = _decay_cross_check(
-            f, sim, dim, lambda u: float(np.linalg.norm(sub.value(u))),
+            f, sim, dim, lambda U: sip_norm(sub.values(U), L2, rows=True),
             rate.value, base_ic=on_manifold[0][1])
     return verdict(report)
 
@@ -446,13 +467,15 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
 
 
 def _loop_tangent(sub, w):
-    """Unit vector spanning ker(Dphi(w)) when the level set is a curve."""
-    from scipy.linalg import null_space
-
-    ns = null_space(sub.jac(w))
-    if ns.shape[1] != 1:
+    """Unit vector spanning ker(Dphi(w)) when the level set is a curve: the
+    right singular vectors past the numerical rank, as scipy's null_space
+    takes them (rank tolerance eps max(shape) s_max)."""
+    J = sub.jac(w)
+    _, s, vh = np.linalg.svd(J)
+    rank = int(np.count_nonzero(s > s.max() * np.finfo(float).eps * max(J.shape)))
+    if vh.shape[0] - rank != 1:
         return None
-    return ns[:, 0] / np.linalg.norm(ns[:, 0])
+    return vh[rank] / np.linalg.norm(vh[rank])
 
 
 def sweep_loop(sub, w0):
@@ -572,13 +595,11 @@ def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None, sim=None, see
     if sim is not None and not failing:
         dim = samples[0][1].shape[0]
         sim_out, trajs = _decay_cross_check(
-            f, sim, dim,
-            lambda u: float(np.linalg.norm(sub.value(conj.value(u)))),
+            f, sim, dim, lambda U: sip_norm(sub.values(conj.values(U)), L2, rows=True),
             rate.value)
         # period of the conjugate state from the first trajectory
         traj = trajs[0]
-        vs = np.array([conj.value(u) for u in traj.states])
-        period, crossings = extract_period(traj.times, vs[:, 0])
+        period, crossings = extract_period(traj.times, conj.values(traj.states)[:, 0])
         sim_out["period"] = period
         sim_out["n_crossings"] = len(crossings)
         report["sim"] = sim_out
@@ -593,11 +614,9 @@ def extract_period(times, series):
     i0 = len(t) // 2
     t, x = t[i0:], x[i0:]
     x = x - np.mean(x)
-    crossings = []
-    for i in range(len(x) - 1):
-        if x[i] < 0.0 <= x[i + 1]:
-            frac = -x[i] / (x[i + 1] - x[i])
-            crossings.append(t[i] + frac * (t[i + 1] - t[i]))
+    i = np.flatnonzero((x[:-1] < 0.0) & (0.0 <= x[1:]))     # x[i] < 0 <= x[i + 1]
+    frac = -x[i] / (x[i + 1] - x[i])
+    crossings = t[i] + frac * (t[i + 1] - t[i])
     if len(crossings) < 3:
         return math.nan, crossings
     return float(np.mean(np.diff(crossings))), crossings
@@ -644,11 +663,8 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
         dim = samples[0][1].shape[0]
         m = dim // n_osc
         traj = simulate(f, _sim_initial_conditions(sim, dim)[0], sim)
-        vs = np.stack([
-            np.concatenate([c.value(u[i * m:(i + 1) * m])
-                            for i, c in enumerate(conjs)])
-            for u in traj.states
-        ])
+        vs = np.concatenate([c.values(traj.states[:, i * m:(i + 1) * m])
+                             for i, c in enumerate(conjs)], axis=1)
         periods = np.array([extract_period(traj.times, vs[:, i * m])[0]
                             for i in range(n_osc)])
         spread = (np.max(periods) - np.min(periods)) / np.mean(periods)

@@ -3,20 +3,26 @@
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
 
 @dataclass
 class Check:
-    """One named hypothesis check inside a certificate."""
+    """One named hypothesis check inside a certificate.  ``margin``, how far
+    the value lies on the passing side: threshold - value, or for ">=" value - threshold."""
 
     name: str
     value: float
     threshold: float
     passed: bool
     direction: str = "<="
+    margin: float = field(init=False)
+
+    def __post_init__(self):
+        self.margin = (self.value - self.threshold if self.direction == ">="
+                       else self.threshold - self.value)
 
     def __bool__(self):
         raise TypeError(f"the truth of Check {self.name!r} is ambiguous; read .passed")

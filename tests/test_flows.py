@@ -203,6 +203,27 @@ class TestSolverPath:
         with pytest.raises(ValueError, match="broken right-hand side"):
             integrate(f, [1.0], (0.0, 1.0), rtol=1e-6, method="Radau")
 
+    @pytest.mark.parametrize("method", ["DOP853", "Radau"])
+    def test_overflow_in_trial_stages_only_is_divergence(self, method):
+        # f is -u up to t = 0.5 and overflows past it: the accepted states
+        # and their f stay below 1, but every trial step across t = 0.5
+        # overflows in a stage until the step underflows.  DOP853 reads that
+        # from the stages it keeps, once, after the failed step.
+        calls = []
+
+        def f(t, u):
+            calls.append((t, np.all(np.isfinite(u))))
+            return -u if t <= 0.5 else np.full_like(u, np.inf)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                integrate(f, [1.0], (0.0, 1.0), rtol=1e-6, method=method)
+        state, t = err.value.last_state, err.value.t
+        assert 0.49 < t <= 0.5
+        assert np.all(np.isfinite(state))
+        assert state[0] == pytest.approx(np.exp(-t), rel=1e-5)
+        assert any(t_ > 0.5 and finite for t_, finite in calls)
+
     def test_stats_keys(self):
         for method in ("DOP853", "Radau"):
             traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, method=method)

@@ -41,6 +41,28 @@ from contractkit.reporting import checks_in, verdict
 from contractkit.sip import L2
 
 
+def rotation_field():
+    """Pure rotation f(u) = Omega u with Omega skew (unit angular speed);
+    spheres are invariant but nothing contracts toward them."""
+    Om = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return VectorField(f=lambda t, u: Om @ u, jac=lambda t, u: Om, dim=2,
+                       name="rotation")
+
+
+def hopf_with_equilibrium_on_loop():
+    """Hopf-like field scaled by (1 - cos(theta)): the speed vanishes at
+    the point (1, 0) of the unit circle, violating non-accumulation."""
+    base = systems.hopf_field()
+
+    def f(t, u):
+        x, y = u
+        r2 = x * x + y * y
+        s = 1.0 - x / max(np.sqrt(r2), 1e-12)
+        return s * base.eval(t, u)
+
+    return VectorField(f=f, dim=2, name="hopf_pinned")
+
+
 def band_sampler(lo=0.8, hi=1.2, n=24, seed=1, dim=2):
     rng = np.random.default_rng(seed)
     out = []
@@ -180,7 +202,7 @@ class TestManifold:
         assert abs(r_sub - r_man) <= 1e-10 * max(1.0, abs(r_sub))
 
     def test_rotation_field_not_certified(self):
-        f = systems.rotation_field()
+        f = rotation_field()
         sub = systems.circle_submersion()
         rep = certify_manifold_contraction(f, sub, spec=L2,
                                            sampler=band_sampler(seed=11))
@@ -490,14 +512,14 @@ class TestLimitCycle:
         assert np.array_equal(traj.times, rk4_record_times(0.0, 15.0, 0.52, 1))
 
     def test_equilibrium_on_loop_withheld(self):
-        rep = certify_limit_cycle(systems.hopf_with_equilibrium_on_loop(), self.sub,
+        rep = certify_limit_cycle(hopf_with_equilibrium_on_loop(), self.sub,
                                   Conjugacy.identity(), tau=None,
                                   sampler=band_sampler(seed=25))
         assert not rep["certified"]
         assert "loop_non_accumulation" in rep["failing_hypotheses"]
 
     def test_rotation_field_withheld_no_contraction(self):
-        rep = certify_limit_cycle(systems.rotation_field(), self.sub,
+        rep = certify_limit_cycle(rotation_field(), self.sub,
                                   Conjugacy.identity(), tau=None,
                                   sampler=band_sampler(seed=26))
         assert not rep["certified"]
@@ -642,7 +664,45 @@ class TestPhaseLocking:
         assert rep["certified"] == leader["certified"]
 
 
+def extract_period_loop(times, series):
+    """extract_period as first written: one crossing at a time."""
+    t = np.asarray(times, dtype=float)
+    x = np.asarray(series, dtype=float)
+    i0 = len(t) // 2
+    t, x = t[i0:], x[i0:]
+    x = x - np.mean(x)
+    crossings = []
+    for i in range(len(x) - 1):
+        if x[i] < 0.0 <= x[i + 1]:
+            frac = -x[i] / (x[i + 1] - x[i])
+            crossings.append(t[i] + frac * (t[i + 1] - t[i]))
+    if len(crossings) < 3:
+        return np.nan, crossings
+    return float(np.mean(np.diff(crossings))), crossings
+
+
 class TestPeriodExtraction:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_bits_as_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, 60.0, 3000))
+        # a noisy oscillation, with exact zeros and a flat stretch on some seeds
+        x = np.sin(rng.uniform(0.3, 3.0) * t) + 0.05 * rng.standard_normal(t.size)
+        if seed % 2:
+            x = np.round(x, 1)
+        period, crossings = extract_period(t, x)
+        ref_period, ref_crossings = extract_period_loop(t, x)
+        assert period == ref_period
+        assert np.array_equal(crossings, ref_crossings)
+
+    def test_too_few_crossings_same_as_the_loop(self):
+        t = np.linspace(0.0, 10.0, 200)
+        for x in (np.sin(0.5 * t), np.sin(1.3 * t), np.full_like(t, np.nan)):
+            period, crossings = extract_period(t, x)
+            ref_period, ref_crossings = extract_period_loop(t, x)
+            assert np.isnan(period) and np.isnan(ref_period)
+            assert np.array_equal(crossings, ref_crossings) and len(crossings) < 3
+
     def test_known_period(self):
         t = np.linspace(0.0, 50.0, 4000)
         x = np.sin(0.7 * t)

@@ -1,12 +1,13 @@
 """The certificate rule: granted exactly when a report holds at least one
 check and every check in it passed."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from contractkit.reporting import Check, checks_in, verdict, write_csv
+from contractkit.reporting import Check, checks_in, verdict, write_csv, write_report
 
 
 def ok(name="ok"):
@@ -97,3 +98,31 @@ class TestWriteCSV:
     def test_unequal_columns_refused(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0], [1.0, 2.0]])
+
+
+class TestMargin:
+    """``margin``: how far a check's value lies on its passing side."""
+
+    @pytest.mark.parametrize("make, value, threshold, margin", [
+        (Check.leq, 0.25, 1.0, 0.75),
+        (Check.leq, 2.0, 1.0, -1.0),
+        (Check.lt, -3.0, -1e-12, 3.0 - 1e-12),
+        (Check.geq, 5.0, 1.0, 4.0),
+        (Check.geq, 0.5, 1.0, -0.5),
+        (Check.lt, math.inf, 1.0, -math.inf),
+    ])
+    def test_signed_by_direction(self, make, value, threshold, margin):
+        check = make("c", value, threshold)
+        assert check.margin == margin
+        assert (check.margin > 0) is check.passed or check.margin == 0
+
+    def test_nan_value_has_nan_margin(self):
+        for make in (Check.leq, Check.lt, Check.geq):
+            assert math.isnan(make("c", float("nan"), 1.0).margin)
+
+    def test_serialised_into_the_report(self, tmp_path):
+        path = write_report(tmp_path / "report.json",
+                            {"checks": [Check.leq("a", 0.25, 1.0), Check.geq("b", 0.5, 1.0),
+                                        Check.lt("c", float("nan"), 1.0)]})
+        checks = json.loads(path.read_text())["checks"]
+        assert [c["margin"] for c in checks] == [0.75, -0.5, "nan"]

@@ -5,10 +5,31 @@ import numpy as np
 import pytest
 
 from contractkit.errors import ContractViolation, DimensionError
-from contractkit.grids import Grid, GridFunction
-from contractkit.sip import L1, L2, LINF, NormSpec, norm, sip, sip_fd_oracle
+from contractkit.grids import Grid, GridFunction, as_gridfunction
+from contractkit.sip import _ORACLE_RTOL, L1, L2, LINF, NormSpec, OracleResult, norm, sip
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, np.inf]
+
+
+def sip_fd_oracle(u, v, spec=L2, h_list=None):
+    """Definition-level oracle for [u, v]: one-sided difference quotients of
+    the norm at decreasing h.  Returns the value at the smallest h and a
+    convergence flag (the last two quotients within ``_ORACLE_RTOL``)."""
+    if h_list is None:
+        h_list = np.geomspace(1e-3, 1e-8, 11)
+    h_list = np.asarray(h_list, dtype=float)
+    if h_list.size == 0 or np.any(h_list <= 0) or np.any(np.diff(h_list) >= 0):
+        raise ContractViolation("h_list must be nonempty, positive, strictly decreasing")
+    u = as_gridfunction(u)
+    v = as_gridfunction(v, u.grid)
+    nu = norm(u, spec)
+    vals = np.empty_like(h_list)
+    for i, h in enumerate(h_list):
+        nq = norm(u + h * v, spec)
+        vals[i] = nu * (nq - nu) / h
+    scale = max(1.0, abs(vals[-1]))
+    converged = bool(h_list.size > 1 and abs(vals[-1] - vals[-2]) <= _ORACLE_RTOL * scale)
+    return OracleResult(value=float(vals[-1]), converged=converged, quotients=vals)
 
 
 def spec(p, k=0):
