@@ -304,13 +304,19 @@ def certify_subspace_contraction(f, proj, spec=L2, sampler=None,
     return verdict(report, "rate_only" if rate_only else "withheld")
 
 
+def _norm(v):
+    """The 2-norm of a 1-D real vector, as np.linalg.norm computes it:
+    sqrt(v . v), without its per-call overhead."""
+    return math.sqrt(v @ v)
+
+
 def project_to_level_set(sub, u0):
     """Damped Newton projection of u0 onto phi^{-1}(0) using the
     pseudo-inverse of Dphi, to a residual of ``_LEVEL_TOL``."""
     u = np.asarray(u0, dtype=float).copy()
     r = sub.value(u)
     for _ in range(_LEVEL_MAX_ITER):
-        nr = np.linalg.norm(r)
+        nr = _norm(r)
         if nr <= _LEVEL_TOL:
             return u
         step = np.linalg.lstsq(sub.jac(u), r, rcond=None)[0]
@@ -318,13 +324,13 @@ def project_to_level_set(sub, u0):
         while lam > 1e-6:
             u_try = u - lam * step
             r_try = sub.value(u_try)
-            if np.linalg.norm(r_try) < nr:
+            if _norm(r_try) < nr:
                 u, r = u_try, r_try
                 break
             lam *= 0.5
         else:
             break
-    if np.linalg.norm(sub.value(u)) > _LEVEL_TOL:
+    if _norm(sub.value(u)) > _LEVEL_TOL:
         raise NumericalError("level-set projection did not converge")
     return u
 
@@ -507,7 +513,7 @@ def _min_loop_speed(sub, g, times, loop_pts):
     from scipy.optimize import minimize_scalar
 
     def speed(w):
-        return min(np.linalg.norm(g.eval(t, w)) for t in times)
+        return min(_norm(g.eval(t, w)) for t in times)
 
     values = np.array([speed(w) for w in loop_pts])
     order = np.argsort(values)
@@ -567,10 +573,9 @@ def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None, sim=None, see
         for t in times:
             gv = g.eval(t, w)
             tangency = max(tangency,
-                           np.linalg.norm(sub.jac(w) @ gv) / (1.0 + np.linalg.norm(gv)))
+                           _norm(sub.jac(w) @ gv) / (1.0 + _norm(gv)))
             for dt_ in taus:
-                sym_res = max(sym_res, np.linalg.norm(gv - g.eval(t + dt_, w))
-                              / (1.0 + np.linalg.norm(gv)))
+                sym_res = max(sym_res, _norm(gv - g.eval(t + dt_, w)) / (1.0 + _norm(gv)))
     min_speed, speeds = _min_loop_speed(sub, g, times, loop_pts)
     rate = nonlinear_rate(g, sub.weight(), spec=spec, sampler=samples, seed=seed)
 

@@ -97,6 +97,12 @@ def dirichlet_poincare_constant(n, h):
     return (2.0 / h**2) * (1.0 - math.cos(math.pi * h))
 
 
+def _block_diag(blocks):
+    """The block-diagonal CSR matrix of ``blocks``; a single block as it is
+    (scipy's ``block_diag`` takes 0.6 ms to copy one)."""
+    return blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
+
+
 def heat_field(disc, alpha=1.0):
     lap = alpha * disc.laplacian
     fld = VectorField(f=lambda t, u: lap @ u, jac=lambda t, u: lap, dim=disc.npoints,
@@ -187,7 +193,7 @@ STIFF_METHOD = "Radau"
 STIFF_RTOL = 1e-8
 _N_OUT = 200               # heat, reaction-diffusion: about this many records
 _RD_SAMPLES = 12           # reaction-diffusion: states sampled for the rates
-_POISSON_T_MAX = 400.0     # Poisson: each gradient flow runs this long, one solve
+_POISSON_T_MAX = 400.0     # Poisson: the stacked gradient flows run this long
 _N_TEST = 10               # vanishing limit: weak-form test functions, and
 _N_RATE_SAMPLES = 6        # ... states sampled per eps for the rate
 
@@ -323,12 +329,14 @@ def sine_reaction(c):
     return (lambda u: c * np.sin(u)), (lambda u: c * np.cos(u)), c
 
 
-def poisson_gradient_flow(disc, fn, dfn):
-    """u_t = Lap u + f(u), whose equilibria solve the Poisson problem."""
-    lap = disc.laplacian
+def poisson_gradient_flow(disc, fn, dfn, copies=1):
+    """u_t = Lap u + f(u), whose equilibria solve the Poisson problem; on
+    ``copies`` stacked states, u_t = kron(I, Lap) u + f(u)."""
+    lap = _block_diag([disc.laplacian] * copies)
     return VectorField(f=lambda t, u: lap @ u + fn(u),
                        jac=lambda t, u: sp.csc_matrix(lap + sp.diags(dfn(u))),
-                       dim=disc.npoints, name="poisson_gradient_flow", grid=disc.grid)
+                       dim=copies * disc.npoints, name="poisson_gradient_flow",
+                       grid=disc.grid)
 
 
 def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
@@ -348,13 +356,13 @@ def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
     sup_df = max(float(np.max(dfn(u))) for u in probe_states)
     rate_check = Check.lt("reaction_rate_below_poincare", sup_df, lam_omega)
 
-    fld = poisson_gradient_flow(disc, fn, dfn)
-
-    runs = [integrate(fld, rng.standard_normal(npts), (0.0, _POISSON_T_MAX),
-                      rtol=STIFF_RTOL, method=STIFF_METHOD, record_every=10**9)
-            for _ in range(n_init)]
-    fixed_points = [run.final_state for run in runs]
-    max_resid = max(float(np.linalg.norm(fld.eval(0.0, u))) for u in fixed_points)
+    # the n_init gradient flows as one run of their stacked states
+    fld = poisson_gradient_flow(disc, fn, dfn, n_init)
+    run = integrate(fld, rng.standard_normal(n_init * npts), (0.0, _POISSON_T_MAX),
+                    rtol=STIFF_RTOL, method=STIFF_METHOD, record_every=10**9)
+    fixed_points = run.final_state.reshape(n_init, npts)
+    resid = fld.eval(0.0, run.final_state).reshape(n_init, npts)
+    max_resid = float(np.max(np.linalg.norm(resid, axis=1)))
     dists = [float(np.linalg.norm(a - b))
              for i, a in enumerate(fixed_points) for b in fixed_points[i + 1:]]
     max_pair = max(dists) if dists else 0.0
@@ -381,7 +389,7 @@ def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
         "checks": checks,
         "refinement": {"n": table_n, "lambda": table_lam,
                        "continuum": math.pi**2},
-        "integrator": integrator_entry(runs),
+        "integrator": integrator_entry([run]),
     }
     series = {
         "refinement": (["time", "poincare_constant"],
@@ -407,33 +415,41 @@ def sobolev_rate(f, k, p, sampler=None, seed=0):
 
 @dataclass
 class RegularizedFamily:
-    """Family f_eps -> f as eps -> 0+, e.g. adding eps * Laplacian."""
+    """Family f_eps -> f as eps -> 0+, e.g. adding eps * Laplacian.
 
-    f_eps: object                    # eps -> VectorField
+    ``f_eps(*levels)`` is the field of len(levels) stacked copies of the
+    grid state, copy i at eps = levels[i], given levels that are all
+    positive or all zero; with one level it is the field at that eps."""
+
+    f_eps: object                    # eps levels -> VectorField of their copies
     eps_schedule: tuple
     description: str = ""
     flux: object = None              # flux F(u) of the eps = 0 conservation law
     grid: Grid = None
 
-    def field(self, eps):
-        return self.f_eps(eps)
+    def field(self, *eps):
+        return self.f_eps(*eps)
 
 
 def _upwind_flux_difference(u, inv_h):
-    """Godunov flux difference of the convex flux u^2/2 (robust at eps = 0)."""
+    """Godunov flux difference of the convex flux u^2/2 (robust at eps = 0),
+    along the last axis."""
     face = np.maximum(0.5 * np.maximum(u, 0.0) ** 2,
-                      0.5 * np.minimum(np.roll(u, -1), 0.0) ** 2)
-    return (face - np.roll(face, 1)) * inv_h
+                      0.5 * np.minimum(np.roll(u, -1, axis=-1), 0.0) ** 2)
+    return (face - np.roll(face, 1, axis=-1)) * inv_h
 
 
 def burgers_field(disc, eps, scheme="centered"):
     """Viscous Burgers u_t = -(u^2/2)_x + eps u_xx in conservative form on a
-    periodic grid: centered face fluxes, or upwind (Godunov) ones."""
+    periodic grid: centered face fluxes, or upwind (Godunov) ones.  A
+    sequence ``eps`` gives the field of its stacked copies, copy i at eps[i]."""
     if disc.boundary != "periodic":
         raise ContractViolation("Burgers fields are built on periodic grids")
-    diffusion = eps * disc.laplacian
+    levels = np.atleast_1d(eps).tolist()
+    m = len(levels)
+    diffusion = _block_diag([e * disc.laplacian for e in levels])
     if scheme == "centered":
-        D = disc.gradients[0]
+        D = _block_diag([disc.gradients[0]] * m)
         K = sp.hstack([diffusion, -D], format="csr")     # [eps L | -D] [u; u^2/2]
         f = lambda t, u: K @ np.concatenate([u, 0.5 * u * u])
 
@@ -441,11 +457,12 @@ def burgers_field(disc, eps, scheme="centered"):
             return (-(D @ sp.diags(u)) + diffusion).toarray()
     elif scheme == "upwind":
         inv_h = 1.0 / disc.h
-        f = lambda t, u: diffusion @ u - _upwind_flux_difference(u, inv_h)
+        f = lambda t, u: (diffusion @ u
+                          - _upwind_flux_difference(u.reshape(m, -1), inv_h).ravel())
         jac = None
     else:
         raise ContractViolation(f"unknown scheme {scheme!r}")
-    return VectorField(f=f, jac=jac, dim=disc.n,
+    return VectorField(f=f, jac=jac, dim=m * disc.n,
                        name=f"burgers(eps={eps},{scheme})", grid=disc.grid)
 
 
@@ -454,8 +471,8 @@ def burgers_family(n=256, eps_schedule=(0.05, 0.025, 0.0125, 0.00625)):
     interval; centered fluxes for eps > 0, upwind ones at eps = 0."""
     disc = build_discretization(n, dims=1, boundary="periodic")
 
-    def make(eps):
-        return burgers_field(disc, eps, scheme="centered" if eps > 0 else "upwind")
+    def make(*eps):
+        return burgers_field(disc, eps, scheme="centered" if min(eps) > 0 else "upwind")
 
     return RegularizedFamily(
         f_eps=make, eps_schedule=tuple(eps_schedule),
@@ -470,11 +487,10 @@ def advection_family(n=256, speed=1.0, eps_schedule=(0.1, 0.05, 0.025, 0.0125)):
     disc = build_discretization(n, dims=1, boundary="periodic")
     D = disc.gradients[0]
 
-    def make(eps):
-        A = (-speed * D + eps * disc.laplacian).tocsr()
-        fld = VectorField(f=lambda t, u, A=A: A @ u, jac=lambda t, u, A=A: A,
-                          dim=n, name=f"advection(eps={eps})", grid=disc.grid)
-        return fld
+    def make(*eps):
+        A = _block_diag([(-speed * D + e * disc.laplacian).tocsr() for e in eps])
+        return VectorField(f=lambda t, u: A @ u, jac=lambda t, u: A, dim=A.shape[0],
+                           name=f"advection(eps={eps})", grid=disc.grid)
 
     return RegularizedFamily(
         f_eps=make, eps_schedule=tuple(eps_schedule),
@@ -541,7 +557,9 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
     continuity about the initial data; then verify that successive
     space-time L^p differences decrease (Cauchy trend) and that the
     extrapolated limit satisfies the conservation-law weak form against
-    smooth test functions.
+    smooth test functions.  The levels that share an RK4 step (eps = 0 on
+    its own) run as one integration of ``family.field(*levels)``, and the
+    shifted and unshifted states of the translation check as one more.
     """
     eps_list = list(family.eps_schedule)
     if len(eps_list) < 4:
@@ -562,23 +580,30 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
     xs = np.arange(n) * h
     umax = float(np.max(np.abs(u0))) + 1.0
 
-    sols, dts, rates, sup_norms = {}, {}, {}, {}
+    dt_adv = 0.2 * h / umax
+    dts, groups = {}, {}
     for eps in eps_list:
-        fld = family.field(eps)
-        dt_adv = 0.2 * h / umax
         dt_diff = h * h / (2.0 * eps) if eps > 0 else np.inf
-        dt_raw = min(dt_adv, dt_diff)
-        substeps = max(1, int(math.ceil(dt_out / dt_raw)))
-        dt = dt_out / substeps
-        dts[eps] = dt
-        traj = integrate(fld, u0, (0.0, t_end), dt=dt, record_every=substeps)
+        substeps = max(1, int(math.ceil(dt_out / min(dt_adv, dt_diff))))
+        dts[eps] = dt_out / substeps
+        groups.setdefault((substeps, eps > 0), []).append(eps)
+
+    sols, rec_times, rates, sup_norms = {}, {}, {}, {}
+    for (substeps, _), levels in groups.items():
+        traj = integrate(family.field(*levels), np.tile(u0, len(levels)), (0.0, t_end),
+                         dt=dts[levels[0]], record_every=substeps)
         if len(traj.times) != n_out + 1:
             raise ContractViolation("output grid mismatch")
-        sols[eps] = traj.states
-        sup_norms[eps] = float(np.max(sip_norm(traj.states, spec, grid, rows=True)))
+        for i, eps in enumerate(levels):
+            rec_times[eps] = traj.times
+            # contiguous like a one-level run's states: numpy sums a strided
+            # view in another order, and the norms below would round otherwise
+            sols[eps] = np.ascontiguousarray(traj.states[:, i * n:(i + 1) * n])
+    for eps in eps_list:
+        sup_norms[eps] = float(np.max(sip_norm(sols[eps], spec, grid, rows=True)))
         idx = np.linspace(0, n_out, _N_RATE_SAMPLES, dtype=int)
-        samp = [(float(traj.times[i]), traj.states[i]) for i in idx]
-        rates[eps] = nonlinear_rate(fld, identity_weight(), spec=spec,
+        samp = [(float(rec_times[eps][i]), sols[eps][i]) for i in idx]
+        rates[eps] = nonlinear_rate(family.field(eps), identity_weight(), spec=spec,
                                     sampler=samp, grid=grid).value
 
     # hypothesis 1: uniform rate bound, checked only against a declared bound
@@ -595,12 +620,10 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
     # hypothesis 3: translation invariance (grid-shift spot check)
     shift = n // 3
     eps_chk = eps_list[-1]
-    fld = family.field(eps_chk)
     t_short = 10 * dts[eps_chk]
-    a = integrate(fld, np.roll(u0, shift), (0.0, t_short), dt=dts[eps_chk],
-                  record_every=10**9).final_state
-    b = np.roll(integrate(fld, u0, (0.0, t_short), dt=dts[eps_chk],
-                          record_every=10**9).final_state, shift)
+    pair = integrate(family.field(eps_chk, eps_chk), np.r_[np.roll(u0, shift), u0],
+                     (0.0, t_short), dt=dts[eps_chk], record_every=10**9).final_state
+    a, b = pair[:n], np.roll(pair[n:], shift)
     shift_res = float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)))
     hyp3 = Check.leq("translation_invariance", shift_res, 1e-10)
 

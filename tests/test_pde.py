@@ -1,14 +1,15 @@
 """Discretizations and the PDE experiments."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from contractkit import pde, sampling
+from contractkit import cli, flows, pde, sampling
 from contractkit.errors import ContractViolation
-from contractkit.flows import fd_jacobian, integrate, rk4_record_times
+from contractkit.flows import fd_jacobian, integrate, linear_field, rk4_record_times
 from contractkit.reporting import checks_in
 from contractkit.sip import L2, NormSpec, norm
 
@@ -65,6 +66,10 @@ class TestDiscretization:
 
 
 _PAD = {"periodic": "wrap", "neumann": "edge", "dirichlet": "constant"}
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs")
 
 
 def _lap_stencil(u, h, boundary):
@@ -354,6 +359,36 @@ class TestPoisson:
         assert lams[-1] < math.pi**2
         assert lams[-1] == pytest.approx(math.pi**2, rel=5e-3)
 
+    def test_supercritical_fixed_points_disagree(self):
+        # the stacked run still finds distinct fixed points when f expands
+        # faster than the Poincare constant, and agreement then fails
+        rep, _ = pde.nonlinear_poisson_experiment(n=16, c=30.0, seed=0,
+                                                  refinement=(8, 16))
+        (agree,) = [c for c in rep["checks"] if c.name == "fixed_point_agreement"]
+        assert not agree.passed and agree.value == rep["max_pairwise_distance"] > 1.0
+        assert rep["max_residual"] <= 1e-8
+
+    def test_stacked_flow_is_the_one_copy_flow_blockwise(self):
+        disc = pde.build_discretization(16, boundary="dirichlet")
+        fn, dfn, _ = pde.sine_reaction(5.0)
+        one = pde.poisson_gradient_flow(disc, fn, dfn)
+        stacked = pde.poisson_gradient_flow(disc, fn, dfn, 3)
+        us = np.random.default_rng(3).standard_normal((3, 16))
+        z = us.ravel()
+        assert stacked.dim == 48
+        assert np.array_equal(stacked.eval(0.0, z),
+                              np.concatenate([one.eval(0.0, u) for u in us]))
+        J = stacked.jacobian(0.0, z)
+        assert sp.issparse(J) and J.format == "csc"
+        assert np.array_equal(J.toarray(),
+                              sp.block_diag([one.jacobian(0.0, u) for u in us]).toarray())
+
+    def test_single_initial_state(self):
+        rep, _ = pde.nonlinear_poisson_experiment(n=16, c=5.0, seed=0, n_init=1,
+                                                  refinement=(8, 16))
+        assert rep["certified"] and rep["max_pairwise_distance"] == 0.0
+        assert rep["max_residual"] <= 1e-8 and rep["integrator"]["steps"] > 0
+
     def test_report_names_the_integrator(self):
         rep, _ = pde.nonlinear_poisson_experiment(n=16, c=5.0, seed=0, n_init=2,
                                                   refinement=(8, 16))
@@ -405,6 +440,67 @@ class TestSobolevRate:
             pde.sobolev_rate(fld, 3, 2.0, sampler=[])
 
 
+def _diffusion_family(disc, op, diffusivity):
+    """Regularized family whose level eps is u_t = diffusivity(eps) op u:
+    f_eps(*levels) is block diagonal, one block per level."""
+    def f_eps(*levels):
+        return linear_field(sp.block_diag([diffusivity(e) * op for e in levels], format="csr"))
+
+    return pde.RegularizedFamily(f_eps=f_eps, eps_schedule=(0.1, 0.05, 0.025, 0.0125),
+                                 grid=disc.grid)
+
+
+class TestStackedFamily:
+    """field(e1, e2) runs its two copies with the arithmetic of one-level runs."""
+
+    @pytest.mark.parametrize("family,levels", [
+        (lambda: pde.burgers_family(n=64), (0.025, 0.0125)),
+        (lambda: pde.burgers_family(n=64), (0.0, 0.0)),
+        (lambda: pde.advection_family(n=64), (0.05, 0.025)),
+    ], ids=["burgers_centered", "burgers_upwind", "advection"])
+    def test_copies_match_one_level_runs_bit_for_bit(self, family, levels):
+        fam = family()
+        x = np.arange(64) / 64
+        # the copies meet where one is 0 and the other -1, so a flux that
+        # leaks across the seam shows
+        u0s = [np.sin(2 * np.pi * x), -np.cos(2 * np.pi * x)]
+        fld = fam.field(*levels)
+        assert fld.dim == 128
+        stacked = integrate(fld, np.concatenate(u0s), (0.0, 0.05), dt=2e-4,
+                            record_every=25)
+        for i, (eps, u0) in enumerate(zip(levels, u0s)):
+            one = integrate(fam.field(eps), u0, (0.0, 0.05), dt=2e-4, record_every=25)
+            assert np.array_equal(stacked.times, one.times)
+            assert np.array_equal(stacked.states[:, 64 * i:64 * (i + 1)], one.states)
+
+    def test_one_level_burgers_is_burgers_field(self):
+        fam = pde.burgers_family(n=64, eps_schedule=(0.1, 0.05, 0.01, 0.0))
+        disc = pde.build_discretization(64, boundary="periodic")
+        u = np.random.default_rng(6).standard_normal(64)
+        for eps, scheme in ((0.05, "centered"), (0.0, "upwind")):
+            assert np.array_equal(fam.field(eps).eval(0.0, u),
+                                  pde.burgers_field(disc, eps, scheme=scheme).eval(0.0, u))
+        assert np.array_equal(fam.field(0.05).jacobian(0.0, u),
+                              pde.burgers_field(disc, 0.05).jacobian(0.0, u))
+
+    def test_shipped_vanishing_osl_stacks_levels_of_one_step(self, monkeypatch):
+        # 17, 9, 7 and 7 substeps per record: the two levels of 7 run as one
+        # integration, and so does the translation-invariance pair
+        calls = []
+        step = flows._rk4_step
+
+        def counted(f, t, u, dt, P=None):
+            calls.append(u.size)
+            return step(f, t, u, dt, P)
+
+        monkeypatch.setattr(flows, "_rk4_step", counted)
+        name, seed, _, params = cli.parse_config(os.path.join(CONFIG_DIR, "vanishing_osl.cfg"))
+        rep, _ = cli.EXPERIMENTS[name].runner(params, seed)
+        assert sorted(rep["dt_per_eps"].values()) == [0.0025 / k for k in (17, 9, 7, 7)]
+        assert len(calls) == 6610
+        assert calls.count(512) == 200 * 7 + 10 and calls.count(256) == 200 * (17 + 9)
+
+
 class TestRegularizedFamily:
     def test_burgers_jacobian_formula(self):
         from contractkit.grids import derivative_matrix_1d
@@ -432,13 +528,25 @@ class TestRegularizedFamily:
 
     def test_constant_family_differences_zero(self):
         disc = pde.build_discretization(32, boundary="periodic")
-        fld = pde.heat_field(disc, 0.05)
-        fam = pde.RegularizedFamily(f_eps=lambda e: fld,
-                                    eps_schedule=(0.1, 0.05, 0.025, 0.0125),
-                                    grid=disc.grid)
+        fam = _diffusion_family(disc, disc.laplacian, lambda e: 0.05)
         u0 = np.sin(2 * np.pi * np.arange(32) / 32)
         rep, _ = pde.vanishing_osl_experiment(fam, u0, t_end=0.1, n_out=20, seed=0)
         assert all(d <= 1e-14 for d in rep["successive_differences"])
+        (shift,) = [h for h in rep["hypotheses"] if h.name == "translation_invariance"]
+        assert shift.passed
+
+    def test_translation_invariance_fails_for_diffusion_varying_in_space(self):
+        # u_t = eps c(x) u_xx does not commute with grid shifts: the stacked
+        # shifted and unshifted pair must tell
+        disc = pde.build_discretization(32, boundary="periodic")
+        x = np.arange(32) / 32
+        c = sp.diags(1.0 + 0.5 * np.sin(2 * np.pi * x))
+        fam = _diffusion_family(disc, c @ disc.laplacian, lambda e: e)
+        u0 = np.sin(2 * np.pi * x) + 0.5 * np.cos(6 * np.pi * x)
+        rep, _ = pde.vanishing_osl_experiment(fam, u0, t_end=0.1, n_out=20, seed=0)
+        (shift,) = [h for h in rep["hypotheses"] if h.name == "translation_invariance"]
+        assert not shift.passed and shift.value > 1e-6
+        assert "translation_invariance" in rep["hypotheses_failed"]
 
     def test_advection_limit_is_transported_profile(self):
         n = 128
@@ -529,8 +637,6 @@ class TestVanishingOSL:
         with pytest.raises(ContractViolation):
             pde.vanishing_osl_experiment(fam, np.zeros(64))
         disc = pde.build_discretization(16, boundary="neumann")
-        fam2 = pde.RegularizedFamily(f_eps=lambda e: pde.heat_field(disc, e),
-                                     eps_schedule=(0.1, 0.05, 0.025, 0.0125),
-                                     grid=disc.grid)
+        fam2 = _diffusion_family(disc, disc.laplacian, lambda e: e)
         with pytest.raises(ContractViolation):
             pde.vanishing_osl_experiment(fam2, np.zeros(16))
