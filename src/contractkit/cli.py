@@ -375,8 +375,9 @@ def _run_sobolev_rate(p, seed):
     elif sysname == "transport":
         disc = pde.build_discretization(n, boundary="periodic")
         D = disc.gradients[0]
-        fld = flows.VectorField(f=lambda t, u: -(D @ u), jac=lambda t, u: (-D).toarray(),
-                                dim=n, name="transport", grid=disc.grid)
+        fld = flows.VectorField(f=lambda t, u, Du=flows.matvec(D): -Du(u),
+                                jac=lambda t, u: (-D).toarray(), dim=n, name="transport",
+                                grid=disc.grid)
         sampler = sampling.gaussian_samples(4, n, seed=seed)
     else:  # burgers
         disc = pde.build_discretization(n, boundary="periodic")

@@ -12,6 +12,9 @@ on a grid: SuperLU) and runs the stiff semi-discretised PDEs.
 scipy.integrate is imported only on that branch.  A failed adaptive step
 raises ``DivergenceError`` when f neared overflow in it: Radau checks each
 value of f as it returns, DOP853 its last attempt's stages once, after failing.
+Each constant sparse product of a step or an evaluation is ``matvec``:
+scipy's CSR kernel from the private ``scipy.sparse._sparsetools``, without
+scipy's per-call dispatch, pinned to ``A @ u`` bit for bit by a test.
 
 ``simulate_flow`` holds the one rule by which the simulations pick a
 branch: a field on a grid keeps fixed-step RK4 at its step ``dt``, and any
@@ -27,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import ContractViolation, DimensionError, DivergenceError, StiffnessError
 from .grids import GridFunction
@@ -78,10 +82,27 @@ def fd_jacobian(f, t, u):
     return J
 
 
+def matvec(A):
+    """u -> A @ u for a constant matrix A; for a sparse A, scipy's CSR kernel
+    with no per-call dispatch, bit for bit as A @ u."""
+    if not sp.issparse(A):
+        return A.__matmul__
+    A = A.tocsr()
+    (M, N), ptr, idx, data = A.shape, A.indptr, A.indices, A.data
+
+    def product(u):
+        if u.shape != (N,):      # the kernel reads N entries of u unchecked
+            raise DimensionError(f"matvec needs a vector of length {N}, got shape {u.shape}")
+        out = np.zeros(M)
+        _csr_matvec(M, N, ptr, idx, data, u, out)
+        return out
+    return product
+
+
 def linear_field(A):
     A = as_matrix(A)
-    return VectorField(f=lambda t, u, A=A: A @ u, jac=lambda t, u, A=A: A, dim=A.shape[0],
-                       name="linear", matrix=A)
+    return VectorField(f=lambda t, u, Au=matvec(A): Au(u), jac=lambda t, u, A=A: A,
+                       dim=A.shape[0], name="linear", matrix=A)
 
 
 def as_vector_field(obj):
@@ -113,10 +134,10 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_step(f, t, u, dt, P=None):
-    """One classical RK4 step; given the one-step matrix P of a linear f, P u."""
-    if P is not None:
-        return P @ u
+def _rk4_step(f, t, u, dt, Pu=None):
+    """One classical RK4 step, or Pu(u), the product by a linear f's one-step matrix."""
+    if Pu is not None:
+        return Pu(u)
     h = 0.5 * dt
     k1 = f(t, u)
     k2 = f(t + h, u + h * k1)
@@ -152,9 +173,15 @@ def rk4_steps(t0, t1, dt):
     return nsteps, (t1 - t0) / nsteps
 
 
+def _check_record_every(record_every):
+    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
+        raise ContractViolation(f"record_every must be an integer >= 1, got {record_every!r}")
+
+
 def rk4_record_times(t0, t1, dt, record_every):
     """The times ``integrate(..., dt=dt, record_every=record_every)`` records:
     t0, every ``record_every``-th step and the last, which is exactly t1."""
+    _check_record_every(record_every)
     nsteps, dt_eff = rk4_steps(t0, t1, dt)
     times = t0 + np.unique(np.r_[0:nsteps + 1:record_every, nsteps]) * dt_eff
     times[-1] = t1
@@ -185,6 +212,7 @@ def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_00
         raise ContractViolation("t_span must have t1 > t0")
     if (dt is None) == (rtol is None):
         raise ContractViolation("give exactly one of dt or rtol")
+    _check_record_every(record_every)
     if dt is not None:
         if t_eval is not None:
             raise ContractViolation("t_eval needs the adaptive branch (rtol)")
@@ -202,10 +230,10 @@ def _integrate_rk4(f, u, t0, t1, dt, record_every):
     if dt <= 0:
         raise ContractViolation("dt must be positive")
     nsteps, dt_eff = rk4_steps(t0, t1, dt)
-    P = None if f.matrix is None else _rk4_matrix(f.matrix, dt_eff)
+    Pu = None if f.matrix is None else matvec(_rk4_matrix(f.matrix, dt_eff))
     times, states, t = [t0], [u.copy()], t0
     for step in range(nsteps):
-        u_new = _rk4_step(f.eval, t, u, dt_eff, P)
+        u_new = _rk4_step(f.eval, t, u, dt_eff, Pu)
         _check_finite(u_new, t + dt_eff, u)
         u = u_new
         # exactly t1 after the last step, where t0 + nsteps * dt_eff may
@@ -214,7 +242,7 @@ def _integrate_rk4(f, u, t0, t1, dt, record_every):
         if (step + 1) % record_every == 0 or step == nsteps - 1:
             times.append(t)
             states.append(u.copy())
-    return times, states, {"accepted": nsteps, "rejected": 0, "nfev": 4 * nsteps * (P is None)}
+    return times, states, {"accepted": nsteps, "rejected": 0, "nfev": 4 * nsteps * (Pu is None)}
 
 
 def _rk4_matrix(A, dt):

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractViolation, DimensionError
-from .flows import (VectorField, fit_decay_rate, integrate, integrator_entry,
+from .flows import (VectorField, fit_decay_rate, integrate, integrator_entry, matvec,
                     rk4_record_times, rk4_steps)
 from .geometry import Projector, check_subspace_invariance
 from .grids import Grid, derivative_matrix_1d
@@ -105,8 +105,8 @@ def _block_diag(blocks):
 
 def heat_field(disc, alpha=1.0):
     lap = alpha * disc.laplacian
-    fld = VectorField(f=lambda t, u: lap @ u, jac=lambda t, u: lap, dim=disc.npoints,
-                      name=f"heat(alpha={alpha})", grid=disc.grid, matrix=lap)
+    fld = VectorField(f=lambda t, u, lap_u=matvec(lap): lap_u(u), jac=lambda t, u: lap,
+                      dim=disc.npoints, name=f"heat(alpha={alpha})", grid=disc.grid, matrix=lap)
     fld.diagnostics["mass"] = lambda u: float(np.mean(u))
     return fld
 
@@ -167,9 +167,10 @@ def reaction_diffusion_field(disc, alphas, reaction):
         raise DimensionError("need one diffusivity per species")
     npts = disc.npoints
     diffusion = sp.kron(sp.diags(alphas), disc.laplacian, format="csr")
+    diffuse = matvec(diffusion)
 
     def f(t, z):
-        return diffusion @ z + reaction.fn(z.reshape(m, npts)).ravel()
+        return diffuse(z) + reaction.fn(z.reshape(m, npts)).ravel()
 
     # diffusion's COO entries, plus the reaction's on the diagonal of each block (i, j)
     D = diffusion.tocoo()
@@ -333,7 +334,7 @@ def poisson_gradient_flow(disc, fn, dfn, copies=1):
     """u_t = Lap u + f(u), whose equilibria solve the Poisson problem; on
     ``copies`` stacked states, u_t = kron(I, Lap) u + f(u)."""
     lap = _block_diag([disc.laplacian] * copies)
-    return VectorField(f=lambda t, u: lap @ u + fn(u),
+    return VectorField(f=lambda t, u, lap_u=matvec(lap): lap_u(u) + fn(u),
                        jac=lambda t, u: sp.csc_matrix(lap + sp.diags(dfn(u))),
                        dim=copies * disc.npoints, name="poisson_gradient_flow",
                        grid=disc.grid)
@@ -450,14 +451,14 @@ def burgers_field(disc, eps, scheme="centered"):
     diffusion = _block_diag([e * disc.laplacian for e in levels])
     if scheme == "centered":
         D = _block_diag([disc.gradients[0]] * m)
-        K = sp.hstack([diffusion, -D], format="csr")     # [eps L | -D] [u; u^2/2]
-        f = lambda t, u: K @ np.concatenate([u, 0.5 * u * u])
+        Kx = matvec(sp.hstack([diffusion, -D], format="csr"))   # [eps L | -D] [u; u^2/2]
+        f = lambda t, u: Kx(np.concatenate([u, 0.5 * u * u]))
 
         def jac(t, u):
             return (-(D @ sp.diags(u)) + diffusion).toarray()
     elif scheme == "upwind":
-        inv_h = 1.0 / disc.h
-        f = lambda t, u: (diffusion @ u
+        inv_h, diffuse = 1.0 / disc.h, matvec(diffusion)
+        f = lambda t, u: (diffuse(u)
                           - _upwind_flux_difference(u.reshape(m, -1), inv_h).ravel())
         jac = None
     else:
@@ -489,8 +490,8 @@ def advection_family(n=256, speed=1.0, eps_schedule=(0.1, 0.05, 0.025, 0.0125)):
 
     def make(*eps):
         A = _block_diag([(-speed * D + e * disc.laplacian).tocsr() for e in eps])
-        return VectorField(f=lambda t, u: A @ u, jac=lambda t, u: A, dim=A.shape[0],
-                           name=f"advection(eps={eps})", grid=disc.grid)
+        return VectorField(f=lambda t, u, Au=matvec(A): Au(u), jac=lambda t, u: A,
+                           dim=A.shape[0], name=f"advection(eps={eps})", grid=disc.grid)
 
     return RegularizedFamily(
         f_eps=make, eps_schedule=tuple(eps_schedule),

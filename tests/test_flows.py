@@ -10,7 +10,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from contractkit import flows, pde, weights
-from contractkit.errors import ContractViolation, DivergenceError, StiffnessError
+from contractkit.errors import ContractViolation, DimensionError, DivergenceError, StiffnessError
 from contractkit.flows import (
     ODE_RTOL,
     VectorField,
@@ -20,6 +20,7 @@ from contractkit.flows import (
     integrate_variational,
     integrator_entry,
     linear_field,
+    matvec,
     mle_estimate,
     rk4_record_times,
     rk4_steps,
@@ -29,6 +30,13 @@ from contractkit.measures import weighted_rate
 from contractkit.sip import L2, NormSpec
 
 SHEAR = np.array([[-1.0, 10.0], [0.0, -1.0]])
+
+
+def _same_bits(a, b):
+    """a and b are arrays of one dtype and shape holding the same bytes
+    (unlike ==, tells -0.0 from 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestIntegrate:
@@ -85,6 +93,24 @@ class TestIntegrate:
             integrate(lambda t, u: -u, [1.0], (0.0, 1.0), dt=1e-3, rtol=1e-6)
         with pytest.raises(ContractViolation):
             integrate(lambda t, u: -u, [1.0], (1.0, 0.5), dt=1e-3)
+
+    @pytest.mark.parametrize("every", [0, -3, 2.5, np.int64(0)])
+    def test_record_every_must_be_a_positive_integer(self, every):
+        f = lambda t, u: -u
+        with pytest.raises(ContractViolation, match="record_every"):
+            integrate(f, [1.0], (0.0, 1.0), dt=0.1, record_every=every)
+        with pytest.raises(ContractViolation, match="record_every"):
+            integrate(f, [1.0], (0.0, 1.0), rtol=1e-6, record_every=every)
+        with pytest.raises(ContractViolation, match="record_every"):
+            rk4_record_times(0.0, 1.0, 0.1, every)
+
+    @pytest.mark.parametrize("every", [1, 3, np.int32(3), np.int64(4)])
+    def test_record_every_takes_integers_numpy_ones_too(self, every):
+        traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), dt=0.1, record_every=every)
+        assert np.array_equal(traj.times, rk4_record_times(0.0, 1.0, 0.1, every))
+        assert len(traj.times) == 1 + 10 // every + (10 % every != 0)
+        traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, record_every=every)
+        assert traj.times[-1] == 1.0
 
     def test_diagnostics_recorded(self):
         fld = linear_field(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -341,6 +367,66 @@ def _four_stage(fld):
     return dataclasses.replace(fld, matrix=None)
 
 
+def _csr_cases():
+    """Sparse matrices with the layouts scipy's CSR kernel meets: int32 and
+    int64 indices, unsorted column indices with duplicate entries, empty
+    rows, and a rectangular matrix (the shape of two-level Burgers' K)."""
+    rng = np.random.default_rng(19)
+    cases = {"int32": sp.random(30, 30, density=0.2, format="csr", random_state=rng)}
+    A = cases["int32"].copy()
+    A.indptr, A.indices = A.indptr.astype(np.int64), A.indices.astype(np.int64)
+    cases["int64"] = A
+    # row 0 holds column 3 twice, out of order; rows 1 and 3 are empty
+    indptr = np.array([0, 4, 4, 6, 6, 9], dtype=np.int32)
+    indices = np.array([3, 1, 3, 0, 2, 1, 4, 0, 2], dtype=np.int32)
+    cases["unsorted_duplicates"] = sp.csr_matrix((rng.standard_normal(9), indices, indptr),
+                                                 shape=(5, 5))
+    B = sp.random(40, 25, density=0.3, format="lil", random_state=rng)
+    B[::3] = 0.0
+    cases["empty_rows"] = B.tocsr()
+    cases["rectangular"] = sp.random(512, 1024, density=0.005, format="csr",
+                                     random_state=rng)
+    return cases
+
+
+CSR_CASES = _csr_cases()
+
+
+class TestMatvec:
+    """``matvec`` calls scipy's private CSR kernel with no dispatch in front:
+    it must stay ``A @ u`` bit for bit, so a scipy change fails here."""
+
+    @pytest.mark.parametrize("name", list(CSR_CASES))
+    def test_is_the_sparse_product_bit_for_bit(self, name):
+        A = CSR_CASES[name]
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal(2 * A.shape[1])
+        # a contiguous state, a strided view and one holding signed zeros
+        for u in (z[:A.shape[1]], z[::2], np.where(z[1::2] > 0, 0.0, -0.0)):
+            assert _same_bits(matvec(A)(u), A @ u)
+
+    def test_layouts_are_what_they_claim(self):
+        assert CSR_CASES["int32"].indices.dtype == np.int32
+        assert CSR_CASES["int64"].indices.dtype == np.int64
+        assert not CSR_CASES["unsorted_duplicates"].has_canonical_format
+        assert np.any(np.diff(CSR_CASES["empty_rows"].indptr) == 0)
+
+    def test_each_call_returns_a_fresh_array(self):
+        A = CSR_CASES["int32"]
+        u = np.random.default_rng(8).standard_normal(30)
+        Au = matvec(A)
+        first = Au(u)
+        first[:] = np.nan
+        second = Au(u)
+        assert _same_bits(second, A @ u) and not np.shares_memory(first, second)
+
+    def test_refuses_a_state_of_the_wrong_shape(self):
+        Au = matvec(CSR_CASES["rectangular"])
+        for u in (np.ones(1023), np.ones(1025), np.ones((1024, 1))):
+            with pytest.raises(DimensionError):
+                Au(u)
+
+
 class TestRK4OneStepMatrix:
     @pytest.mark.parametrize("name", list(LINEAR_CASES))
     @pytest.mark.parametrize("nsteps", [1, 640])
@@ -361,9 +447,9 @@ class TestRK4OneStepMatrix:
         calls = []
         step = flows._rk4_step
 
-        def counted(f, t, u, dt, P=None):
-            calls.append(P is not None)
-            return step(f, t, u, dt, P)
+        def counted(f, t, u, dt, Pu=None):
+            calls.append(Pu is not None)
+            return step(f, t, u, dt, Pu)
 
         monkeypatch.setattr(flows, "_rk4_step", counted)
         fld, dt = LINEAR_CASES["neumann"]
@@ -373,6 +459,31 @@ class TestRK4OneStepMatrix:
         calls.clear()
         traj = integrate(lambda t, u: -u**3, [1.0], (0.0, 1.0), dt=0.1)
         assert calls == [False] * traj.stats["accepted"] and len(calls) == 10
+
+    def test_heat_run_is_repeated_one_step_products(self, monkeypatch):
+        # n = 16 periodic heat, as in the symmetry and subspace configs: each
+        # step is one _rk4_step call, equal to P @ u by scipy's own dispatch
+        disc = pde.build_discretization(16, boundary="periodic")
+        fld = pde.heat_field(disc)
+        span = (0.0, 500 * 0.2 * disc.h**2)
+        nsteps, dt = rk4_steps(*span, 0.2 * disc.h**2)
+        assert nsteps == 500
+        calls = []
+        step = flows._rk4_step
+
+        def counted(f, t, u, dt, Pu=None):
+            calls.append(Pu is not None)
+            return step(f, t, u, dt, Pu)
+
+        monkeypatch.setattr(flows, "_rk4_step", counted)
+        u = np.random.default_rng(16).standard_normal(16)
+        traj = integrate(fld, u, span, dt=0.2 * disc.h**2)
+        P = flows._rk4_matrix(fld.matrix, dt)
+        want = [u]
+        for _ in range(nsteps):
+            want.append(P @ want[-1])
+        assert calls == [True] * nsteps
+        assert _same_bits(traj.states, np.array(want))
 
     @pytest.mark.parametrize("name", list(LINEAR_CASES))
     def test_both_steps_diverge_together(self, name):

@@ -96,6 +96,48 @@ def _assert_matches(got, ref):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _sparse_product_cases():
+    """(field, the same right-hand side as ``A @ u`` products of scipy's
+    sparse matrices, state size) for each field whose constant sparse
+    product is ``flows.matvec``."""
+    per = pde.build_discretization(64, boundary="periodic")
+    neu = pde.build_discretization(32, boundary="neumann")
+    dirichlet = pde.build_discretization(32, boundary="dirichlet")
+    lap, D = per.laplacian, per.gradients[0]
+    ac, br = pde.allen_cahn_reaction(), pde.brusselator_reaction(a=1.0, b=1.8)
+    fn, dfn, _ = pde.sine_reaction(5.0)
+    kron = lambda alphas: sp.kron(sp.diags(alphas), neu.laplacian, format="csr")
+    lap3 = pde._block_diag([dirichlet.laplacian] * 3)
+    S = sp.random(40, 40, density=0.1, random_state=1, format="csr")
+    cases = {
+        "heat": (pde.heat_field(neu, 0.7), lambda u: (0.7 * neu.laplacian) @ u, 32),
+        "allen_cahn": (pde.reaction_diffusion_field(neu, 0.5, ac),
+                       lambda z: kron([0.5]) @ z + ac.fn(z.reshape(1, -1)).ravel(), 32),
+        "brusselator": (pde.reaction_diffusion_field(neu, [1e-3, 0.1], br),
+                        lambda z: kron([1e-3, 0.1]) @ z + br.fn(z.reshape(2, -1)).ravel(), 64),
+        "poisson_3": (pde.poisson_gradient_flow(dirichlet, fn, dfn, copies=3),
+                      lambda u: lap3 @ u + fn(u), 96),
+        "linear_sparse": (linear_field(S), lambda u: S @ u, 40),
+    }
+    for levels in ((0.03,), (0.03, 0.01)):
+        m = len(levels)
+        diffusion = pde._block_diag([e * lap for e in levels])
+        K = sp.hstack([diffusion, -pde._block_diag([D] * m)], format="csr")
+        cases[f"burgers_centered_{m}"] = (
+            pde.burgers_field(per, levels), lambda u, K=K: K @ np.concatenate([u, 0.5 * u * u]),
+            64 * m)
+        cases[f"burgers_upwind_{m}"] = (
+            pde.burgers_field(per, levels, scheme="upwind"),
+            lambda u, diffusion=diffusion, m=m: diffusion @ u - pde._upwind_flux_difference(
+                u.reshape(m, -1), 1.0 / per.h).ravel(), 64 * m)
+    A = pde._block_diag([(-1.0 * D + e * lap).tocsr() for e in (0.1, 0.05)])
+    cases["advection_2"] = (pde.advection_family(n=64).field(0.1, 0.05), lambda u: A @ u, 128)
+    return cases
+
+
+SPARSE_PRODUCT_CASES = _sparse_product_cases()
+
+
 class TestGridFields:
     """The sparse-matrix right-hand sides against inline numpy stencils."""
 
@@ -146,6 +188,14 @@ class TestGridFields:
         u = self.rng.standard_normal(32)
         _assert_matches(fld.eval(0.0, u),
                         _lap_stencil(u, disc.h, "dirichlet") + 5.0 * np.sin(u))
+
+    @pytest.mark.parametrize("name", list(SPARSE_PRODUCT_CASES))
+    def test_fields_keep_the_bits_of_their_sparse_products(self, name):
+        fld, ref, size = SPARSE_PRODUCT_CASES[name]
+        rng = np.random.default_rng(19)
+        for u in (rng.standard_normal(size), np.abs(rng.standard_normal(size)) + 0.5):
+            got, want = fld.eval(0.0, u), ref(u)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_burgers_flux_is_conservative(self):
         disc = pde.build_discretization(64, boundary="periodic")
@@ -489,9 +539,9 @@ class TestStackedFamily:
         calls = []
         step = flows._rk4_step
 
-        def counted(f, t, u, dt, P=None):
+        def counted(f, t, u, dt, Pu=None):
             calls.append(u.size)
-            return step(f, t, u, dt, P)
+            return step(f, t, u, dt, Pu)
 
         monkeypatch.setattr(flows, "_rk4_step", counted)
         name, seed, _, params = cli.parse_config(os.path.join(CONFIG_DIR, "vanishing_osl.cfg"))
