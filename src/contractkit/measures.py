@@ -11,16 +11,18 @@ contraction rate of A under an operator family Theta(t, u) is
 
 computed exactly for p = 2 as one standard symmetric eigenproblem (on
 (dTheta/dt + Theta A) Theta^{-1}, or on the coimage of a surjective
-non-invertible weight; a pencil with the Gram matrix for Sobolev norms),
-via the classical column/row formulas for p in {1, inf} with invertible
-weights, and otherwise by a seeded multi-start pattern search over rays,
-whose 32 starts advance together: each probe batch is one call of a ratio
-set up once per solve (``_sip_ratio``).  The value reported is the
-reference pairing of ``sip.norm`` / ``sip.sip`` re-evaluated at the best
-probe; the two must agree there.
+non-invertible weight, a Sobolev measure through a cached Cholesky factor
+of its Gram matrix; only the weighted Sobolev rate on a coimage still
+solves a pencil), via the classical column/row formulas for p in {1, inf}
+with invertible weights, and otherwise by a seeded multi-start pattern
+search over rays, whose 32 starts advance together: each probe batch is one
+call of a ratio set up once per solve (``_sip_ratio``).  The value reported
+is the reference pairing of ``sip.norm`` / ``sip.sip`` re-evaluated at the
+best probe; the two must agree there.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -211,12 +213,27 @@ def _sampled_rate(T, C, spec, grid, seed):
     return RateEstimate(val, "sampled", sample_count=count, argmax=argv)
 
 
+@lru_cache(maxsize=8)
+def _gram_factor(k, grid, ncomp):
+    """G = R^T R for the order-k Sobolev Gram matrix of ``ncomp`` components
+    on ``grid``: R sparse upper-triangular CSR and R^{-1} dense and C-ordered,
+    both read-only (LAPACK works in place on G.T).  Each cached grid holds one
+    dense N x N R^{-1}, N = ncomp * grid.npoints: 512 KiB at N = 256."""
+    L = sla.cholesky(gram_matrix(NormSpec(p=2.0, k=k), grid, ncomp).toarray().T,
+                     lower=True, overwrite_a=True)
+    R = sp.csr_matrix(L.T)
+    Rinv = sla.lapack.dtrtri(L, lower=1, overwrite_c=1)[0].T
+    for a in (R.data, R.indices, R.indptr, Rinv):
+        a.setflags(write=False)     # every caller gets these same arrays
+    return R, Rinv
+
+
 def mu(A, spec=L2, grid=None, seed=0):
     """Logarithmic norm of a square operator in the norm given by ``spec``.
 
     Closed forms: p = 2 is the largest eigenvalue of the symmetrized matrix
-    (generalized to the Sobolev Gram matrix when k > 0), p = 1 / p = inf are
-    the classical column / row formulas.  Other p fall back to a sampled ray
+    (of R M R^{-1} when k > 0, for the Gram matrix G = R^T R), p = 1 / p = inf
+    are the classical column / row formulas.  Other p fall back to a sampled ray
     search and are flagged as such.
     """
     M = as_matrix(A)
@@ -225,11 +242,14 @@ def mu(A, spec=L2, grid=None, seed=0):
     p, k = spec.p, spec.k
     if k > 0 and grid is None:
         raise ContractViolation("Sobolev measures need the grid argument")
+    if k > 0 and (n < grid.npoints or n % grid.npoints):
+        raise DimensionError(f"operator dim {n} is not a multiple of {grid.npoints} points")
     if p == 2.0:
         if k == 0:
             return RateEstimate(_max_eig(_sym(M)), "eigen")
-        G = gram_matrix(spec, grid, ncomp=n // grid.npoints)
-        return RateEstimate(_max_eig(_sym(G @ M), _dense(G)), "eigen")
+        # the pencil (sym(G M), G) with G = R^T R is the standard sym(R M R^-1)
+        R, Rinv = _gram_factor(k, grid, n // grid.npoints)
+        return RateEstimate(_max_eig(_sym(R @ (M @ Rinv))), "eigen")
     if k == 0 and p == 1.0:
         return RateEstimate(_mu_l1(M), "closed_form")
     if k == 0 and np.isinf(p):
@@ -297,10 +317,11 @@ def weighted_rate(A, theta, t=0.0, u=None, spec=L2, grid=None, seed=0):
     Jacobian C Theta^{-1}, C = dTheta/dt + Theta A.  For a surjective
     non-invertible weight the supremum is taken over ker(Theta)^perp, where
     the weighted seminorm is a norm; at p = 2 it is the largest eigenvalue
-    of sym(U_r^H C V_r / s_r) on the coimage of ``coimage_of`` (of the
-    pencil with U_r^H G U_r for a Sobolev Gram matrix G).
+    of sym(U_r^H C V_r / s_r) on the coimage of ``coimage_of``, formed as
+    s_r V_r^H A V_r (+ U_r^H dTheta V_r), as U_r^H Theta = s_r V_r^H.  Only
+    the Sobolev rate there still solves a pencil, with U_r^H G U_r.
     """
-    M = _dense(A)
+    M = as_matrix(A)
     _check_square(M)
     n = M.shape[0]
     Th, dTh = theta.matrix(t, u, n), theta.dmatrix_dt(t, u, n)
@@ -309,14 +330,16 @@ def weighted_rate(A, theta, t=0.0, u=None, spec=L2, grid=None, seed=0):
     if theta.kind in ("identity", "diagonal"):
         # Theta A Theta^{-1} as (d_i a_ij)(1/d_j): the dense products add only 0s to these
         d = np.diag(Th)
-        return mu(d[:, None] * M * (1.0 / d), spec, grid=grid, seed=seed)
-    C = Th @ M if dTh is None else dTh + Th @ M
+        return mu(d[:, None] * _dense(M) * (1.0 / d), spec, grid=grid, seed=seed)
+    if not theta.invertible:
+        Vr, s, UrH = theta.coimage if theta.coimage is not None else coimage_of(Th)[1]
+        if spec.p == 2.0 and spec.k == 0:
+            K = (s[:, None] * Vr.conj().T) @ (M @ Vr) + (0.0 if dTh is None else UrH @ dTh @ Vr)
+            return RateEstimate(_max_eig(_sym(K / s)), "eigen")
+    C = Th @ _dense(M) if dTh is None else dTh + Th @ _dense(M)
     if theta.invertible:
         return mu(C @ np.asarray(theta.inv_matrix(t, u, n)), spec, grid=grid, seed=seed)
-    Vr, s, UrH = theta.coimage if theta.coimage is not None else coimage_of(Th)[1]
     if spec.p == 2.0:
-        if spec.k == 0:
-            return RateEstimate(_max_eig(_sym(UrH @ C @ Vr / s)), "eigen")
         GU = gram_matrix(spec, grid, ncomp=Th.shape[0] // grid.npoints) @ UrH.conj().T
         return RateEstimate(_max_eig(_sym(GU.conj().T @ C @ Vr / s), UrH @ GU), "eigen")
     gW = grid if grid is not None else unit_grid(Th.shape[0])

@@ -21,7 +21,7 @@ from contractkit.measures import (
     nonlinear_rate,
     weighted_rate,
 )
-from contractkit.sip import L1, L2, LINF, NormSpec, norm, sip
+from contractkit.sip import L1, L2, LINF, NormSpec, gram_matrix, norm, sip
 from contractkit import sampling, weights
 from contractkit.flows import linear_field
 
@@ -359,6 +359,153 @@ class TestStandardEigenproblem:
                    weights.projection_complement(np.full((4, 4), 0.25))):
             weighted_rate(A, th, spec=L2)
         assert seconds == [None] * 4
+
+
+class TestSobolevFactor:
+    """mu at p = 2, k >= 1 as sym(R M R^{-1}) through the cached Cholesky
+    factor G = R^T R, against scipy's generalized eigh of the pencil
+    (sym(G M), G) it replaces."""
+
+    rng = np.random.default_rng(33)
+    SOB = NormSpec(p=2.0, k=1)
+
+    def _check(self, J, grid):
+        import scipy.linalg
+        import scipy.sparse as sps
+
+        G = gram_matrix(self.SOB, grid, ncomp=J.shape[0] // grid.npoints).toarray()
+        Jd = J.toarray() if sps.issparse(J) else J
+        S = G @ Jd
+        want = scipy.linalg.eigh(0.5 * (S + S.conj().T), G, eigvals_only=True)[-1]
+        got = mu(J, self.SOB, grid=grid)
+        assert got.method == "eigen"
+        scale = max(1.0, abs(want), np.abs(Jd).sum(axis=1).max())
+        assert abs(got.value - want) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("boundary", ["periodic", "neumann", "dirichlet"])
+    def test_1d_grids(self, boundary):
+        from contractkit.pde import build_discretization
+
+        disc = build_discretization(24, boundary=boundary)
+        self._check(disc.laplacian, disc.grid)                       # sparse
+        self._check(self.rng.standard_normal((24, 24)), disc.grid)    # dense
+        self._check(disc.laplacian + 1j * sparse_random(24, self.rng), disc.grid)
+        self._check(self.rng.standard_normal((24, 24))
+                    + 1j * self.rng.standard_normal((24, 24)), disc.grid)
+
+    def test_2d_grid(self):
+        from contractkit.pde import build_discretization
+
+        disc = build_discretization(6, dims=2, boundary="neumann")
+        n = disc.grid.npoints
+        self._check(disc.laplacian, disc.grid)
+        self._check(self.rng.standard_normal((n, n)), disc.grid)
+
+    def test_two_components(self):
+        import scipy.sparse as sps
+        from contractkit.pde import build_discretization
+
+        disc = build_discretization(12, boundary="periodic")
+        block = sps.block_diag([disc.laplacian, 0.1 * disc.laplacian], format="csr")
+        self._check(block + sps.csr_matrix(self.rng.standard_normal((24, 24))), disc.grid)
+
+    @pytest.mark.parametrize("ncomp", [1, 2])
+    def test_factor_reproduces_gram_and_is_cached(self, ncomp):
+        grid = Grid((10,), (0.1,), "periodic")
+        R, Rinv = measures._gram_factor(1, grid, ncomp)
+        G = gram_matrix(self.SOB, grid, ncomp=ncomp).toarray()
+        assert np.abs((R.T @ R).toarray() - G).max() <= 1e-14 * np.abs(G).max()
+        assert np.abs(R @ Rinv - np.eye(G.shape[0])).max() <= 1e-13
+        assert Rinv.flags.c_contiguous
+        assert not Rinv.flags.writeable and not R.data.flags.writeable
+        again = measures._gram_factor(1, grid, ncomp)
+        assert again[0] is R and again[1] is Rinv
+
+    def test_no_second_matrix(self, monkeypatch):
+        seconds = []
+        max_eig = measures._max_eig
+        monkeypatch.setattr(measures, "_max_eig",
+                            lambda S, G=None: seconds.append(G) or max_eig(S, G))
+        grid = Grid((8,), (0.125,), "neumann")
+        mu(self.rng.standard_normal((8, 8)), self.SOB, grid=grid)
+        mu(self.rng.standard_normal((16, 16)), self.SOB, grid=grid)
+        assert seconds == [None, None]
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_dim_not_a_whole_number_of_grid_functions(self, p, n):
+        grid = Grid((16,), (1.0 / 16,), "periodic")
+        with pytest.raises(DimensionError):
+            mu(np.eye(n), NormSpec(p=p, k=1), grid=grid)
+
+
+def sparse_random(n, rng):
+    import scipy.sparse as sps
+
+    return sps.random(n, n, density=0.2, random_state=rng, format="csr")
+
+
+class TestCoimageProduct:
+    """The p = 2, k = 0 rate on a coimage, formed as s_r V_r^H (A V_r) (+
+    U_r^H dTheta V_r), against the three products U_r^H (Theta A) V_r."""
+
+    rng = np.random.default_rng(34)
+
+    def _check(self, A, theta, t=0.0, u=None):
+        n = A.shape[0]
+        Th, dTh = theta.matrix(t, u, n), theta.dmatrix_dt(t, u, n)
+        Vr, s, UrH = (theta.coimage if theta.coimage is not None
+                      else measures.coimage_of(Th)[1])
+        C = Th @ A if dTh is None else dTh + Th @ A
+        want = measures._max_eig(measures._sym(UrH @ C @ Vr / s))
+        got = weighted_rate(A, theta, t, u, spec=L2)
+        assert got.method == "eigen"
+        assert abs(got.value - want) <= 1e-12 * max(1.0, np.abs(A).sum(axis=1).max())
+
+    def test_mean_complement(self):
+        from contractkit.pde import build_discretization
+
+        disc = build_discretization(32, boundary="neumann")
+        qw = weights.projection_complement(np.full((32, 32), 1.0 / 32))
+        weighted_rate(disc.laplacian, qw)   # a sparse operator stays sparse
+        self._check(disc.laplacian.toarray(), qw)
+        self._check(self.rng.standard_normal((32, 32)), qw)
+
+    def test_oblique_projection(self):
+        a, b = self.rng.standard_normal((2, 7, 2))
+        qw = weights.projection_complement(a @ np.linalg.solve(b.T @ a, b.T))
+        assert np.ptp(qw.coimage[1]) > 0.1       # singular values other than 1
+        self._check(self.rng.standard_normal((7, 7)), qw)
+
+    def test_jacobian_of_map(self):
+        B = self.rng.standard_normal((2, 4))
+        th = weights.jacobian_of_map(lambda u: B * (1.0 + 0.1 * np.sum(u ** 2)))
+        self._check(self.rng.standard_normal((4, 4)), th, u=self.rng.standard_normal(4))
+
+    def test_time_varying_custom(self):
+        B0, B1 = self.rng.standard_normal((2, 3, 5))
+        th = weights.custom(matrix=lambda t, u, n: B0 + t * B1,
+                            dmatrix_dt=lambda t, u, n: B1, time_varying=True)
+        self._check(self.rng.standard_normal((5, 5)), th, t=0.6)
+
+    def test_complex_weight(self):
+        B = self.rng.standard_normal((3, 5)) + 1j * self.rng.standard_normal((3, 5))
+        th = weights.custom(matrix=lambda t, u, n: B)
+        self._check(self.rng.standard_normal((5, 5)), th)
+        self._check(self.rng.standard_normal((5, 5)) + 1j * self.rng.standard_normal((5, 5)), th)
+
+    def test_sampled_path_keeps_its_values(self):
+        # p = 3 still scores Theta V_r and (Theta A) V_r
+        A = self.rng.standard_normal((4, 4))
+        for th in (weights.projection_complement(np.full((4, 4), 0.25)),
+                   weights.jacobian_of_map(lambda u: np.array([[1.0, 2.0, 0.0, -1.0]]))):
+            Th = th.matrix(0.0, np.zeros(4), 4)
+            Vr = (th.coimage if th.coimage is not None else measures.coimage_of(Th)[1])[0]
+            want = measures._sampled_rate(Th @ Vr, (Th @ A) @ Vr, NormSpec(p=3.0),
+                                          unit_grid(Th.shape[0]), 5)
+            got = weighted_rate(A, th, u=np.zeros(4), spec=NormSpec(p=3.0), seed=5)
+            assert got.method == "sampled"
+            assert got.value == want.value
 
 
 class TestSampledObjective:
