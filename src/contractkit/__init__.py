@@ -11,7 +11,7 @@ from .errors import (
     NumericalError,
     StiffnessError,
 )
-from .grids import Grid, GridFunction, as_gridfunction, unit_grid
+from .grids import Grid, unit_grid
 from .sip import L1, L2, LINF, NormSpec, norm, sip
 from .measures import (
     RateEstimate,

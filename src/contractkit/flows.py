@@ -33,7 +33,6 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import ContractViolation, DimensionError, DivergenceError, StiffnessError
-from .grids import GridFunction
 from .measures import as_matrix, weighted_rate
 from .sip import NormSpec
 from .sip import norm as sip_norm
@@ -204,8 +203,6 @@ def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_00
     initial state, every ``record_every``-th step and the last are recorded.
     """
     f = as_vector_field(f)
-    if isinstance(u0, GridFunction):
-        u0 = u0.ravel()
     u = np.array(u0, dtype=float).reshape(-1)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
@@ -365,7 +362,7 @@ def _variational(f, u0, du0, t_span, dt, record_every, pair=False):
     RK4, linear in them, carries them as they are.  Returns the trajectory
     of u and, per carried vector, its unit directions and log magnitudes."""
     f = as_vector_field(f)
-    u = np.array(u0.ravel() if isinstance(u0, GridFunction) else u0, dtype=float).reshape(-1)
+    u = np.array(u0, dtype=float).reshape(-1)
     du = np.array(du0, dtype=float).reshape(-1)
     if u.shape != du.shape:
         raise DimensionError("u0 and du0 must have the same shape")

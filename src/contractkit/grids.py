@@ -1,11 +1,10 @@
-"""Grids and grid functions: discretized states plus the metadata needed
-for quadrature and finite-difference derivatives."""
+"""Uniform grids: the metadata a discretized state needs for quadrature
+and finite-difference derivatives."""
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionError
@@ -54,77 +53,8 @@ class Grid:
 
 @lru_cache(maxsize=64)
 def unit_grid(n):
-    """1D grid with unit weights; the default for bare vectors."""
+    """1D grid with unit weights; the default for a state given without a grid."""
     return Grid((int(n),), (1.0,), "none")
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Values of a (possibly multi-component) state on a grid.
-
-    ``values`` has shape ``grid.shape`` for a scalar state or
-    ``(ncomp,) + grid.shape`` for a multi-component one.
-    """
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        vals = np.asarray(self.values)
-        object.__setattr__(self, "values", vals)
-        gs = self.grid.shape
-        if vals.shape == gs:
-            return
-        if vals.ndim == self.grid.ndim + 1 and vals.shape[1:] == gs:
-            return
-        if vals.ndim == 1 and vals.size % self.grid.npoints == 0:
-            # flat (possibly multi-component) vector, any grid dimension
-            return
-        raise DimensionError(
-            f"values of shape {vals.shape} do not fit grid {gs}"
-        )
-
-    @property
-    def ncomp(self):
-        return self.values.size // self.grid.npoints
-
-    def ravel(self):
-        return self.values.reshape(-1)
-
-    def components(self):
-        """Iterate component arrays, each of shape grid.shape."""
-        flat = self.values.reshape(self.ncomp, *self.grid.shape)
-        for c in range(self.ncomp):
-            yield flat[c]
-
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            other = other.values
-        return GridFunction(self.values + other, self.grid)
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            other = other.values
-        return GridFunction(self.values - other, self.grid)
-
-    def __mul__(self, scalar):
-        return GridFunction(self.values * scalar, self.grid)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(-self.values, self.grid)
-
-
-def as_gridfunction(u, grid=None):
-    """Wrap a bare array into a GridFunction (unit weights by default)."""
-    if isinstance(u, GridFunction):
-        return u
-    u = np.asarray(u)
-    if grid is None:
-        grid = unit_grid(u.size)
-        u = u.reshape(-1)
-    return GridFunction(u, grid)
 
 
 @lru_cache(maxsize=64)
@@ -185,7 +115,9 @@ def multi_indices(ndim, k):
 
 
 @lru_cache(maxsize=32)
-def _derivative_ops_cached(grid, k):
+def derivative_ops(grid, k):
+    """Sparse D^alpha for every multi-index |alpha| <= k, acting on flat
+    single-component vectors; the first entry is the identity."""
     ops = []
     for alpha in multi_indices(grid.ndim, k):
         op = sp.identity(grid.npoints, format="csr")
@@ -194,9 +126,3 @@ def _derivative_ops_cached(grid, k):
                 op = _axis_op(grid, ax, order) @ op
         ops.append(op)
     return tuple(ops)
-
-
-def derivative_ops(grid, k):
-    """Sparse D^alpha for every multi-index |alpha| <= k, acting on flat
-    single-component vectors; the first entry is the identity."""
-    return _derivative_ops_cached(grid, k)

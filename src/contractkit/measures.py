@@ -18,7 +18,13 @@ with invertible weights, and otherwise by a seeded multi-start pattern
 search over rays, whose 32 starts advance together: each probe batch is one
 call of a ratio set up once per solve (``_sip_ratio``).  The value reported
 is the reference pairing of ``sip.norm`` / ``sip.sip`` re-evaluated at the
-best probe; the two must agree there.
+best probe, on the same grid; the two must agree there.
+
+The grid is an argument of every rate, as of the norm: it sets the
+quadrature weight, and for a Sobolev norm (k >= 1) the derivatives.  A
+Sobolev rate raises ContractViolation without a grid, and DimensionError
+when the operator, or the image of the weight, is not a whole number of
+grid functions.
 """
 
 from dataclasses import dataclass
@@ -29,7 +35,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import ContractViolation, DegenerateWeightError, DimensionError, NumericalError
-from .grids import GridFunction, derivative_ops, unit_grid
+from .grids import derivative_ops, unit_grid
 from .sip import _ARGMAX_RTOL, _ORACLE_RTOL, L2, NormSpec, OracleResult, gram_matrix
 from .sip import norm as sip_norm
 from .sip import sip as sip_pair
@@ -198,15 +204,17 @@ def _sip_ratio(T, C, spec, grid):
 
 
 def _sampled_rate(T, C, spec, grid, seed):
-    """Ray-search sup_v [Tv, Cv] / ||Tv||^2, reported through sip.norm and
-    sip.sip at the argmax."""
+    """Ray-search sup_v [Tv, Cv] / ||Tv||^2 on ``grid`` (unit weights when it
+    is None), reported through sip.norm and sip.sip at the argmax."""
+    if grid is None:
+        grid = unit_grid(T.shape[0])
 
     def reference(v):
-        tv = GridFunction(T @ v, grid)
-        nv = sip_norm(tv, spec)
+        tv = T @ v
+        nv = sip_norm(tv, spec, grid)
         if nv == 0.0:
             return -np.inf
-        return sip_pair(tv, GridFunction(C @ v, grid), spec) / nv**2
+        return sip_pair(tv, C @ v, spec, grid) / nv**2
 
     val, argv, count = _ray_search(_sip_ratio(T, C, spec, grid), reference,
                                    T.shape[1], seed=seed)
@@ -228,6 +236,15 @@ def _gram_factor(k, grid, ncomp):
     return R, Rinv
 
 
+def _check_sobolev_grid(spec, grid, n):
+    """A Sobolev norm is taken on a grid, of which its n-vectors must be a
+    whole number of grid functions."""
+    if spec.k > 0 and grid is None:
+        raise ContractViolation("Sobolev measures need the grid argument")
+    if spec.k > 0 and (n < grid.npoints or n % grid.npoints):
+        raise DimensionError(f"dim {n} is not a multiple of {grid.npoints} grid points")
+
+
 def mu(A, spec=L2, grid=None, seed=0):
     """Logarithmic norm of a square operator in the norm given by ``spec``.
 
@@ -240,10 +257,7 @@ def mu(A, spec=L2, grid=None, seed=0):
     _check_square(M)
     n = M.shape[0]
     p, k = spec.p, spec.k
-    if k > 0 and grid is None:
-        raise ContractViolation("Sobolev measures need the grid argument")
-    if k > 0 and (n < grid.npoints or n % grid.npoints):
-        raise DimensionError(f"operator dim {n} is not a multiple of {grid.npoints} points")
+    _check_sobolev_grid(spec, grid, n)
     if p == 2.0:
         if k == 0:
             return RateEstimate(_max_eig(_sym(M)), "eigen")
@@ -255,8 +269,7 @@ def mu(A, spec=L2, grid=None, seed=0):
     if k == 0 and np.isinf(p):
         return RateEstimate(_mu_linf(M), "closed_form")
 
-    g = grid if grid is not None else unit_grid(n)
-    return _sampled_rate(np.eye(n), _dense(M), spec, g, seed)
+    return _sampled_rate(np.eye(n), _dense(M), spec, grid, seed)
 
 
 def _opnorm(M, p, seed):
@@ -327,6 +340,7 @@ def weighted_rate(A, theta, t=0.0, u=None, spec=L2, grid=None, seed=0):
     Th, dTh = theta.matrix(t, u, n), theta.dmatrix_dt(t, u, n)
     if Th.shape[1] != n:
         raise DimensionError(f"weight maps dim {Th.shape[1]}, operator dim {n}")
+    _check_sobolev_grid(spec, grid, Th.shape[0])
     if theta.kind in ("identity", "diagonal"):
         # Theta A Theta^{-1} as (d_i a_ij)(1/d_j): the dense products add only 0s to these
         d = np.diag(Th)
@@ -342,8 +356,7 @@ def weighted_rate(A, theta, t=0.0, u=None, spec=L2, grid=None, seed=0):
     if spec.p == 2.0:
         GU = gram_matrix(spec, grid, ncomp=Th.shape[0] // grid.npoints) @ UrH.conj().T
         return RateEstimate(_max_eig(_sym(GU.conj().T @ C @ Vr / s), UrH @ GU), "eigen")
-    gW = grid if grid is not None else unit_grid(Th.shape[0])
-    return _sampled_rate(Th @ Vr, C @ Vr, spec, gW, seed)
+    return _sampled_rate(Th @ Vr, C @ Vr, spec, grid, seed)
 
 
 def nonlinear_rate(f, theta, spec=L2, sampler=None, grid=None, seed=0):

@@ -20,15 +20,6 @@ from .sip import norm as sip_norm
 from .weights import identity as identity_weight
 from .weights import projection_complement
 
-_BOUNDARY_ALIASES = {
-    "periodic": "periodic",
-    "neumann": "neumann",
-    "neumann_zero_flux": "neumann",
-    "dirichlet": "dirichlet",
-    "dirichlet_zero": "dirichlet",
-}
-
-
 @dataclass
 class Discretization:
     dims: int
@@ -69,9 +60,8 @@ def build_discretization(n, dims=1, boundary="periodic"):
         raise ContractViolation("need n >= 4 grid points")
     if dims not in (1, 2):
         raise ContractViolation("dims must be 1 or 2")
-    if boundary not in _BOUNDARY_ALIASES:
+    if boundary not in ("periodic", "neumann", "dirichlet"):
         raise ContractViolation(f"unknown boundary {boundary!r}")
-    boundary = _BOUNDARY_ALIASES[boundary]
     h = 1.0 / (n + 1) if boundary == "dirichlet" else 1.0 / n
     L1d = _laplacian_1d(n, h, boundary)
     eye = sp.identity(n, format="csr")

@@ -13,6 +13,10 @@ Sobolev pairings sum the per-derivative-order lp pairings,
 
 with the compatible norm ||u||_{k,p} = (sum_a ||D^a u||_p^2)^(1/2), so that
 [u, u] = ||u||^2 holds exactly at every order.
+
+A state is an array: a whole number of grid functions, one component after
+the other.  Its grid is always an argument, which sets the quadrature weight
+and the derivatives; without one, a state has unit weights on a 1-D grid.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, DimensionError
-from .grids import as_gridfunction, derivative_ops
+from .grids import derivative_ops, unit_grid
 
 _ARGMAX_RTOL = 1e-12  # relative tie tolerance for the p = inf argmax set
 _ORACLE_RTOL = 1e-6   # the difference-quotient oracles' convergence tolerance
@@ -29,12 +33,10 @@ _ORACLE_RTOL = 1e-6   # the difference-quotient oracles' convergence tolerance
 @dataclass(frozen=True)
 class NormSpec:
     """Which norm backs the semi-inner product: lp(p) when k = 0, the
-    discrete Sobolev (k, p) norm otherwise.  ``grid_spacing``, when given,
-    is checked against the grid of the operands."""
+    discrete Sobolev (k, p) norm otherwise."""
 
     p: float = 2.0
     k: int = 0
-    grid_spacing: tuple = None
 
     def __post_init__(self):
         if not (self.p >= 1.0):
@@ -42,28 +44,11 @@ class NormSpec:
         if self.k < 0 or int(self.k) != self.k:
             raise ContractViolation(f"k must be a nonnegative integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
-        if self.grid_spacing is not None:
-            gs = tuple(float(h) for h in np.atleast_1d(self.grid_spacing))
-            if any(h <= 0 for h in gs):
-                raise ContractViolation("grid_spacing entries must be positive")
-            object.__setattr__(self, "grid_spacing", gs)
-
-    @property
-    def kind(self):
-        return "lp" if self.k == 0 else "sobolev"
 
 
 L1 = NormSpec(p=1.0)
 L2 = NormSpec(p=2.0)
 LINF = NormSpec(p=np.inf)
-
-
-def _check_grid(u, spec):
-    if spec.grid_spacing is not None and spec.grid_spacing != u.grid.spacing:
-        raise DimensionError(
-            f"spec spacing {spec.grid_spacing} does not match grid "
-            f"spacing {u.grid.spacing}"
-        )
 
 
 def _lp_norm(a, w, p):
@@ -107,53 +92,56 @@ def _lp_sip(uf, vf, w, p):
     return float(nu ** (2.0 - p) * w * core)
 
 
-def _order_slices(u, spec):
-    """Flattened D^alpha u for every multi-index |alpha| <= k."""
-    comps = list(u.components())
-    return [np.concatenate([op @ c.reshape(-1) for c in comps])
-            for op in derivative_ops(u.grid, spec.k)]
+def _on_grid(u, grid):
+    """The flat state u and the grid it lives on: ``grid``, of which u must
+    be a whole number of stacked components, or unit weights without one."""
+    u = np.asarray(u).reshape(-1)
+    if grid is None:
+        return u, unit_grid(u.size)
+    if u.size % grid.npoints:
+        raise DimensionError(f"state of size {u.size} is not a whole number of "
+                             f"grid functions on {grid.npoints} points")
+    return u, grid
 
 
-def _state(u, spec, grid):
-    u = as_gridfunction(u, grid if grid is not None and np.size(u) % grid.npoints == 0 else None)
-    _check_grid(u, spec)
-    return u
+def _order_slices(u, spec, grid):
+    """D^alpha u, each component's slice after the other, for every |alpha| <= k."""
+    comps = u.reshape(-1, grid.npoints)
+    return [np.concatenate([op @ c for c in comps]) for op in derivative_ops(grid, spec.k)]
 
 
 def norm(u, spec=L2, grid=None, *, rows=False):
-    """Quadrature-weighted lp or discrete Sobolev (k,p) norm.  A bare vector
-    whose length is a whole multiple of ``grid.npoints`` is taken on that
-    grid as stacked components, as ``GridFunction`` takes it; any other
-    gets unit weights.  With ``rows``, each row of the 2-D array ``u`` is
-    one such vector, and the result is the array of their norms, each the
+    """Quadrature-weighted lp or discrete Sobolev (k,p) norm of the state u
+    on ``grid`` (unit weights when it is None).  u holds whole grid
+    functions, one component after the other; any other size raises
+    DimensionError.  With ``rows``, each row of the 2-D array ``u`` is one
+    such state, and the result is the array of their norms, each the
     one-state norm bit for bit."""
     if rows:
         if spec.k > 0:
             return np.array([norm(r, spec, grid) for r in u])
         u = np.asarray(u)
-        return _lp_norm(u, _state(u[0], spec, grid).grid.cell_measure, spec.p)
-    u = _state(u, spec, grid)
-    w = u.grid.cell_measure
+        return _lp_norm(u, _on_grid(u[0], grid)[1].cell_measure, spec.p)
+    u, grid = _on_grid(u, grid)
+    w = grid.cell_measure
     if spec.k == 0:
-        return float(_lp_norm(u.ravel(), w, spec.p))
-    slices = _order_slices(u, spec)
+        return float(_lp_norm(u, w, spec.p))
+    slices = _order_slices(u, spec, grid)
     return float(np.sqrt(sum(_lp_norm(s, w, spec.p) ** 2 for s in slices)))
 
 
-def sip(u, v, spec=L2):
-    """Semi-inner product [u, v] for the norm described by ``spec``."""
-    u = as_gridfunction(u)
-    v = as_gridfunction(v, u.grid)
-    if u.values.shape != v.values.shape:
-        raise DimensionError(
-            f"shape mismatch: {u.values.shape} vs {v.values.shape}"
-        )
-    _check_grid(u, spec)
-    w = u.grid.cell_measure
+def sip(u, v, spec=L2, grid=None):
+    """Semi-inner product [u, v] for the norm described by ``spec``, with u
+    and v taken on ``grid`` as ``norm`` takes them."""
+    u, grid = _on_grid(u, grid)
+    v = np.asarray(v).reshape(-1)
+    if u.shape != v.shape:
+        raise DimensionError(f"shape mismatch: {u.shape} vs {v.shape}")
+    w = grid.cell_measure
     if spec.k == 0:
-        return _lp_sip(u.ravel(), v.ravel(), w, spec.p)
-    su = _order_slices(u, spec)
-    sv = _order_slices(v, spec)
+        return _lp_sip(u, v, w, spec.p)
+    su = _order_slices(u, spec, grid)
+    sv = _order_slices(v, spec, grid)
     return float(sum(_lp_sip(a, b, w, spec.p) for a, b in zip(su, sv)))
 
 

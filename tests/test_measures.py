@@ -13,7 +13,7 @@ from contractkit.errors import (
     DimensionError,
     NumericalError,
 )
-from contractkit.grids import Grid, GridFunction, unit_grid
+from contractkit.grids import Grid, unit_grid
 from contractkit.measures import (
     _sip_ratio,
     mu,
@@ -439,6 +439,28 @@ class TestSobolevFactor:
             mu(np.eye(n), NormSpec(p=p, k=1), grid=grid)
 
 
+class TestSobolevWeightedRateGrid:
+    """A Sobolev weighted rate is taken on a grid, of which the weight's
+    image must be a whole number of grid functions, whatever the branch."""
+
+    GRID = Grid((8,), (0.125,), "periodic")
+    A = np.diag(np.arange(1.0, 9.0)) - np.eye(8, k=1)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_no_grid_raises(self, p):
+        theta = weights.projection_complement(np.full((8, 8), 1.0 / 8))
+        with pytest.raises(ContractViolation):
+            weighted_rate(self.A, theta, spec=NormSpec(p=p, k=1))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_image_not_a_whole_number_of_grid_functions_raises(self, p):
+        # a 6 x 8 weight maps an 8-point grid function to 6 values
+        Th = np.random.default_rng(9).standard_normal((6, 8))
+        theta = weights.custom(lambda t, u, n: Th)
+        with pytest.raises(DimensionError):
+            weighted_rate(self.A, theta, spec=NormSpec(p=p, k=1), grid=self.GRID)
+
+
 def sparse_random(n, rng):
     import scipy.sparse as sps
 
@@ -538,8 +560,7 @@ class TestSampledObjective:
         assert got.shape == (50,)
 
         def want(tv, v):
-            tv = GridFunction(tv, self.GRID)
-            return sip(tv, GridFunction(C @ v, self.GRID), spec) / norm(tv, spec) ** 2
+            return sip(tv, C @ v, spec, self.GRID) / norm(tv, spec, self.GRID) ** 2
 
         # the batch against T v from the batch product, whose rounding differs
         # from T @ v and would move exact zeros and ties; each row alone
@@ -591,7 +612,7 @@ class TestSampledObjective:
 
     def test_reference_mismatch_raises(self, monkeypatch):
         pair = measures.sip_pair
-        monkeypatch.setattr(measures, "sip_pair", lambda u, v, spec: 2.0 * pair(u, v, spec))
+        monkeypatch.setattr(measures, "sip_pair", lambda u, v, spec, grid: 2.0 * pair(u, v, spec, grid))
         with pytest.raises(NumericalError):
             mu(np.array([[-1.0, 2.0], [0.5, -3.0]]), NormSpec(p=3.0), seed=0)
 

@@ -16,7 +16,7 @@ from contractkit.sip import L2, NormSpec, norm
 
 class TestDiscretization:
     def test_neumann_rows_sum_to_zero(self):
-        disc = pde.build_discretization(16, boundary="neumann_zero_flux")
+        disc = pde.build_discretization(16, boundary="neumann")
         rows = np.asarray(disc.laplacian.sum(axis=1)).ravel()
         assert np.max(np.abs(rows)) <= 1e-12
         assert np.linalg.norm(disc.laplacian @ np.ones(16)) <= 1e-12
@@ -30,7 +30,7 @@ class TestDiscretization:
                 pde.neumann_second_eigenvalue(n, disc.h), rel=1e-8)
 
     def test_dirichlet_negative_definite_poincare(self):
-        disc = pde.build_discretization(16, boundary="dirichlet_zero")
+        disc = pde.build_discretization(16, boundary="dirichlet")
         L = disc.laplacian.toarray()
         vals = np.linalg.eigvalsh(L)
         assert np.max(vals) < 0
@@ -44,6 +44,11 @@ class TestDiscretization:
     def test_unknown_boundary_names_itself(self):
         with pytest.raises(ContractViolation, match="robin"):
             pde.build_discretization(16, boundary="robin")
+
+    def test_only_the_three_boundary_names(self):
+        for name in ("neumann_zero_flux", "dirichlet_zero", "none"):
+            with pytest.raises(ContractViolation, match=name):
+                pde.build_discretization(16, boundary=name)
 
     def test_periodic_symmetric_kernel_constants(self):
         disc = pde.build_discretization(16, boundary="periodic")

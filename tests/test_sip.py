@@ -5,27 +5,26 @@ import numpy as np
 import pytest
 
 from contractkit.errors import ContractViolation, DimensionError
-from contractkit.grids import Grid, GridFunction, as_gridfunction
+from contractkit.grids import Grid, derivative_ops
 from contractkit.sip import _ORACLE_RTOL, L1, L2, LINF, NormSpec, OracleResult, norm, sip
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, np.inf]
 
 
-def sip_fd_oracle(u, v, spec=L2, h_list=None):
-    """Definition-level oracle for [u, v]: one-sided difference quotients of
-    the norm at decreasing h.  Returns the value at the smallest h and a
-    convergence flag (the last two quotients within ``_ORACLE_RTOL``)."""
+def sip_fd_oracle(u, v, spec=L2, h_list=None, grid=None):
+    """Definition-level oracle for [u, v] on ``grid``: one-sided difference
+    quotients of the norm at decreasing h.  Returns the value at the smallest
+    h and a convergence flag (the last two quotients within ``_ORACLE_RTOL``)."""
     if h_list is None:
         h_list = np.geomspace(1e-3, 1e-8, 11)
     h_list = np.asarray(h_list, dtype=float)
     if h_list.size == 0 or np.any(h_list <= 0) or np.any(np.diff(h_list) >= 0):
         raise ContractViolation("h_list must be nonempty, positive, strictly decreasing")
-    u = as_gridfunction(u)
-    v = as_gridfunction(v, u.grid)
-    nu = norm(u, spec)
+    u, v = np.asarray(u), np.asarray(v)
+    nu = norm(u, spec, grid)
     vals = np.empty_like(h_list)
     for i, h in enumerate(h_list):
-        nq = norm(u + h * v, spec)
+        nq = norm(u + h * v, spec, grid)
         vals[i] = nu * (nq - nu) / h
     scale = max(1.0, abs(vals[-1]))
     converged = bool(h_list.size > 1 and abs(vals[-1] - vals[-2]) <= _ORACLE_RTOL * scale)
@@ -52,29 +51,46 @@ class TestNorm:
 
     def test_quadrature_weights_sum_to_measure(self):
         g = Grid((10,), (0.25,))
-        ones = GridFunction(np.ones(10), g)
-        assert norm(ones, L1) == pytest.approx(g.measure)
-        assert norm(ones, L2) == pytest.approx(np.sqrt(g.measure))
+        ones = np.ones(10)
+        assert norm(ones, L1, g) == pytest.approx(g.measure)
+        assert norm(ones, L2, g) == pytest.approx(np.sqrt(g.measure))
 
     def test_positive_definite_on_grid(self):
         rng = np.random.default_rng(0)
         g = Grid((8,), (0.1,))
-        u = GridFunction(rng.standard_normal(8), g)
+        u = rng.standard_normal(8)
         for p in [1.0, 1.5, 2.0, 3.0]:
-            assert norm(u, spec(p)) > 0
+            assert norm(u, spec(p), g) > 0
 
-    def test_spacing_mismatch_raises(self):
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_size_not_whole_grid_functions_raises(self, k):
+        # 12 values are not a whole number of 8-point grid functions: no
+        # silent fall back to unit weights
         g = Grid((8,), (0.1,))
-        u = GridFunction(np.ones(8), g)
         with pytest.raises(DimensionError):
-            norm(u, NormSpec(p=2.0, grid_spacing=(0.2,)))
+            norm(np.ones(12), spec(2.0, k), g)
+        with pytest.raises(DimensionError):
+            norm(np.ones((3, 12)), spec(2.0, k), g, rows=True)
+        with pytest.raises(DimensionError):
+            sip(np.ones(12), np.ones(12), spec(2.0, k), g)
 
     @pytest.mark.parametrize("p,k", [(1.0, 0), (2.0, 0), (3.0, 0), (np.inf, 0), (2.0, 1)])
     def test_flat_stacked_components_taken_on_the_grid(self, p, k):
         # two species on a 16-point grid, flat: 32 values, one per species and point
         g = Grid((16,), (1.0 / 16,), "periodic")
         u = np.random.default_rng(5).standard_normal(32)
-        assert norm(u, spec(p, k), g) == norm(GridFunction(u, g), spec(p, k))
+        # the same state as one row per species is the same norm, bit for bit
+        assert norm(u, spec(p, k), g) == norm(u.reshape(2, 16), spec(p, k), g)
+        # every order's derivative applied to each species, all of them
+        # weighted by the cell measure 1/16
+        slices = [np.concatenate([op @ c for c in u.reshape(2, 16)])
+                  for op in derivative_ops(g, k)]
+        if np.isinf(p):
+            want = np.abs(slices[0]).max()
+        else:
+            orders = [np.sum(np.abs(s) ** p / 16) ** (1.0 / p) for s in slices]
+            want = np.sqrt(np.sum(np.square(orders)))
+        assert norm(u, spec(p, k), g) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
     @pytest.mark.parametrize("k,on_grid", [(0, False), (0, True), (1, True)])
@@ -237,21 +253,38 @@ class TestSobolev:
         g = Grid((16,), (1.0 / 16,), "periodic")
         s = NormSpec(p=p, k=k)
         for _ in range(5):
-            u = GridFunction(self.rng.standard_normal(16), g)
-            v = GridFunction(self.rng.standard_normal(16), g)
-            assert sip(u, u, s) == pytest.approx(norm(u, s) ** 2, rel=1e-12)
-            got = sip_fd_oracle(u, v, s)
-            scale = max(1.0, norm(u, s) * norm(v, s))
-            assert abs(sip(u, v, s) - got.value) <= 1e-6 * scale
+            u = self.rng.standard_normal(16)
+            v = self.rng.standard_normal(16)
+            assert sip(u, u, s, g) == pytest.approx(norm(u, s, g) ** 2, rel=1e-12)
+            got = sip_fd_oracle(u, v, s, grid=g)
+            scale = max(1.0, norm(u, s, g) * norm(v, s, g))
+            assert abs(sip(u, v, s, g) - got.value) <= 1e-6 * scale
 
     def test_sobolev_p2_equals_sum_of_order_pairings(self):
-        from contractkit.grids import derivative_ops
-
         g = Grid((12,), (1.0 / 12,), "periodic")
         s = NormSpec(p=2.0, k=1)
         u = self.rng.standard_normal(12)
         v = self.rng.standard_normal(12)
         ops = derivative_ops(g, 1)
-        manual = sum(sip(GridFunction(op @ u, g), GridFunction(op @ v, g), L2)
-                     for op in ops)
-        assert sip(GridFunction(u, g), GridFunction(v, g), s) == pytest.approx(manual, rel=1e-12)
+        manual = sum(sip(op @ u, op @ v, L2, g) for op in ops)
+        assert sip(u, v, s, g) == pytest.approx(manual, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_two_components_on_2d_grid_sum_order_pairings(self, p):
+        # two stacked components on a 6 x 5 periodic grid: the pairing is the
+        # sum over |alpha| <= 1 of the lp pairings of the stacked D^alpha
+        # slices, each component's after the other
+        g = Grid((6, 5), (0.2, 0.25), "periodic")
+        s = NormSpec(p=p, k=1)
+        u, v = self.rng.standard_normal((2, 60))
+        ops = derivative_ops(g, 1)
+        assert len(ops) == 3
+        slices = [(np.concatenate([op @ u[:30], op @ u[30:]]),
+                   np.concatenate([op @ v[:30], op @ v[30:]])) for op in ops]
+        manual = sum(sip(du, dv, NormSpec(p=p), g) for du, dv in slices)
+        assert sip(u, v, s, g) == pytest.approx(manual, rel=1e-12)
+        assert sip(u.reshape(2, 6, 5), v.reshape(2, 6, 5), s, g) == sip(u, v, s, g)
+        if p == 2.0:
+            # the plain quadrature: cell measure times the dot product of the slices
+            dots = sum(du @ dv for du, dv in slices)
+            assert sip(u, v, s, g) == pytest.approx(0.05 * dots, rel=1e-12)
