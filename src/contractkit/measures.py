@@ -16,7 +16,9 @@ of its Gram matrix; only the weighted Sobolev rate on a coimage still
 solves a pencil), via the classical column/row formulas for p in {1, inf}
 with invertible weights, and otherwise by a seeded multi-start pattern
 search over rays, whose 32 starts advance together: each probe batch is one
-call of a ratio set up once per solve (``_sip_ratio``).  The value reported
+call of a ratio set up once per solve (``_sip_ratio``; in an lp norm the one
+quotient sum |a|^(p-1) sgn(a) b / sum |a|^p).  It ends after two sweeps in a
+row in which no start gains over 1e-13 max(1, |best|).  The value reported
 is the reference pairing of ``sip.norm`` / ``sip.sip`` re-evaluated at the
 best probe, on the same grid; the two must agree there.
 
@@ -44,9 +46,12 @@ _KERNEL_RTOL = 1e-10    # singular values below rtol*smax count as kernel
 _CONFIRM_RTOL = 1e-9    # steering ratio vs reference value at the argmax
 _RESTARTS = 32          # seeded starts of the ray search
 _STEPS = np.array([1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 0.125, -0.125])  # step multiples probed
-_SWEEPS = 40            # pattern-search sweeps
+_SWEEPS = 40            # pattern-search sweeps, at most
+_STALL_RTOL = 1e-13     # a sweep in which no start gains more, times max(1, |best|), stalls
+_STALLS = 2             # consecutive stalled sweeps that end the search
 _SHRINK = 0.25          # step factor after a sweep without gain
 _MIN_STEP = 1e-9        # a start whose step falls below this stops
+_CACHE_MAX_N = 1024     # largest Sobolev Gram factor kept, N = ncomp * grid points
 
 
 def as_matrix(A):
@@ -124,14 +129,15 @@ def _ray_search(objective, reference, n, seed):
     own displacement; along each, every start probes ``_STEPS`` times its
     step (times the displacement itself) in one objective call and moves
     to its best probe if that gains.  A start without gain in a sweep
-    shrinks its step by ``_SHRINK`` and stops below ``_MIN_STEP``.  The
-    value returned is ``reference`` at the best point found, which must
-    agree with ``objective`` scoring that point alone."""
+    shrinks its step by ``_SHRINK`` and stops below ``_MIN_STEP``.  The search
+    ends after ``_SWEEPS``, or ``_STALLS`` sweeps in a row in which no start
+    gains over ``_STALL_RTOL`` max(1, |best|): a start may stall once, then
+    climb.  It returns ``reference`` at the best point, where ``objective`` agrees."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((_RESTARTS, n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     fx = _finite(objective(x))
-    step, rows = np.ones(_RESTARTS), np.arange(_RESTARTS)
+    step, rows, stalls = np.ones(_RESTARTS), np.arange(_RESTARTS), 0
     for _ in range(_SWEEPS):
         rand = rng.standard_normal((n, _RESTARTS, n))
         rand /= np.linalg.norm(rand, axis=2, keepdims=True)
@@ -148,6 +154,9 @@ def _ray_search(objective, reference, n, seed):
         step[step < _MIN_STEP] = 0.0
         x = x / np.linalg.norm(x, axis=1, keepdims=True)
         fx = _finite(objective(x))
+        stalls = 0 if np.any(fx - _STALL_RTOL * max(1.0, abs(fx.max())) > f0) else stalls + 1
+        if stalls == _STALLS:
+            break
     i = int(fx.argmax())
     if not np.isfinite(fx[i]):
         raise NumericalError("ray search failed to produce a finite value")
@@ -161,17 +170,20 @@ def _ray_search(objective, reference, n, seed):
 
 def _sip_ratio(T, C, spec, grid):
     """The batched ratio V -> [Tv, Cv] / ||Tv||^2 per row v of V in the norm
-    ``spec`` on ``grid`` (-inf where Tv vanishes), T and C dense (N, r).
+    ``spec`` on ``grid`` (-inf where Tv vanishes), T (None: the identity,
+    whose product is skipped) and C dense (N, r).
 
     D, the vstack of every D^alpha (|alpha| <= k) applied to each component,
     is built once, so a call is a few numpy reductions over an (orders, N, m)
-    array, with the arithmetic of sip.norm / sip.sip order by order.  For a
+    array, with the arithmetic of sip.norm / sip.sip order by order; at k = 0
+    and 1 < p < inf, where the weight and the p-th roots cancel, the one
+    quotient sum |a|^(p-1) sgn(a) b / sum |a|^p of a = Tv and b = Cv.  For a
     single row, T v is the matrix-vector product the reference forms, and D
     stays sparse, so the slices D^alpha T v are the very numbers sip.sip
     pairs: a last-bit difference at an exact zero (p = 1) or a tie (p = inf)
     would set the two values apart.  A batch of many rows rounds T V
     differently, which is why ``_ray_search`` scores its best point alone."""
-    N = T.shape[0]
+    N = C.shape[0]
     D = None
     if spec.k > 0:
         per_comp = sp.identity(N // grid.npoints, format="csr")
@@ -180,11 +192,15 @@ def _sip_ratio(T, C, spec, grid):
     p, w = spec.p, grid.cell_measure
 
     def ratio(V):
-        a, b = T @ V.T, C @ V.T
+        a, b = V.T if T is None else T @ V.T, C @ V.T
         if D is not None:
             a, b = D @ a, D @ b
         a, b = a.reshape(-1, N, V.shape[0]), b.reshape(-1, N, V.shape[0])
         au = np.abs(a)
+        if D is None and 1.0 < p < np.inf:
+            q = au[0] ** (p - 1.0)
+            num, den = (q * np.sign(a[0]) * b[0]).sum(axis=0).real, (q * au[0]).sum(axis=0)
+            return np.where(den > 0, num / np.where(den > 0, den, 1.0), -np.inf)
         if np.isinf(p):
             nus = au.max(axis=1)
             ties = au >= nus[:, None] * (1.0 - _ARGMAX_RTOL)
@@ -197,36 +213,33 @@ def _sip_ratio(T, C, spec, grid):
             cores = (au ** (p - 1.0) * np.sign(a) * b).sum(axis=1).real
             pairs = np.where(nus > 0, np.where(nus > 0, nus, 1.0) ** (2.0 - p) * w * cores, 0.0)
         nv = nus[0] if len(nus) == 1 else np.sqrt((nus ** 2).sum(axis=0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(nv > 0, pairs.sum(axis=0) / nv**2, -np.inf)
+        return np.where(nv > 0, pairs.sum(axis=0) / np.where(nv > 0, nv, 1.0) ** 2, -np.inf)
 
     return ratio
 
 
 def _sampled_rate(T, C, spec, grid, seed):
     """Ray-search sup_v [Tv, Cv] / ||Tv||^2 on ``grid`` (unit weights when it
-    is None), reported through sip.norm and sip.sip at the argmax."""
+    is None; T None is the identity), reported through sip.norm / sip.sip."""
     if grid is None:
-        grid = unit_grid(T.shape[0])
+        grid = unit_grid(C.shape[0])
 
     def reference(v):
-        tv = T @ v
+        tv = v if T is None else T @ v
         nv = sip_norm(tv, spec, grid)
         if nv == 0.0:
             return -np.inf
         return sip_pair(tv, C @ v, spec, grid) / nv**2
 
     val, argv, count = _ray_search(_sip_ratio(T, C, spec, grid), reference,
-                                   T.shape[1], seed=seed)
+                                   C.shape[1], seed=seed)
     return RateEstimate(val, "sampled", sample_count=count, argmax=argv)
 
 
-@lru_cache(maxsize=8)
-def _gram_factor(k, grid, ncomp):
+def _factor_gram(k, grid, ncomp):
     """G = R^T R for the order-k Sobolev Gram matrix of ``ncomp`` components
     on ``grid``: R sparse upper-triangular CSR and R^{-1} dense and C-ordered,
-    both read-only (LAPACK works in place on G.T).  Each cached grid holds one
-    dense N x N R^{-1}, N = ncomp * grid.npoints: 512 KiB at N = 256."""
+    both read-only (LAPACK works in place on G.T)."""
     L = sla.cholesky(gram_matrix(NormSpec(p=2.0, k=k), grid, ncomp).toarray().T,
                      lower=True, overwrite_a=True)
     R = sp.csr_matrix(L.T)
@@ -234,6 +247,16 @@ def _gram_factor(k, grid, ncomp):
     for a in (R.data, R.indices, R.indptr, Rinv):
         a.setflags(write=False)     # every caller gets these same arrays
     return R, Rinv
+
+
+_cached_gram_factor = lru_cache(maxsize=8)(_factor_gram)
+
+
+def _gram_factor(k, grid, ncomp):
+    """``_factor_gram``, cached while N = ncomp * grid.npoints <= _CACHE_MAX_N,
+    as each entry holds a dense N x N R^{-1} (8 MiB at N = 1,024)."""
+    cached = ncomp * grid.npoints <= _CACHE_MAX_N
+    return (_cached_gram_factor if cached else _factor_gram)(k, grid, ncomp)
 
 
 def _check_sobolev_grid(spec, grid, n):
@@ -269,7 +292,7 @@ def mu(A, spec=L2, grid=None, seed=0):
     if k == 0 and np.isinf(p):
         return RateEstimate(_mu_linf(M), "closed_form")
 
-    return _sampled_rate(np.eye(n), _dense(M), spec, grid, seed)
+    return _sampled_rate(None, _dense(M), spec, grid, seed)
 
 
 def _opnorm(M, p, seed):

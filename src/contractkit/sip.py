@@ -16,7 +16,7 @@ with the compatible norm ||u||_{k,p} = (sum_a ||D^a u||_p^2)^(1/2), so that
 
 A state is an array: a whole number of grid functions, one component after
 the other.  Its grid is always an argument, which sets the quadrature weight
-and the derivatives; without one, a state has unit weights on a 1-D grid.
+and the derivatives; without one, an lp state has unit weights on a 1-D grid.
 """
 
 from dataclasses import dataclass, field
@@ -92,16 +92,17 @@ def _lp_sip(uf, vf, w, p):
     return float(nu ** (2.0 - p) * w * core)
 
 
-def _on_grid(u, grid):
-    """The flat state u and the grid it lives on: ``grid``, of which u must
-    be a whole number of stacked components, or unit weights without one."""
-    u = np.asarray(u).reshape(-1)
+def _grid_of(n, spec, grid):
+    """The grid of a state of n values: ``grid``, of which it must be a whole
+    number of components, or without one unit weights, for an lp norm only."""
     if grid is None:
-        return u, unit_grid(u.size)
-    if u.size % grid.npoints:
-        raise DimensionError(f"state of size {u.size} is not a whole number of "
+        if spec.k > 0:
+            raise ContractViolation("Sobolev norms need the grid argument")
+        return unit_grid(n)
+    if n % grid.npoints:
+        raise DimensionError(f"state of size {n} is not a whole number of "
                              f"grid functions on {grid.npoints} points")
-    return u, grid
+    return grid
 
 
 def _order_slices(u, spec, grid):
@@ -112,17 +113,18 @@ def _order_slices(u, spec, grid):
 
 def norm(u, spec=L2, grid=None, *, rows=False):
     """Quadrature-weighted lp or discrete Sobolev (k,p) norm of the state u
-    on ``grid`` (unit weights when it is None).  u holds whole grid
-    functions, one component after the other; any other size raises
-    DimensionError.  With ``rows``, each row of the 2-D array ``u`` is one
-    such state, and the result is the array of their norms, each the
-    one-state norm bit for bit."""
+    on ``grid`` (unit weights when it is None, for an lp norm only).  u holds
+    whole grid functions, one component after the other; any other size
+    raises DimensionError.  With ``rows``, each row of the 2-D array ``u`` is
+    one such state, and the result is the array of their norms, each the
+    one-state norm bit for bit, and empty when u has no rows."""
+    u = np.asarray(u)
     if rows:
+        grid = _grid_of(u.shape[-1], spec, grid)
         if spec.k > 0:
-            return np.array([norm(r, spec, grid) for r in u])
-        u = np.asarray(u)
-        return _lp_norm(u, _on_grid(u[0], grid)[1].cell_measure, spec.p)
-    u, grid = _on_grid(u, grid)
+            return np.array([norm(r, spec, grid) for r in u], dtype=float)
+        return _lp_norm(u, grid.cell_measure, spec.p)
+    u, grid = u.reshape(-1), _grid_of(u.size, spec, grid)
     w = grid.cell_measure
     if spec.k == 0:
         return float(_lp_norm(u, w, spec.p))
@@ -133,8 +135,8 @@ def norm(u, spec=L2, grid=None, *, rows=False):
 def sip(u, v, spec=L2, grid=None):
     """Semi-inner product [u, v] for the norm described by ``spec``, with u
     and v taken on ``grid`` as ``norm`` takes them."""
-    u, grid = _on_grid(u, grid)
-    v = np.asarray(v).reshape(-1)
+    u, v = np.asarray(u).reshape(-1), np.asarray(v).reshape(-1)
+    grid = _grid_of(u.size, spec, grid)
     if u.shape != v.shape:
         raise DimensionError(f"shape mismatch: {u.shape} vs {v.shape}")
     w = grid.cell_measure

@@ -421,6 +421,16 @@ class TestSobolevFactor:
         again = measures._gram_factor(1, grid, ncomp)
         assert again[0] is R and again[1] is Rinv
 
+    def test_factor_above_the_cache_limit_is_not_kept(self):
+        grid = Grid((measures._CACHE_MAX_N + 16,), (1e-3,), "periodic")
+        held = measures._cached_gram_factor.cache_info().currsize
+        R, Rinv = measures._gram_factor(1, grid, 1)
+        again = measures._gram_factor(1, grid, 1)
+        assert again[0] is not R and again[1] is not Rinv
+        assert (again[0] != R).nnz == 0 and np.array_equal(again[1], Rinv)
+        assert measures._cached_gram_factor.cache_info().currsize == held
+        assert np.abs(R @ Rinv - np.eye(grid.npoints)).max() <= 1e-12
+
     def test_no_second_matrix(self, monkeypatch):
         seconds = []
         max_eig = measures._max_eig
@@ -666,6 +676,55 @@ class TestRaySearchAccuracy:
                 oracle = mu_fd_oracle(A, NormSpec(p=p)).value
                 assert mu(A, NormSpec(p=p)).value == pytest.approx(oracle, abs=1e-4)
         assert time.perf_counter() - t0 < 10.0
+
+    def test_one_stalled_sweep_does_not_end_the_search(self):
+        # no start gains in sweep 3, and one gains 1.9e-5 in sweep 4: ending
+        # after one stalled sweep would lose 3.8e-9 relative
+        rng = np.random.default_rng(17)
+        A = rng.standard_normal((2, 2))
+        est = mu(A, NormSpec(p=1.5), seed=int(rng.integers(2**31)))
+        assert est.value == pytest.approx(1.1778890109987539, rel=1e-12)
+
+    @staticmethod
+    def _ratio_calls(monkeypatch, A, spec):
+        """(calls of the ray search's ratio in one mu solve, the calls of a
+        search that runs every sweep): a sweep scores 2n + 1 probe batches
+        and the renormalized starts, plus one call for the starts and one
+        for the best point."""
+        calls = []
+        make = measures._sip_ratio
+
+        def counted(*args):
+            ratio = make(*args)
+            return lambda V: calls.append(len(V)) or ratio(V)
+
+        monkeypatch.setattr(measures, "_sip_ratio", counted)
+        mu(A, spec, seed=0)
+        return len(calls), 2 + measures._SWEEPS * (2 * len(A) + 2)
+
+    def test_search_ends_once_its_sweeps_stall(self, monkeypatch):
+        A = np.random.default_rng(4).standard_normal((3, 3))
+        calls, every_sweep = self._ratio_calls(monkeypatch, A, NormSpec(p=3.0))
+        assert calls < every_sweep
+
+    def test_search_still_climbing_runs_every_sweep(self, monkeypatch):
+        # the n = 16 periodic Laplacian still gains in its last sweep
+        L = _periodic_laplacian(16)
+        calls, every_sweep = self._ratio_calls(monkeypatch, L, NormSpec(p=3.0))
+        assert calls == every_sweep
+
+    @pytest.mark.parametrize("spec,grid", [
+        (NormSpec(p=1.5), None), (NormSpec(p=3.0), Grid((6,), (0.5,))),
+        (NormSpec(p=1.0), None), (NormSpec(p=np.inf), None),
+        (NormSpec(p=3.0, k=1), Grid((6,), (1.0 / 6,), "periodic")),
+    ])
+    def test_identity_skip_is_the_product_by_eye(self, spec, grid):
+        rng = np.random.default_rng(9)
+        C = rng.standard_normal((6, 6))
+        V = rng.standard_normal((50, 6))
+        grid = unit_grid(6) if grid is None else grid
+        skipped = _sip_ratio(None, C, spec, grid)(V)
+        assert np.array_equal(skipped, _sip_ratio(np.eye(6), C, spec, grid)(V))
 
 
 class TestNonlinearRate:

@@ -107,6 +107,20 @@ class TestNorm:
         # root by the same array loop
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("k,on_grid", [(0, False), (0, True), (1, True)])
+    def test_no_rows_no_norms(self, k, on_grid):
+        g = Grid((16,), (1.0 / 16,), "periodic") if on_grid else None
+        got = norm(np.empty((0, 32)), spec(2.0, k), g, rows=True)
+        assert got.shape == (0,) and got.dtype == float
+
+    def test_sobolev_norm_without_grid_raises(self):
+        # the derivatives are taken on the grid: no silent unit grid
+        u = np.sin(2 * np.pi * np.arange(16) / 16)
+        with pytest.raises(ContractViolation):
+            norm(u, spec(2.0, 1))
+        with pytest.raises(ContractViolation):
+            norm(u[None], spec(2.0, 1), rows=True)
+
     def test_two_species_of_ones_hand_value(self):
         # each species has squared L2 norm 16 * (1/16) = 1
         g = Grid((16,), (1.0 / 16,))
@@ -246,6 +260,11 @@ class TestOracle:
 
 class TestSobolev:
     rng = np.random.default_rng(3)
+
+    def test_pairing_without_grid_raises(self):
+        u = np.sin(2 * np.pi * np.arange(16) / 16)
+        with pytest.raises(ContractViolation):
+            sip(u, u, NormSpec(p=3.0, k=1))
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
