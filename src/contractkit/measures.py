@@ -17,7 +17,11 @@ solves a pencil), via the classical column/row formulas for p in {1, inf}
 with invertible weights, and otherwise by a seeded multi-start pattern
 search over rays, whose 32 starts advance together: each probe batch is one
 call of a ratio set up once per solve (``_sip_ratio``; in an lp norm the one
-quotient sum |a|^(p-1) sgn(a) b / sum |a|^p).  It ends after two sweeps in a
+quotient sum |a|^(p-1) sgn(a) b / sum |a|^p).  On that quotient with real
+operators (k = 0, 1 < p < inf), each sweep ends with one Newton move per start
+on the unit sphere, from the analytic gradient and Hessian
+(``_lp_ratio_derivatives``), so the starts converge quadratically near a
+smooth maximum.  It ends after two sweeps in a
 row in which no start gains over 1e-13 max(1, |best|).  The value reported
 is the reference pairing of ``sip.norm`` / ``sip.sip`` re-evaluated at the
 best probe, on the same grid; the two must agree there.
@@ -51,6 +55,9 @@ _STALL_RTOL = 1e-13     # a sweep in which no start gains more, times max(1, |be
 _STALLS = 2             # consecutive stalled sweeps that end the search
 _SHRINK = 0.25          # step factor after a sweep without gain
 _MIN_STEP = 1e-9        # a start whose step falls below this stops
+_LADDER = 2.0 ** np.arange(1, -21, -1)  # Newton step multiples probed, 2 down to 2^-20
+_SHIFT_RTOL = 1e-12     # least Newton shift beyond lambda_max, times max |lambda|
+_NEWTON_BLOCK = 2**14   # Hessian entries formed at once by a Newton move
 _CACHE_MAX_N = 1024     # largest Sobolev Gram factor kept, N = ncomp * grid points
 
 
@@ -120,7 +127,7 @@ def _finite(vals):
     return np.where(np.isfinite(vals), vals, -np.inf)
 
 
-def _ray_search(objective, reference, n, seed):
+def _ray_search(objective, reference, n, seed, derivatives=None):
     """Multi-start pattern-search ascent of a 0-homogeneous ratio.
 
     ``objective`` maps a batch (m, n) of vectors to m values.  The
@@ -129,7 +136,9 @@ def _ray_search(objective, reference, n, seed):
     own displacement; along each, every start probes ``_STEPS`` times its
     step (times the displacement itself) in one objective call and moves
     to its best probe if that gains.  A start without gain in a sweep
-    shrinks its step by ``_SHRINK`` and stops below ``_MIN_STEP``.  The search
+    shrinks its step by ``_SHRINK`` and stops below ``_MIN_STEP``.  With
+    ``derivatives`` (``_lp_ratio_derivatives``), each sweep ends with one
+    Newton move per start on the unit sphere (``_newton_move``).  The search
     ends after ``_SWEEPS``, or ``_STALLS`` sweeps in a row in which no start
     gains over ``_STALL_RTOL`` max(1, |best|): a start may stall once, then
     climb.  It returns ``reference`` at the best point, where ``objective`` agrees."""
@@ -154,6 +163,8 @@ def _ray_search(objective, reference, n, seed):
         step[step < _MIN_STEP] = 0.0
         x = x / np.linalg.norm(x, axis=1, keepdims=True)
         fx = _finite(objective(x))
+        if derivatives is not None:
+            x, fx = _newton_move(objective, derivatives, x, fx)
         stalls = 0 if np.any(fx - _STALL_RTOL * max(1.0, abs(fx.max())) > f0) else stalls + 1
         if stalls == _STALLS:
             break
@@ -166,6 +177,44 @@ def _ray_search(objective, reference, n, seed):
             f"ray-search objective {best!r} disagrees with the reference {value!r} at its argmax"
         )
     return value, x[i], _RESTARTS
+
+
+def _newton_move(objective, derivatives, x, fx):
+    """One Newton move per unit start x (a row of ``x``, of value ``fx``).
+
+    With the gradient g_t = P g and Hessian H_t = P H P projected by
+    P = I - x x^T, the step d in x^perp solves (H_t - s I) d = -g_t for the
+    shift s = max(lambda_max(H_t), 0) + |g_t| + ``_SHIFT_RTOL`` max |lambda|:
+    H_t - s I is negative definite, so d ascends, and s tends to the plain
+    Newton shift as g_t vanishes.  The ``_LADDER`` probes x + 2^j d,
+    renormalized, are scored in one objective call, and a start moves to its
+    best probe where that gains.  A start whose g or H is not finite, or
+    whose g_t is 0, does not move.  The Hessians are formed in blocks of
+    ``_NEWTON_BLOCK`` entries."""
+    m, n = x.shape
+    d = np.zeros_like(x)
+    size = max(1, _NEWTON_BLOCK // n**2)
+    for lo in range(0, m, size):
+        xs = x[lo:lo + size]
+        g, H = derivatives(xs)
+        g = g - (g * xs).sum(axis=1, keepdims=True) * xs
+        Hx = (H @ xs[:, :, None])[:, :, 0]
+        H -= Hx[:, :, None] * xs[:, None] + xs[:, :, None] * Hx[:, None]
+        H += (Hx * xs).sum(axis=1)[:, None, None] * xs[:, :, None] * xs[:, None]
+        gn = np.linalg.norm(g, axis=1)
+        ok = np.isfinite(gn) & np.isfinite(H).all(axis=(1, 2)) & (gn > 0)
+        if ok.any():
+            H, g = H[ok], g[ok]
+            lam = np.linalg.eigvalsh(H)
+            H[:, range(n), range(n)] -= (np.maximum(lam[:, -1], 0.0) + gn[ok]
+                                         + _SHIFT_RTOL * np.abs(lam).max(axis=1))[:, None]
+            d[lo:lo + size][ok] = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
+    probes = x[:, None] + _LADDER[:, None] * d[:, None]
+    probes /= np.linalg.norm(probes, axis=2, keepdims=True)
+    vals = _finite(objective(probes.reshape(-1, n))).reshape(m, -1)
+    rows, j = np.arange(m), vals.argmax(axis=1)
+    up = (vals[rows, j] > fx) & d.any(axis=1)
+    return np.where(up[:, None], probes[rows, j], x), np.where(up, vals[rows, j], fx)
 
 
 def _sip_ratio(T, C, spec, grid):
@@ -196,26 +245,67 @@ def _sip_ratio(T, C, spec, grid):
         if D is not None:
             a, b = D @ a, D @ b
         a, b = a.reshape(-1, N, V.shape[0]), b.reshape(-1, N, V.shape[0])
-        au = np.abs(a)
+        au, s = np.abs(a), np.sign(a)
+        if np.iscomplexobj(s):
+            s = s.conj()    # the pairing is Re(conj(sgn a) b)
         if D is None and 1.0 < p < np.inf:
             q = au[0] ** (p - 1.0)
-            num, den = (q * np.sign(a[0]) * b[0]).sum(axis=0).real, (q * au[0]).sum(axis=0)
+            num, den = (q * s[0] * b[0]).sum(axis=0).real, (q * au[0]).sum(axis=0)
             return np.where(den > 0, num / np.where(den > 0, den, 1.0), -np.inf)
         if np.isinf(p):
             nus = au.max(axis=1)
             ties = au >= nus[:, None] * (1.0 - _ARGMAX_RTOL)
-            pairs = nus * np.where(ties, np.sign(a) * b.real, -np.inf).max(axis=1)
+            pairs = nus * np.where(ties, (s * b).real, -np.inf).max(axis=1)
         elif p == 1.0:
             nus = w * au.sum(axis=1)
-            pairs = nus * w * np.where(a != 0, np.sign(a) * b.real, np.abs(b)).sum(axis=1)
+            pairs = nus * w * np.where(a != 0, (s * b).real, np.abs(b)).sum(axis=1)
         else:
             nus = (w * (au ** p).sum(axis=1)) ** (1.0 / p)
-            cores = (au ** (p - 1.0) * np.sign(a) * b).sum(axis=1).real
+            cores = (au ** (p - 1.0) * s * b).sum(axis=1).real
             pairs = np.where(nus > 0, np.where(nus > 0, nus, 1.0) ** (2.0 - p) * w * cores, 0.0)
         nv = nus[0] if len(nus) == 1 else np.sqrt((nus ** 2).sum(axis=0))
         return np.where(nv > 0, pairs.sum(axis=0) / np.where(nv > 0, nv, 1.0) ** 2, -np.inf)
 
     return ratio
+
+
+def _lp_ratio_derivatives(T, C, p):
+    """Gradient and Hessian of the k = 0 ratio r(v) = sum phi(a) b / sum |a|^p
+    of a = Tv and b = Cv, phi(a) = |a|^(p-1) sgn a, for real T (None: the
+    identity) and C and 1 < p < inf: rows X (m, n) -> g (m, n), H (m, n, n).
+
+    With phi' = (p-1) |a|^(p-2), phi'' = (p-1)(p-2) |a|^(p-3) sgn a, N and D
+    the two sums and D' = p T^T phi,
+        g = (T^T (phi' b) + C^T phi - r D') / D,
+        H = (T^T diag(phi'' b - p r phi') T + S + S^T - g D'^T - D' g^T) / D
+    with S = T^T diag(phi') C.  They are not finite where r is not twice
+    differentiable: Tv = 0, or a zero entry of a at p < 3."""
+
+    def tt(Y):  # T^T y per row y of Y
+        return Y if T is None else Y @ T
+
+    def derivatives(X):
+        with np.errstate(all="ignore"):
+            a, b = X if T is None else X @ T.T, X @ C.T
+            au, s = np.abs(a), np.sign(a)
+            phi = au ** (p - 1.0) * s
+            d1 = (p - 1.0) * au ** (p - 2.0)
+            d2 = (p - 1.0) * (p - 2.0) * au ** (p - 3.0) * s
+            den = (au ** p).sum(axis=1)
+            r = (phi * b).sum(axis=1) / den
+            dD = p * tt(phi)
+            g = (tt(d1 * b) + phi @ C - r[:, None] * dD) / den[:, None]
+            w = d2 * b - p * r[:, None] * d1
+            # K + K^T is D H, with K = S + T^T diag(w / 2) T - g D'^T
+            if T is None:
+                K = d1[:, :, None] * C
+                K[:, range(len(C)), range(len(C))] += 0.5 * w
+            else:
+                K = T.T @ (d1[:, :, None] * C + 0.5 * w[:, :, None] * T)
+            K -= g[:, :, None] * dD[:, None]
+            return g, (K + K.transpose(0, 2, 1)) / den[:, None, None]
+
+    return derivatives
 
 
 def _sampled_rate(T, C, spec, grid, seed):
@@ -231,8 +321,11 @@ def _sampled_rate(T, C, spec, grid, seed):
             return -np.inf
         return sip_pair(tv, C @ v, spec, grid) / nv**2
 
-    val, argv, count = _ray_search(_sip_ratio(T, C, spec, grid), reference,
-                                   C.shape[1], seed=seed)
+    smooth = spec.k == 0 and 1.0 < spec.p < np.inf and not (
+        np.iscomplexobj(C) or np.iscomplexobj(T))
+    val, argv, count = _ray_search(
+        _sip_ratio(T, C, spec, grid), reference, C.shape[1], seed=seed,
+        derivatives=_lp_ratio_derivatives(T, C, spec.p) if smooth else None)
     return RateEstimate(val, "sampled", sample_count=count, argmax=argv)
 
 

@@ -2,6 +2,7 @@
 weighted contraction rates."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -579,6 +580,29 @@ class TestSampledObjective:
             assert r == pytest.approx(want(tv, v), rel=1e-12)
             assert ratio(v[None])[0] == pytest.approx(want(T @ v, v), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+    def test_complex_weight_pairs_the_conjugate_sign(self, p):
+        # a complex non-invertible weight: the batch pairs Re(conj(sgn a) b),
+        # as sip does, and the search's value is the reference at its argmax
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((3, 3))
+        Th = (np.eye(3) + 0.5j * rng.standard_normal((3, 3)))[:2]
+        spec = NormSpec(p=p)
+        Vr = measures.coimage_of(Th)[1][0]
+        T, C = Th @ Vr, Th @ A @ Vr
+
+        def want(v):
+            return sip(T @ v, C @ v, spec) / norm(T @ v, spec) ** 2
+
+        V = rng.standard_normal((20, 2))
+        got = _sip_ratio(T, C, spec, unit_grid(2))(V)
+        assert got.dtype == float
+        for v, r in zip(V, got):
+            assert r == pytest.approx(want(v), rel=1e-12)
+        est = weighted_rate(A, weights.custom(lambda t, u, n: Th), spec=spec, seed=1)
+        assert est.method == "sampled"
+        assert est.value == want(est.argmax)
+
     def test_zero_image_is_minus_inf(self):
         ratio = _sip_ratio(np.zeros((5, 5)), np.eye(5), NormSpec(p=3.0, k=1), self.GRID)
         assert ratio(np.ones((1, 5)))[0] == -np.inf
@@ -686,11 +710,11 @@ class TestRaySearchAccuracy:
         assert est.value == pytest.approx(1.1778890109987539, rel=1e-12)
 
     @staticmethod
-    def _ratio_calls(monkeypatch, A, spec):
+    def _ratio_calls(monkeypatch, A, spec, grid=None):
         """(calls of the ray search's ratio in one mu solve, the calls of a
-        search that runs every sweep): a sweep scores 2n + 1 probe batches
-        and the renormalized starts, plus one call for the starts and one
-        for the best point."""
+        search without Newton moves that runs every sweep): such a sweep
+        scores 2n + 1 probe batches and the renormalized starts, plus one
+        call for the starts and one for the best point."""
         calls = []
         make = measures._sip_ratio
 
@@ -699,7 +723,7 @@ class TestRaySearchAccuracy:
             return lambda V: calls.append(len(V)) or ratio(V)
 
         monkeypatch.setattr(measures, "_sip_ratio", counted)
-        mu(A, spec, seed=0)
+        mu(A, spec, grid=grid, seed=0)
         return len(calls), 2 + measures._SWEEPS * (2 * len(A) + 2)
 
     def test_search_ends_once_its_sweeps_stall(self, monkeypatch):
@@ -708,10 +732,12 @@ class TestRaySearchAccuracy:
         assert calls < every_sweep
 
     def test_search_still_climbing_runs_every_sweep(self, monkeypatch):
-        # the n = 16 periodic Laplacian still gains in its last sweep
-        L = _periodic_laplacian(16)
-        calls, every_sweep = self._ratio_calls(monkeypatch, L, NormSpec(p=3.0))
-        assert calls == every_sweep
+        # the Sobolev (k = 1) search makes no Newton moves, and on the n = 8
+        # periodic Laplacian it still gains in its last sweep
+        grid = Grid((8,), (1.0 / 8,), "periodic")
+        calls, every_sweep = self._ratio_calls(monkeypatch, _periodic_laplacian(8),
+                                               NormSpec(p=3.0, k=1), grid)
+        assert calls == every_sweep == 722
 
     @pytest.mark.parametrize("spec,grid", [
         (NormSpec(p=1.5), None), (NormSpec(p=3.0), Grid((6,), (0.5,))),
@@ -725,6 +751,125 @@ class TestRaySearchAccuracy:
         grid = unit_grid(6) if grid is None else grid
         skipped = _sip_ratio(None, C, spec, grid)(V)
         assert np.array_equal(skipped, _sip_ratio(np.eye(6), C, spec, grid)(V))
+
+
+class TestNewtonMove:
+    """The ray search's Newton move on smooth lp quotients (k = 0, 1 < p < inf,
+    real operators)."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_derivatives_match_central_differences(self, p, weighted):
+        rng = np.random.default_rng(int(10 * p) + weighted)
+        n, N = 4, 6 if weighted else 4
+        T = rng.standard_normal((N, n)) if weighted else None
+        C = rng.standard_normal((N, n))
+        ratio = _sip_ratio(T, C, NormSpec(p=p), unit_grid(N))
+        derivatives = measures._lp_ratio_derivatives(T, C, p)
+        X, h = rng.standard_normal((5, n)), 1e-6
+        g, H = derivatives(X)
+        steps = [h * e for e in np.eye(n)]
+        g_fd = np.stack([(ratio(X + e) - ratio(X - e)) / (2 * h) for e in steps], axis=1)
+        H_fd = np.stack([(derivatives(X + e)[0] - derivatives(X - e)[0]) / (2 * h)
+                         for e in steps], axis=2)
+        assert np.abs(g - g_fd).max() <= 1e-7 * max(1.0, np.abs(g).max())
+        assert np.abs(H - H_fd).max() <= 1e-7 * max(1.0, np.abs(H).max())
+        assert np.array_equal(H, H.transpose(0, 2, 1))
+
+    def test_not_finite_at_a_zero_entry_below_p3(self):
+        X = np.array([[0.0, 1.0, 2.0], [0.5, 1.0, 2.0]])
+        C = np.random.default_rng(1).standard_normal((3, 3))
+        for p, finite in ((1.5, False), (2.5, False), (3.0, True), (4.0, True)):
+            g, H = measures._lp_ratio_derivatives(None, C, p)(X)
+            assert np.isfinite(H[0]).all() == finite
+            assert np.isfinite(g[1]).all() and np.isfinite(H[1]).all()
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_move_never_lowers_a_start(self, p):
+        rng = np.random.default_rng(int(10 * p))
+        for n in (2, 5, 9):
+            C = rng.standard_normal((n, n))
+            ratio = _sip_ratio(None, C, NormSpec(p=p), unit_grid(n))
+            x = rng.standard_normal((32, n))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            fx = measures._finite(ratio(x))
+            moved, fm = measures._newton_move(
+                ratio, measures._lp_ratio_derivatives(None, C, p), x, fx)
+            assert np.all(fm >= fx) and np.any(fm > fx)
+            assert np.array_equal(fm, measures._finite(ratio(moved)))
+            assert np.allclose(np.linalg.norm(moved, axis=1), 1.0)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_periodic_laplacian_reaches_its_supremum(self, n):
+        # constants attain the supremum 0 of the p = 3 quotient
+        for seed in (0, 1, 2):
+            assert mu(_periodic_laplacian(n), NormSpec(p=3.0), seed=seed).value >= -1e-12
+
+    @staticmethod
+    def _spy(monkeypatch):
+        built = []
+        make = measures._lp_ratio_derivatives
+        monkeypatch.setattr(measures, "_lp_ratio_derivatives",
+                            lambda *args: built.append(args) or make(*args))
+        return built
+
+    def test_real_smooth_lp_solves_build_the_derivatives(self, monkeypatch):
+        built = self._spy(monkeypatch)
+        A = np.random.default_rng(2).standard_normal((4, 4))
+        mu(A, NormSpec(p=3.0))
+        weighted_rate(A, weights.projection_complement(np.full((4, 4), 0.25)),
+                      spec=NormSpec(p=1.5))
+        assert len(built) == 2
+
+    def test_other_solves_never_build_the_derivatives(self, monkeypatch):
+        # each value is the one of the search before the Newton move, bit for bit
+        built = self._spy(monkeypatch)
+        rng = np.random.default_rng(21)
+        A = rng.standard_normal((4, 4))
+        Z = A + 1j * rng.standard_normal((4, 4))
+        th = weights.projection_complement(np.full((4, 4), 0.25))
+        got = [
+            mu(_periodic_laplacian(8), NormSpec(p=3.0, k=1),
+               grid=Grid((8,), (1.0 / 8,), "periodic"), seed=0),
+            weighted_rate(A, th, spec=L1, seed=0),
+            weighted_rate(A, th, spec=LINF, seed=0),
+            weighted_rate(A, th, spec=NormSpec(p=3.0, k=1),
+                          grid=Grid((4,), (0.25,), "periodic"), seed=0),
+            mu(Z, NormSpec(p=3.0), seed=0),
+            mu(Z, NormSpec(p=1.5), seed=0),
+        ]
+        assert not built
+        assert [est.method for est in got] == ["sampled"] * 6
+        assert [est.value.hex() for est in got] == [
+            "-0x1.364c3baa537d7p-24", "0x1.bd3ce3ffc2f6bp+1", "0x1.3c2cb22962dbdp+2",
+            "0x1.84719769c82fap+1", "0x1.6b6553d0b4eb5p+1", "0x1.4c80cce4a95a6p+1"]
+        assert measures._opnorm(np.eye(3) + 1e-3 * A[:3, :3], 3.0, 0) == float.fromhex(
+            "0x1.006fe3528d339p+0")
+
+    def test_large_n_no_slower_and_no_more_than_twice_the_memory(self, monkeypatch):
+        # a 48 x 48 solve takes the Hessians in blocks of starts; against the
+        # same search without the move: the faster of two untraced runs each,
+        # then the tracemalloc peak of one traced run each
+        A = np.random.default_rng(0).standard_normal((48, 48))
+        move = measures._newton_move
+
+        def solve(newton, traced=False):
+            monkeypatch.setattr(measures, "_newton_move",
+                                move if newton else lambda objective, d, x, fx: (x, fx))
+            if traced:
+                tracemalloc.start()
+            t0 = time.perf_counter()
+            try:
+                value = mu(A, NormSpec(p=3.0), seed=0).value
+                return value, time.perf_counter() - t0, traced and tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        runs = [solve(newton) for _ in range(2) for newton in (True, False)]
+        moved, plain = runs[0::2], runs[1::2]
+        assert moved[0][0] >= plain[0][0]
+        assert min(r[1] for r in moved) <= min(r[1] for r in plain)
+        assert solve(True, traced=True)[2] <= 2 * solve(False, traced=True)[2]
 
 
 class TestNonlinearRate:

@@ -10,9 +10,12 @@ from ``numpy.random.default_rng(seed)``, as ``perfbench/run.py`` does, and
 solves every item once per seed, in one subprocess of its own with ``src/``
 of that tree first on ``PYTHONPATH``.  The script prints, per seed and item,
 both values, the change relative to max(1, |base|) and whether the bits
-match.  It exits 1 if a sampled value (a lower bound on a supremum) falls by
-more than 1e-12 max(1, |base|), if an eigen or closed-form value changes at
-all, or if an item's method, error or presence differs; 0 otherwise.  Uses
+match, and for a sampled item the calls of the ray search's ratio
+(``measures._sip_ratio``, wrapped in the child) and the rows they scored in
+each tree, base -> new, a count free of timing noise.  It exits 1 if a
+sampled value (a lower bound on a supremum) falls by more than
+1e-12 max(1, |base|), if an eigen or closed-form value changes at all, or
+if an item's method, error or presence differs; 0 otherwise.  Uses
 the standard library and numpy only, and writes nothing into either tree.
 """
 
@@ -29,7 +32,8 @@ SAMPLED_DROP_RTOL = 1e-12
 
 def run_tree(tree, out, seeds):
     """Child side: solve every rate item of ``tree`` at every seed in this
-    process and write {seed/id: [method, value as float.hex, error]} to ``out``."""
+    process and write {seed/id: [method, value as float.hex, error]} and
+    {seed/id: [ratio calls, rows scored]} to ``out``."""
     import numpy as np
 
     sys.path.insert(0, os.path.join(tree, "perfbench"))
@@ -39,18 +43,32 @@ def run_tree(tree, out, seeds):
     src = os.path.realpath(os.path.join(tree, "src"))
     if not os.path.realpath(measures.__file__).startswith(src + os.sep):
         raise SystemExit(f"imported {measures.__file__}, not the package under {src}")
-    results = {}
+    tally = [0, 0]
+    make = measures._sip_ratio
+
+    def counted(*args):
+        ratio = make(*args)
+
+        def scored(V):
+            tally[0] += 1
+            tally[1] += len(V)
+            return ratio(V)
+        return scored
+
+    measures._sip_ratio = counted
+    results, counts = {}, {}
     for seed in seeds:
         for build in (workloads.sampled_items, workloads.eigen_items):
             for item in build(np.random.default_rng(seed)):
+                key, tally[:] = f"{seed}/{item.id}", [0, 0]
                 try:
                     est = item.run()
-                    results[f"{seed}/{item.id}"] = [est.method, float(est.value).hex(), None]
+                    results[key] = [est.method, float(est.value).hex(), None]
                 except Exception as exc:  # a failed solve is an outcome to compare too
-                    results[f"{seed}/{item.id}"] = [item.method, None,
-                                                    f"{type(exc).__name__}: {exc}"]
+                    results[key] = [item.method, None, f"{type(exc).__name__}: {exc}"]
+                counts[key] = list(tally)
     with open(out, "w") as fh:
-        json.dump(results, fh, indent=1)
+        json.dump({"values": results, "counts": counts}, fh, indent=1)
 
 
 def spawn(tree, out, seeds):
@@ -60,10 +78,18 @@ def spawn(tree, out, seeds):
            os.path.abspath(tree), out, *map(str, seeds)]
     subprocess.run(cmd, env=env, cwd=os.path.dirname(out), check=True)
     with open(out) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    return data["values"], data["counts"]
 
 
-def compare(base, new):
+def count_note(base_count, new_count):
+    """'calls B -> N, rows B -> N' of the ray search's ratio, from the
+    [calls, rows] of either tree."""
+    (bc, br), (nc, nr) = base_count, new_count
+    return f"calls {bc:,} -> {nc:,}, rows {br:,} -> {nr:,}"
+
+
+def compare(base, new, base_counts, new_counts):
     """One printed line per item, and the lines of the items that fail."""
     lines, bad = [], []
     for key in sorted(set(base) | set(new), key=lambda k: (int(k.split("/")[0]), k)):
@@ -85,6 +111,8 @@ def compare(base, new):
         same = bv == nv
         line = (f"{key:<38} {bm:<11} {b!r:>24} {n!r:>24}  rel {rel:+.2e}  "
                 f"bits {'same' if same else 'differ'}")
+        if bm == "sampled":
+            line += "  " + count_note(base_counts[key], new_counts[key])
         lines.append(line)
         if bm == "sampled":
             if not n >= b - SAMPLED_DROP_RTOL * scale:
@@ -107,11 +135,16 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 918273])
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare_rates-") as work:
-        base, new = (spawn(tree, os.path.join(work, f"{label}.json"), args.seeds)
-                     for tree, label in ((args.base, "base"), (args.new, "new")))
-    lines, bad = compare(base, new)
+        (base, base_counts), (new, new_counts) = (
+            spawn(tree, os.path.join(work, f"{label}.json"), args.seeds)
+            for tree, label in ((args.base, "base"), (args.new, "new")))
+    lines, bad = compare(base, new, base_counts, new_counts)
     for line in lines:
         print(line)
+    sampled = [k for k in base if k in new and base[k][0] == "sampled"]
+    totals = [[sum(tree_counts[k][i] for k in sampled) for i in (0, 1)]
+              for tree_counts in (base_counts, new_counts)]
+    print(f"ray-search ratio over the {len(sampled)} sampled items: {count_note(*totals)}")
     counts = {m: sum(1 for v in base.values() if v[0] == m)
               for m in ("sampled", "eigen", "closed_form")}
     same = sum(1 for k in base if k in new and base[k] == new[k])
