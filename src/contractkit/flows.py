@@ -50,7 +50,6 @@ class VectorField:
     dim: int = None
     name: str = ""
     grid: object = None
-    diagnostics: dict = field(default_factory=dict)
     matrix: object = None
 
     def eval(self, t, u):
@@ -217,9 +216,6 @@ def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_00
     else:
         times, states, stats = _integrate_solver(f, u, t0, t1, rtol, method, t_eval,
                                                  record_every, max_steps)
-    if f.diagnostics:
-        stats["diagnostics"] = {name: np.asarray([fn(s) for s in states])
-                                for name, fn in f.diagnostics.items()}
     return Trajectory(np.asarray(times), np.asarray(states), stats=stats)
 
 

@@ -19,6 +19,7 @@ from .flows import (ODE_METHOD, ODE_RTOL, VectorField, as_vector_field, fd_jacob
                     fit_decay_rate, integrator_entry, rk4_steps, simulate_flow)
 from .measures import as_matrix, nonlinear_rate
 from .reporting import Check, verdict
+from .sampling import read as read_samples
 from .sip import L2
 from .sip import norm as sip_norm
 from .weights import WeightFamily, jacobian_of_map, projection_complement
@@ -240,23 +241,29 @@ def _decay_cross_check(f, sim, dim, quantity, lam, base_ic=None):
             "integrator": integrator_entry(trajs)}, trajs
 
 
+def _norm(v):
+    """The 2-norm of a 1-D real vector, as np.linalg.norm computes it:
+    sqrt(v . v), without its per-call overhead."""
+    return math.sqrt(v @ v)
+
+
+def _worst_residual(pairs):
+    """The largest relative residual ||r|| / (1 + ||s||) over (r, s) pairs,
+    nan when one of them is nan (and when there are none): a hypothesis
+    whose residual is not a number fails its check."""
+    res = [_norm(r) / (1.0 + _norm(s)) for r, s in pairs]
+    return float(np.max(res)) if res else math.nan
+
+
 def check_subspace_invariance(f, proj, sampler):
     """Residuals of Q f(t, P v) = 0 over sampled (t, v)."""
     f = as_vector_field(f)
-    worst = 0.0
-    count = 0
-    for t, v in sampler:
-        v = np.asarray(v, dtype=float)
-        fv = f.eval(t, proj.P @ v)
-        res = np.linalg.norm(proj.Q @ fv) / (1.0 + np.linalg.norm(fv))
-        worst = max(worst, res)
-        count += 1
-    return {
-        "check": Check.leq("subspace_invariance", worst, RESIDUAL_TOL),
-        "max_residual": worst,
-        "samples": count,
-        "passed": bool(worst <= RESIDUAL_TOL),
-    }
+    samples = read_samples(sampler)
+    fvs = [f.eval(t, proj.P @ v) for t, v in samples]
+    worst = _worst_residual((proj.Q @ fv, fv) for fv in fvs)
+    check = Check.leq("subspace_invariance", worst, RESIDUAL_TOL)
+    return {"check": check, "max_residual": worst, "samples": len(samples),
+            "passed": check.passed}
 
 
 def _compose_outer_weight(outer, inner):
@@ -282,7 +289,7 @@ def certify_subspace_contraction(f, proj, spec=L2, sampler=None,
     subspace plus a negative rate in the Q-weighted (semi)norm.  With an
     inner weight the certificate is asymptotic rather than uniform."""
     f = as_vector_field(f)
-    samples = list(sampler)
+    samples = read_samples(sampler)
     inv = check_subspace_invariance(f, proj, samples)
     weight = _compose_outer_weight(proj.Q, inner_theta) if inner_theta is not None \
         else projection_complement(proj.P)
@@ -302,12 +309,6 @@ def certify_subspace_contraction(f, proj, spec=L2, sampler=None,
             rate.value)
     rate_only = rate_check.passed and not inv["passed"]
     return verdict(report, "rate_only" if rate_only else "withheld")
-
-
-def _norm(v):
-    """The 2-norm of a 1-D real vector, as np.linalg.norm computes it:
-    sqrt(v . v), without its per-call overhead."""
-    return math.sqrt(v @ v)
 
 
 def project_to_level_set(sub, u0):
@@ -335,28 +336,27 @@ def project_to_level_set(sub, u0):
     return u
 
 
+def _project_samples(sub, samples):
+    """(t, w) for each sample (t, u) whose projection w onto the level set
+    of ``sub`` converges; the others are left out."""
+    out = []
+    for t, u in samples:
+        try:
+            out.append((t, project_to_level_set(sub, u)))
+        except NumericalError:
+            continue
+    return out
+
+
 def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None, seed=0):
     """Certificate of contraction to the level set M = phi^{-1}(0):
     tangency of the flow on M plus a negative rate with weight Dphi(u)."""
     f = as_vector_field(f)
-    samples = [(t, np.asarray(u, dtype=float)) for t, u in sampler]
-    on_manifold = []
-    failures = 0
-    for t, u in samples:
-        try:
-            on_manifold.append((t, project_to_level_set(sub, u)))
-        except NumericalError:
-            failures += 1
-    coverage = len(on_manifold) / max(1, len(samples))
-
-    tangency = 0.0
-    min_sv = np.inf
-    for t, w in on_manifold:
-        fv = f.eval(t, w)
-        tangency = max(tangency, np.linalg.norm(sub.jac(w) @ fv) / (1.0 + np.linalg.norm(fv)))
-        min_sv = min(min_sv, sub.min_singular_value(w))
-    for t, u in samples:
-        min_sv = min(min_sv, sub.min_singular_value(u))
+    samples = read_samples(sampler)
+    on_manifold = _project_samples(sub, samples)
+    fvs = [(w, f.eval(t, w)) for t, w in on_manifold]
+    tangency = _worst_residual((sub.jac(w) @ fv, fv) for w, fv in fvs)
+    min_sv = min(sub.min_singular_value(u) for _, u in on_manifold + samples)
 
     rate = nonlinear_rate(f, sub.weight(), spec=spec, sampler=samples, seed=seed)
     checks = [
@@ -369,8 +369,8 @@ def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None, seed=0
         "certificate": "decay of the level-set residual ||phi(u(t))||",
         "rate": rate,
         "checks": checks,
-        "on_manifold_coverage": coverage,
-        "projection_failures": failures,
+        "on_manifold_coverage": len(on_manifold) / len(samples),
+        "projection_failures": len(samples) - len(on_manifold),
     }
     if sim is not None and all(c.passed for c in checks):
         dim = samples[0][1].shape[0]
@@ -381,30 +381,26 @@ def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None, seed=0
 
 
 def check_equivariance(f, group_elems, sampler, rate=None):
-    """Residuals of f(t, T u) = T f(t, u) for linear T, or of the
-    differential version f(t, h(u)) = Dh(u) f(t, u) for diffeomorphisms.
+    """Residuals of f(t, h(u)) = Dh(u) f(t, u) for each group element h, a
+    ``Conjugacy`` or a matrix T (h(u) = T u, Dh = T), one check per element.
     With a contraction rate, ``invariant_limit`` checks that it is negative:
     the limiting solution is then invariant under the group."""
     f = as_vector_field(f)
-    samples = [(t, np.asarray(u, dtype=float)) for t, u in sampler]
+    samples = read_samples(sampler)
+    fus = [(t, u, f.eval(t, u)) for t, u in samples]
     per_elem = []
     for idx, T in enumerate(group_elems):
-        worst = 0.0
-        for t, u in samples:
-            if isinstance(T, Conjugacy):
-                lhs = f.eval(t, T.value(u))
-                rhs = T.jac(u) @ f.eval(t, u)
-            else:
-                Tm = np.asarray(as_matrix(T), dtype=float)
-                lhs = f.eval(t, Tm @ u)
-                rhs = Tm @ f.eval(t, u)
-            worst = max(worst, np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(rhs)))
+        h = T if isinstance(T, Conjugacy) else Conjugacy.linear(T)
+        images = [(t, h.value(u), h.jac(u) @ fu) for t, u, fu in fus]
+        worst = _worst_residual((f.eval(t, hu) - dhf, dhf) for t, hu, dhf in images)
         per_elem.append(Check.leq(f"equivariance_elem_{idx}", worst, RESIDUAL_TOL))
+    if not per_elem:
+        raise ContractViolation("equivariance needs at least one group element")
     passed = all(c.passed for c in per_elem)
     report = {
         "checks": per_elem,
         "passed": passed,
-        "max_residual": max((c.value for c in per_elem), default=0.0),
+        "max_residual": float(np.max([c.value for c in per_elem])),
         "samples": len(samples),
     }
     if rate is not None:
@@ -427,16 +423,12 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
     if tau is None or tau <= 0:
         raise ContractViolation(f"tau must be positive, got {tau!r}")
     f = as_vector_field(f)
-    worst = 0.0
-    count = 0
-    for t, u in sampler:
-        u = np.asarray(u, dtype=float)
-        fu = f.eval(t, u)
-        worst = max(worst, np.linalg.norm(fu - f.eval(t + tau, u)) / (1.0 + np.linalg.norm(fu)))
-        count += 1
+    samples = read_samples(sampler)
+    fus = [(t, u, f.eval(t, u)) for t, u in samples]
+    worst = _worst_residual((fu - f.eval(t + tau, u), fu) for t, u, fu in fus)
     check = Check.leq("temporal_symmetry", worst, RESIDUAL_TOL)
     report = {"check": check, "passed": check.passed, "max_residual": worst,
-              "samples": count, "tau": tau}
+              "samples": len(samples), "tau": tau}
     if rate is not None:
         report["contraction_rate"] = rate
         report["periodic_limit"] = Check.lt("contraction_rate", rate.value, -_RATE_TOL)
@@ -552,30 +544,20 @@ def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None, sim=None, see
     the one its period comes from (None when no sim ran)."""
     f = as_vector_field(f)
     g = conjugate_field(f, [conj])
-    samples = [(t, np.asarray(u, dtype=float)) for t, u in sampler]
-    loop_pts = []
-    for t, u in samples:
-        try:
-            loop_pts.append(project_to_level_set(sub, u))
-        except NumericalError:
-            continue
+    samples = read_samples(sampler)
+    loop_pts = [w for _, w in _project_samples(sub, samples)]
     if not loop_pts:
         raise ContractViolation("no sampler point could be projected onto the loop")
     dim = loop_pts[0].shape[0]
     if dim == sub.codim + 1:
         loop_pts = sweep_loop(sub, loop_pts[0]) + loop_pts
-    times = (sorted({t for t, _ in samples}) or [0.0])[:_LOOP_TIMES]
+    times = sorted({t for t, _ in samples})[:_LOOP_TIMES]
 
-    tangency = 0.0
-    sym_res = 0.0
     taus = [tau] if tau is not None else [0.37, 1.0, math.e]
-    for w in loop_pts:
-        for t in times:
-            gv = g.eval(t, w)
-            tangency = max(tangency,
-                           _norm(sub.jac(w) @ gv) / (1.0 + _norm(gv)))
-            for dt_ in taus:
-                sym_res = max(sym_res, _norm(gv - g.eval(t + dt_, w)) / (1.0 + _norm(gv)))
+    gvs = [(t, w, g.eval(t, w)) for w in loop_pts for t in times]
+    tangency = _worst_residual((sub.jac(w) @ gv, gv) for _, w, gv in gvs)
+    sym_res = _worst_residual((gv - g.eval(t + dt_, w), gv)
+                              for t, w, gv in gvs for dt_ in taus)
     min_speed, speeds = _min_loop_speed(sub, g, times, loop_pts)
     rate = nonlinear_rate(g, sub.weight(), spec=spec, sampler=samples, seed=seed)
 
@@ -647,6 +629,7 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
     drift by less than ``_PHASE_DRIFT_TOL`` (``phases_locked``).  Without a
     certified leader the report holds no check, so it is withheld; a single
     oscillator carries the leader's report and so its verdict."""
+    samples = read_samples(sampler)
     if leader is None or not leader["certified"]:
         return verdict({"reason": "leader limit-cycle certification missing"})
     f = as_vector_field(f)
@@ -654,7 +637,6 @@ def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
     if n_osc == 1:
         return verdict({"reduces_to": "limit_cycle", "leader": leader})
     G = conjugate_field(f, conjs)
-    samples = [(t, np.asarray(u, dtype=float)) for t, u in sampler]
     rate = nonlinear_rate(G, projection_complement(proj_w.P), spec=spec,
                           sampler=samples, seed=seed)
     rate_check = Check.lt("phase_lock_rate", rate.value, -_RATE_TOL)

@@ -42,6 +42,7 @@ import scipy.sparse as sp
 
 from .errors import ContractViolation, DegenerateWeightError, DimensionError, NumericalError
 from .grids import derivative_ops, unit_grid
+from .sampling import read as read_samples
 from .sip import _ARGMAX_RTOL, _ORACLE_RTOL, L2, NormSpec, OracleResult, gram_matrix
 from .sip import norm as sip_norm
 from .sip import sip as sip_pair
@@ -366,8 +367,9 @@ def mu(A, spec=L2, grid=None, seed=0):
 
     Closed forms: p = 2 is the largest eigenvalue of the symmetrized matrix
     (of R M R^{-1} when k > 0, for the Gram matrix G = R^T R), p = 1 / p = inf
-    are the classical column / row formulas.  Other p fall back to a sampled ray
-    search and are flagged as such.
+    are the classical column / row formulas.  A closed form or eigen solve of
+    a matrix that is not finite raises NumericalError.  Other p fall back to a
+    sampled ray search and are flagged as such.
     """
     M = as_matrix(A)
     _check_square(M)
@@ -380,10 +382,11 @@ def mu(A, spec=L2, grid=None, seed=0):
         # the pencil (sym(G M), G) with G = R^T R is the standard sym(R M R^-1)
         R, Rinv = _gram_factor(k, grid, n // grid.npoints)
         return RateEstimate(_max_eig(_sym(R @ (M @ Rinv))), "eigen")
-    if k == 0 and p == 1.0:
-        return RateEstimate(_mu_l1(M), "closed_form")
-    if k == 0 and np.isinf(p):
-        return RateEstimate(_mu_linf(M), "closed_form")
+    if k == 0 and p in (1.0, np.inf):
+        val = (_mu_l1 if p == 1.0 else _mu_linf)(M)
+        if not np.isfinite(val):
+            raise NumericalError(f"closed-form p = {p} measure is not finite: {val}")
+        return RateEstimate(val, "closed_form")
 
     return _sampled_rate(None, _dense(M), spec, grid, seed)
 
@@ -479,21 +482,14 @@ def nonlinear_rate(f, theta, spec=L2, sampler=None, grid=None, seed=0):
     """Empirical sup over sampled (t, u) of the weighted rate of Df_t(u).
 
     This is a sampled estimate of the supremum, reported as such; it is
-    never a certified global bound.
+    never a certified global bound.  The sampler is read by ``sampling.read``.
     """
-    if sampler is None:
-        raise ContractViolation("nonlinear_rate needs a sampler of (t, u) pairs")
+    samples = read_samples(sampler)
     best = -np.inf
     best_at = None
-    count = 0
-    for t, u in sampler:
-        u = np.asarray(u, dtype=float)
-        J = f.jacobian(t, u)
-        r = weighted_rate(J, theta, t, u, spec=spec, grid=grid, seed=seed)
-        count += 1
+    for t, u in samples:
+        r = weighted_rate(f.jacobian(t, u), theta, t, u, spec=spec, grid=grid, seed=seed)
         if r.value > best:
             best = r.value
             best_at = (t, u)
-    if count == 0:
-        raise ContractViolation("sampler yielded no (t, u) samples")
-    return RateEstimate(best, "sampled", sample_count=count, argmax=best_at)
+    return RateEstimate(best, "sampled", sample_count=len(samples), argmax=best_at)

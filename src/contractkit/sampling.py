@@ -1,6 +1,21 @@
-"""Deterministic samplers of (t, u) pairs for the sampled suprema."""
+"""Deterministic samplers of (t, u) pairs for the sampled suprema, and
+``read``, the one reader of a sampler."""
 
 import numpy as np
+
+from .errors import ContractViolation
+
+
+def read(sampler):
+    """The (t, u) pairs of ``sampler`` as a list, each u a float array,
+    taken in one pass.  A sampler is required and must yield at least one
+    pair: ContractViolation on None or on an empty sampler."""
+    if sampler is None:
+        raise ContractViolation("a sampler of (t, u) pairs is required")
+    samples = [(t, np.asarray(u, dtype=float)) for t, u in sampler]
+    if not samples:
+        raise ContractViolation("the sampler yielded no (t, u) samples")
+    return samples
 
 
 def states(us):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .measures import coimage_of, nonlinear_rate
+from .sampling import read as read_samples
 from .sip import L2
 
 _PROJ_TOL = 1e-10
@@ -147,17 +148,9 @@ def check_radius_b(theta, b, sampler):
     """Probe ||Theta|| and ||Theta^{-1}|| over sampled (t, u) against b."""
     if not theta.invertible:
         raise ContractViolation("radius check needs an invertible weight")
-    max_fwd = 0.0
-    max_inv = 0.0
-    count = 0
-    for t, u in sampler:
-        u = np.asarray(u, dtype=float)
-        n = u.shape[0]
-        max_fwd = max(max_fwd, float(np.linalg.norm(theta.matrix(t, u, n), 2)))
-        max_inv = max(max_inv, float(np.linalg.norm(theta.inv_matrix(t, u, n), 2)))
-        count += 1
-    if count == 0:
-        raise ContractViolation("radius check needs at least one sample")
+    samples = read_samples(sampler)
+    max_fwd = max(float(np.linalg.norm(theta.matrix(t, u, len(u)), 2)) for t, u in samples)
+    max_inv = max(float(np.linalg.norm(theta.inv_matrix(t, u, len(u)), 2)) for t, u in samples)
     observed = max(max_fwd, max_inv)
     return {
         "max_theta": max_fwd,
@@ -165,7 +158,7 @@ def check_radius_b(theta, b, sampler):
         "observed": observed,
         "bound": float(b),
         "passed": bool(observed <= b * (1 + 1e-9)),
-        "samples": count,
+        "samples": len(samples),
     }
 
 
@@ -204,11 +197,7 @@ def optimize_diagonal_weight(A_or_f, spec=L2, b=10.0, sampler=None, seed=0):
     from .flows import as_vector_field
 
     f = as_vector_field(A_or_f)
-    if sampler is None:
-        raise ContractViolation("optimizer needs a sampler")
-    samples = [(t, np.asarray(u, dtype=float)) for t, u in sampler]
-    if not samples:
-        raise ContractViolation("optimizer sampler is empty")
+    samples = read_samples(sampler)
     n = samples[0][1].shape[0]
 
     def evaluate(d):

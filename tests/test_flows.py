@@ -112,13 +112,6 @@ class TestIntegrate:
         traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, record_every=every)
         assert traj.times[-1] == 1.0
 
-    def test_diagnostics_recorded(self):
-        fld = linear_field(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        fld.diagnostics["energy"] = lambda u: float(u @ u)
-        traj = integrate(fld, [1.0, 0.0], (0.0, 3.0), dt=1e-3, record_every=100)
-        e = traj.stats["diagnostics"]["energy"]
-        assert np.max(np.abs(e - e[0])) <= 1e-10
-
 
 class TestSolverPath:
     """The rtol branch: a scipy OdeSolver stepped under the integrate contracts."""
@@ -186,16 +179,12 @@ class TestSolverPath:
             with pytest.raises(ContractViolation):
                 integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, method=method)
 
-    def test_record_every_and_diagnostics(self):
+    def test_record_every(self):
         fld = linear_field(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        fld.diagnostics["energy"] = lambda u: float(u @ u)
         traj = integrate(fld, [1.0, 0.0], (0.0, 3.0), rtol=1e-10, record_every=5)
         steps = traj.stats["steps"]
         assert len(traj.times) == 1 + steps // 5 + (steps % 5 != 0)
         assert traj.times[0] == 0.0 and traj.times[-1] == 3.0
-        e = traj.stats["diagnostics"]["energy"]
-        assert len(e) == len(traj.times)
-        assert np.max(np.abs(e - 1.0)) <= 1e-8
 
     def test_step_budget_stiffness_error(self):
         with pytest.raises(StiffnessError):

@@ -782,3 +782,141 @@ class TestCoupledHopf:
             assert J.shape == (8, 8)
             J_fd = fd_jacobian(fld.eval, 0.0, u)
             assert np.linalg.norm(J - J_fd) <= 1e-6 * (1.0 + np.linalg.norm(J))
+
+
+def _sampler_users():
+    """Every geometry check and certifier, as a function of its sampler."""
+    heat = heat_field(build_discretization(8, boundary="neumann"))
+    mats = TestPhaseLocking.mats[:2]
+    return {
+        "subspace_invariance": lambda s: check_subspace_invariance(
+            heat, Projector.mean(8), s),
+        "subspace_contraction": lambda s: certify_subspace_contraction(
+            heat, Projector.mean(8), sampler=s),
+        "manifold": lambda s: certify_manifold_contraction(
+            systems.hopf_field(), systems.circle_submersion(), sampler=s),
+        "equivariance": lambda s: check_equivariance(heat, [np.eye(8)], s),
+        "temporal_symmetry": lambda s: check_temporal_symmetry(heat, 1.0, s),
+        "limit_cycle": lambda s: certify_limit_cycle(
+            systems.hopf_field(), systems.circle_submersion(), Conjugacy.identity(),
+            None, sampler=s),
+        "phase_locking": lambda s: certify_phase_locking(
+            systems.coupled_hopf_field([1.0] * 2, mats, coupling=0.4),
+            [Conjugacy.linear(M) for M in mats], rotation_subspace_projector(2),
+            sampler=s, leader=None),
+    }
+
+
+class TestSamplerContract:
+    """Every check reads its sampler through ``sampling.read``: at least one
+    sample is required, and a missing or empty sampler is refused."""
+
+    @pytest.mark.parametrize("user", sorted(_sampler_users()))
+    @pytest.mark.parametrize("sampler", [None, []], ids=["none", "empty"])
+    def test_refuses_missing_or_empty_sampler(self, user, sampler):
+        with pytest.raises(ContractViolation, match="sampler"):
+            _sampler_users()[user](sampler)
+
+    def test_a_generator_is_read_once(self):
+        heat = heat_field(build_discretization(8, boundary="neumann"))
+        samples = sampling.gaussian_samples(4, 8, seed=3)
+        rep = certify_subspace_contraction(heat, Projector.mean(8),
+                                           sampler=iter(samples))
+        again = certify_subspace_contraction(heat, Projector.mean(8), sampler=samples)
+        assert rep["invariance"]["samples"] == rep["rate"].sample_count == 4
+        assert rep["rate"].value == again["rate"].value
+        assert rep["certified"]
+
+    def test_no_group_element_refused(self):
+        with pytest.raises(ContractViolation, match="group element"):
+            check_equivariance(rotation_field(), [], band_sampler(n=2))
+
+
+def _nan_after(base, t_nan):
+    """``base`` until time t_nan and nan from then on; its exact Jacobian
+    stays finite, so only the hypothesis residuals see the nan."""
+    return VectorField(f=lambda t, u: base.eval(t, u) if t < t_nan else np.full(2, np.nan),
+                       jac=base.jac, dim=2, name="nan_after")
+
+
+class TestNanResidual:
+    """A nan residual is the statistic of its check, which then fails: no
+    running max drops it."""
+
+    def _assert_nan_failed(self, check):
+        assert np.isnan(check.value) and not check.passed
+
+    def test_subspace_invariance(self):
+        f = _nan_after(rotation_field(), 0.0)
+        rep = check_subspace_invariance(f, Projector(np.diag([1.0, 0.0])),
+                                        band_sampler(n=3))
+        self._assert_nan_failed(rep["check"])
+        assert np.isnan(rep["max_residual"]) and not rep["passed"]
+
+    def test_manifold_tangency(self):
+        f = _nan_after(systems.hopf_field(), 0.0)
+        rep = certify_manifold_contraction(f, systems.circle_submersion(),
+                                           sampler=band_sampler(n=4))
+        checks = {c.name: c for c in rep["checks"]}
+        self._assert_nan_failed(checks["manifold_tangency"])
+        assert checks["manifold_rate"].passed and not rep["certified"]
+
+    def test_equivariance(self):
+        rep = check_equivariance(_nan_after(rotation_field(), 0.0), [-np.eye(2)],
+                                 band_sampler(n=3))
+        self._assert_nan_failed(rep["checks"][0])
+        assert np.isnan(rep["max_residual"]) and not rep["passed"]
+
+    def test_temporal_symmetry(self):
+        f = _nan_after(rotation_field(), 0.5)
+        rep = check_temporal_symmetry(f, 1.0, band_sampler(n=3))
+        self._assert_nan_failed(rep["check"])
+        assert np.isnan(rep["max_residual"]) and not rep["passed"]
+
+    def test_loop_symmetry(self):
+        # finite at the sample time 0, nan at every shifted time of autonomy
+        f = _nan_after(systems.hopf_field(), 0.1)
+        rep = certify_limit_cycle(f, systems.circle_submersion(), Conjugacy.identity(),
+                                  None, sampler=band_sampler(n=4))
+        checks = {c.name: c for c in rep["checks"]}
+        self._assert_nan_failed(checks["loop_symmetry"])
+        assert checks["loop_invariance"].passed
+        assert rep["failing_hypotheses"] == ["loop_symmetry"]
+
+    def test_loop_invariance(self):
+        f = _nan_after(systems.hopf_field(), 0.0)
+        with np.errstate(invalid="ignore"):
+            rep = certify_limit_cycle(f, systems.circle_submersion(),
+                                      Conjugacy.linear(np.eye(2)), None,
+                                      sampler=band_sampler(n=4))
+        checks = {c.name: c for c in rep["checks"]}
+        self._assert_nan_failed(checks["loop_invariance"])
+        assert not rep["certified"]
+
+
+class TestWorstResidual:
+    def test_same_bits_as_the_norm_loop(self):
+        rng = np.random.default_rng(42)
+        pairs = []
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            scale = 10.0 ** rng.uniform(-12, 6)
+            pairs.append((scale * rng.standard_normal(n), rng.standard_normal(n)))
+        worst = 0.0
+        for r, s in pairs:
+            assert geometry._norm(r) == np.linalg.norm(r)
+            worst = max(worst, np.linalg.norm(r) / (1.0 + np.linalg.norm(s)))
+        assert geometry._worst_residual(pairs) == worst
+        for k in range(0, 2000, 97):
+            assert geometry._worst_residual(pairs[k:k + 5]) == max(
+                np.linalg.norm(r) / (1.0 + np.linalg.norm(s)) for r, s in pairs[k:k + 5])
+
+    def test_nan_wherever_it_is(self):
+        pairs = [(np.ones(3), np.ones(3))] * 3
+        for k in range(3):
+            bad = list(pairs)
+            bad[k] = (np.array([1.0, np.nan, 0.0]), np.ones(3))
+            assert np.isnan(geometry._worst_residual(bad))
+
+    def test_no_pairs_is_nan(self):
+        assert np.isnan(geometry._worst_residual([]))

@@ -43,6 +43,12 @@ class TestMu:
         A = np.array([[-2.0, 1.0], [0.0, -3.0]])
         assert mu(A, LINF).value == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("spec", [L1, LINF, L2], ids=["p1", "pinf", "p2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises(self, spec, bad):
+        with pytest.raises(NumericalError):
+            mu(np.array([[-2.0, 1.0], [bad, -3.0]]), spec)
+
     def test_zero_matrix(self):
         for spec in (L1, L2, LINF):
             assert mu(np.zeros((3, 3)), spec).value == pytest.approx(0.0, abs=1e-12)
@@ -908,6 +914,43 @@ class TestNonlinearRate:
         assert -3.33 <= est.value <= -0.9
 
     def test_empty_sampler_raises(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="sampler"):
             nonlinear_rate(linear_field(np.eye(2)), weights.identity(),
                            sampler=[])
+
+    def test_missing_sampler_raises(self):
+        with pytest.raises(ContractViolation, match="sampler"):
+            nonlinear_rate(linear_field(np.eye(2)), weights.identity())
+
+    @pytest.mark.parametrize("spec", [L1, LINF, L2], ids=["p1", "pinf", "p2"])
+    def test_nan_jacobian_raises(self, spec):
+        # a closed form used to read -inf here: a fully contracting rate
+        from contractkit.flows import VectorField
+
+        f = VectorField(f=lambda t, u: -u, jac=lambda t, u: np.diag(u) - np.eye(2), dim=2)
+        nan_state = sampling.states([[np.nan, 1.0]])
+        mixed = sampling.states([[0.5, 1.0], [np.nan, 1.0], [0.0, 0.0]])
+        for sampler in (nan_state, mixed):
+            with pytest.raises(NumericalError):
+                nonlinear_rate(f, weights.identity(), spec=spec, sampler=sampler)
+
+
+class TestRead:
+    def test_pairs_of_float_arrays(self):
+        samples = sampling.read([(0.0, [1, 2]), (0.5, np.array([3.0, 4.0]))])
+        assert [t for t, _ in samples] == [0.0, 0.5]
+        assert all(u.dtype == float for _, u in samples)
+        assert np.array_equal(samples[0][1], [1.0, 2.0])
+
+    def test_reads_a_generator_once(self):
+        samples = sampling.read((0.0, np.full(2, k)) for k in range(3))
+        assert len(samples) == 3 and samples[2][1][0] == 2.0
+
+    def test_float_states_are_not_copied(self):
+        u = np.ones(3)
+        assert sampling.read([(0.0, u)])[0][1] is u
+
+    @pytest.mark.parametrize("sampler", [None, [], iter(())], ids=["none", "empty", "exhausted"])
+    def test_refuses_no_samples(self, sampler):
+        with pytest.raises(ContractViolation, match="sampler"):
+            sampling.read(sampler)

@@ -93,6 +93,11 @@ class TestRadiusCheck:
                                      sampling.gaussian_samples(3, 2, seed=0))
         assert not rep["passed"]
 
+    @pytest.mark.parametrize("sampler", [None, []], ids=["none", "empty"])
+    def test_refuses_missing_or_empty_sampler(self, sampler):
+        with pytest.raises(ContractViolation, match="sampler"):
+            weights.check_radius_b(weights.identity(), 1.0, sampler)
+
     def test_requires_inverse(self):
         P = np.full((4, 4), 0.25)
         with pytest.raises(ContractViolation):
@@ -145,8 +150,9 @@ class TestOptimizer:
     def test_contract_violations(self):
         with pytest.raises(ContractViolation):
             weights.optimize_diagonal_weight(SHEAR, L2, b=1.0, sampler=self.origin)
-        with pytest.raises(ContractViolation):
-            weights.optimize_diagonal_weight(SHEAR, L2, b=10.0, sampler=[])
+        for sampler in (None, []):
+            with pytest.raises(ContractViolation, match="sampler"):
+                weights.optimize_diagonal_weight(SHEAR, L2, b=10.0, sampler=sampler)
 
 
 class TestTransientBound:
