@@ -17,7 +17,7 @@ import scipy.linalg as sla
 from .errors import ContractViolation, NumericalError
 from .flows import (ODE_METHOD, ODE_RTOL, VectorField, as_vector_field, fd_jacobian,
                     fit_decay_rate, integrator_entry, rk4_steps, simulate_flow)
-from .measures import as_matrix, nonlinear_rate
+from .measures import as_matrix, inverse, nonlinear_rate
 from .reporting import Check, verdict
 from .sampling import read as read_samples
 from .sip import L2
@@ -148,7 +148,7 @@ class Conjugacy:
     @classmethod
     def linear(cls, M):
         M = np.asarray(M, dtype=float)
-        Minv = np.linalg.inv(M)
+        Minv = inverse(M, "linear conjugacy matrix")
         return cls(h=lambda u: M @ u, h_inv=lambda v: Minv @ v,
                    dh=lambda u: M, linear_matrix=M)
 
@@ -172,7 +172,7 @@ def conjugate_field(f, conjs):
     jac = None
     if f.jac is not None and all(c.linear_matrix is not None for c in conjs):
         M = sla.block_diag(*[c.linear_matrix for c in conjs])
-        Minv = np.linalg.inv(M)
+        Minv = inverse(M, "block-diagonal conjugacy matrix")
 
         def jac(t, v):
             return M @ as_matrix(f.jacobian(t, Minv @ v)) @ Minv

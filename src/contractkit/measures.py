@@ -16,12 +16,14 @@ of its Gram matrix; only the weighted Sobolev rate on a coimage still
 solves a pencil), via the classical column/row formulas for p in {1, inf}
 with invertible weights, and otherwise by a seeded multi-start pattern
 search over rays, whose 32 starts advance together: each probe batch is one
-call of a ratio set up once per solve (``_sip_ratio``; in an lp norm the one
-quotient sum |a|^(p-1) sgn(a) b / sum |a|^p).  On that quotient with real
-operators (k = 0, 1 < p < inf), each sweep ends with one Newton move per start
-on the unit sphere, from the analytic gradient and Hessian
-(``_lp_ratio_derivatives``), so the starts converge quadratically near a
-smooth maximum.  It ends after two sweeps in a
+call of a ratio set up once per solve (``_sip_ratio``): sum_alpha
+S_alpha^(q-1) c_alpha / sum_alpha S_alpha^q with q = 2/p, S_alpha = sum |a|^p
+and c_alpha = sum |a|^(p-1) sgn(a) b of a = D^alpha T v, b = D^alpha C v
+(|alpha| <= k; the weight cancels; at k = 0 the one quotient c / S).  On it,
+with real operators and 1 < p < inf, lp and Sobolev alike, each sweep ends
+with one Newton move per start on the unit sphere, from the analytic gradient
+and Hessian (``_ratio_derivatives``), so the starts converge quadratically
+near a smooth maximum.  It ends after two sweeps in a
 row in which no start gains over 1e-13 max(1, |best|).  The value reported
 is the reference pairing of ``sip.norm`` / ``sip.sip`` re-evaluated at the
 best probe, on the same grid; the two must agree there.
@@ -67,6 +69,14 @@ def as_matrix(A):
     if sp.issparse(A):
         return A
     return np.asarray(A)
+
+
+def inverse(M, name):
+    """np.linalg.inv of M (or a stack), ContractViolation naming it if singular."""
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise ContractViolation(f"{name} is singular") from exc
 
 
 def _dense(A):
@@ -138,11 +148,12 @@ def _ray_search(objective, reference, n, seed, derivatives=None):
     step (times the displacement itself) in one objective call and moves
     to its best probe if that gains.  A start without gain in a sweep
     shrinks its step by ``_SHRINK`` and stops below ``_MIN_STEP``.  With
-    ``derivatives`` (``_lp_ratio_derivatives``), each sweep ends with one
-    Newton move per start on the unit sphere (``_newton_move``).  The search
-    ends after ``_SWEEPS``, or ``_STALLS`` sweeps in a row in which no start
-    gains over ``_STALL_RTOL`` max(1, |best|): a start may stall once, then
-    climb.  It returns ``reference`` at the best point, where ``objective`` agrees."""
+    ``derivatives`` (``_ratio_derivatives``, for any real smooth quotient, lp
+    or Sobolev), each sweep ends with one Newton move per start on the unit
+    sphere (``_newton_move``).  The search ends after ``_SWEEPS``, or
+    ``_STALLS`` sweeps in a row in which no start gains over ``_STALL_RTOL``
+    max(1, |best|): a start may stall once, then climb.  It returns
+    ``reference`` at the best point, where ``objective`` agrees."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((_RESTARTS, n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -181,7 +192,8 @@ def _ray_search(objective, reference, n, seed, derivatives=None):
 
 
 def _newton_move(objective, derivatives, x, fx):
-    """One Newton move per unit start x (a row of ``x``, of value ``fx``).
+    """One Newton move per unit start x (a row of ``x``, of value ``fx``) on
+    any real smooth quotient, lp or Sobolev (``_ratio_derivatives``).
 
     With the gradient g_t = P g and Hessian H_t = P H P projected by
     P = I - x x^T, the step d in x^perp solves (H_t - s I) d = -g_t for the
@@ -234,11 +246,7 @@ def _sip_ratio(T, C, spec, grid):
     would set the two values apart.  A batch of many rows rounds T V
     differently, which is why ``_ray_search`` scores its best point alone."""
     N = C.shape[0]
-    D = None
-    if spec.k > 0:
-        per_comp = sp.identity(N // grid.npoints, format="csr")
-        D = sp.vstack([sp.kron(per_comp, op) for op in derivative_ops(grid, spec.k)],
-                      format="csr")
+    D = _derivative_stack(spec, grid, N)
     p, w = spec.p, grid.cell_measure
 
     def ratio(V):
@@ -270,48 +278,79 @@ def _sip_ratio(T, C, spec, grid):
     return ratio
 
 
-def _lp_ratio_derivatives(T, C, p):
-    """Gradient and Hessian of the k = 0 ratio r(v) = sum phi(a) b / sum |a|^p
-    of a = Tv and b = Cv, phi(a) = |a|^(p-1) sgn a, for real T (None: the
-    identity) and C and 1 < p < inf: rows X (m, n) -> g (m, n), H (m, n, n).
+def _derivative_stack(spec, grid, N):
+    """The vstack of every D^alpha (|alpha| <= k) applied to each component
+    of an N-vector on ``grid``, sparse CSR; None at k = 0."""
+    if spec.k == 0:
+        return None
+    per_comp = sp.identity(N // grid.npoints, format="csr")
+    return sp.vstack([sp.kron(per_comp, op) for op in derivative_ops(grid, spec.k)],
+                     format="csr")
 
-    With phi' = (p-1) |a|^(p-2), phi'' = (p-1)(p-2) |a|^(p-3) sgn a, N and D
-    the two sums and D' = p T^T phi,
-        g = (T^T (phi' b) + C^T phi - r D') / D,
-        H = (T^T diag(phi'' b - p r phi') T + S + S^T - g D'^T - D' g^T) / D
-    with S = T^T diag(phi') C.  They are not finite where r is not twice
-    differentiable: Tv = 0, or a zero entry of a at p < 3."""
 
-    def tt(Y):  # T^T y per row y of Y
-        return Y if T is None else Y @ T
+def _ratio_derivatives(T, C, spec, grid):
+    """Gradient and Hessian of the ratio ``_sip_ratio`` scores, for real T
+    (None: the identity) and C and 1 < p < inf: rows X (m, n) -> g (m, n),
+    H (m, n, n).  The stacks A = D^alpha T and B = D^alpha C are formed once.
+
+    In the notation of the module docstring the ratio is the convex
+    combination r = sum l r_alpha of the orders' quotients r_alpha = c / S,
+    l = S^q / sum S^q.  With phi = |a|^(p-1) sgn a, phi' = (p-1) |a|^(p-2),
+    phi'' = (p-1)(p-2) |a|^(p-3) sgn a, S' = p A^T phi and e = S' / S, the
+    quotient's own gradient and Hessian
+        g_alpha = (A^T (phi' b) + B^T phi - r_alpha S') / S,
+        H_alpha = (A^T diag(phi'' b - p r_alpha phi') A + P + P^T
+                   - g_alpha S'^T - S' g_alpha^T) / S,  P = A^T diag(phi') B,
+    give g = sum l (g_alpha + q (r_alpha - r) e) and H = sum l (H_alpha
+    + q (r_alpha - r) (p A^T diag(phi') A / S + (q-1) e e^T) + q (d e^T
+    + e d^T)), d = g_alpha - g: at k = 0 (l = 1) g_alpha and H_alpha.  They
+    are not finite where r is not twice differentiable: D^alpha T v = 0, or a
+    zero entry of a at p < 3."""
+    p, q = spec.p, 2.0 / spec.p
+    D, (N, n) = _derivative_stack(spec, grid, C.shape[0]), C.shape
+    orders = [(T, C)] if D is None else list(zip(
+        (D.toarray() if T is None else D @ T).reshape(-1, N, n), (D @ C).reshape(-1, N, n)))
+
+    def parts(X, A, B):  # S, r_alpha, S', g_alpha, phi' and the diagonal of H_alpha
+        a, b = X if A is None else X @ A.T, X @ B.T
+        au, s = np.abs(a), np.sign(a)
+        phi, d1 = au ** (p - 1.0) * s, (p - 1.0) * au ** (p - 2.0)
+        S = (au ** p).sum(axis=1)
+        r = (phi * b).sum(axis=1) / S
+        dS = p * (phi if A is None else phi @ A)
+        g = ((d1 * b if A is None else (d1 * b) @ A) + phi @ B - r[:, None] * dS) / S[:, None]
+        return S, r, dS, g, d1, (p - 1.0) * (p - 2.0) * au ** (p - 3.0) * s * b - p * r[:, None] * d1
 
     def derivatives(X):
         with np.errstate(all="ignore"):
-            a, b = X if T is None else X @ T.T, X @ C.T
-            au, s = np.abs(a), np.sign(a)
-            phi = au ** (p - 1.0) * s
-            d1 = (p - 1.0) * au ** (p - 2.0)
-            d2 = (p - 1.0) * (p - 2.0) * au ** (p - 3.0) * s
-            den = (au ** p).sum(axis=1)
-            r = (phi * b).sum(axis=1) / den
-            dD = p * tt(phi)
-            g = (tt(d1 * b) + phi @ C - r[:, None] * dD) / den[:, None]
-            w = d2 * b - p * r[:, None] * d1
-            # K + K^T is D H, with K = S + T^T diag(w / 2) T - g D'^T
-            if T is None:
-                K = d1[:, :, None] * C
-                K[:, range(len(C)), range(len(C))] += 0.5 * w
-            else:
-                K = T.T @ (d1[:, :, None] * C + 0.5 * w[:, :, None] * T)
-            K -= g[:, :, None] * dD[:, None]
-            return g, (K + K.transpose(0, 2, 1)) / den[:, None, None]
+            got = [parts(X, A, B) for A, B in orders]
+            F = sum(S ** q for S, *_ in got)
+            lam = [S ** q / F for S, *_ in got]
+            r = sum(la * ra for la, (_, ra, *_) in zip(lam, got))
+            g = sum(la[:, None] * (ga + q * (ra - r)[:, None] * (dS / S[:, None]))
+                    for la, (S, ra, dS, ga, *_) in zip(lam, got))
+            H = 0.0
+            for (A, B), la, (S, ra, dS, ga, d1, w) in zip(orders, lam, got):
+                # K + K^T is S / l times the order's term of H
+                w = w + 2.0 * (ra - r)[:, None] * d1
+                u = q * (ga - g) - ga + (0.5 * q * (q - 1.0) * (ra - r) / S)[:, None] * dS
+                if A is None:
+                    K = d1[:, :, None] * B
+                    K[:, range(len(B)), range(len(B))] += 0.5 * w
+                else:
+                    K = A.T @ (d1[:, :, None] * B + 0.5 * w[:, :, None] * A)
+                K += u[:, :, None] * dS[:, None]
+                H = H + (K + K.transpose(0, 2, 1)) / (S / la)[:, None, None]
+            return g, H
 
     return derivatives
 
 
 def _sampled_rate(T, C, spec, grid, seed):
     """Ray-search sup_v [Tv, Cv] / ||Tv||^2 on ``grid`` (unit weights when it
-    is None; T None is the identity), reported through sip.norm / sip.sip."""
+    is None; T None is the identity), reported through sip.norm / sip.sip.
+    Real T and C at 1 < p < inf, every k, take Newton moves; p in {1, inf}
+    and complex operators keep the pattern search alone."""
     if grid is None:
         grid = unit_grid(C.shape[0])
 
@@ -322,11 +361,10 @@ def _sampled_rate(T, C, spec, grid, seed):
             return -np.inf
         return sip_pair(tv, C @ v, spec, grid) / nv**2
 
-    smooth = spec.k == 0 and 1.0 < spec.p < np.inf and not (
-        np.iscomplexobj(C) or np.iscomplexobj(T))
+    smooth = 1.0 < spec.p < np.inf and not (np.iscomplexobj(C) or np.iscomplexobj(T))
     val, argv, count = _ray_search(
         _sip_ratio(T, C, spec, grid), reference, C.shape[1], seed=seed,
-        derivatives=_lp_ratio_derivatives(T, C, spec.p) if smooth else None)
+        derivatives=_ratio_derivatives(T, C, spec, grid) if smooth else None)
     return RateEstimate(val, "sampled", sample_count=count, argmax=argv)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 
 from .flows import VectorField
 from .geometry import Submersion
+from .measures import inverse
 
 
 def hopf_field(omega=1.0, gain=1.0):
@@ -41,7 +42,7 @@ def conjugated_field(base, M):
     """Field whose conjugate under v = M u is ``base``: f(t, u) =
     M^{-1} base(t, M u)."""
     M = np.asarray(M, dtype=float)
-    Minv = np.linalg.inv(M)
+    Minv = inverse(M, "conjugacy matrix")
 
     def f(t, u):
         return Minv @ base.eval(t, M @ u)
@@ -68,7 +69,7 @@ def coupled_hopf_field(omegas, conj_mats, coupling):
     at a fraction of its cost."""
     n_osc = len(omegas)
     M = np.stack([np.asarray(Mi, dtype=float) for Mi in conj_mats])     # (n, 2, 2)
-    Minv = np.linalg.inv(M)
+    Minv = inverse(M, "an oscillator's conjugacy matrix")
     omega = np.asarray(omegas, dtype=float)
     omega_list = omega.tolist()
     K = float(coupling)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .measures import coimage_of, nonlinear_rate
+from .measures import coimage_of, inverse, nonlinear_rate
 from .sampling import read as read_samples
 from .sip import L2
 
@@ -76,7 +76,7 @@ def constant_matrix(M, b=None):
     M = _frozen(np.array(M, dtype=float))
     if M.shape[0] != M.shape[1]:
         raise ContractViolation("constant weight matrix must be square")
-    Minv = _frozen(np.linalg.inv(M))
+    Minv = _frozen(inverse(M, "constant weight matrix"))
     measured = float(max(np.linalg.norm(M, 2), np.linalg.norm(Minv, 2)))
     if b is None:
         b = measured

@@ -94,6 +94,14 @@ class TestRun:
     def test_missing_file_exit_1(self):
         assert cli.run("/nonexistent/path.cfg") == 1
 
+    def test_singular_shear_exit_1(self, tmp_path, capsys):
+        # the singular matrix is a contract violation, not a numpy traceback
+        path = os.path.join(CONFIG_DIR, "limit_cycle.cfg")
+        with open(path) as fh:
+            cfg = fh.read().replace("runs/limit_cycle", str(tmp_path / "out"))
+        assert cli.run(write_cfg(tmp_path, cfg + "shear = 1 1; 1 1\n")) == 1
+        assert "error: conjugacy matrix is singular" in capsys.readouterr().err
+
     def test_turing_counterexample_exit_2(self, tmp_path):
         cfg = f"""
 [experiment]

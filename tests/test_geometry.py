@@ -760,6 +760,20 @@ def _coupled_hopf_reference(omegas, mats, K, u):
     return np.concatenate(out)
 
 
+class TestSingularConjugacy:
+    def test_linear_conjugacy_raises(self):
+        with pytest.raises(ContractViolation, match="linear conjugacy matrix is singular"):
+            Conjugacy.linear(np.ones((2, 2)))
+
+    def test_conjugate_field_raises(self):
+        # a Conjugacy built directly around a singular linear matrix
+        M = np.ones((2, 2))
+        conj = Conjugacy(h=lambda u: M @ u, h_inv=lambda v: v, dh=lambda u: M,
+                         linear_matrix=M)
+        with pytest.raises(ContractViolation, match="conjugacy matrix is singular"):
+            conjugate_field(systems.hopf_field(), [conj])
+
+
 class TestCoupledHopf:
     omegas = [1.0, 1.13, 0.91, 1.05]
     mats = [np.eye(2), np.array([[1.4, 0.5], [0.0, 0.8]]),

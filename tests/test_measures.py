@@ -738,11 +738,11 @@ class TestRaySearchAccuracy:
         assert calls < every_sweep
 
     def test_search_still_climbing_runs_every_sweep(self, monkeypatch):
-        # the Sobolev (k = 1) search makes no Newton moves, and on the n = 8
-        # periodic Laplacian it still gains in its last sweep
+        # the p = inf Sobolev (k = 1) search makes no Newton moves, and on the
+        # n = 8 periodic Laplacian its best value still gains in its last sweep
         grid = Grid((8,), (1.0 / 8,), "periodic")
         calls, every_sweep = self._ratio_calls(monkeypatch, _periodic_laplacian(8),
-                                               NormSpec(p=3.0, k=1), grid)
+                                               NormSpec(p=np.inf, k=1), grid)
         assert calls == every_sweep == 722
 
     @pytest.mark.parametrize("spec,grid", [
@@ -760,8 +760,29 @@ class TestRaySearchAccuracy:
 
 
 class TestNewtonMove:
-    """The ray search's Newton move on smooth lp quotients (k = 0, 1 < p < inf,
-    real operators)."""
+    """The ray search's Newton move on smooth quotients (1 < p < inf, real
+    operators), lp (k = 0) and Sobolev (k >= 1)."""
+
+    @staticmethod
+    def _assert_derivatives_match_central_differences(T, C, spec, grid, rng):
+        # the five-point central difference, whose error is O(h^4): near a
+        # small entry of a at p < 3 the three-point one's O(h^2) error is
+        # not small (4e-4 against an exact Hessian at |a| = 0.0036, p = 1.5)
+        ratio = _sip_ratio(T, C, spec, grid)
+        derivatives = measures._ratio_derivatives(T, C, spec, grid)
+        n = C.shape[1]
+        X, h = rng.standard_normal((5, n)), 1e-6
+        g, H = derivatives(X)
+
+        def central(f, e):
+            return (8.0 * (f(X + e) - f(X - e)) - (f(X + 2 * e) - f(X - 2 * e))) / (12 * h)
+
+        steps = [h * e for e in np.eye(n)]
+        g_fd = np.stack([central(ratio, e) for e in steps], axis=1)
+        H_fd = np.stack([central(lambda Y: derivatives(Y)[0], e) for e in steps], axis=2)
+        assert np.abs(g - g_fd).max() <= 1e-7 * max(1.0, np.abs(g).max())
+        assert np.abs(H - H_fd).max() <= 1e-7 * max(1.0, np.abs(H).max())
+        assert np.array_equal(H, H.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -770,23 +791,35 @@ class TestNewtonMove:
         n, N = 4, 6 if weighted else 4
         T = rng.standard_normal((N, n)) if weighted else None
         C = rng.standard_normal((N, n))
-        ratio = _sip_ratio(T, C, NormSpec(p=p), unit_grid(N))
-        derivatives = measures._lp_ratio_derivatives(T, C, p)
-        X, h = rng.standard_normal((5, n)), 1e-6
-        g, H = derivatives(X)
-        steps = [h * e for e in np.eye(n)]
-        g_fd = np.stack([(ratio(X + e) - ratio(X - e)) / (2 * h) for e in steps], axis=1)
-        H_fd = np.stack([(derivatives(X + e)[0] - derivatives(X - e)[0]) / (2 * h)
-                         for e in steps], axis=2)
-        assert np.abs(g - g_fd).max() <= 1e-7 * max(1.0, np.abs(g).max())
-        assert np.abs(H - H_fd).max() <= 1e-7 * max(1.0, np.abs(H).max())
-        assert np.array_equal(H, H.transpose(0, 2, 1))
+        self._assert_derivatives_match_central_differences(
+            T, C, NormSpec(p=p), unit_grid(N), rng)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("case", ["periodic_1d", "two_components_2d", "dense_weight"])
+    def test_sobolev_derivatives_match_central_differences(self, p, k, case):
+        rng = np.random.default_rng(int(10 * p) + k)
+        if case == "two_components_2d":
+            grid, T = Grid((4, 3), (0.25, 1.0 / 3), "periodic"), None
+            C = rng.standard_normal((24, 24))
+        else:
+            grid, T = Grid((6,), (1.0 / 6,), "periodic"), None
+            C = rng.standard_normal((6, 6))
+        if case == "dense_weight":
+            # the operator pair weighted_rate hands the search under a
+            # projection_complement weight: T = Theta V_r, C = Theta A V_r
+            theta = weights.projection_complement(np.full((6, 6), 1.0 / 6))
+            Th = theta.matrix(0.0, None, 6)
+            Vr = theta.coimage[0]
+            T, C = Th @ Vr, Th @ C @ Vr
+        self._assert_derivatives_match_central_differences(
+            T, C, NormSpec(p=p, k=k), grid, rng)
 
     def test_not_finite_at_a_zero_entry_below_p3(self):
         X = np.array([[0.0, 1.0, 2.0], [0.5, 1.0, 2.0]])
         C = np.random.default_rng(1).standard_normal((3, 3))
         for p, finite in ((1.5, False), (2.5, False), (3.0, True), (4.0, True)):
-            g, H = measures._lp_ratio_derivatives(None, C, p)(X)
+            g, H = measures._ratio_derivatives(None, C, NormSpec(p=p), unit_grid(3))(X)
             assert np.isfinite(H[0]).all() == finite
             assert np.isfinite(g[1]).all() and np.isfinite(H[1]).all()
 
@@ -800,7 +833,7 @@ class TestNewtonMove:
             x /= np.linalg.norm(x, axis=1, keepdims=True)
             fx = measures._finite(ratio(x))
             moved, fm = measures._newton_move(
-                ratio, measures._lp_ratio_derivatives(None, C, p), x, fx)
+                ratio, measures._ratio_derivatives(None, C, NormSpec(p=p), unit_grid(n)), x, fx)
             assert np.all(fm >= fx) and np.any(fm > fx)
             assert np.array_equal(fm, measures._finite(ratio(moved)))
             assert np.allclose(np.linalg.norm(moved, axis=1), 1.0)
@@ -811,21 +844,35 @@ class TestNewtonMove:
         for seed in (0, 1, 2):
             assert mu(_periodic_laplacian(n), NormSpec(p=3.0), seed=seed).value >= -1e-12
 
+    def test_sobolev_laplacian_reaches_its_supremum(self):
+        # D commutes with the periodic Laplacian, so constants attain the
+        # supremum 0 of the k = 1, p = 3 quotient too
+        grid = Grid((8,), (1.0 / 8,), "periodic")
+        for seed in (0, 1, 2):
+            est = mu(_periodic_laplacian(8), NormSpec(p=3.0, k=1), grid=grid, seed=seed)
+            assert est.value >= -1e-12
+
     @staticmethod
     def _spy(monkeypatch):
         built = []
-        make = measures._lp_ratio_derivatives
-        monkeypatch.setattr(measures, "_lp_ratio_derivatives",
+        make = measures._ratio_derivatives
+        monkeypatch.setattr(measures, "_ratio_derivatives",
                             lambda *args: built.append(args) or make(*args))
         return built
 
     def test_real_smooth_lp_solves_build_the_derivatives(self, monkeypatch):
         built = self._spy(monkeypatch)
         A = np.random.default_rng(2).standard_normal((4, 4))
+        th = weights.projection_complement(np.full((4, 4), 0.25))
         mu(A, NormSpec(p=3.0))
-        weighted_rate(A, weights.projection_complement(np.full((4, 4), 0.25)),
-                      spec=NormSpec(p=1.5))
-        assert len(built) == 2
+        weighted_rate(A, th, spec=NormSpec(p=1.5))
+        # the Sobolev (k = 1) quotients are smooth too
+        mu(_periodic_laplacian(8), NormSpec(p=3.0, k=1),
+           grid=Grid((8,), (1.0 / 8,), "periodic"), seed=0)
+        weighted_rate(A, th, spec=NormSpec(p=3.0, k=1),
+                      grid=Grid((4,), (0.25,), "periodic"), seed=0)
+        assert [args[2] for args in built] == [
+            NormSpec(p=3.0), NormSpec(p=1.5), NormSpec(p=3.0, k=1), NormSpec(p=3.0, k=1)]
 
     def test_other_solves_never_build_the_derivatives(self, monkeypatch):
         # each value is the one of the search before the Newton move, bit for bit
@@ -835,22 +882,37 @@ class TestNewtonMove:
         Z = A + 1j * rng.standard_normal((4, 4))
         th = weights.projection_complement(np.full((4, 4), 0.25))
         got = [
-            mu(_periodic_laplacian(8), NormSpec(p=3.0, k=1),
-               grid=Grid((8,), (1.0 / 8,), "periodic"), seed=0),
             weighted_rate(A, th, spec=L1, seed=0),
             weighted_rate(A, th, spec=LINF, seed=0),
-            weighted_rate(A, th, spec=NormSpec(p=3.0, k=1),
-                          grid=Grid((4,), (0.25,), "periodic"), seed=0),
             mu(Z, NormSpec(p=3.0), seed=0),
             mu(Z, NormSpec(p=1.5), seed=0),
         ]
         assert not built
-        assert [est.method for est in got] == ["sampled"] * 6
+        assert [est.method for est in got] == ["sampled"] * 4
         assert [est.value.hex() for est in got] == [
-            "-0x1.364c3baa537d7p-24", "0x1.bd3ce3ffc2f6bp+1", "0x1.3c2cb22962dbdp+2",
-            "0x1.84719769c82fap+1", "0x1.6b6553d0b4eb5p+1", "0x1.4c80cce4a95a6p+1"]
+            "0x1.bd3ce3ffc2f6bp+1", "0x1.3c2cb22962dbdp+2",
+            "0x1.6b6553d0b4eb5p+1", "0x1.4c80cce4a95a6p+1"]
         assert measures._opnorm(np.eye(3) + 1e-3 * A[:3, :3], 3.0, 0) == float.fromhex(
             "0x1.006fe3528d339p+0")
+
+    def test_sobolev_p1_pinf_solves_never_build_the_derivatives(self, monkeypatch):
+        # p in {1, inf} has kinks at every k; each value is the one of the
+        # search before the Sobolev quotient took the Newton move, bit for bit
+        built = self._spy(monkeypatch)
+        A = np.random.default_rng(21).standard_normal((4, 4))
+        th = weights.projection_complement(np.full((4, 4), 0.25))
+        grid8, grid4 = Grid((8,), (1.0 / 8,), "periodic"), Grid((4,), (0.25,), "periodic")
+        got = [
+            mu(_periodic_laplacian(8), NormSpec(p=1.0, k=1), grid=grid8, seed=0),
+            mu(_periodic_laplacian(8), NormSpec(p=np.inf, k=1), grid=grid8, seed=0),
+            weighted_rate(A, th, spec=NormSpec(p=1.0, k=1), grid=grid4, seed=0),
+            weighted_rate(A, th, spec=NormSpec(p=np.inf, k=1), grid=grid4, seed=0),
+        ]
+        assert not built
+        assert [est.method for est in got] == ["sampled"] * 4
+        assert [est.value.hex() for est in got] == [
+            "-0x1.83a3a6cc8bc73p-27", "-0x1.1d810b9181fc4p-2",
+            "0x1.0066aac73700ap+2", "0x1.cd93863c9ad61p+1"]
 
     def test_large_n_no_slower_and_no_more_than_twice_the_memory(self, monkeypatch):
         # a 48 x 48 solve takes the Hessians in blocks of starts; against the

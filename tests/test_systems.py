@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from contractkit import cli, geometry, systems
+from contractkit.errors import ContractViolation
 from contractkit.geometry import Conjugacy, Projector, Submersion
 from contractkit.pde import build_discretization
 from contractkit.sip import L2, NormSpec
@@ -143,6 +144,12 @@ class TestHopfField:
             assert_field_bits(fld.jacobian, jac, traj.states[::10])
 
 
+class TestConjugatedField:
+    def test_singular_matrix_raises(self):
+        with pytest.raises(ContractViolation, match="conjugacy matrix is singular"):
+            systems.conjugated_field(systems.hopf_field(), np.ones((2, 2)))
+
+
 class TestCoupledHopfField:
     @pytest.mark.parametrize("n_osc", [1, 3, 5])
     def test_same_bits_on_random_states(self, n_osc):
@@ -153,6 +160,11 @@ class TestCoupledHopfField:
             fld = systems.coupled_hopf_field(omegas, mats, coupling)
             ref = coupled_reference(omegas, mats, coupling)
             assert_field_bits(fld.eval, ref, random_states(n_osc, 2000, 2 * n_osc))
+
+    def test_singular_conjugacy_matrix_raises(self):
+        mats = [np.eye(2), np.ones((2, 2))]
+        with pytest.raises(ContractViolation, match="conjugacy matrix is singular"):
+            systems.coupled_hopf_field([1.0, 1.0], mats, coupling=0.4)
 
     def test_same_bits_on_the_shipped_trajectory(self, phase_locking_run):
         built, trajs, _ = phase_locking_run

@@ -1,0 +1,20 @@
+"""Smoke tests of the comparison scripts under tools/."""
+
+import os
+import re
+import subprocess
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_compare_rates_of_a_tree_with_itself_is_bit_identical():
+    out = subprocess.run(
+        [sys.executable, os.path.join(REPO, "tools", "compare_rates.py"), REPO, REPO,
+         "--seeds", "0"],
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stdout + out.stderr
+    total, same, failing = map(int, re.search(
+        r"^(\d+) items at 1 seed\(s\) .*: (\d+) bit-identical, (\d+) failing$",
+        out.stdout, re.MULTILINE).groups())
+    assert total > 0 and same == total and failing == 0

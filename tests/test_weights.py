@@ -66,6 +66,10 @@ class TestConstructors:
         with pytest.raises(ContractViolation):
             weights.constant_matrix(np.diag([5.0, 1.0]), b=2.0)
 
+    def test_singular_constant_matrix_raises(self):
+        with pytest.raises(ContractViolation, match="constant weight matrix is singular"):
+            weights.constant_matrix([[1.0, 2.0], [2.0, 4.0]])
+
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(0)
         M = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
