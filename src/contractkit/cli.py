@@ -215,12 +215,22 @@ def _run_subspace(p, seed):
     return rep, series
 
 
+def _band_sampler(p, n_samples, seed):
+    """lo of ``radial_band`` (two values, 0 <= lo < hi) and the first 24 of
+    ``n_samples`` seeded box samples whose radius lies in the band."""
+    band = p["radial_band"]
+    if len(band) != 2 or not 0.0 <= band[0] < band[1]:
+        raise ConfigError(f"field 'radial_band': need two values 0 <= lo < hi, got {band}",
+                          field="radial_band")
+    lo, hi = band
+    raw = sampling.box_samples(n_samples, [-hi, -hi], [hi, hi], seed=seed)
+    return lo, [(t, u) for t, u in raw if lo <= np.linalg.norm(u) <= hi][:24]
+
+
 def _run_manifold(p, seed):
     fld = systems.hopf_field(omega=p["omega"], gain=p["gain"])
     sub = systems.circle_submersion()
-    lo, hi = p["radial_band"]
-    raw = sampling.box_samples(60, [-hi, -hi], [hi, hi], seed=seed)
-    sampler = [(t, u) for t, u in raw if lo <= np.linalg.norm(u) <= hi][:24]
+    lo, sampler = _band_sampler(p, 60, seed)
     sim = geometry.SimCheck(t_end=p["t_end"], dt=p["dt"], n_ic=3, seed=seed,
                             ic_scale=0.4, record_every=10)
     rep = geometry.certify_manifold_contraction(fld, sub, spec=L2,
@@ -278,17 +288,15 @@ def _run_limit_cycle(p, seed):
     else:
         fld = base
         conj = geometry.Conjugacy.identity()
-    lo, hi = p["radial_band"]
-    raw = sampling.box_samples(80, [-hi, -hi], [hi, hi], seed=seed)
-    sampler = [(t, v) for t, v in raw if lo <= np.linalg.norm(v) <= hi][:24]
+    _, sampler = _band_sampler(p, 80, seed)
     rng = np.random.default_rng(seed)
     ics = [np.linalg.solve(conj.linear_matrix, v) if conj.linear_matrix is not None else v
            for v in (np.array([0.5, 0.0]), np.array([0.0, -1.5]),
                      0.5 + rng.uniform(0.0, 1.0, 2))]
     sim = geometry.SimCheck(t_end=p["t_end"], dt=p["dt"], seed=seed,
                             record_every=10, ics=ics)
-    rep, traj = geometry._certify_limit_cycle(fld, sub, conj, tau=None, sampler=sampler,
-                                              sim=sim, seed=seed)
+    rep, traj = geometry._certify_limit_cycle(fld, sub, conj, tau=None, spec=L2,
+                                              sampler=sampler, sim=sim, seed=seed)
     # the certifier's first trajectory starts at ics[0]; it ran only if the
     # hypotheses held
     if traj is None:
@@ -343,25 +351,20 @@ def _run_phase_locking(p, seed):
 
 
 def _run_heat(p, seed):
-    return pde.heat_zero_flux_experiment(
-        n=p["n"], alpha=p["alpha"], t_end=p["t_end"], seed=seed, dims=p["dims"])
+    return pde.heat_zero_flux_experiment(seed=seed, **p)
 
 
 def _run_reaction_diffusion(p, seed):
-    if p["reaction"] == "allen_cahn":
-        reaction = pde.allen_cahn_reaction()
-        base = None
-    else:
-        reaction = pde.brusselator_reaction(a=p["a"], b=p["b"])
-        base = reaction.steady_state
+    reaction = (pde.allen_cahn_reaction() if p["reaction"] == "allen_cahn"
+                else pde.brusselator_reaction(a=p["a"], b=p["b"]))
     return pde.reaction_diffusion_experiment(
         n=p["n"], alphas=p["alphas"], reaction=reaction, t_end=p["t_end"],
-        seed=seed, amplitude=p["amplitude"], base_state=base)
+        seed=seed, amplitude=p["amplitude"])
 
 
 def _run_poisson(p, seed):
     return pde.nonlinear_poisson_experiment(
-        n=p["n"], c=p["c"], seed=seed,
+        n=p["n"], reaction=pde.sine_reaction(p["c"]), seed=seed,
         refinement=tuple(p["refinement"]))
 
 
@@ -401,12 +404,9 @@ def _run_sobolev_rate(p, seed):
 
 
 def _run_vanishing_osl(p, seed):
-    n = p["n"]
-    if p["family"] == "burgers":
-        fam = pde.burgers_family(n=n, eps_schedule=tuple(p["eps_schedule"]))
-    else:
-        fam = pde.advection_family(n=n, speed=p["speed"],
-                                   eps_schedule=tuple(p["eps_schedule"]))
+    n, eps = p["n"], tuple(p["eps_schedule"])
+    fam = (pde.burgers_family(n=n, eps_schedule=eps) if p["family"] == "burgers"
+           else pde.advection_family(n=n, speed=p["speed"], eps_schedule=eps))
     x = np.arange(n) / n
     if p["initial"] == "sine":
         u0 = np.sin(2.0 * math.pi * x)
@@ -599,6 +599,8 @@ def parse_config(path):
         seed = int(cp["experiment"].get("seed", "0"))
     except ValueError:
         raise ConfigError("field 'seed': must be an integer", field="seed")
+    if seed < 0:
+        raise ConfigError(f"field 'seed': must be non-negative, got {seed}", field="seed")
     output_dir = cp["experiment"].get("output_dir", os.path.join("runs", name))
     schema = EXPERIMENTS[name].params
     raw = dict(cp["params"]) if "params" in sections else {}

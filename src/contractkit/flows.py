@@ -415,30 +415,29 @@ def _bit_equal(a, b):
             and (a != b).nnz == 0)
 
 
-def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
-                        rate_stride=1, grid=None, record_every=1):
+def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt, grid=None,
+                        record_every=1):
     """Check the perturbation growth bound ||du(t)||_Theta <=
     exp(int lambda ds) ||du(0)||_Theta along a trajectory, and the pairwise
     trajectory bound ||u1 - u2|| <= kappa(Theta) e^{lambda t} ||u1(0) - u2(0)||.
 
-    The rate is solved again only where the Jacobian, Theta, dTheta/dt or
-    Theta^{-1} differ from those at the previous state checked, and kappa
-    only where Theta or Theta^{-1} differ; ``rate_solves`` counts the
-    solves.  The report is advisory when any rate along the trajectory came
-    from sampling rather than an eigensolve or closed form.
+    Both are checked at every record.  The rate is solved again only where
+    the Jacobian, Theta, dTheta/dt or Theta^{-1} differ from those at the
+    previous record, and kappa only where Theta or Theta^{-1} differ;
+    ``rate_solves`` counts the solves.  The report is advisory when any rate
+    along the trajectory came from sampling rather than an eigensolve or
+    closed form.
     """
     f = as_vector_field(f)
     traj, [(v, rho), (q, sigma)] = _variational(f, u0, du0, t_span, dt, record_every,
                                                 pair=True)
-    idx = np.unique(np.r_[0:len(traj.times):rate_stride, len(traj.times) - 1])
-    ts = traj.times[idx]
+    ts = traj.times
     n = traj.states.shape[1]
 
     rates, runs = [], []             # runs: (Theta, the records it weights) per run
     advisory, kappa, solves = False, 1.0, 0
     prev = None                      # (J, Theta, dTheta/dt, Theta^-1) at the last state
-    for i in idx:
-        t_i, u_i = traj.times[i], traj.states[i]
+    for i, (t_i, u_i) in enumerate(zip(ts, traj.states)):
         Th = theta.matrix(t_i, u_i, n)
         Ti = theta.inv_matrix(t_i, u_i, n) if theta.invertible else None
         key = (f.jacobian(t_i, u_i), Th, theta.dmatrix_dt(t_i, u_i, n), Ti)
@@ -463,7 +462,7 @@ def verify_growth_bound(f, theta, spec, u0, du0, t_span, dt,
     if wnorms[0] == 0.0:
         raise ContractViolation("initial perturbation has zero weighted norm")
     # ratios from the log magnitudes, which do not underflow
-    ratios = np.exp(rho[idx] - rho[0] - cumint) * wnorms / wnorms[0]
+    ratios = np.exp(rho - rho[0] - cumint) * wnorms / wnorms[0]
     lam_sup = float(np.max(rates))
 
     qnorms = sip_norm(q, spec, grid, rows=True)
@@ -505,10 +504,11 @@ class MLEResult:
 def mle_estimate(f, u0, t_span, renorm_interval, p=2.0, seed=0):
     """Maximum Lyapunov exponent from one co-integrated tangent vector du:
     the running estimate log(||du(t)||_p / ||du(t0)||_p) / (t - t0), recorded
-    every ``renorm_interval``.  The perturbation is carried as a direction
-    and a log magnitude, so one run needs no renormalization, and one that
-    decays below the smallest float still counts.  Fields on a grid are
-    refused: fixed-step RK4 carries the perturbation unscaled."""
+    every ``renorm_interval`` for as many whole intervals as fit in t_span
+    (``ContractViolation`` when none does).  The perturbation is carried as
+    a direction and a log magnitude, so one run needs no renormalization,
+    and one that decays below the smallest float still counts.  Fields on a
+    grid are refused: fixed-step RK4 carries the perturbation unscaled."""
     f = as_vector_field(f)
     if f.grid is not None:
         raise ContractViolation("mle_estimate needs a field off the grid")
@@ -518,7 +518,10 @@ def mle_estimate(f, u0, t_span, renorm_interval, p=2.0, seed=0):
     spec = NormSpec(p=p)
     du /= sip_norm(du, spec)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    n_seg = max(1, int(round((t1 - t0) / renorm_interval)))
+    # the whole intervals in the run, one short of t1 by rounding included (3 / 0.1 < 30)
+    n_seg = int((t1 - t0) / renorm_interval * (1.0 + 1e-9))
+    if n_seg < 1:
+        raise ContractViolation(f"renorm_interval {renorm_interval!r} is longer than the run")
     traj, [(d, s)] = _variational(f, u, du, (t0, t0 + n_seg * renorm_interval),
                                   renorm_interval, 1)
     times = traj.times[1:]

@@ -5,7 +5,8 @@ phase-locking of coupled oscillators.
 Each certifier evaluates its hypotheses numerically on sampled states and,
 when a simulation check is requested, cross-checks the certified decay
 quantity against trajectories from random initial conditions, each one
-integrated by ``simulate``.
+integrated by ``simulate`` (the temporal-symmetry check calls
+``flows.simulate_flow`` itself, to record a period apart).
 """
 
 import math
@@ -65,11 +66,6 @@ class Projector:
         if ncomp == 1:
             return cls(p1)
         return cls(np.kron(np.eye(ncomp), p1))
-
-    @classmethod
-    def onto_columns(cls, B):
-        B = np.asarray(B, dtype=float)
-        return cls(B @ np.linalg.solve(B.T @ B, B.T))
 
     def weight(self):
         return projection_complement(self.P)
@@ -194,15 +190,12 @@ class SimCheck:
     ics: list = None
 
 
-def simulate(f, u0, sim, t_end=None, record_every=None, t_eval=None):
-    """One simulation of a cross-check over (0, t_end) by
+def simulate(f, u0, sim):
+    """One simulation of a cross-check over (0, sim.t_end) by
     ``flows.simulate_flow``: fixed-step RK4 at ``sim.dt`` for a field on a
-    grid, ``ODE_METHOD`` at ``ODE_RTOL`` otherwise, recorded at ``t_eval``
-    (off the grid) or at the times RK4 at ``sim.dt`` would record.
-    ``t_end`` and ``record_every`` default to those of ``sim``."""
-    t_end = sim.t_end if t_end is None else t_end
-    record_every = sim.record_every if record_every is None else record_every
-    return simulate_flow(f, u0, (0.0, t_end), sim.dt, record_every, t_eval=t_eval)
+    grid, ``ODE_METHOD`` at ``ODE_RTOL`` otherwise, recorded at the times
+    RK4 at ``sim.dt`` would record, every ``sim.record_every``-th step."""
+    return simulate_flow(f, u0, (0.0, sim.t_end), sim.dt, sim.record_every)
 
 
 def _error_floor(states):
@@ -283,7 +276,7 @@ def _compose_outer_weight(outer, inner):
     )
 
 
-def certify_subspace_contraction(f, proj, spec=L2, sampler=None,
+def certify_subspace_contraction(f, proj, spec=L2, *, sampler,
                                  inner_theta=None, sim=None, grid=None, seed=0):
     """Certificate of exponential contraction to im(P): invariance of the
     subspace plus a negative rate in the Q-weighted (semi)norm.  With an
@@ -348,7 +341,7 @@ def _project_samples(sub, samples):
     return out
 
 
-def certify_manifold_contraction(f, sub, spec=L2, sampler=None, sim=None, seed=0):
+def certify_manifold_contraction(f, sub, spec=L2, *, sampler, sim=None, seed=0):
     """Certificate of contraction to the level set M = phi^{-1}(0):
     tangency of the flow on M plus a negative rate with weight Dphi(u)."""
     f = as_vector_field(f)
@@ -445,8 +438,8 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
                 and rk4_steps(0.0, (n_periods + 1) * tau, sim.dt)[0] != (n_periods + 1) * every):
             raise ContractViolation(f"tau / dt = {tau / sim.dt:.6g} is not a whole number "
                                     "of RK4 steps, so snapshots would not be a period apart")
-        traj = simulate(f, u0, sim, t_end=(n_periods + 1) * tau, record_every=every,
-                        t_eval=tau * np.arange(n_periods + 2))
+        traj = simulate_flow(f, u0, (0.0, (n_periods + 1) * tau), sim.dt, every,
+                             t_eval=tau * np.arange(n_periods + 2))
         snaps = traj.states[1:]
         diffs = np.array([np.linalg.norm(snaps[m + 1] - snaps[m])
                           for m in range(len(snaps) - 1)])
@@ -524,7 +517,7 @@ def _min_loop_speed(sub, g, times, loop_pts):
     return best, values
 
 
-def certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None, sim=None, seed=0):
+def certify_limit_cycle(f, sub, conj, tau, spec=L2, *, sampler, sim=None, seed=0):
     """Certificate of convergence to a limit cycle on h^{-1}(phi^{-1}(0)).
 
     Checks, on the conjugate field g(t, v) = Dh(h^{-1}(v)) f(t, h^{-1}(v)):
@@ -539,7 +532,7 @@ def certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None, sim=None, seed
     return _certify_limit_cycle(f, sub, conj, tau, spec, sampler, sim, seed)[0]
 
 
-def _certify_limit_cycle(f, sub, conj, tau, spec=L2, sampler=None, sim=None, seed=0):
+def _certify_limit_cycle(f, sub, conj, tau, spec, sampler, sim, seed):
     """``certify_limit_cycle``'s report and the first simulated trajectory,
     the one its period comes from (None when no sim ran)."""
     f = as_vector_field(f)
@@ -618,7 +611,7 @@ def rotation_subspace_projector(n_osc):
     return Projector(B @ B.T)
 
 
-def certify_phase_locking(f, conjs, proj_w, spec=L2, sampler=None,
+def certify_phase_locking(f, conjs, proj_w, spec=L2, *, sampler,
                           leader=None, sim=None, seed=0):
     """Certificate of phase-locking for coupled heterogeneous oscillators:
     a certified limit-cycle leader plus a negative rate of the stacked

@@ -45,11 +45,6 @@ class Grid:
         """Quadrature weight of a single grid cell, prod of spacings."""
         return float(math.prod(self.spacing))
 
-    @property
-    def measure(self):
-        """Total measure covered by the quadrature weights."""
-        return self.cell_measure * self.npoints
-
 
 @lru_cache(maxsize=64)
 def unit_grid(n):

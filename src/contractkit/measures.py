@@ -516,11 +516,12 @@ def weighted_rate(A, theta, t=0.0, u=None, spec=L2, grid=None, seed=0):
     return _sampled_rate(Th @ Vr, C @ Vr, spec, grid, seed)
 
 
-def nonlinear_rate(f, theta, spec=L2, sampler=None, grid=None, seed=0):
+def nonlinear_rate(f, theta, spec=L2, *, sampler, grid=None, seed=0):
     """Empirical sup over sampled (t, u) of the weighted rate of Df_t(u).
 
     This is a sampled estimate of the supremum, reported as such; it is
-    never a certified global bound.  The sampler is read by ``sampling.read``.
+    never a certified global bound.  The sampler is required and read by
+    ``sampling.read``.
     """
     samples = read_samples(sampler)
     best = -np.inf

@@ -107,12 +107,14 @@ def heat_field(disc, alpha=1.0):
 @dataclass
 class PointwiseReaction:
     """Spatially local reaction: fn maps (m, npts) values to (m, npts)
-    rates, jac maps them to the (m, m, npts) per-point Jacobian."""
+    rates, jac maps them to the (m, m, npts) per-point Jacobian; its
+    experiments sample states about the constant state ``steady_state``."""
 
     fn: object
     jac: object
     n_species: int
-    name: str = ""
+    name: str
+    steady_state: np.ndarray
 
 
 def allen_cahn_reaction():
@@ -124,7 +126,7 @@ def allen_cahn_reaction():
     def jac(U):
         return (1.0 - 3.0 * U[0] ** 2)[None, None, :]
 
-    return PointwiseReaction(fn, jac, 1, "allen_cahn")
+    return PointwiseReaction(fn, jac, 1, "allen_cahn", np.zeros(1))
 
 
 def brusselator_reaction(a=1.0, b=1.8):
@@ -143,19 +145,18 @@ def brusselator_reaction(a=1.0, b=1.8):
         J[1, 1] = -x * x
         return J
 
-    r = PointwiseReaction(fn, jac, 2, "brusselator")
-    r.steady_state = np.array([a, b / a])
-    return r
+    return PointwiseReaction(fn, jac, 2, "brusselator", np.array([a, b / a]))
 
 
 def reaction_diffusion_field(disc, alphas, reaction):
-    """du_i/dt = alpha_i Lap u_i + r_i(u_1, ..., u_m), species stacked."""
+    """du_i/dt = alpha_i Lap u_i + r_i(u_1, ..., u_m), species stacked;
+    ``alphas`` is one diffusivity for every species or one per species."""
     m = reaction.n_species
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if alphas.size != m:
-        raise DimensionError("need one diffusivity per species")
+    if alphas.size not in (1, m):
+        raise DimensionError(f"need one diffusivity or one per species, got {alphas.size}")
     npts = disc.npoints
-    diffusion = sp.kron(sp.diags(alphas), disc.laplacian, format="csr")
+    diffusion = sp.kron(sp.diags(np.broadcast_to(alphas, (m,))), disc.laplacian, format="csr")
     diffuse = matvec(diffusion)
 
     def f(t, z):
@@ -181,14 +182,16 @@ def reaction_diffusion_field(disc, alphas, reaction):
 # the implicit solver of the stiff experiments and its tolerance
 STIFF_METHOD = "Radau"
 STIFF_RTOL = 1e-8
-_N_OUT = 200               # heat, reaction-diffusion: about this many records
+_N_OUT = 200               # heat, reaction-diffusion: about this many records;
+                           # vanishing limit: exactly this many output intervals
 _RD_SAMPLES = 12           # reaction-diffusion: states sampled for the rates
-_POISSON_T_MAX = 400.0     # Poisson: the stacked gradient flows run this long
+_POISSON_N_INIT = 3        # Poisson: gradient flows from this many random states,
+_POISSON_T_MAX = 400.0     # ... stacked as one run this long
 _N_TEST = 10               # vanishing limit: weak-form test functions, and
 _N_RATE_SAMPLES = 6        # ... states sampled per eps for the rate
 
 
-def heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0, dims=1):
+def heat_zero_flux_experiment(n, alpha, t_end, seed, dims):
     """Zero-flux heat equation contracting to its spatial mean: certify the
     rate in the mean-complement seminorm, simulate, and compare the fitted
     decay of ||Q u(t)|| with the certified value."""
@@ -243,23 +246,22 @@ def heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0, dims=1):
     return verdict(report), series
 
 
-def reaction_diffusion_experiment(n=16, alphas=0.5, reaction=None, t_end=4.0,
-                                  seed=0, amplitude=0.05, base_state=None):
+def reaction_diffusion_experiment(n, alphas, reaction, t_end, seed, amplitude):
     """Homogenization certificate for reaction-diffusion with zero flux:
     condition (1) the constant subspace is invariant, condition (2) every
     species' reaction rate in the mean-complement seminorm is beaten by its
-    diffusion; then simulate and fit the decay of ||Q u(t)||."""
-    reaction = reaction or allen_cahn_reaction()
+    diffusion; then simulate and fit the decay of ||Q u(t)||, from states
+    sampled about ``reaction.steady_state``."""
     m = reaction.n_species
-    alphas = np.broadcast_to(np.atleast_1d(np.asarray(alphas, dtype=float)), (m,))
     disc = build_discretization(n, dims=1, boundary="neumann")
     npts = disc.npoints
     fld = reaction_diffusion_field(disc, alphas, reaction)
+    alphas = np.broadcast_to(np.atleast_1d(np.asarray(alphas, dtype=float)), (m,))
     proj_full = Projector.mean(npts, ncomp=m)
     q_species = projection_complement(Projector.mean(npts).P)
 
     rng = np.random.default_rng(seed)
-    base = np.zeros(m) if base_state is None else np.asarray(base_state, dtype=float)
+    base = np.asarray(reaction.steady_state, dtype=float)
 
     def sample_state():
         return (np.repeat(base[:, None], npts, axis=1)
@@ -315,8 +317,8 @@ def reaction_diffusion_experiment(n=16, alphas=0.5, reaction=None, t_end=4.0,
 
 
 def sine_reaction(c):
-    """Scalar pointwise map f(u) = c sin(u) with derivative c cos(u)."""
-    return (lambda u: c * np.sin(u)), (lambda u: c * np.cos(u)), c
+    """The pair (f, f') of the scalar pointwise map f(u) = c sin(u)."""
+    return (lambda u: c * np.sin(u)), (lambda u: c * np.cos(u))
 
 
 def poisson_gradient_flow(disc, fn, dfn, copies=1):
@@ -329,13 +331,12 @@ def poisson_gradient_flow(disc, fn, dfn, copies=1):
                        grid=disc.grid)
 
 
-def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
-                                 n_init=3, refinement=(8, 16, 32, 64)):
+def nonlinear_poisson_experiment(n, reaction, seed, refinement):
     """Existence and uniqueness for Lap u + f(u) = 0 with zero Dirichlet
-    data: when the expansion rate of f stays below the discrete Poincare
-    constant, the gradient flow contracts to a unique fixed point."""
-    if fn is None:
-        fn, dfn, _ = sine_reaction(c)
+    data, ``reaction`` the pair (f, f'): when the expansion rate of f stays
+    below the discrete Poincare constant, the gradient flow contracts to a
+    unique fixed point, reached from ``_POISSON_N_INIT`` random states."""
+    fn, dfn = reaction
     disc = build_discretization(n, dims=1, boundary="dirichlet")
     npts = disc.npoints
     lam_omega = -mu(disc.laplacian, L2).value
@@ -346,16 +347,16 @@ def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
     sup_df = max(float(np.max(dfn(u))) for u in probe_states)
     rate_check = Check.lt("reaction_rate_below_poincare", sup_df, lam_omega)
 
-    # the n_init gradient flows as one run of their stacked states
-    fld = poisson_gradient_flow(disc, fn, dfn, n_init)
-    run = integrate(fld, rng.standard_normal(n_init * npts), (0.0, _POISSON_T_MAX),
-                    rtol=STIFF_RTOL, method=STIFF_METHOD, record_every=10**9)
-    fixed_points = run.final_state.reshape(n_init, npts)
-    resid = fld.eval(0.0, run.final_state).reshape(n_init, npts)
+    # the gradient flows as one run of their stacked states
+    fld = poisson_gradient_flow(disc, fn, dfn, _POISSON_N_INIT)
+    run = integrate(fld, rng.standard_normal(_POISSON_N_INIT * npts),
+                    (0.0, _POISSON_T_MAX), rtol=STIFF_RTOL, method=STIFF_METHOD,
+                    record_every=10**9)
+    fixed_points = run.final_state.reshape(_POISSON_N_INIT, npts)
+    resid = fld.eval(0.0, run.final_state).reshape(_POISSON_N_INIT, npts)
     max_resid = float(np.max(np.linalg.norm(resid, axis=1)))
-    dists = [float(np.linalg.norm(a - b))
-             for i, a in enumerate(fixed_points) for b in fixed_points[i + 1:]]
-    max_pair = max(dists) if dists else 0.0
+    max_pair = max(float(np.linalg.norm(a - b))
+                   for i, a in enumerate(fixed_points) for b in fixed_points[i + 1:])
 
     table_n, table_lam = [], []
     for nk in refinement:
@@ -388,7 +389,7 @@ def nonlinear_poisson_experiment(n=32, c=5.0, fn=None, dfn=None, seed=0,
     return verdict(report), series
 
 
-def sobolev_rate(f, k, p, sampler=None, seed=0):
+def sobolev_rate(f, k, p, *, sampler, seed=0):
     """Unweighted contraction rate of f in the discrete Sobolev (k, p) norm
     on its grid ``f.grid``; used for regularity bounds on trajectory pairs."""
     if k > 2:
@@ -456,7 +457,7 @@ def burgers_field(disc, eps, scheme="centered"):
                        name=f"burgers(eps={eps},{scheme})", grid=disc.grid)
 
 
-def burgers_family(n=256, eps_schedule=(0.05, 0.025, 0.0125, 0.00625)):
+def burgers_family(n, eps_schedule):
     """Viscous Burgers u_t + (u^2/2)_x = eps u_xx on the periodic unit
     interval; centered fluxes for eps > 0, upwind ones at eps = 0."""
     disc = build_discretization(n, dims=1, boundary="periodic")
@@ -471,7 +472,7 @@ def burgers_family(n=256, eps_schedule=(0.05, 0.025, 0.0125, 0.00625)):
     )
 
 
-def advection_family(n=256, speed=1.0, eps_schedule=(0.1, 0.05, 0.025, 0.0125)):
+def advection_family(n, speed, eps_schedule):
     """Linear advection with eps-diffusion; the eps -> 0 limit is the
     exactly transported profile."""
     disc = build_discretization(n, dims=1, boundary="periodic")
@@ -538,9 +539,9 @@ def _weak_form_residuals(uu, psis, h, dt, flux):
     return np.asarray(raws), np.asarray(denoms)
 
 
-def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
-                             lambda_bound=None, seed=0):
-    """Vanishing-regularization limit on the periodic interval.
+def vanishing_osl_experiment(family, u0, p, t_end, lambda_bound, seed):
+    """Vanishing-regularization limit on the periodic interval, recorded at
+    ``_N_OUT`` equal steps of (0, t_end).
 
     Per eps: check a uniform sampled contraction rate, a uniformly bounded
     solution, translation invariance of the scheme, and short-time
@@ -549,7 +550,8 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
     extrapolated limit satisfies the conservation-law weak form against
     smooth test functions.  The levels that share an RK4 step (eps = 0 on
     its own) run as one integration of ``family.field(*levels)``, and the
-    shifted and unshifted states of the translation check as one more.
+    shifted and unshifted states of the translation check as one more.  A
+    ``lambda_bound`` of None declares no uniform rate bound to check.
     """
     eps_list = list(family.eps_schedule)
     if len(eps_list) < 4:
@@ -565,8 +567,8 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
     spec = NormSpec(p=p)
     rng = np.random.default_rng(seed)
 
-    dt_out = t_end / n_out
-    times = np.linspace(0.0, t_end, n_out + 1)
+    dt_out = t_end / _N_OUT
+    times = np.linspace(0.0, t_end, _N_OUT + 1)
     xs = np.arange(n) * h
     umax = float(np.max(np.abs(u0))) + 1.0
 
@@ -582,7 +584,7 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
     for (substeps, _), levels in groups.items():
         traj = integrate(family.field(*levels), np.tile(u0, len(levels)), (0.0, t_end),
                          dt=dts[levels[0]], record_every=substeps)
-        if len(traj.times) != n_out + 1:
+        if len(traj.times) != _N_OUT + 1:
             raise ContractViolation("output grid mismatch")
         for i, eps in enumerate(levels):
             rec_times[eps] = traj.times
@@ -591,7 +593,7 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
             sols[eps] = np.ascontiguousarray(traj.states[:, i * n:(i + 1) * n])
     for eps in eps_list:
         sup_norms[eps] = float(np.max(sip_norm(sols[eps], spec, grid, rows=True)))
-        idx = np.linspace(0, n_out, _N_RATE_SAMPLES, dtype=int)
+        idx = np.linspace(0, _N_OUT, _N_RATE_SAMPLES, dtype=int)
         samp = [(float(rec_times[eps][i]), sols[eps][i]) for i in idx]
         rates[eps] = nonlinear_rate(family.field(eps), identity_weight(), spec=spec,
                                     sampler=samp, grid=grid).value
@@ -626,7 +628,7 @@ def vanishing_osl_experiment(family, u0, p=2.0, t_end=0.5, n_out=200,
                      max(m_eps.values()), 2.0 * m_eps[eps_list[-1]] + 1e-14)
 
     # conclusion: Cauchy trend of successive space-time differences
-    spacetime = Grid((n_out + 1, n), (dt_out, h))
+    spacetime = Grid((_N_OUT + 1, n), (dt_out, h))
     diffs = [sip_norm(sols[e1] - sols[e2], spec, spacetime)
              for e1, e2 in zip(eps_list, eps_list[1:])]
     cauchy = Check.lt("cauchy_trend", max(np.diff(diffs), default=-math.inf), 0.0)

@@ -184,7 +184,7 @@ class AsymptoticRateResult:
     history: list = field(default_factory=list)
 
 
-def optimize_diagonal_weight(A_or_f, spec=L2, b=10.0, sampler=None, seed=0):
+def optimize_diagonal_weight(A_or_f, spec=L2, b=10.0, *, sampler, seed=0):
     """Coordinate descent over time-invariant diagonal weights with entries
     in [1/b, b], minimizing the sampled nonlinear rate.
 

@@ -111,14 +111,13 @@ def test_criterion_4_growth_bound():
             A = random_stable_matrix(rng, n, margin=0.3)
             rep = flows.verify_growth_bound(
                 A, weights.identity(), L2, rng.standard_normal(n),
-                rng.standard_normal(n), (0.0, 5.0), 1e-3,
-                rate_stride=5, record_every=25)
+                rng.standard_normal(n), (0.0, 5.0), 1e-3, record_every=25)
             assert rep["max_weighted_ratio"] <= 1.0 + 1e-4
             assert rep["max_pair_ratio"] <= 1.0 + 1e-4
         th = weights.diagonal([0.01, 1.0])
         rep = flows.verify_growth_bound(SHEAR, th, L2, np.zeros(2),
                                         np.array([0.2, 1.0]), (0.0, 10.0), 1e-3,
-                                        rate_stride=5, record_every=25)
+                                        record_every=25)
         assert rep["lambda_sup"] == pytest.approx(-0.95)
         assert rep["max_weighted_ratio"] <= 1.0 + 1e-4
         assert rep["kappa"] == pytest.approx(100.0)
@@ -162,7 +161,7 @@ def test_criterion_5_mle_bounds():
 
 def test_criterion_6_heat_zero_flux():
     with criterion(6, "zero-flux heat: certified rate, fitted decay, mass"):
-        rep, _ = pde.heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0)
+        rep, _ = pde.heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0, dims=1)
         lam_formula = -1.0 * (2.0 * 16**2) * (1.0 - np.cos(np.pi / 16))
         assert rep["rate"].value == pytest.approx(lam_formula, rel=1e-8)
         assert abs(rep["fitted_decay"] - rep["rate"].value) <= 0.02 * abs(rep["rate"].value)
@@ -172,7 +171,9 @@ def test_criterion_6_heat_zero_flux():
 
 def test_criterion_7_reaction_diffusion():
     with criterion(7, "reaction-diffusion homogenization and its counter-example"):
-        rep, _ = pde.reaction_diffusion_experiment(n=16, alphas=0.5, t_end=6.0, seed=0)
+        rep, _ = pde.reaction_diffusion_experiment(n=16, alphas=0.5,
+                                                   reaction=pde.allen_cahn_reaction(),
+                                                   t_end=6.0, seed=0, amplitude=0.05)
         mqd = abs(pde.neumann_second_eigenvalue(16, 1.0 / 16))
         assert 0.5 * mqd > 1.0  # homogenizing regime
         assert rep["certified"]
@@ -181,15 +182,15 @@ def test_criterion_7_reaction_diffusion():
         assert abs(rep["fitted_decay"] - lam) <= 0.1 * abs(lam)
         r = pde.brusselator_reaction(a=1.0, b=1.8)
         rep2, _ = pde.reaction_diffusion_experiment(
-            n=64, alphas=[1e-3, 0.1], reaction=r, t_end=60.0, seed=0,
-            amplitude=0.05, base_state=r.steady_state)
+            n=64, alphas=[1e-3, 0.1], reaction=r, t_end=60.0, seed=0, amplitude=0.05)
         assert not rep2["certified"]
         assert rep2["final_qnorm_ratio"] > 0.1
 
 
 def test_criterion_8_nonlinear_poisson():
     with criterion(8, "nonlinear Poisson: unique fixed point and refinement trend"):
-        rep, _ = pde.nonlinear_poisson_experiment(n=32, c=5.0, seed=0)
+        rep, _ = pde.nonlinear_poisson_experiment(n=32, reaction=pde.sine_reaction(5.0),
+                                                  seed=0, refinement=(8, 16, 32, 64))
         assert rep["certified"]  # c = 5 < discrete Poincare constant
         assert rep["max_pairwise_distance"] <= 1e-8
         assert rep["max_residual"] <= 1e-8
@@ -286,10 +287,11 @@ def test_criterion_10_phase_locking():
 def test_criterion_11_vanishing_regularization():
     with criterion(11, "vanishing-regularization Burgers: Cauchy trend, weak residual"):
         t0 = time.monotonic()
-        fam = pde.burgers_family(n=256)
+        fam = pde.burgers_family(n=256, eps_schedule=(0.05, 0.025, 0.0125, 0.00625))
         x = np.arange(256) / 256.0
-        rep, _ = pde.vanishing_osl_experiment(fam, np.sin(2.0 * np.pi * x),
-                                              t_end=0.5, n_out=200, seed=0)
+        assert pde._N_OUT == 200
+        rep, _ = pde.vanishing_osl_experiment(fam, np.sin(2.0 * np.pi * x), p=2.0,
+                                              t_end=0.5, lambda_bound=None, seed=0)
         eps = rep["eps_schedule"]
         assert len(eps) == 4
         assert all(e2 == pytest.approx(e1 / 2) for e1, e2 in zip(eps, eps[1:]))

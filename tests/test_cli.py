@@ -1,13 +1,14 @@
 """Config parsing, exit codes, report/CSV emission, and determinism."""
 
 import glob
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from contractkit import cli
+from contractkit import cli, geometry, measures, pde, weights
 from contractkit.errors import ConfigError
 
 
@@ -217,6 +218,53 @@ class TestShippedConfigs:
         else:
             assert checks and report["certified"] is (not failed)
             assert report["report"]["certified"] is report["certified"]
+
+
+class TestValuesTheSchemaAccepts:
+    """Values that parse but cannot run end in the CLI's error line, exit 1."""
+
+    @pytest.mark.parametrize("name, line, edited, message", [
+        ("measure", "seed = 0", "seed = -1", "config error: field 'seed'"),
+        ("manifold", "radial_band = 0.8 1.2", "radial_band = 1.2",
+         "error: field 'radial_band'"),
+        ("limit_cycle", "radial_band = 0.8 1.2", "radial_band = 1.2",
+         "error: field 'radial_band'"),
+        ("limit_cycle", "radial_band = 0.8 1.2", "radial_band = 1.2 0.8",
+         "error: field 'radial_band'"),
+        ("reaction_diffusion", "alphas = 0.5", "alphas = 0.5 0.5",
+         "error: need one diffusivity or one per species"),
+        ("mle", "renorm_interval = 0.5", "renorm_interval = 100",
+         "error: renorm_interval 100.0 is longer than the run"),
+    ], ids=["negative_seed", "manifold_one_band_value", "limit_cycle_one_band_value",
+            "limit_cycle_band_reversed", "allen_cahn_two_alphas", "mle_interval_past_t_end"])
+    def test_exit_1_with_the_error_line(self, tmp_path, monkeypatch, capsys, name, line,
+                                        edited, message):
+        with open(os.path.join(CONFIG_DIR, f"{name}.cfg")) as fh:
+            text = fh.read()
+        assert text.count(line) == 1
+        monkeypatch.setenv("CONTRACTKIT_OUTPUT_DIR", str(tmp_path / "out"))
+        assert cli.main(["run", write_cfg(tmp_path, text.replace(line, edited))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestOneHomeForDefaults:
+    def test_experiment_entry_points_take_every_config_value(self):
+        # their defaults live in the EXPERIMENTS Param table alone
+        for fn in (pde.heat_zero_flux_experiment, pde.reaction_diffusion_experiment,
+                   pde.nonlinear_poisson_experiment, pde.vanishing_osl_experiment,
+                   pde.burgers_family, pde.advection_family):
+            defaults = [p.name for p in inspect.signature(fn).parameters.values()
+                        if p.default is not inspect.Parameter.empty]
+            assert not defaults, (fn.__name__, defaults)
+
+    def test_sampler_is_required(self):
+        for fn in (measures.nonlinear_rate, pde.sobolev_rate, weights.optimize_diagonal_weight,
+                   geometry.certify_subspace_contraction, geometry.certify_manifold_contraction,
+                   geometry.certify_limit_cycle, geometry.certify_phase_locking):
+            param = inspect.signature(fn).parameters["sampler"]
+            assert param.default is inspect.Parameter.empty, fn.__name__
 
 
 class TestListValidate:

@@ -571,8 +571,7 @@ class TestGrowthBound:
         u0 = rng.standard_normal(16)
         du0 = proj.Q @ rng.standard_normal(16)
         rep = verify_growth_bound(fld, qw, L2, u0, du0, (0.0, 0.2),
-                                  0.2 * disc.h**2, rate_stride=10,
-                                  grid=disc.grid, record_every=10)
+                                  0.2 * disc.h**2, grid=disc.grid, record_every=10)
         assert rep["max_weighted_ratio"] <= 1.0 + 1e-6
 
     def test_one_norm_call_per_series(self, monkeypatch):
@@ -627,10 +626,10 @@ class TestRateReuse:
                         dim=2)
         calls = self._count_solves(monkeypatch)
         # at the equilibrium the Jacobian stays put: one solve is exact there
-        assert self._run(f, weights.identity(), rate_stride=10)["rate_solves"] == 1
+        assert self._run(f, weights.identity())["rate_solves"] == 1
         calls.clear()
-        rep = self._run(f, weights.identity(), u0=(1.0, -0.5), rate_stride=10)
-        assert len(calls) == rep["rate_solves"] == len(rep["times"]) == 41
+        rep = self._run(f, weights.identity(), u0=(1.0, -0.5))
+        assert len(calls) == rep["rate_solves"] == len(rep["times"]) == 401
         assert rep["max_weighted_ratio"] <= 1.0 + 1e-4
 
     def test_time_varying_weight_solves_every_state(self, monkeypatch):
@@ -641,12 +640,12 @@ class TestRateReuse:
             inverse=lambda t, u, n: np.diag([1.0 / (1.5 + np.sin(t)), 1.0]),
             dmatrix_dt=lambda t, u, n: np.diag([np.cos(t), 0.0]), b=2.5, time_varying=True)
         calls = self._count_solves(monkeypatch)
-        rep = self._run(np.diag([-1.0, -2.0]), th, rate_stride=10)
-        assert len(calls) == rep["rate_solves"] == len(rep["times"]) == 41
+        rep = self._run(np.diag([-1.0, -2.0]), th)
+        assert len(calls) == rep["rate_solves"] == len(rep["times"]) == 401
         assert rep["max_weighted_ratio"] <= 1.0 + 1e-4
         # kappa follows the weight too
         monkeypatch.setattr(flows, "_bit_equal", lambda a, b: False)
-        assert rep["kappa"] == self._run(np.diag([-1.0, -2.0]), th, rate_stride=10)["kappa"]
+        assert rep["kappa"] == self._run(np.diag([-1.0, -2.0]), th)["kappa"]
         assert rep["kappa"] > 2.4
 
     def test_state_dependent_weight_solves_where_it_changes(self, monkeypatch):
@@ -658,10 +657,10 @@ class TestRateReuse:
                             inverse=lambda t, u, n: np.diag([1.0 / (1.0 + u[0] ** 2), 1.0]),
                             b=2.0)
         A = np.diag([-1.0, -2.0])
-        rep = self._run(A, th, u0=(0.5, 0.0), rate_stride=10)
-        assert 1 < rep["rate_solves"] <= len(rep["times"]) == 41
+        rep = self._run(A, th, u0=(0.5, 0.0))
+        assert 1 < rep["rate_solves"] <= len(rep["times"]) == 401
         monkeypatch.setattr(flows, "_bit_equal", lambda a, b: False)
-        ref = self._run(A, th, u0=(0.5, 0.0), rate_stride=10)
+        ref = self._run(A, th, u0=(0.5, 0.0))
         assert rep["kappa"] == ref["kappa"] > 1.0
         assert np.array_equal(rep["rates"], ref["rates"])
         assert np.array_equal(rep["weighted_ratios"], ref["weighted_ratios"])
@@ -673,11 +672,11 @@ class TestRateReuse:
         compared = []
         monkeypatch.setattr(flows, "_bit_equal",
                             lambda a, b: compared.append(a is b) or a is b)
-        rep = self._run(SHEAR, weights.diagonal([0.01, 1.0]), rate_stride=10)
-        assert rep["rate_solves"] == 1 and all(compared) and len(compared) == 4 * 40
+        rep = self._run(SHEAR, weights.diagonal([0.01, 1.0]))
+        assert rep["rate_solves"] == 1 and all(compared) and len(compared) == 4 * 400
 
     def test_report_names_its_integrator(self):
-        rep = self._run(SHEAR, weights.identity(), rate_stride=10)
+        rep = self._run(SHEAR, weights.identity())
         entry = rep["integrator"]
         assert entry["method"] == "DOP853" and entry["rtol"] == ODE_RTOL
         assert entry["nfev"] > entry["steps"] > 0
@@ -723,8 +722,7 @@ class TestVariationalSolverPath:
         f = VectorField(f=lambda t, u: 1.0 - u - u**3 / 3.0,
                         jac=lambda t, u: np.diag(-1.0 - u**2), dim=1)
         u0, du0 = np.array([0.0]), np.array([0.8])
-        rep = verify_growth_bound(f, weights.identity(), L2, u0, du0, (0.0, 20.0), 1e-2,
-                                  rate_stride=10)
+        rep = verify_growth_bound(f, weights.identity(), L2, u0, du0, (0.0, 20.0), 1e-2)
         assert rep["integrator"]["steps"] < 500
         assert rep["max_pair_ratio"] <= 1.0 and rep["pair_distances"][-1] < 1e-12
         ref = [integrate(f, u, (0.0, 20.0), dt=1e-3, record_every=10).states[:, 0]
@@ -809,6 +807,20 @@ class TestMLE:
                  for t in est.times]
         assert len(est.times) == 40
         np.testing.assert_allclose(est.history, exact, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("t_end, interval, n_records", [
+        (40.0, 0.45, 88), (3.0, 0.1, 30), (40.0, 0.5, 80), (40.0, 40.0, 1)])
+    def test_records_whole_intervals_within_the_run(self, t_end, interval, n_records):
+        # 40 / 0.45 = 88.9: the run ends at 39.6, not past t_end at 40.05;
+        # 3 / 0.1 rounds to 29.999999999999996 and still counts 30
+        est = mle_estimate(np.diag([-1.0, -2.0]), np.zeros(2), (0.0, t_end), interval)
+        assert len(est.times) == n_records
+        assert est.times[-1] == pytest.approx(n_records * interval, rel=1e-12)
+        assert est.times[-1] <= t_end * (1.0 + 1e-12)
+
+    def test_interval_longer_than_the_run_refused(self):
+        with pytest.raises(ContractViolation, match="longer than the run"):
+            mle_estimate(np.diag([-1.0, -2.0]), np.zeros(2), (0.0, 40.0), 100.0)
 
     def test_grid_field_refused(self):
         from contractkit.pde import build_discretization, heat_field

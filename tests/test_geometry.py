@@ -14,6 +14,7 @@ from contractkit.flows import (
     linear_field,
     rk4_record_times,
     rk4_steps,
+    simulate_flow,
 )
 from contractkit.geometry import (
     ODE_RTOL,
@@ -73,11 +74,16 @@ def band_sampler(lo=0.8, hi=1.2, n=24, seed=1, dim=2):
     return out
 
 
+def onto_columns(B):
+    """The projector B (B^T B)^{-1} B^T onto the columns of B."""
+    return Projector(B @ np.linalg.solve(B.T @ B, B.T))
+
+
 class TestProjector:
     def test_algebra(self):
         rng = np.random.default_rng(0)
         B = rng.standard_normal((6, 2))
-        proj = Projector.onto_columns(B)
+        proj = onto_columns(B)
         n = 6
         assert np.linalg.norm(proj.P @ proj.P - proj.P) <= 1e-10
         assert np.linalg.norm(proj.Q @ proj.Q - proj.Q) <= 1e-10
@@ -99,7 +105,7 @@ class TestSubspaceInvariance:
 
     def test_identity_dynamics_any_projector(self):
         rng = np.random.default_rng(1)
-        proj = Projector.onto_columns(rng.standard_normal((5, 2)))
+        proj = onto_columns(rng.standard_normal((5, 2)))
         fld = VectorField(f=lambda t, u: u, jac=lambda t, u: np.eye(5), dim=5)
         rep = check_subspace_invariance(fld, proj, sampling.gaussian_samples(6, 5, seed=2))
         assert rep["passed"]
@@ -340,10 +346,10 @@ class TestTemporalSymmetry:
         runs = []
 
         def spy(*args, **kwargs):
-            runs.append(simulate(*args, **kwargs))
+            runs.append(simulate_flow(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(geometry, "simulate", spy)
+        monkeypatch.setattr(geometry, "simulate_flow", spy)
         sim = SimCheck(t_end=8.0, dt=dt, n_ic=1, seed=18)
         rep = check_temporal_symmetry(self._forced(), 1.0,
                                       sampling.gaussian_samples(5, 1, seed=19,
@@ -352,8 +358,8 @@ class TestTemporalSymmetry:
         assert np.array_equal(runs[0].times, np.arange(10.0))
         assert rep["sim"]["geometric_decay"].passed
 
-    def _rk4_simulate(self, f, u0, sim, t_end=None, record_every=None, t_eval=None):
-        return integrate(f, u0, (0.0, t_end), dt=sim.dt, record_every=record_every)
+    def _rk4_simulate(self, f, u0, t_span, dt, record_every=1, t_eval=None):
+        return integrate(f, u0, t_span, dt=dt, record_every=record_every)
 
     @pytest.mark.parametrize("t_end", [15.0, 30.0, 40.0])
     def test_long_run_verdict_matches_rk4(self, monkeypatch, t_end):
@@ -362,7 +368,7 @@ class TestTemporalSymmetry:
         rate = RateEstimate(-1.0, "eigen")
         rep = check_temporal_symmetry(self._forced(), 1.0, sampler, sim=sim, rate=rate)
         assert rep["sim"]["integrator"]["method"] == "DOP853"
-        monkeypatch.setattr(geometry, "simulate", self._rk4_simulate)
+        monkeypatch.setattr(geometry, "simulate_flow", self._rk4_simulate)
         ref = check_temporal_symmetry(self._forced(), 1.0, sampler, sim=sim, rate=rate)
         assert ref["sim"]["integrator"]["method"] == "RK4"
         assert rep["sim"]["geometric_decay"].passed and ref["sim"]["geometric_decay"].passed
@@ -385,10 +391,10 @@ class TestTemporalSymmetry:
         runs = []
 
         def spy(*args, **kwargs):
-            runs.append(simulate(*args, **kwargs))
+            runs.append(simulate_flow(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(geometry, "simulate", spy)
+        monkeypatch.setattr(geometry, "simulate_flow", spy)
         disc = build_discretization(16, boundary="periodic")
         sampler = sampling.gaussian_samples(3, 16, seed=21, t_range=(0.0, 1.0))
         sim = SimCheck(t_end=0.2, dt=1e-3, n_ic=1, seed=22)
@@ -471,8 +477,9 @@ class TestLimitCycle:
         ics = [np.array([0.5, 0.0]), np.array([0.0, -1.5])]
         sim = SimCheck(t_end=60.0, dt=5e-3, record_every=10, ics=ics)
         rep, traj = geometry._certify_limit_cycle(fld, self.sub, Conjugacy.identity(),
-                                                  tau=None, sampler=band_sampler(seed=22),
-                                                  sim=sim)
+                                                  tau=None, spec=L2,
+                                                  sampler=band_sampler(seed=22), sim=sim,
+                                                  seed=0)
         assert np.array_equal(traj.times, rk4_record_times(0.0, 60.0, 5e-3, 10))
         ref = integrate(fld, ics[0], (0.0, 60.0), dt=5e-3, record_every=10)
         assert np.max(np.abs(traj.states - ref.states)) <= 1e-8
@@ -491,8 +498,9 @@ class TestLimitCycle:
         ics = [np.array([0.5, 0.0]), np.array([0.0, -1.5])]
         sim = SimCheck(t_end=60.0, dt=5e-3, record_every=10, ics=ics)
         rep, traj = geometry._certify_limit_cycle(systems.hopf_field(), self.sub,
-                                                  Conjugacy.identity(), tau=None,
-                                                  sampler=band_sampler(seed=22), sim=sim)
+                                                  Conjugacy.identity(), tau=None, spec=L2,
+                                                  sampler=band_sampler(seed=22), sim=sim,
+                                                  seed=0)
         assert len(runs) == len(ics)
         assert traj is runs[0]
         period, _ = extract_period(runs[0].times, runs[0].states[:, 0])

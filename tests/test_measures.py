@@ -981,8 +981,11 @@ class TestNonlinearRate:
                            sampler=[])
 
     def test_missing_sampler_raises(self):
-        with pytest.raises(ContractViolation, match="sampler"):
+        # the sampler is a required argument, and sampling.read refuses None
+        with pytest.raises(TypeError, match="sampler"):
             nonlinear_rate(linear_field(np.eye(2)), weights.identity())
+        with pytest.raises(ContractViolation, match="sampler"):
+            nonlinear_rate(linear_field(np.eye(2)), weights.identity(), sampler=None)
 
     @pytest.mark.parametrize("spec", [L1, LINF, L2], ids=["p1", "pinf", "p2"])
     def test_nan_jacobian_raises(self, spec):

@@ -75,6 +75,8 @@ _PAD = {"periodic": "wrap", "neumann": "edge", "dirichlet": "constant"}
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs")
+# the shipped vanishing_osl schedule
+EPS_SCHEDULE = (0.05, 0.025, 0.0125, 0.00625)
 
 
 def _lap_stencil(u, h, boundary):
@@ -110,7 +112,7 @@ def _sparse_product_cases():
     dirichlet = pde.build_discretization(32, boundary="dirichlet")
     lap, D = per.laplacian, per.gradients[0]
     ac, br = pde.allen_cahn_reaction(), pde.brusselator_reaction(a=1.0, b=1.8)
-    fn, dfn, _ = pde.sine_reaction(5.0)
+    fn, dfn = pde.sine_reaction(5.0)
     kron = lambda alphas: sp.kron(sp.diags(alphas), neu.laplacian, format="csr")
     lap3 = pde._block_diag([dirichlet.laplacian] * 3)
     S = sp.random(40, 40, density=0.1, random_state=1, format="csr")
@@ -136,7 +138,8 @@ def _sparse_product_cases():
             lambda u, diffusion=diffusion, m=m: diffusion @ u - pde._upwind_flux_difference(
                 u.reshape(m, -1), 1.0 / per.h).ravel(), 64 * m)
     A = pde._block_diag([(-1.0 * D + e * lap).tocsr() for e in (0.1, 0.05)])
-    cases["advection_2"] = (pde.advection_family(n=64).field(0.1, 0.05), lambda u: A @ u, 128)
+    cases["advection_2"] = (pde.advection_family(64, 1.0, EPS_SCHEDULE).field(0.1, 0.05),
+                            lambda u: A @ u, 128)
     return cases
 
 
@@ -188,7 +191,7 @@ class TestGridFields:
 
     def test_poisson_flow_matches_stencil(self):
         disc = pde.build_discretization(32, boundary="dirichlet")
-        fn, dfn, _ = pde.sine_reaction(5.0)
+        fn, dfn = pde.sine_reaction(5.0)
         fld = pde.poisson_gradient_flow(disc, fn, dfn)
         u = self.rng.standard_normal(32)
         _assert_matches(fld.eval(0.0, u),
@@ -287,7 +290,7 @@ class TestGridFields:
 
     def test_poisson_jacobian_is_the_dense_one_sparse(self):
         disc = pde.build_discretization(32, boundary="dirichlet")
-        fn, dfn, _ = pde.sine_reaction(5.0)
+        fn, dfn = pde.sine_reaction(5.0)
         u = self.rng.standard_normal(32)
         J = pde.poisson_gradient_flow(disc, fn, dfn).jacobian(0.0, u)
         assert sp.issparse(J) and J.format == "csc"
@@ -296,7 +299,8 @@ class TestGridFields:
 
 class TestHeatExperiment:
     def test_all_checks_pass(self):
-        rep, series = pde.heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0)
+        rep, series = pde.heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=0,
+                                                    dims=1)
         assert all(c.passed for c in checks_in(rep))
         assert rep["certified"]
         header, cols = series["decay"]
@@ -307,7 +311,8 @@ class TestHeatExperiment:
     @pytest.mark.parametrize("seed", [0, 1, 2, 5, 6, 10, 15, 23, 24, 29,
                                       657035583, 1282648386])
     def test_fitted_decay_matches_certified_rate(self, seed):
-        rep, _ = pde.heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=seed)
+        rep, _ = pde.heat_zero_flux_experiment(n=16, alpha=1.0, t_end=0.5, seed=seed,
+                                               dims=1)
         (check,) = [c for c in rep["checks"] if c.name == "fitted_decay_within_2pct"]
         assert check.passed
         assert check.value <= 1e-4
@@ -331,7 +336,9 @@ class TestHeatExperiment:
 
 class TestReactionDiffusion:
     def test_allen_cahn_homogenizes(self):
-        rep, _ = pde.reaction_diffusion_experiment(n=16, alphas=0.5, t_end=6.0, seed=0)
+        rep, _ = pde.reaction_diffusion_experiment(n=16, alphas=0.5,
+                                                   reaction=pde.allen_cahn_reaction(),
+                                                   t_end=6.0, seed=0, amplitude=0.05)
         assert rep["certified"]
         assert rep["homogenized"]
         lam = rep["lambda_certified"]
@@ -340,7 +347,7 @@ class TestReactionDiffusion:
     def test_zero_reaction_reduces_to_heat(self):
         zero = pde.PointwiseReaction(fn=lambda U: np.zeros_like(U),
                                      jac=lambda U: np.zeros((1, 1, U.shape[1])),
-                                     n_species=1, name="zero")
+                                     n_species=1, name="zero", steady_state=np.zeros(1))
         rep, _ = pde.reaction_diffusion_experiment(n=16, alphas=1.0, reaction=zero,
                                                    t_end=0.5, seed=0, amplitude=1.0)
         assert rep["certified"]
@@ -350,8 +357,7 @@ class TestReactionDiffusion:
     def test_brusselator_turing_counterexample(self):
         r = pde.brusselator_reaction(a=1.0, b=1.8)
         rep, _ = pde.reaction_diffusion_experiment(
-            n=64, alphas=[1e-3, 0.1], reaction=r, t_end=60.0, seed=0,
-            amplitude=0.05, base_state=r.steady_state)
+            n=64, alphas=[1e-3, 0.1], reaction=r, t_end=60.0, seed=0, amplitude=0.05)
         assert not rep["certified"]
         # condition (2) fails for the activator
         failing = [c for c in rep["checks"] if not c.passed]
@@ -377,7 +383,9 @@ class TestReactionDiffusion:
         assert np.max(np.abs(traj.states - ref.states)) <= 1e-6 * np.max(np.abs(ref.states))
 
     def test_report_names_the_integrator(self):
-        rep, series = pde.reaction_diffusion_experiment(n=16, alphas=0.5, t_end=2.0, seed=0)
+        rep, series = pde.reaction_diffusion_experiment(n=16, alphas=0.5,
+                                                        reaction=pde.allen_cahn_reaction(),
+                                                        t_end=2.0, seed=0, amplitude=0.05)
         integ = rep["integrator"]
         assert set(integ) == {"method", "rtol", "steps", "nfev", "njev", "nlu"}
         assert integ["method"] == "Radau" and integ["rtol"] == pde.STIFF_RTOL
@@ -389,26 +397,28 @@ class TestReactionDiffusion:
 
 class TestPoisson:
     def test_zero_reaction_gives_zero_solution(self):
-        rep, _ = pde.nonlinear_poisson_experiment(n=16, fn=lambda u: np.zeros_like(u),
-                                                  dfn=lambda u: np.zeros_like(u),
-                                                  seed=0, refinement=(8, 16))
+        zero = (lambda u: np.zeros_like(u), lambda u: np.zeros_like(u))
+        rep, _ = pde.nonlinear_poisson_experiment(n=16, reaction=zero, seed=0,
+                                                  refinement=(8, 16))
         assert all(c.passed for c in checks_in(rep))
         assert rep["max_residual"] <= 1e-10
 
     def test_sine_reaction_unique_fixed_point(self):
-        rep, _ = pde.nonlinear_poisson_experiment(n=32, c=5.0, seed=0)
+        rep, _ = pde.nonlinear_poisson_experiment(n=32, reaction=pde.sine_reaction(5.0),
+                                                  seed=0, refinement=(8, 16, 32, 64))
         assert rep["certified"]
         assert rep["max_pairwise_distance"] <= 1e-8
         assert rep["max_residual"] <= 1e-8
 
     def test_supercritical_not_certified_but_runs(self):
-        rep, _ = pde.nonlinear_poisson_experiment(n=16, c=30.0, seed=0,
-                                                  refinement=(8, 16))
+        rep, _ = pde.nonlinear_poisson_experiment(n=16, reaction=pde.sine_reaction(30.0),
+                                                  seed=0, refinement=(8, 16))
         assert not rep["certified"]
         assert rep["existence_note"] == "existence not certified"
 
     def test_refinement_monotone_to_continuum(self):
-        rep, _ = pde.nonlinear_poisson_experiment(n=16, c=5.0, seed=0)
+        rep, _ = pde.nonlinear_poisson_experiment(n=16, reaction=pde.sine_reaction(5.0),
+                                                  seed=0, refinement=(8, 16, 32, 64))
         lams = rep["refinement"]["lambda"]
         assert all(b > a for a, b in zip(lams, lams[1:]))
         assert lams[-1] < math.pi**2
@@ -417,15 +427,15 @@ class TestPoisson:
     def test_supercritical_fixed_points_disagree(self):
         # the stacked run still finds distinct fixed points when f expands
         # faster than the Poincare constant, and agreement then fails
-        rep, _ = pde.nonlinear_poisson_experiment(n=16, c=30.0, seed=0,
-                                                  refinement=(8, 16))
+        rep, _ = pde.nonlinear_poisson_experiment(n=16, reaction=pde.sine_reaction(30.0),
+                                                  seed=0, refinement=(8, 16))
         (agree,) = [c for c in rep["checks"] if c.name == "fixed_point_agreement"]
         assert not agree.passed and agree.value == rep["max_pairwise_distance"] > 1.0
         assert rep["max_residual"] <= 1e-8
 
     def test_stacked_flow_is_the_one_copy_flow_blockwise(self):
         disc = pde.build_discretization(16, boundary="dirichlet")
-        fn, dfn, _ = pde.sine_reaction(5.0)
+        fn, dfn = pde.sine_reaction(5.0)
         one = pde.poisson_gradient_flow(disc, fn, dfn)
         stacked = pde.poisson_gradient_flow(disc, fn, dfn, 3)
         us = np.random.default_rng(3).standard_normal((3, 16))
@@ -439,14 +449,25 @@ class TestPoisson:
                               sp.block_diag([one.jacobian(0.0, u) for u in us]).toarray())
 
     def test_single_initial_state(self):
-        rep, _ = pde.nonlinear_poisson_experiment(n=16, c=5.0, seed=0, n_init=1,
-                                                  refinement=(8, 16))
-        assert rep["certified"] and rep["max_pairwise_distance"] == 0.0
+        # the experiment stacks _POISSON_N_INIT flows; one flow alone, run as
+        # the experiment runs it, reaches a fixed point too, and two such
+        # runs from different single states agree
+        rep, _ = pde.nonlinear_poisson_experiment(n=16, reaction=pde.sine_reaction(5.0),
+                                                  seed=0, refinement=(8, 16))
+        assert rep["certified"] and rep["max_pairwise_distance"] <= 1e-8
         assert rep["max_residual"] <= 1e-8 and rep["integrator"]["steps"] > 0
+        disc = pde.build_discretization(16, boundary="dirichlet")
+        fld = pde.poisson_gradient_flow(disc, *pde.sine_reaction(5.0))
+        rng = np.random.default_rng(0)
+        ends = [integrate(fld, rng.standard_normal(16), (0.0, pde._POISSON_T_MAX),
+                          rtol=pde.STIFF_RTOL, method=pde.STIFF_METHOD,
+                          record_every=10**9).final_state for _ in range(2)]
+        assert max(np.linalg.norm(fld.eval(0.0, u)) for u in ends) <= 1e-8
+        assert np.linalg.norm(ends[0] - ends[1]) <= 1e-8
 
     def test_report_names_the_integrator(self):
-        rep, _ = pde.nonlinear_poisson_experiment(n=16, c=5.0, seed=0, n_init=2,
-                                                  refinement=(8, 16))
+        rep, _ = pde.nonlinear_poisson_experiment(n=16, reaction=pde.sine_reaction(5.0),
+                                                  seed=0, refinement=(8, 16))
         integ = rep["integrator"]
         assert integ["method"] == "Radau" and integ["rtol"] == pde.STIFF_RTOL
         assert integ["nfev"] >= integ["steps"] > 0 and integ["nlu"] >= 1
@@ -509,9 +530,9 @@ class TestStackedFamily:
     """field(e1, e2) runs its two copies with the arithmetic of one-level runs."""
 
     @pytest.mark.parametrize("family,levels", [
-        (lambda: pde.burgers_family(n=64), (0.025, 0.0125)),
-        (lambda: pde.burgers_family(n=64), (0.0, 0.0)),
-        (lambda: pde.advection_family(n=64), (0.05, 0.025)),
+        (lambda: pde.burgers_family(64, EPS_SCHEDULE), (0.025, 0.0125)),
+        (lambda: pde.burgers_family(64, EPS_SCHEDULE), (0.0, 0.0)),
+        (lambda: pde.advection_family(64, 1.0, EPS_SCHEDULE), (0.05, 0.025)),
     ], ids=["burgers_centered", "burgers_upwind", "advection"])
     def test_copies_match_one_level_runs_bit_for_bit(self, family, levels):
         fam = family()
@@ -570,7 +591,7 @@ class TestRegularizedFamily:
             assert np.array_equal(fld.jacobian(0.0, u), expect)
 
     def test_burgers_eps_residual_decreasing(self):
-        fam = pde.burgers_family(n=64)
+        fam = pde.burgers_family(n=64, eps_schedule=EPS_SCHEDULE)
         rng = np.random.default_rng(2)
         u = np.sin(2 * np.pi * np.arange(64) / 64) + 0.1 * rng.standard_normal(64)
         f0 = fam.field(0.0)
@@ -581,24 +602,28 @@ class TestRegularizedFamily:
                for e in fam.eps_schedule]
         assert all(b < a for a, b in zip(res, res[1:]))
 
-    def test_constant_family_differences_zero(self):
+    def test_constant_family_differences_zero(self, monkeypatch):
+        monkeypatch.setattr(pde, "_N_OUT", 20)
         disc = pde.build_discretization(32, boundary="periodic")
         fam = _diffusion_family(disc, disc.laplacian, lambda e: 0.05)
         u0 = np.sin(2 * np.pi * np.arange(32) / 32)
-        rep, _ = pde.vanishing_osl_experiment(fam, u0, t_end=0.1, n_out=20, seed=0)
+        rep, _ = pde.vanishing_osl_experiment(fam, u0, p=2.0, t_end=0.1, lambda_bound=None,
+                                              seed=0)
         assert all(d <= 1e-14 for d in rep["successive_differences"])
         (shift,) = [h for h in rep["hypotheses"] if h.name == "translation_invariance"]
         assert shift.passed
 
-    def test_translation_invariance_fails_for_diffusion_varying_in_space(self):
+    def test_translation_invariance_fails_for_diffusion_varying_in_space(self, monkeypatch):
         # u_t = eps c(x) u_xx does not commute with grid shifts: the stacked
         # shifted and unshifted pair must tell
+        monkeypatch.setattr(pde, "_N_OUT", 20)
         disc = pde.build_discretization(32, boundary="periodic")
         x = np.arange(32) / 32
         c = sp.diags(1.0 + 0.5 * np.sin(2 * np.pi * x))
         fam = _diffusion_family(disc, c @ disc.laplacian, lambda e: e)
         u0 = np.sin(2 * np.pi * x) + 0.5 * np.cos(6 * np.pi * x)
-        rep, _ = pde.vanishing_osl_experiment(fam, u0, t_end=0.1, n_out=20, seed=0)
+        rep, _ = pde.vanishing_osl_experiment(fam, u0, p=2.0, t_end=0.1, lambda_bound=None,
+                                              seed=0)
         (shift,) = [h for h in rep["hypotheses"] if h.name == "translation_invariance"]
         assert not shift.passed and shift.value > 1e-6
         assert "translation_invariance" in rep["hypotheses_failed"]
@@ -629,8 +654,10 @@ class TestVanishingOSL:
     def _small(lambda_bound=None):
         fam = pde.burgers_family(n=64, eps_schedule=(0.08, 0.04, 0.02, 0.01))
         x = np.arange(64) / 64
-        return pde.vanishing_osl_experiment(fam, np.sin(2 * np.pi * x), t_end=0.1,
-                                            n_out=20, seed=0, lambda_bound=lambda_bound)[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pde, "_N_OUT", 20)
+            return pde.vanishing_osl_experiment(fam, np.sin(2 * np.pi * x), p=2.0, t_end=0.1,
+                                                lambda_bound=lambda_bound, seed=0)[0]
 
     def test_rate_bound_not_declared_is_not_checked(self):
         rep = self._small()
@@ -665,22 +692,25 @@ class TestVanishingOSL:
             assert r == pytest.approx(dense, rel=1e-12, abs=1e-15 * scale)
             assert d == pytest.approx(scale, rel=1e-12)
 
-    def test_burgers_small_scale(self):
-        fam = pde.burgers_family(n=96)
+    def test_burgers_small_scale(self, monkeypatch):
+        monkeypatch.setattr(pde, "_N_OUT", 80)
+        fam = pde.burgers_family(n=96, eps_schedule=EPS_SCHEDULE)
         x = np.arange(96) / 96
-        rep, series = pde.vanishing_osl_experiment(fam, np.sin(2 * np.pi * x),
-                                                   t_end=0.4, n_out=80, seed=0)
+        rep, series = pde.vanishing_osl_experiment(fam, np.sin(2 * np.pi * x), p=2.0,
+                                                   t_end=0.4, lambda_bound=None, seed=0)
         assert rep["cauchy_trend"].passed
         assert not rep["hypotheses_failed"]
         assert rep["rate_trend_increasing"]
         assert rep["grid"]["n"] == 96
 
-    def test_weak_residual_improves_under_joint_refinement(self):
+    def test_weak_residual_improves_under_joint_refinement(self, monkeypatch):
+        monkeypatch.setattr(pde, "_N_OUT", 80)
+
         def run(n, schedule):
             fam = pde.burgers_family(n=n, eps_schedule=schedule)
             x = np.arange(n) / n
-            rep, _ = pde.vanishing_osl_experiment(fam, np.sin(2 * np.pi * x),
-                                                  t_end=0.4, n_out=80, seed=0)
+            rep, _ = pde.vanishing_osl_experiment(fam, np.sin(2 * np.pi * x), p=2.0,
+                                                  t_end=0.4, lambda_bound=None, seed=0)
             return rep["max_weak_residual"]
 
         coarse = run(96, (0.08, 0.04, 0.02, 0.01))
@@ -690,8 +720,8 @@ class TestVanishingOSL:
     def test_validation(self):
         fam = pde.burgers_family(n=64, eps_schedule=(0.1, 0.05))
         with pytest.raises(ContractViolation):
-            pde.vanishing_osl_experiment(fam, np.zeros(64))
+            pde.vanishing_osl_experiment(fam, np.zeros(64), 2.0, 0.5, None, 0)
         disc = pde.build_discretization(16, boundary="neumann")
         fam2 = _diffusion_family(disc, disc.laplacian, lambda e: e)
         with pytest.raises(ContractViolation):
-            pde.vanishing_osl_experiment(fam2, np.zeros(16))
+            pde.vanishing_osl_experiment(fam2, np.zeros(16), 2.0, 0.5, None, 0)

@@ -52,8 +52,9 @@ class TestNorm:
     def test_quadrature_weights_sum_to_measure(self):
         g = Grid((10,), (0.25,))
         ones = np.ones(10)
-        assert norm(ones, L1, g) == pytest.approx(g.measure)
-        assert norm(ones, L2, g) == pytest.approx(np.sqrt(g.measure))
+        measure = g.cell_measure * g.npoints
+        assert norm(ones, L1, g) == pytest.approx(measure)
+        assert norm(ones, L2, g) == pytest.approx(np.sqrt(measure))
 
     def test_positive_definite_on_grid(self):
         rng = np.random.default_rng(0)

@@ -18,3 +18,17 @@ def test_compare_rates_of_a_tree_with_itself_is_bit_identical():
         r"^(\d+) items at 1 seed\(s\) .*: (\d+) bit-identical, (\d+) failing$",
         out.stdout, re.MULTILINE).groups())
     assert total > 0 and same == total and failing == 0
+
+
+def test_src_stats_lists_every_optional_parameter():
+    out = subprocess.run([sys.executable, os.path.join(REPO, "tools", "src_stats.py")],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stdout + out.stderr
+    table, listing = out.stdout.split("\n\n", 1)
+    total = int(re.search(r"^total\s+\d+\s+(\d+)$", table, re.MULTILINE).group(1))
+    lines = listing.splitlines()
+    assert lines and all(re.fullmatch(r"\w+:\w+\(.+\)", line) for line in lines)
+    # one "name=default" per optional parameter
+    params = sum(len(re.findall(r"(?:^|, )\w+=", line[line.index("(") + 1:-1]))
+                 for line in lines)
+    assert params == total
