@@ -218,11 +218,7 @@ def _run_subspace(p, seed):
 def _band_sampler(p, n_samples, seed):
     """lo of ``radial_band`` (two values, 0 <= lo < hi) and the first 24 of
     ``n_samples`` seeded box samples whose radius lies in the band."""
-    band = p["radial_band"]
-    if len(band) != 2 or not 0.0 <= band[0] < band[1]:
-        raise ConfigError(f"field 'radial_band': need two values 0 <= lo < hi, got {band}",
-                          field="radial_band")
-    lo, hi = band
+    lo, hi = p["radial_band"]
     raw = sampling.box_samples(n_samples, [-hi, -hi], [hi, hi], seed=seed)
     return lo, [(t, u) for t, u in raw if lo <= np.linalg.norm(u) <= hi][:24]
 
@@ -311,9 +307,6 @@ def _run_phase_locking(p, seed):
     omegas = p["omegas"]
     if len(omegas) == 1:
         omegas = omegas * n_osc
-    if len(omegas) != n_osc:
-        raise ConfigError("field 'omegas': need one omega or one per oscillator",
-                          field="omegas")
     rng = np.random.default_rng(seed)
     mats = [np.eye(2)]
     for _ in range(n_osc - 1):
@@ -354,11 +347,14 @@ def _run_heat(p, seed):
     return pde.heat_zero_flux_experiment(seed=seed, **p)
 
 
+def _reaction(p):
+    return (pde.allen_cahn_reaction() if p["reaction"] == "allen_cahn"
+            else pde.brusselator_reaction(a=p["a"], b=p["b"]))
+
+
 def _run_reaction_diffusion(p, seed):
-    reaction = (pde.allen_cahn_reaction() if p["reaction"] == "allen_cahn"
-                else pde.brusselator_reaction(a=p["a"], b=p["b"]))
     return pde.reaction_diffusion_experiment(
-        n=p["n"], alphas=p["alphas"], reaction=reaction, t_end=p["t_end"],
+        n=p["n"], alphas=p["alphas"], reaction=_reaction(p), t_end=p["t_end"],
         seed=seed, amplitude=p["amplitude"])
 
 
@@ -616,6 +612,15 @@ def parse_config(path):
             raise ConfigError(f"missing required field '{key}'", field=key)
         else:
             params[key] = spec.default
+    # values that parse but do not fit the others: validate refuses what run would
+    for key, fits, need in (
+        ("radial_band", lambda b: len(b) == 2 and 0.0 <= b[0] < b[1], "two values 0 <= lo < hi"),
+        ("omegas", lambda w: len(w) in (1, params["n_oscillators"]), "one or one per oscillator"),
+        ("alphas", lambda a: len(a) in (1, _reaction(params).n_species), "one or one per species"),
+        ("renorm_interval", lambda h: h <= params["t_end"], "at most t_end"),
+    ):
+        if key in params and not fits(params[key]):
+            raise ConfigError(f"field '{key}': need {need}, got {params[key]}", field=key)
     return name, seed, output_dir, params
 
 

@@ -14,19 +14,17 @@ computed exactly for p = 2 as one standard symmetric eigenproblem (on
 non-invertible weight, a Sobolev measure through a cached Cholesky factor
 of its Gram matrix; only the weighted Sobolev rate on a coimage still
 solves a pencil), via the classical column/row formulas for p in {1, inf}
-with invertible weights, and otherwise by a seeded multi-start pattern
-search over rays, whose 32 starts advance together: each probe batch is one
-call of a ratio set up once per solve (``_sip_ratio``): sum_alpha
-S_alpha^(q-1) c_alpha / sum_alpha S_alpha^q with q = 2/p, S_alpha = sum |a|^p
-and c_alpha = sum |a|^(p-1) sgn(a) b of a = D^alpha T v, b = D^alpha C v
-(|alpha| <= k; the weight cancels; at k = 0 the one quotient c / S).  On it,
-with real operators and 1 < p < inf, lp and Sobolev alike, each sweep ends
-with one Newton move per start on the unit sphere, from the analytic gradient
-and Hessian (``_ratio_derivatives``), so the starts converge quadratically
-near a smooth maximum.  It ends after two sweeps in a
-row in which no start gains over 1e-13 max(1, |best|).  The value reported
-is the reference pairing of ``sip.norm`` / ``sip.sip`` re-evaluated at the
-best probe, on the same grid; the two must agree there.
+with invertible weights, and otherwise by a seeded ray search whose 32
+starts advance together.  Each probe batch is one call of a ratio set up
+once per solve (``_sip_ratio``): sum_alpha S_alpha^(q-1) c_alpha / sum_alpha
+S_alpha^q, q = 2/p, S_alpha = sum |a|^p and c_alpha = sum |a|^(p-1) sgn(a) b
+of a = D^alpha T v, b = D^alpha C v (|alpha| <= k; the weight cancels; at
+k = 0 the one quotient c / S).  On a real smooth quotient (1 < p < inf, lp
+or Sobolev) a sweep is one Newton move per start (``_ratio_derivatives``);
+every other search sweeps a pattern of axis, random and displacement
+probes.  It ends after two sweeps in a row in which no start gains over
+1e-13 max(1, |best|) and reports the reference pairing of ``sip.norm`` /
+``sip.sip`` at the best probe, on the same grid, where the two must agree.
 
 The grid is an argument of every rate, as of the norm: it sets the
 quadrature weight, and for a Sobolev norm (k >= 1) the derivatives.  A
@@ -53,7 +51,7 @@ _KERNEL_RTOL = 1e-10    # singular values below rtol*smax count as kernel
 _CONFIRM_RTOL = 1e-9    # steering ratio vs reference value at the argmax
 _RESTARTS = 32          # seeded starts of the ray search
 _STEPS = np.array([1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 0.125, -0.125])  # step multiples probed
-_SWEEPS = 40            # pattern-search sweeps, at most
+_SWEEPS = 40            # sweeps of the ray search, at most
 _STALL_RTOL = 1e-13     # a sweep in which no start gains more, times max(1, |best|), stalls
 _STALLS = 2             # consecutive stalled sweeps that end the search
 _SHRINK = 0.25          # step factor after a sweep without gain
@@ -139,44 +137,44 @@ def _finite(vals):
 
 
 def _ray_search(objective, reference, n, seed, derivatives=None):
-    """Multi-start pattern-search ascent of a 0-homogeneous ratio.
+    """Multi-start ascent of a 0-homogeneous ratio over rays.
 
     ``objective`` maps a batch (m, n) of vectors to m values.  The
-    ``_RESTARTS`` seeded unit starts advance together.  A sweep walks the
-    n coordinate axes, n random unit directions per start and the sweep's
-    own displacement; along each, every start probes ``_STEPS`` times its
-    step (times the displacement itself) in one objective call and moves
-    to its best probe if that gains.  A start without gain in a sweep
-    shrinks its step by ``_SHRINK`` and stops below ``_MIN_STEP``.  With
-    ``derivatives`` (``_ratio_derivatives``, for any real smooth quotient, lp
-    or Sobolev), each sweep ends with one Newton move per start on the unit
-    sphere (``_newton_move``).  The search ends after ``_SWEEPS``, or
-    ``_STALLS`` sweeps in a row in which no start gains over ``_STALL_RTOL``
-    max(1, |best|): a start may stall once, then climb.  It returns
-    ``reference`` at the best point, where ``objective`` agrees."""
+    ``_RESTARTS`` seeded unit starts advance together.  With ``derivatives``
+    (``_ratio_derivatives``, any real smooth quotient) a sweep is one
+    ``_newton_move`` per start and nothing else.  Otherwise it walks the n
+    coordinate axes, n random unit directions per start and the sweep's own
+    displacement; along each, every start probes ``_STEPS`` times its step
+    (times the displacement itself) in one objective call and moves to its
+    best probe if that gains.  A start without gain in such a sweep shrinks
+    its step by ``_SHRINK`` and stops below ``_MIN_STEP``.  The search ends
+    after ``_SWEEPS``, or ``_STALLS`` sweeps in a row in which no start gains
+    over ``_STALL_RTOL`` max(1, |best|): a start may stall once, then climb.
+    It returns ``reference`` at the best point, where ``objective`` agrees."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((_RESTARTS, n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     fx = _finite(objective(x))
     step, rows, stalls = np.ones(_RESTARTS), np.arange(_RESTARTS), 0
     for _ in range(_SWEEPS):
-        rand = rng.standard_normal((n, _RESTARTS, n))
-        rand /= np.linalg.norm(rand, axis=2, keepdims=True)
         x0, f0 = x, fx
-        for d in [*np.eye(n), *rand, None]:
-            d = x - x0 if d is None else step[:, None] * d
-            probes = x[:, None] + _STEPS[:, None] * d[:, None]
-            vals = _finite(objective(probes.reshape(-1, n))).reshape(_RESTARTS, -1)
-            j = vals.argmax(axis=1)
-            up = vals[rows, j] > fx
-            x = np.where(up[:, None], probes[rows, j], x)
-            fx = np.where(up, vals[rows, j], fx)
-        step = np.where(fx > f0, step, step * _SHRINK)
-        step[step < _MIN_STEP] = 0.0
-        x = x / np.linalg.norm(x, axis=1, keepdims=True)
-        fx = _finite(objective(x))
         if derivatives is not None:
             x, fx = _newton_move(objective, derivatives, x, fx)
+        else:
+            rand = rng.standard_normal((n, _RESTARTS, n))
+            rand /= np.linalg.norm(rand, axis=2, keepdims=True)
+            for d in [*np.eye(n), *rand, None]:
+                d = x - x0 if d is None else step[:, None] * d
+                probes = x[:, None] + _STEPS[:, None] * d[:, None]
+                vals = _finite(objective(probes.reshape(-1, n))).reshape(_RESTARTS, -1)
+                j = vals.argmax(axis=1)
+                up = vals[rows, j] > fx
+                x = np.where(up[:, None], probes[rows, j], x)
+                fx = np.where(up, vals[rows, j], fx)
+            step = np.where(fx > f0, step, step * _SHRINK)
+            step[step < _MIN_STEP] = 0.0
+            x = x / np.linalg.norm(x, axis=1, keepdims=True)
+            fx = _finite(objective(x))
         stalls = 0 if np.any(fx - _STALL_RTOL * max(1.0, abs(fx.max())) > f0) else stalls + 1
         if stalls == _STALLS:
             break
@@ -193,7 +191,8 @@ def _ray_search(objective, reference, n, seed, derivatives=None):
 
 def _newton_move(objective, derivatives, x, fx):
     """One Newton move per unit start x (a row of ``x``, of value ``fx``) on
-    any real smooth quotient, lp or Sobolev (``_ratio_derivatives``).
+    any real smooth quotient, lp or Sobolev (``_ratio_derivatives``): the
+    whole of a sweep of ``_ray_search`` there.
 
     With the gradient g_t = P g and Hessian H_t = P H P projected by
     P = I - x x^T, the step d in x^perp solves (H_t - s I) d = -g_t for the
@@ -349,8 +348,8 @@ def _ratio_derivatives(T, C, spec, grid):
 def _sampled_rate(T, C, spec, grid, seed):
     """Ray-search sup_v [Tv, Cv] / ||Tv||^2 on ``grid`` (unit weights when it
     is None; T None is the identity), reported through sip.norm / sip.sip.
-    Real T and C at 1 < p < inf, every k, take Newton moves; p in {1, inf}
-    and complex operators keep the pattern search alone."""
+    Real T and C at 1 < p < inf, every k, are searched by Newton moves
+    alone; p in {1, inf} and complex operators by pattern sweeps."""
     if grid is None:
         grid = unit_grid(C.shape[0])
 

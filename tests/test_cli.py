@@ -223,30 +223,51 @@ class TestShippedConfigs:
 class TestValuesTheSchemaAccepts:
     """Values that parse but cannot run end in the CLI's error line, exit 1."""
 
-    @pytest.mark.parametrize("name, line, edited, message", [
+    _CASES = [
         ("measure", "seed = 0", "seed = -1", "config error: field 'seed'"),
         ("manifold", "radial_band = 0.8 1.2", "radial_band = 1.2",
-         "error: field 'radial_band'"),
+         "config error: field 'radial_band'"),
         ("limit_cycle", "radial_band = 0.8 1.2", "radial_band = 1.2",
-         "error: field 'radial_band'"),
+         "config error: field 'radial_band'"),
         ("limit_cycle", "radial_band = 0.8 1.2", "radial_band = 1.2 0.8",
-         "error: field 'radial_band'"),
+         "config error: field 'radial_band'"),
+        ("phase_locking", "omegas = 1.0", "omegas = 1.0 1.1",
+         "config error: field 'omegas'"),
         ("reaction_diffusion", "alphas = 0.5", "alphas = 0.5 0.5",
-         "error: need one diffusivity or one per species"),
+         "config error: field 'alphas'"),
         ("mle", "renorm_interval = 0.5", "renorm_interval = 100",
-         "error: renorm_interval 100.0 is longer than the run"),
-    ], ids=["negative_seed", "manifold_one_band_value", "limit_cycle_one_band_value",
-            "limit_cycle_band_reversed", "allen_cahn_two_alphas", "mle_interval_past_t_end"])
-    def test_exit_1_with_the_error_line(self, tmp_path, monkeypatch, capsys, name, line,
-                                        edited, message):
+         "config error: field 'renorm_interval'"),
+    ]
+    _IDS = ["negative_seed", "manifold_one_band_value", "limit_cycle_one_band_value",
+            "limit_cycle_band_reversed", "phase_locking_two_omegas_for_three",
+            "allen_cahn_two_alphas", "mle_interval_past_t_end"]
+
+    @staticmethod
+    def _edited(tmp_path, name, line, edited):
         with open(os.path.join(CONFIG_DIR, f"{name}.cfg")) as fh:
             text = fh.read()
         assert text.count(line) == 1
+        return write_cfg(tmp_path, text.replace(line, edited))
+
+    @pytest.mark.parametrize("name, line, edited, message", _CASES, ids=_IDS)
+    def test_exit_1_with_the_error_line(self, tmp_path, monkeypatch, capsys, name, line,
+                                        edited, message):
         monkeypatch.setenv("CONTRACTKIT_OUTPUT_DIR", str(tmp_path / "out"))
-        assert cli.main(["run", write_cfg(tmp_path, text.replace(line, edited))]) == 1
+        assert cli.main(["run", self._edited(tmp_path, name, line, edited)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err
+        field = message.split("'")[1]
+        assert err.rstrip().endswith(f"(field: {field})")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, line, edited, message", _CASES, ids=_IDS)
+    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys, name, line, edited,
+                                               message):
+        assert cli.main(["validate", self._edited(tmp_path, name, line, edited)]) == 1
+        err = capsys.readouterr().err
+        field = message.split("'")[1]
+        assert err.startswith(f"invalid: field '{field}'")
+        assert err.rstrip().endswith(f"(field: {field})")
 
 
 class TestOneHomeForDefaults:

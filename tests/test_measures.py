@@ -662,6 +662,19 @@ def _periodic_laplacian(n):
     return (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1) - 2.0 * eye) * n**2
 
 
+def _unit_search(A, spec, seed, newton=False):
+    """The value of mu(A)'s ray search on unit weights, with Newton moves or
+    with the pattern sweeps every solve without derivatives makes."""
+    grid = unit_grid(len(A))
+
+    def reference(v):
+        return sip(v, A @ v, spec, grid) / norm(v, spec, grid) ** 2
+
+    derivatives = measures._ratio_derivatives(None, A, spec, grid) if newton else None
+    return measures._ray_search(_sip_ratio(None, A, spec, grid), reference, len(A), seed,
+                                derivatives=derivatives)[0]
+
+
 class TestRaySearchAccuracy:
     """The sampled supremum against values known in closed form or by a
     dense sweep."""
@@ -708,19 +721,42 @@ class TestRaySearchAccuracy:
         assert time.perf_counter() - t0 < 10.0
 
     def test_one_stalled_sweep_does_not_end_the_search(self):
-        # no start gains in sweep 3, and one gains 1.9e-5 in sweep 4: ending
-        # after one stalled sweep would lose 3.8e-9 relative
-        rng = np.random.default_rng(17)
-        A = rng.standard_normal((2, 2))
-        est = mu(A, NormSpec(p=1.5), seed=int(rng.integers(2**31)))
-        assert est.value == pytest.approx(1.1778890109987539, rel=1e-12)
+        # the p = inf Sobolev (k = 1) quotient has kinks, so this search makes
+        # pattern sweeps: no start gains in sweep 36, and one gains 5.3e-9 in
+        # sweep 37; ending after one stalled sweep would lose 1.4e-10 relative
+        A = np.random.default_rng(86).standard_normal((4, 4))
+        est = mu(A, NormSpec(p=np.inf, k=1), grid=Grid((4,), (0.25,), "periodic"), seed=0)
+        assert est.value == pytest.approx(4.1582667936736275, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_newton_search_not_below_pattern_search(self, p, n):
+        # the Newton moves alone against the pattern sweeps alone
+        for seed in range(4):
+            A = np.random.default_rng(seed).standard_normal((n, n))
+            pattern = _unit_search(A, NormSpec(p=p), seed)
+            value = mu(A, NormSpec(p=p), seed=seed).value
+            assert value >= pattern - 1e-12 * max(1.0, abs(pattern))
+
+    @pytest.mark.parametrize("p", [1.2, 1.5])
+    def test_maxima_at_kinks(self, p):
+        # below p = 3 the Hessian is not finite where an entry of v is 0: the
+        # diagonal quotient peaks at e_2, and the block-diagonal upper
+        # triangle at a v whose last two entries are 0
+        U = np.array([[-1.0, 3.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.5, 1.0], [0.0, 0.0, 0.0, -2.0]])
+        for seed in (0, 1, 2):
+            assert mu(np.diag([-1.0, 2.0, 0.5]), NormSpec(p=p), seed=seed).value == pytest.approx(
+                2.0, rel=1e-12)
+            pattern = _unit_search(U, NormSpec(p=p), seed)
+            assert mu(U, NormSpec(p=p), seed=seed).value == pytest.approx(pattern, rel=1e-12)
 
     @staticmethod
     def _ratio_calls(monkeypatch, A, spec, grid=None):
         """(calls of the ray search's ratio in one mu solve, the calls of a
-        search without Newton moves that runs every sweep): such a sweep
-        scores 2n + 1 probe batches and the renormalized starts, plus one
-        call for the starts and one for the best point."""
+        pattern search that runs every sweep): a pattern sweep scores 2n + 1
+        probe batches and the renormalized starts, plus one call for the
+        starts and one for the best point."""
         calls = []
         make = measures._sip_ratio
 
@@ -736,6 +772,14 @@ class TestRaySearchAccuracy:
         A = np.random.default_rng(4).standard_normal((3, 3))
         calls, every_sweep = self._ratio_calls(monkeypatch, A, NormSpec(p=3.0))
         assert calls < every_sweep
+
+    @pytest.mark.parametrize("n,spec,grid", [
+        (8, NormSpec(p=3.0, k=1), Grid((8,), (1.0 / 8,), "periodic")),
+        (16, NormSpec(p=3.0), None),
+    ])
+    def test_newton_search_makes_a_tenth_of_the_pattern_calls(self, monkeypatch, n, spec, grid):
+        calls, every_sweep = self._ratio_calls(monkeypatch, _periodic_laplacian(n), spec, grid)
+        assert calls < every_sweep / 10
 
     def test_search_still_climbing_runs_every_sweep(self, monkeypatch):
         # the p = inf Sobolev (k = 1) search makes no Newton moves, and on the
@@ -914,30 +958,25 @@ class TestNewtonMove:
             "-0x1.83a3a6cc8bc73p-27", "-0x1.1d810b9181fc4p-2",
             "0x1.0066aac73700ap+2", "0x1.cd93863c9ad61p+1"]
 
-    def test_large_n_no_slower_and_no_more_than_twice_the_memory(self, monkeypatch):
+    def test_large_n_no_slower_and_no_more_than_twice_the_memory(self):
         # a 48 x 48 solve takes the Hessians in blocks of starts; against the
-        # same search without the move: the faster of two untraced runs each,
-        # then the tracemalloc peak of one traced run each
+        # pattern search on the same ratio: the faster of two untraced runs
+        # each, then the tracemalloc peak of one traced run each
         A = np.random.default_rng(0).standard_normal((48, 48))
-        move = measures._newton_move
 
         def solve(newton, traced=False):
-            monkeypatch.setattr(measures, "_newton_move",
-                                move if newton else lambda objective, d, x, fx: (x, fx))
             if traced:
                 tracemalloc.start()
             t0 = time.perf_counter()
             try:
-                value = mu(A, NormSpec(p=3.0), seed=0).value
-                return value, time.perf_counter() - t0, traced and tracemalloc.get_traced_memory()[1]
+                _unit_search(A, NormSpec(p=3.0), 0, newton)
+                return time.perf_counter() - t0, traced and tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         runs = [solve(newton) for _ in range(2) for newton in (True, False)]
-        moved, plain = runs[0::2], runs[1::2]
-        assert moved[0][0] >= plain[0][0]
-        assert min(r[1] for r in moved) <= min(r[1] for r in plain)
-        assert solve(True, traced=True)[2] <= 2 * solve(False, traced=True)[2]
+        assert min(r[0] for r in runs[0::2]) <= min(r[0] for r in runs[1::2])
+        assert solve(True, traced=True)[1] <= 2 * solve(False, traced=True)[1]
 
 
 class TestNonlinearRate:

@@ -15,9 +15,23 @@ def test_compare_rates_of_a_tree_with_itself_is_bit_identical():
         capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stdout + out.stderr
     total, same, failing = map(int, re.search(
-        r"^(\d+) items at 1 seed\(s\) .*: (\d+) bit-identical, (\d+) failing$",
+        r"^(\d+) items at 1 seed\(s\) .*: (\d+) bit-identical, (\d+) failing; "
+        r"worst sampled fall none, largest rise none$",
         out.stdout, re.MULTILINE).groups())
     assert total > 0 and same == total and failing == 0
+
+
+def test_compare_configs_of_a_tree_with_itself_has_no_differences(tmp_path):
+    out = subprocess.run(
+        [sys.executable, os.path.join(REPO, "tools", "compare_configs.py"), REPO, REPO,
+         "--seeds", "0", "--work", str(tmp_path / "work")],
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    runs, files, diffs = map(int, re.search(
+        r"^(\d+) runs, (\d+) files from BASE, (\d+) difference\(s\);",
+        out.stdout, re.MULTILINE).groups())
+    configs = [f for f in os.listdir(os.path.join(REPO, "configs")) if f.endswith(".cfg")]
+    assert runs == len(configs) and files > 0 and diffs == 0
 
 
 def test_src_stats_lists_every_optional_parameter():

@@ -12,7 +12,9 @@ of that tree first on ``PYTHONPATH``.  The script prints, per seed and item,
 both values, the change relative to max(1, |base|) and whether the bits
 match, and for a sampled item the calls of the ray search's ratio
 (``measures._sip_ratio``, wrapped in the child) and the rows they scored in
-each tree, base -> new, a count free of timing noise.  It exits 1 if a
+each tree, base -> new, a count free of timing noise.  Its summary line
+names the worst fall and the largest rise of a sampled value, each with its
+seed and item.  It exits 1 if a
 sampled value (a lower bound on a supremum) falls by more than
 1e-12 max(1, |base|), if an eigen or closed-form value changes at all, or
 if an item's method, error or presence differs; 0 otherwise.  Uses
@@ -90,8 +92,9 @@ def count_note(base_count, new_count):
 
 
 def compare(base, new, base_counts, new_counts):
-    """One printed line per item, and the lines of the items that fail."""
-    lines, bad = [], []
+    """One printed line per item, the lines of the items that fail, and
+    {key: change relative to max(1, |base|)} of the sampled items."""
+    lines, bad, moves = [], [], {}
     for key in sorted(set(base) | set(new), key=lambda k: (int(k.split("/")[0]), k)):
         if key not in base or key not in new:
             line = f"{key}: solved by {'NEW' if key in new else 'BASE'} only"
@@ -113,13 +116,24 @@ def compare(base, new, base_counts, new_counts):
                 f"bits {'same' if same else 'differ'}")
         if bm == "sampled":
             line += "  " + count_note(base_counts[key], new_counts[key])
+            moves[key] = rel
         lines.append(line)
         if bm == "sampled":
             if not n >= b - SAMPLED_DROP_RTOL * scale:
                 bad.append(line + f"  (falls by more than {SAMPLED_DROP_RTOL:g} relative)")
         elif not same:
             bad.append(line + f"  ({bm} value changed)")
-    return lines, bad
+    return lines, bad, moves
+
+
+def extreme_note(moves, label, pick, sign):
+    """'<label> <rel> (<seed>/<item>)' of the sampled item ``pick`` (min or
+    max) chooses among the changes of ``sign``, or '<label> none'."""
+    moved = {k: r for k, r in moves.items() if r * sign > 0}
+    if not moved:
+        return f"{label} none"
+    key = pick(moved, key=moved.get)
+    return f"{label} {moved[key]:+.2e} ({key})"
 
 
 def main(argv=None):
@@ -138,7 +152,7 @@ def main(argv=None):
         (base, base_counts), (new, new_counts) = (
             spawn(tree, os.path.join(work, f"{label}.json"), args.seeds)
             for tree, label in ((args.base, "base"), (args.new, "new")))
-    lines, bad = compare(base, new, base_counts, new_counts)
+    lines, bad, moves = compare(base, new, base_counts, new_counts)
     for line in lines:
         print(line)
     sampled = [k for k in base if k in new and base[k][0] == "sampled"]
@@ -150,7 +164,9 @@ def main(argv=None):
     same = sum(1 for k in base if k in new and base[k] == new[k])
     print(f"{len(base)} items at {len(args.seeds)} seed(s) ({counts['sampled']} sampled, "
           f"{counts['eigen']} eigen, {counts['closed_form']} closed form): "
-          f"{same} bit-identical, {len(bad)} failing")
+          f"{same} bit-identical, {len(bad)} failing; "
+          f"{extreme_note(moves, 'worst sampled fall', min, -1)}, "
+          f"{extreme_note(moves, 'largest rise', max, 1)}")
     for line in bad:
         print("FAIL", line)
     return 1 if bad else 0
