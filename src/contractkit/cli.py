@@ -529,7 +529,7 @@ EXPERIMENTS = {
         "withheld in the pattern-forming regime",
         {"n": Param("int", 16, positive=True), "alphas": Param("floats", [0.5]),
          "reaction": Param("str", "allen_cahn", choices=("allen_cahn", "brusselator")),
-         "a": Param("float", 1.0), "b": Param("float", 1.8),
+         "a": Param("float", 1.0, positive=True), "b": Param("float", 1.8),
          "t_end": Param("float", 6.0, positive=True),
          "amplitude": Param("float", 0.05, positive=True)},
         _run_reaction_diffusion),
@@ -612,7 +612,7 @@ def parse_config(path):
             raise ConfigError(f"missing required field '{key}'", field=key)
         else:
             params[key] = spec.default
-    # values that parse but do not fit the others: validate refuses what run would
+    # validate refuses what run would; the last two restate rules of pde and flows (t0 = 0)
     for key, fits, need in (
         ("radial_band", lambda b: len(b) == 2 and 0.0 <= b[0] < b[1], "two values 0 <= lo < hi"),
         ("omegas", lambda w: len(w) in (1, params["n_oscillators"]), "one or one per oscillator"),

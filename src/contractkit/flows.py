@@ -518,10 +518,10 @@ def mle_estimate(f, u0, t_span, renorm_interval, p=2.0, seed=0):
     spec = NormSpec(p=p)
     du /= sip_norm(du, spec)
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if renorm_interval > t1 - t0:
+        raise ContractViolation(f"renorm_interval {renorm_interval!r} is longer than the run")
     # the whole intervals in the run, one short of t1 by rounding included (3 / 0.1 < 30)
     n_seg = int((t1 - t0) / renorm_interval * (1.0 + 1e-9))
-    if n_seg < 1:
-        raise ContractViolation(f"renorm_interval {renorm_interval!r} is longer than the run")
     traj, [(d, s)] = _variational(f, u, du, (t0, t0 + n_seg * renorm_interval),
                                   renorm_interval, 1)
     times = traj.times[1:]

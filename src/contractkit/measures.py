@@ -20,11 +20,11 @@ once per solve (``_sip_ratio``): sum_alpha S_alpha^(q-1) c_alpha / sum_alpha
 S_alpha^q, q = 2/p, S_alpha = sum |a|^p and c_alpha = sum |a|^(p-1) sgn(a) b
 of a = D^alpha T v, b = D^alpha C v (|alpha| <= k; the weight cancels; at
 k = 0 the one quotient c / S).  On a real smooth quotient (1 < p < inf, lp
-or Sobolev) a sweep is one Newton move per start (``_ratio_derivatives``);
-every other search sweeps a pattern of axis, random and displacement
-probes.  It ends after two sweeps in a row in which no start gains over
-1e-13 max(1, |best|) and reports the reference pairing of ``sip.norm`` /
-``sip.sip`` at the best probe, on the same grid, where the two must agree.
+or Sobolev) a sweep is one Newton move per start (``_ratio_derivatives``)
+save after a stalled one; any other sweep probes axes, random directions
+and its displacement.  It ends after two sweeps in a row in which no start
+gains over 1e-13 max(1, |best|) and reports the reference pairing of
+``sip.norm`` / ``sip.sip`` at the best probe, where the two must agree.
 
 The grid is an argument of every rate, as of the norm: it sets the
 quadrature weight, and for a Sobolev norm (k >= 1) the derivatives.  A
@@ -141,16 +141,16 @@ def _ray_search(objective, reference, n, seed, derivatives=None):
 
     ``objective`` maps a batch (m, n) of vectors to m values.  The
     ``_RESTARTS`` seeded unit starts advance together.  With ``derivatives``
-    (``_ratio_derivatives``, any real smooth quotient) a sweep is one
-    ``_newton_move`` per start and nothing else.  Otherwise it walks the n
-    coordinate axes, n random unit directions per start and the sweep's own
-    displacement; along each, every start probes ``_STEPS`` times its step
-    (times the displacement itself) in one objective call and moves to its
-    best probe if that gains.  A start without gain in such a sweep shrinks
-    its step by ``_SHRINK`` and stops below ``_MIN_STEP``.  The search ends
-    after ``_SWEEPS``, or ``_STALLS`` sweeps in a row in which no start gains
-    over ``_STALL_RTOL`` max(1, |best|): a start may stall once, then climb.
-    It returns ``reference`` at the best point, where ``objective`` agrees."""
+    (``_ratio_derivatives``) a sweep is one ``_newton_move`` per start save
+    after a stalled sweep.  Any other sweep walks the n axes, n random unit
+    directions per start and its own displacement; along each, every start
+    probes ``_STEPS`` times its step (times the displacement) in one call
+    and moves to its best probe if that gains, shrinks its step by
+    ``_SHRINK`` after a sweep without gain and stops below ``_MIN_STEP``.
+    The search ends after ``_SWEEPS``, or ``_STALLS`` sweeps in a row in
+    which no start gains over ``_STALL_RTOL`` max(1, |best|): a start may
+    stall once, then climb, and a pattern sweep moves starts where Newton's
+    g or H is not finite.  It returns ``reference`` at the best point."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((_RESTARTS, n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -158,7 +158,7 @@ def _ray_search(objective, reference, n, seed, derivatives=None):
     step, rows, stalls = np.ones(_RESTARTS), np.arange(_RESTARTS), 0
     for _ in range(_SWEEPS):
         x0, f0 = x, fx
-        if derivatives is not None:
+        if derivatives is not None and not stalls:
             x, fx = _newton_move(objective, derivatives, x, fx)
         else:
             rand = rng.standard_normal((n, _RESTARTS, n))
@@ -191,8 +191,8 @@ def _ray_search(objective, reference, n, seed, derivatives=None):
 
 def _newton_move(objective, derivatives, x, fx):
     """One Newton move per unit start x (a row of ``x``, of value ``fx``) on
-    any real smooth quotient, lp or Sobolev (``_ratio_derivatives``): the
-    whole of a sweep of ``_ray_search`` there.
+    any real smooth quotient, lp or Sobolev (``_ratio_derivatives``): a
+    sweep of ``_ray_search`` there, unless the sweep before it stalled.
 
     With the gradient g_t = P g and Hessian H_t = P H P projected by
     P = I - x x^T, the step d in x^perp solves (H_t - s I) d = -g_t for the
@@ -304,11 +304,12 @@ def _ratio_derivatives(T, C, spec, grid):
     + q (r_alpha - r) (p A^T diag(phi') A / S + (q-1) e e^T) + q (d e^T
     + e d^T)), d = g_alpha - g: at k = 0 (l = 1) g_alpha and H_alpha.  They
     are not finite where r is not twice differentiable: D^alpha T v = 0, or a
-    zero entry of a at p < 3."""
+    zero entry of a at p < 3; a zero row of A, which adds 0 to r, is dropped."""
     p, q = spec.p, 2.0 / spec.p
     D, (N, n) = _derivative_stack(spec, grid, C.shape[0]), C.shape
     orders = [(T, C)] if D is None else list(zip(
         (D.toarray() if T is None else D @ T).reshape(-1, N, n), (D @ C).reshape(-1, N, n)))
+    orders = [(A, B) if A is None else (A[A.any(1)], B[A.any(1)]) for A, B in orders]
 
     def parts(X, A, B):  # S, r_alpha, S', g_alpha, phi' and the diagonal of H_alpha
         a, b = X if A is None else X @ A.T, X @ B.T
@@ -349,7 +350,7 @@ def _sampled_rate(T, C, spec, grid, seed):
     """Ray-search sup_v [Tv, Cv] / ||Tv||^2 on ``grid`` (unit weights when it
     is None; T None is the identity), reported through sip.norm / sip.sip.
     Real T and C at 1 < p < inf, every k, are searched by Newton moves
-    alone; p in {1, inf} and complex operators by pattern sweeps."""
+    (``_ray_search``); p in {1, inf} and complex operators by pattern sweeps."""
     if grid is None:
         grid = unit_grid(C.shape[0])
 

@@ -237,10 +237,12 @@ class TestValuesTheSchemaAccepts:
          "config error: field 'alphas'"),
         ("mle", "renorm_interval = 0.5", "renorm_interval = 100",
          "config error: field 'renorm_interval'"),
+        ("reaction_diffusion", "reaction = allen_cahn", "reaction = brusselator\na = 0",
+         "config error: field 'a'"),
     ]
     _IDS = ["negative_seed", "manifold_one_band_value", "limit_cycle_one_band_value",
             "limit_cycle_band_reversed", "phase_locking_two_omegas_for_three",
-            "allen_cahn_two_alphas", "mle_interval_past_t_end"]
+            "allen_cahn_two_alphas", "mle_interval_past_t_end", "brusselator_a_zero"]
 
     @staticmethod
     def _edited(tmp_path, name, line, edited):

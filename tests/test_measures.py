@@ -731,7 +731,7 @@ class TestRaySearchAccuracy:
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_newton_search_not_below_pattern_search(self, p, n):
-        # the Newton moves alone against the pattern sweeps alone
+        # the Newton search against the pattern sweeps alone
         for seed in range(4):
             A = np.random.default_rng(seed).standard_normal((n, n))
             pattern = _unit_search(A, NormSpec(p=p), seed)
@@ -750,6 +750,45 @@ class TestRaySearchAccuracy:
                 2.0, rel=1e-12)
             pattern = _unit_search(U, NormSpec(p=p), seed)
             assert mu(U, NormSpec(p=p), seed=seed).value == pytest.approx(pattern, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 2.5])
+    def test_zero_row_weight_not_below_pattern_search(self, p):
+        # Q = diag(0, 1, 1, 1) gives Tv a first entry 0 at every v: below
+        # p = 3 the quotient's derivatives there are never finite
+        th = weights.projection_complement(np.diag([1.0, 0.0, 0.0, 0.0]))
+        spec, grid, Vr = NormSpec(p=p), unit_grid(4), th.coimage[0]
+        T = th.matrix(0.0, None, 4) @ Vr
+        for seed in range(4):
+            A = np.random.default_rng(seed).standard_normal((4, 4))
+            C = th.matrix(0.0, None, 4) @ A @ Vr
+
+            def reference(v):
+                return sip(T @ v, C @ v, spec, grid) / norm(T @ v, spec, grid) ** 2
+
+            pattern = measures._ray_search(_sip_ratio(T, C, spec, grid), reference, 3, seed)[0]
+            value = measures.weighted_rate(A, th, spec=spec, seed=seed).value
+            assert value >= pattern - 1e-12 * max(1.0, abs(pattern))
+
+    def test_pattern_sweep_moves_the_starts_newton_cannot(self):
+        # with derivatives that are nowhere finite no Newton move is taken:
+        # each stalled Newton sweep is followed by a pattern sweep, 20 in the
+        # 40 sweeps, where the pattern search alone stalls after 30 at seed
+        # 0 and 1.7e-12 relative higher
+        spec, grid = NormSpec(p=3.0), unit_grid(6)
+
+        def nowhere(X):
+            return np.full(X.shape, np.nan), np.full(X.shape + X.shape[1:], np.nan)
+
+        for seed in range(4):
+            A = np.random.default_rng(seed).standard_normal((6, 6))
+            ratio = _sip_ratio(None, A, spec, grid)
+
+            def reference(v):
+                return sip(v, A @ v, spec, grid) / norm(v, spec, grid) ** 2
+
+            pattern = measures._ray_search(ratio, reference, 6, seed)[0]
+            value = measures._ray_search(ratio, reference, 6, seed, derivatives=nowhere)[0]
+            assert value == pytest.approx(pattern, rel=1e-11)
 
     @staticmethod
     def _ratio_calls(monkeypatch, A, spec, grid=None):
