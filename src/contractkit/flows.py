@@ -5,27 +5,29 @@ maximum-Lyapunov-exponent estimation.
 classical fourth-order one-step method, the reference method, whose step
 for a linear field A u (``VectorField.matrix``) is one product by its
 one-step matrix I + dt A (I + dt A/2 (I + dt A/3 (I + dt A/4))).  With a
-tolerance ``rtol`` it steps one of scipy's adaptive ``OdeSolver`` classes:
-DOP853, the explicit eighth-order Dormand-Prince method (the default), or
-the implicit Radau IIA method, which gets ``VectorField.jacobian`` (sparse
-on a grid: SuperLU) and runs the stiff semi-discretised PDEs.
-scipy.integrate is imported only on that branch.  A failed adaptive step
-raises ``DivergenceError`` when f neared overflow in it: Radau checks each
-value of f as it returns, DOP853 its last attempt's stages once, after failing.
+tolerance ``rtol`` it is one call of ODEPACK's LSODA (``scipy.integrate.odeint``,
+imported only on that branch), which runs the whole integration in compiled
+code, switches between Adams (non-stiff) and BDF (stiff) by itself, and
+interpolates its records from its own history at no extra evaluations of f.
+BDF gets ``VectorField.jacobian`` as a dense matrix when the field has
+``jac``, and differences f otherwise.  A failed run raises ``DivergenceError``
+when f or the state neared overflow or LSODA's arithmetic met a non-finite
+value, and ``StiffnessError`` with LSODA's reason otherwise.
 Each constant sparse product of a step or an evaluation is ``matvec``:
 scipy's CSR kernel from the private ``scipy.sparse._sparsetools``, without
 scipy's per-call dispatch, pinned to ``A @ u`` bit for bit by a test.
 
 ``simulate_flow`` holds the one rule by which the simulations pick a
 branch: a field on a grid keeps fixed-step RK4 at its step ``dt``, and any
-other field runs ``ODE_METHOD`` at ``ODE_RTOL``, recorded at the times RK4
-would record.  The simulation cross-checks of ``geometry`` and the
-variational flows (``integrate_variational``, ``verify_growth_bound`` and
+other field runs LSODA at ``ODE_RTOL``, recorded at the times RK4 would
+record.  The simulation cross-checks of ``geometry`` and the variational
+flows (``integrate_variational``, ``verify_growth_bound`` and
 ``mle_estimate``, which carry a tangent perturbation, and a pair separation,
 with the state as one augmented field) both go through it.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,16 +154,15 @@ def _check_finite(u, t, prev):
         raise DivergenceError(f"state became non-finite at t={t:.6g}", t=t, last_state=prev)
 
 
-# the adaptive solver of the simulations off the grid and its tolerance
-ODE_METHOD = "DOP853"
-# Radau is implicit and the only one given VectorField.jacobian
-SOLVER_METHODS = ("DOP853", "Radau")
+# the tolerance of every adaptive run: the simulations off the grid and the
+# stiff PDE experiments
+ODE_RTOL = 1e-12
 # the counts an adaptive run's stats carry
-_SOLVER_COUNTS = ("steps", "nfev", "njev", "nlu")
-ODE_RTOL = 1e-10
-# |f| above which Radau's Newton residual, sums of f values times
-# coefficients below 10, may overflow
+_SOLVER_COUNTS = ("steps", "nfev", "njev", "bdf_records")
+# |f| or |u| above which a failed run counts as divergence
 _NEAR_OVERFLOW = np.finfo(float).max / 2**10
+# LSODA keeps its state in global memory: set while one runs
+_lsoda_running = False
 
 
 def rk4_steps(t0, t1, dt):
@@ -187,19 +188,20 @@ def rk4_record_times(t0, t1, dt, record_every):
 
 
 def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_000_000,
-              method=ODE_METHOD, t_eval=None):
+              t_eval=None):
     """Integrate du/dt = f(t, u) over t_span.
 
     Give exactly one of ``dt`` or ``rtol``.  ``dt`` runs fixed-step RK4
-    (local truncation error O(dt^5) per step); stats count its steps as
+    (local truncation error O(dt^5) per step), recording the initial state,
+    every ``record_every``-th step and the last; stats count its steps as
     ``accepted``/``rejected`` and its ``nfev``, 0 for a linear field
     (``VectorField.matrix``), whose step is its one-step matrix times u.
-    ``rtol`` runs the scipy ``OdeSolver`` named by ``method`` (one of
-    ``SOLVER_METHODS``) with absolute tolerance rtol too, for at most
-    ``max_steps`` steps; stats carry ``method``, ``rtol``, ``steps``,
-    ``nfev``, ``njev`` and ``nlu``.  ``t_eval`` (``rtol`` only) records
-    exactly those times, from the solver's dense output; otherwise the
-    initial state, every ``record_every``-th step and the last are recorded.
+    ``rtol`` runs LSODA with absolute tolerance rtol too, recording exactly
+    the times ``t_eval`` (by default t0 and t1; ``record_every`` must be 1),
+    and ``max_steps`` bounds its steps between two records; stats carry
+    ``method`` ("LSODA"), ``rtol``, ``steps``, ``nfev``, ``njev`` and
+    ``bdf_records``, the records LSODA reached on BDF.  An ``rtol`` run
+    cannot start inside the right-hand side of another (``ContractViolation``).
     """
     f = as_vector_field(f)
     u = np.array(u0, dtype=float).reshape(-1)
@@ -214,8 +216,10 @@ def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_00
             raise ContractViolation("t_eval needs the adaptive branch (rtol)")
         times, states, stats = _integrate_rk4(f, u, t0, t1, dt, record_every)
     else:
-        times, states, stats = _integrate_solver(f, u, t0, t1, rtol, method, t_eval,
-                                                 record_every, max_steps)
+        if record_every != 1:
+            raise ContractViolation("record_every needs the fixed-step branch (dt); "
+                                    "the adaptive branch records at t_eval")
+        times, states, stats = _integrate_solver(f, u, t0, t1, rtol, t_eval, max_steps)
     return Trajectory(np.asarray(times), np.asarray(states), stats=stats)
 
 
@@ -246,80 +250,75 @@ def _rk4_matrix(A, dt):
     return P
 
 
-def _integrate_solver(f, u, t0, t1, rtol, method, t_eval, record_every, max_steps):
-    if method not in SOLVER_METHODS:
-        raise ContractViolation(f"unknown method {method!r}; use one of {SOLVER_METHODS}")
-    if t_eval is not None:
+def _integrate_solver(f, u, t0, t1, rtol, t_eval, max_steps):
+    global _lsoda_running
+    if t_eval is None:
+        times = t_eval = np.array([t0, t1])
+    else:
         t_eval = np.asarray(t_eval, dtype=float).reshape(-1)
         if (t_eval.size == 0 or np.any(np.diff(t_eval) <= 0)
-                or t_eval[0] < t0 or t_eval[-1] > t1):
-            raise ContractViolation("t_eval must be strictly increasing inside t_span")
-    import scipy.integrate
+                or t_eval[0] < t0 or t_eval[-1] > t1 or t_eval[-1] == t0):
+            raise ContractViolation("t_eval must be strictly increasing inside t_span "
+                                    "and end after t0")
+        # odeint's first row is u0 at its first time, which is t0
+        times = t_eval if t_eval[0] == t0 else np.r_[t0, t_eval]
+    if _lsoda_running:
+        raise ContractViolation("an rtol integration cannot run inside the right-hand "
+                                "side of another: LSODA keeps its state in global memory")
+    from scipy.integrate import ODEintWarning, odeint
 
-    radau = method == "Radau"
-    flagged = False                  # Radau: an f value of this step neared overflow
+    ev, last = f.eval, (t0, None)    # the last evaluation of f: its time and value
 
-    def guarded(t, y):               # Radau keeps no Newton iterate: check each f
-        nonlocal flagged
-        out = f.eval(t, y)
-        if not np.abs(out).max() < _NEAR_OVERFLOW:     # true for inf and nan too
-            flagged = True
-        return out
+    def rhs(t, y):
+        nonlocal last
+        last = (t, ev(t, y))
+        return last[1]
 
-    def overflowed():                # DOP853 keeps its last attempt's stages in K
-        return flagged if radau else not np.abs(solver.K).max() < _NEAR_OVERFLOW
+    def jac(t, y):
+        J = f.jacobian(t, y)
+        return J.toarray() if sp.issparse(J) else J
 
-    jac = {"jac": lambda t, y: f.jacobian(t, y)} if radau else {}
-    solver = getattr(scipy.integrate, method)(guarded if radau else f.eval, t0, u, t1,
-                                              rtol=rtol, atol=rtol, **jac)
-    times, states = ([t0], [u.copy()]) if t_eval is None else ([], [])
-    n_done = 0                       # t_eval entries recorded so far
-    steps = since_record = 0
-    while solver.status == "running":
-        if steps >= max_steps:
-            raise StiffnessError("step budget exhausted")
-        last = solver.y.copy()
-        flagged = False
-        try:
-            message = solver.step()
-            failed = solver.status == "failed"
-        except ValueError:
-            # scipy's LU solves refuse the non-finite Newton residual of an
-            # implicit step whose f values overflow in its linear combinations
-            # of them; a ValueError with no such f values is not divergence
-            if not overflowed():
-                raise
-            failed = True
-        if failed:
-            # the solver still stands on the last accepted state; an
-            # overflowed trial step that was then retried is no failure
-            if overflowed():
-                raise DivergenceError(f"the solution overflowed near t={solver.t:.6g}",
-                                      t=solver.t, last_state=last)
-            raise StiffnessError(f"step size underflow at t={solver.t:.6g}: {message}")
-        _check_finite(solver.y, solver.t, last)
-        steps += 1
-        if t_eval is None:
-            since_record += 1
-            if since_record >= record_every or solver.status == "finished":
-                times.append(solver.t)
-                states.append(solver.y.copy())
-                since_record = 0
-        else:
-            upto = int(np.searchsorted(t_eval, solver.t, side="right"))
-            if upto > n_done:
-                times.extend(t_eval[n_done:upto])
-                states.extend(solver.dense_output()(t_eval[n_done:upto]).T)
-                n_done = upto
-    return times, states, {"method": method, "rtol": rtol, "steps": steps,
-                           "nfev": solver.nfev, "njev": solver.njev, "nlu": solver.nlu}
+    _lsoda_running = True
+    try:
+        with warnings.catch_warnings():      # a failure raises below, with its reason
+            warnings.simplefilter("ignore", ODEintWarning)
+            ys, info = odeint(rhs, u, times, Dfun=None if f.jac is None else jac,
+                              rtol=rtol, atol=rtol, tfirst=True, full_output=True,
+                              mxstep=max_steps)
+    finally:
+        _lsoda_running = False
+    message = info["message"]
+    if message == "Integration successful.":
+        # LSODA steps on through nan: the first record that is not finite failed
+        finite = np.isfinite(ys).all(axis=1)
+        if finite.all():
+            return t_eval, ys[len(times) - len(t_eval):], {
+                "method": "LSODA", "rtol": rtol, "steps": int(info["nst"][-1]),
+                "nfev": int(info["nfe"][-1]), "njev": int(info["nje"][-1]),
+                "bdf_records": int(np.count_nonzero(info["mused"] == 2))}
+        k = int(np.argmin(finite))
+    else:
+        # LSODA writes no row after a failure, nor the info of a row that
+        # failed on a non-finite value: the failed row is the first that lies
+        # past the last evaluation of f or that LSODA did not reach
+        reached = (info["tcur"] >= times[1:]) & (times[1:] <= last[0])
+        k = 1 + int(np.argmin(reached)) if not reached.all() else len(times) - 1
+    (t, fu), state = last, ys[k]
+    if not np.isfinite(state).all():
+        t, state = times[k - 1], ys[k - 1]
+    # LSODA reports its own non-finite arithmetic as illegal input
+    if (message.startswith("Illegal input") or not np.abs(fu).max() < _NEAR_OVERFLOW
+            or not np.abs(ys[k]).max() < _NEAR_OVERFLOW):          # true for nan too
+        raise DivergenceError(f"the solution overflowed near t={t:.6g}", t=t,
+                              last_state=state.copy())
+    raise StiffnessError(f"LSODA stopped near t={t:.6g}: {message}")
 
 
 def simulate_flow(f, u0, t_span, dt, record_every=1, t_eval=None):
     """Integrate by the simulation rule.  A field on a grid (a
     semi-discretised PDE) runs fixed-step RK4 at ``dt``, its explicit
     stability step, recording every ``record_every``-th step.  Any other
-    field runs ``ODE_METHOD`` at ``ODE_RTOL``, recorded at ``t_eval``, by
+    field runs LSODA at ``ODE_RTOL``, recorded at ``t_eval``, by
     default at the times that RK4 run would record (``rk4_record_times``),
     so ``dt`` sets only where it records."""
     f = as_vector_field(f)
@@ -327,14 +326,14 @@ def simulate_flow(f, u0, t_span, dt, record_every=1, t_eval=None):
         return integrate(f, u0, t_span, dt=dt, record_every=record_every)
     if t_eval is None:
         t_eval = rk4_record_times(*t_span, dt, record_every)
-    return integrate(f, u0, t_span, rtol=ODE_RTOL, method=ODE_METHOD, t_eval=t_eval)
+    return integrate(f, u0, t_span, rtol=ODE_RTOL, t_eval=t_eval)
 
 
 def integrator_entry(trajs):
     """A report's ``integrator`` entry for runs of one method and tolerance:
     the method, its rtol, and each count the runs carry summed over
-    ``trajs`` (steps and right-hand-side evaluations, and for the adaptive
-    solvers Jacobians and LU factorisations too)."""
+    ``trajs`` (steps and right-hand-side evaluations, and for LSODA its
+    Jacobians and the records it reached on BDF too)."""
     stats = [traj.stats for traj in trajs]
     if "method" in stats[0]:
         return {"method": stats[0]["method"], "rtol": stats[0]["rtol"],

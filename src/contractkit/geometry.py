@@ -16,8 +16,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ContractViolation, NumericalError
-from .flows import (ODE_METHOD, ODE_RTOL, VectorField, as_vector_field, fd_jacobian,
-                    fit_decay_rate, integrator_entry, rk4_steps, simulate_flow)
+from .flows import (ODE_RTOL, VectorField, as_vector_field, fd_jacobian, fit_decay_rate,
+                    integrator_entry, rk4_steps, simulate_flow)
 from .measures import as_matrix, inverse, nonlinear_rate
 from .reporting import Check, verdict
 from .sampling import read as read_samples
@@ -193,7 +193,7 @@ class SimCheck:
 def simulate(f, u0, sim):
     """One simulation of a cross-check over (0, sim.t_end) by
     ``flows.simulate_flow``: fixed-step RK4 at ``sim.dt`` for a field on a
-    grid, ``ODE_METHOD`` at ``ODE_RTOL`` otherwise, recorded at the times
+    grid, LSODA at ``ODE_RTOL`` otherwise, recorded at the times
     RK4 at ``sim.dt`` would record, every ``sim.record_every``-th step."""
     return simulate_flow(f, u0, (0.0, sim.t_end), sim.dt, sim.record_every)
 

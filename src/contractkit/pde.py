@@ -9,8 +9,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractViolation, DimensionError
-from .flows import (VectorField, fit_decay_rate, integrate, integrator_entry, matvec,
-                    rk4_record_times, rk4_steps)
+from .flows import (ODE_RTOL, VectorField, fit_decay_rate, integrate, integrator_entry,
+                    matvec, rk4_record_times, rk4_steps)
 from .geometry import Projector, check_subspace_invariance
 from .grids import Grid, derivative_matrix_1d
 from .measures import mu, nonlinear_rate, weighted_rate
@@ -179,9 +179,6 @@ def reaction_diffusion_field(disc, alphas, reaction):
 # experiments
 # ---------------------------------------------------------------------------
 
-# the implicit solver of the stiff experiments and its tolerance
-STIFF_METHOD = "Radau"
-STIFF_RTOL = 1e-8
 _N_OUT = 200               # heat, reaction-diffusion: about this many records;
                            # vanishing limit: exactly this many output intervals
 _RD_SAMPLES = 12           # reaction-diffusion: states sampled for the rates
@@ -292,8 +289,7 @@ def reaction_diffusion_experiment(n, alphas, reaction, t_end, seed, amplitude):
     dt_ref = 0.2 * disc.h**2 / max(float(np.max(alphas)), 1e-12)
     nsteps, _ = rk4_steps(0.0, t_end, dt_ref)
     times = rk4_record_times(0.0, t_end, dt_ref, max(1, nsteps // _N_OUT))
-    traj = integrate(fld, u0, (0.0, times[-1]), rtol=STIFF_RTOL, method=STIFF_METHOD,
-                     t_eval=times)
+    traj = integrate(fld, u0, (0.0, times[-1]), rtol=ODE_RTOL, t_eval=times)
     qnorm = sip_norm(proj_full.q_rows(traj.states), L2, disc.grid, rows=True)
     fitted, fit_info = fit_decay_rate(traj.times, qnorm)
     final_ratio = float(qnorm[-1] / qnorm[0])
@@ -350,8 +346,7 @@ def nonlinear_poisson_experiment(n, reaction, seed, refinement):
     # the gradient flows as one run of their stacked states
     fld = poisson_gradient_flow(disc, fn, dfn, _POISSON_N_INIT)
     run = integrate(fld, rng.standard_normal(_POISSON_N_INIT * npts),
-                    (0.0, _POISSON_T_MAX), rtol=STIFF_RTOL, method=STIFF_METHOD,
-                    record_every=10**9)
+                    (0.0, _POISSON_T_MAX), rtol=ODE_RTOL)
     fixed_points = run.final_state.reshape(_POISSON_N_INIT, npts)
     resid = fld.eval(0.0, run.final_state).reshape(_POISSON_N_INIT, npts)
     max_resid = float(np.max(np.linalg.norm(resid, axis=1)))

@@ -178,7 +178,7 @@ amplitude = 0.05
         assert cli.run(write_cfg(tmp_path, cfg)) == 0
         rep = json.loads((out / "report.json").read_text())["report"]
         entry = rep["integrator"]
-        assert entry["method"] == "DOP853" and entry["nfev"] > entry["steps"] > 0
+        assert entry["method"] == "LSODA" and entry["nfev"] > entry["steps"] > 0
         if name == "growth_bound":
             assert rep["rate_solves"] == 1
         for csv in out.glob("*.csv"):

@@ -10,8 +10,11 @@ first on ``PYTHONPATH``: the ``seed`` line of each config is replaced by each
 requested seed, and ``contractkit run`` writes into a fresh directory under
 ``--work``.  The script then compares, per seed and config, the exit code,
 the names of the files written and the bytes of each file, prints every
-difference, and exits 1 if there is any, 0 otherwise.  Uses the standard
-library only.
+difference, and exits 1 if there is any, 0 otherwise.  Under each file whose
+bytes differ it prints the largest numeric change, absolute and relative: per
+column of a CSV, per key of ``report.json`` (a list of numbers is one key).
+Without ``--work`` the runs go to a temporary directory, removed at the end.
+Uses the standard library only.
 """
 
 import argparse
@@ -20,6 +23,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -82,6 +86,61 @@ def files_under(root):
     return found
 
 
+def _table(path):
+    """A CSV as {column: [values]}, or ``report.json`` flattened to {key: [values]}."""
+    if path.endswith(".csv"):
+        with open(path) as fh:
+            header, *rows = [line.split(",") for line in fh.read().splitlines()]
+        return {name: [float(r[i]) for r in rows] for i, name in enumerate(header)}
+    found = {}
+
+    def walk(obj, key):
+        if isinstance(obj, dict):
+            for k, v in obj.items():
+                walk(v, f"{key}.{k}" if key else k)
+        elif isinstance(obj, list) and any(isinstance(v, (dict, list)) for v in obj):
+            for i, v in enumerate(obj):
+                walk(v, f"{key}[{i}]")
+        else:
+            found[key] = obj if isinstance(obj, list) else [obj]
+    with open(path) as fh:
+        walk(json.load(fh), "")
+    return found
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def numeric_changes(base_path, new_path):
+    """One line per column or key whose values differ: the largest absolute
+    and relative change of its numbers, or what else changed."""
+    try:
+        a, b = _table(base_path), _table(new_path)
+    except (ValueError, IndexError):
+        return ["    not a table of numbers"]
+    lines = []
+    for key in sorted(set(a) | set(b)):
+        va, vb = a.get(key), b.get(key)
+        if va == vb:
+            continue
+        if va is None or vb is None:
+            lines.append(f"    {key}: only in {'NEW' if va is None else 'BASE'}")
+        elif len(va) != len(vb) or not all(map(_is_number, va + vb)):
+            lines.append(f"    {key}: {_short(va)} -> {_short(vb)}")
+        else:
+            diffs = [abs(x - y) for x, y in zip(va, vb)]
+            rel = max(d / max(abs(x), abs(y)) if d else 0.0
+                      for d, x, y in zip(diffs, va, vb))
+            lines.append(f"    {key}: max abs {max(diffs):.3g}, rel {rel:.3g}")
+    return lines
+
+
+def _short(values):
+    text = json.dumps(values[0] if len(values) == 1 else values)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def compare(base_out, new_out, base_codes, new_codes):
     diffs = []
     for key in sorted(set(base_codes) | set(new_codes)):
@@ -99,6 +158,7 @@ def compare(base_out, new_out, base_codes, new_codes):
             with open(fa[rel], "rb") as ha, open(fb[rel], "rb") as hb:
                 if ha.read() != hb.read():
                     diffs.append(f"{rel}: bytes differ")
+                    diffs.extend(numeric_changes(fa[rel], fb[rel]))
     return diffs, len(fa)
 
 
@@ -116,17 +176,22 @@ def main(argv=None):
     ap.add_argument("--work", help="directory for the runs (default: a new temporary one)")
     args = ap.parse_args(argv)
     work = args.work or tempfile.mkdtemp(prefix="compare_configs-")
-    outs = []
-    for label in ("base", "new"):
-        out = os.path.join(os.path.abspath(work), label)
-        os.makedirs(out, exist_ok=False)
-        outs.append(out)
-    codes = [spawn(tree, out, args.seeds) for tree, out in zip((args.base, args.new), outs)]
-    diffs, nfiles = compare(*outs, *codes)
+    try:
+        outs = []
+        for label in ("base", "new"):
+            out = os.path.join(os.path.abspath(work), label)
+            os.makedirs(out, exist_ok=False)
+            outs.append(out)
+        codes = [spawn(tree, out, args.seeds) for tree, out in zip((args.base, args.new), outs)]
+        diffs, nfiles = compare(*outs, *codes)
+    finally:
+        if args.work is None:
+            shutil.rmtree(work, ignore_errors=True)
     for line in diffs:
         print(line)
-    print(f"{len(codes[0])} runs, {nfiles} files from BASE, {len(diffs)} difference(s); "
-          f"outputs in {work}")
+    ndiff = sum(not line.startswith("    ") for line in diffs)
+    print(f"{len(codes[0])} runs, {nfiles} files from BASE, {ndiff} difference(s); "
+          f"outputs {'in ' + work if args.work else 'removed'}")
     return 1 if diffs else 0
 
 
