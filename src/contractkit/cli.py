@@ -207,9 +207,7 @@ def _run_subspace(p, seed):
     rep = geometry.certify_subspace_contraction(fld, proj, spec=L2,
                                                 sampler=sampler, sim=sim,
                                                 grid=disc.grid, seed=seed)
-    traj = flows.integrate(fld, rng.standard_normal(disc.npoints),
-                           (0.0, p["t_end"]), dt=dt,
-                           record_every=sim.record_every)
+    traj = geometry.simulate(fld, rng.standard_normal(disc.npoints), sim)
     qn = sip_norm(proj.q_rows(traj.states), L2, disc.grid, rows=True)
     series = {"decay": (["time", "q_norm"], [traj.times, qn])}
     return rep, series
@@ -248,9 +246,9 @@ def _run_symmetry(p, seed):
         rep = geometry.check_equivariance(fld, shifts, sampler)
         rng = np.random.default_rng(seed)
         dt = 0.2 * disc.h**2 / p["alpha"]
-        traj = flows.integrate(fld, rng.standard_normal(disc.npoints),
-                               (0.0, p["t_end"]), dt=dt,
-                               record_every=max(1, int(p["t_end"] / dt / 100)))
+        traj = flows.simulate_flow(fld, rng.standard_normal(disc.npoints),
+                                   (0.0, p["t_end"]), dt,
+                                   max(1, int(p["t_end"] / dt / 100)))
         u_inf = traj.final_state
         inv_res = max(float(np.linalg.norm(T @ u_inf - u_inf)) for T in shifts)
         inv_check = Check.leq("limit_state_invariance", inv_res, 1e-6)

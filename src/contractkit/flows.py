@@ -1,29 +1,28 @@
 """Trajectory and variational integration, growth-bound verification, and
 maximum-Lyapunov-exponent estimation.
 
-``integrate`` has two branches.  With a fixed step ``dt`` it runs the
-classical fourth-order one-step method, the reference method, whose step
-for a linear field A u (``VectorField.matrix``) is one product by its
-one-step matrix I + dt A (I + dt A/2 (I + dt A/3 (I + dt A/4))).  With a
-tolerance ``rtol`` it is one call of ODEPACK's LSODA (``scipy.integrate.odeint``,
-imported only on that branch), which runs the whole integration in compiled
-code, switches between Adams (non-stiff) and BDF (stiff) by itself, and
-interpolates its records from its own history at no extra evaluations of f.
-BDF gets ``VectorField.jacobian`` as a dense matrix when the field has
-``jac``, and differences f otherwise.  A failed run raises ``DivergenceError``
-when f or the state neared overflow or LSODA's arithmetic met a non-finite
-value, and ``StiffnessError`` with LSODA's reason otherwise.
-Each constant sparse product of a step or an evaluation is ``matvec``:
-scipy's CSR kernel from the private ``scipy.sparse._sparsetools``, without
-scipy's per-call dispatch, pinned to ``A @ u`` bit for bit by a test.
+``integrate`` has two branches.  With a tolerance ``rtol`` it is one call of
+ODEPACK's LSODA (``scipy.integrate.odeint``, imported only on that branch),
+which runs the whole integration in compiled code, switches between Adams
+(non-stiff) and BDF (stiff) by itself, and interpolates its records from its
+own history at no extra evaluations of f.  BDF gets
+``VectorField.jacobian`` as a dense matrix when the field has ``jac``, and
+differences f otherwise.  A failed run raises ``DivergenceError`` when f or
+the state neared overflow or LSODA's arithmetic met a non-finite value, and
+``StiffnessError`` with LSODA's reason otherwise.  With a fixed step ``dt``
+it runs the classical fourth-order one-step method, which only the
+vanishing-viscosity scheme uses: its eps = 0 upwind level has no Jacobian.
+Each constant sparse product of an evaluation is ``matvec``: scipy's CSR
+kernel from the private ``scipy.sparse._sparsetools``, without scipy's
+per-call dispatch, pinned to ``A @ u`` bit for bit by a test.
 
-``simulate_flow`` holds the one rule by which the simulations pick a
-branch: a field on a grid keeps fixed-step RK4 at its step ``dt``, and any
-other field runs LSODA at ``ODE_RTOL``, recorded at the times RK4 would
-record.  The simulation cross-checks of ``geometry`` and the variational
-flows (``integrate_variational``, ``verify_growth_bound`` and
-``mle_estimate``, which carry a tangent perturbation, and a pair separation,
-with the state as one augmented field) both go through it.
+``simulate_flow`` is the one simulation path: LSODA at ``ODE_RTOL``,
+recorded at the times fixed-step RK4 would record.  The simulation
+cross-checks of ``geometry``, the heat and reaction-diffusion experiments
+and the variational flows (``integrate_variational``,
+``verify_growth_bound`` and ``mle_estimate``, which carry a tangent
+perturbation, and a pair separation, with the state as one augmented field)
+all go through it.
 """
 
 import math
@@ -45,14 +44,13 @@ _FD_REL_STEP = math.sqrt(np.finfo(float).eps)
 
 @dataclass
 class VectorField:
-    """Right-hand side f(t, u), its exact or difference Jacobian, and A if f(t, u) = A u."""
+    """Right-hand side f(t, u) and its exact or difference Jacobian."""
 
     f: object
     jac: object = None
     dim: int = None
     name: str = ""
     grid: object = None
-    matrix: object = None
 
     def eval(self, t, u):
         return np.asarray(self.f(t, np.asarray(u)), dtype=float)
@@ -102,7 +100,7 @@ def matvec(A):
 def linear_field(A):
     A = as_matrix(A)
     return VectorField(f=lambda t, u, Au=matvec(A): Au(u), jac=lambda t, u, A=A: A,
-                       dim=A.shape[0], name="linear", matrix=A)
+                       dim=A.shape[0], name="linear")
 
 
 def as_vector_field(obj):
@@ -134,10 +132,8 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_step(f, t, u, dt, Pu=None):
-    """One classical RK4 step, or Pu(u), the product by a linear f's one-step matrix."""
-    if Pu is not None:
-        return Pu(u)
+def _rk4_step(f, t, u, dt):
+    """One classical RK4 step."""
     h = 0.5 * dt
     k1 = f(t, u)
     k2 = f(t + h, u + h * k1)
@@ -154,9 +150,13 @@ def _check_finite(u, t, prev):
         raise DivergenceError(f"state became non-finite at t={t:.6g}", t=t, last_state=prev)
 
 
-# the tolerance of every adaptive run: the simulations off the grid and the
-# stiff PDE experiments
+# the tolerance of every adaptive run
 ODE_RTOL = 1e-12
+# LSODA's step budget between two records.  No record interval of a shipped
+# config takes more than about 1,300 steps (Poisson's one interval to
+# t = 400); a run whose step underflows (t + h = t) creeps on until the
+# budget is spent, a fraction of a second at this size
+MAX_RECORD_STEPS = 100_000
 # the counts an adaptive run's stats carry
 _SOLVER_COUNTS = ("steps", "nfev", "njev", "bdf_records")
 # |f| or |u| above which a failed run counts as divergence
@@ -187,18 +187,16 @@ def rk4_record_times(t0, t1, dt, record_every):
     return times
 
 
-def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_000_000,
-              t_eval=None):
+def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, t_eval=None):
     """Integrate du/dt = f(t, u) over t_span.
 
     Give exactly one of ``dt`` or ``rtol``.  ``dt`` runs fixed-step RK4
     (local truncation error O(dt^5) per step), recording the initial state,
     every ``record_every``-th step and the last; stats count its steps as
-    ``accepted``/``rejected`` and its ``nfev``, 0 for a linear field
-    (``VectorField.matrix``), whose step is its one-step matrix times u.
+    ``accepted``/``rejected`` and its ``nfev``.
     ``rtol`` runs LSODA with absolute tolerance rtol too, recording exactly
     the times ``t_eval`` (by default t0 and t1; ``record_every`` must be 1),
-    and ``max_steps`` bounds its steps between two records; stats carry
+    with at most ``MAX_RECORD_STEPS`` steps between two records; stats carry
     ``method`` ("LSODA"), ``rtol``, ``steps``, ``nfev``, ``njev`` and
     ``bdf_records``, the records LSODA reached on BDF.  An ``rtol`` run
     cannot start inside the right-hand side of another (``ContractViolation``).
@@ -219,7 +217,7 @@ def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, max_steps=50_00
         if record_every != 1:
             raise ContractViolation("record_every needs the fixed-step branch (dt); "
                                     "the adaptive branch records at t_eval")
-        times, states, stats = _integrate_solver(f, u, t0, t1, rtol, t_eval, max_steps)
+        times, states, stats = _integrate_solver(f, u, t0, t1, rtol, t_eval)
     return Trajectory(np.asarray(times), np.asarray(states), stats=stats)
 
 
@@ -227,10 +225,9 @@ def _integrate_rk4(f, u, t0, t1, dt, record_every):
     if dt <= 0:
         raise ContractViolation("dt must be positive")
     nsteps, dt_eff = rk4_steps(t0, t1, dt)
-    Pu = None if f.matrix is None else matvec(_rk4_matrix(f.matrix, dt_eff))
     times, states, t = [t0], [u.copy()], t0
     for step in range(nsteps):
-        u_new = _rk4_step(f.eval, t, u, dt_eff, Pu)
+        u_new = _rk4_step(f.eval, t, u, dt_eff)
         _check_finite(u_new, t + dt_eff, u)
         u = u_new
         # exactly t1 after the last step, where t0 + nsteps * dt_eff may
@@ -239,18 +236,10 @@ def _integrate_rk4(f, u, t0, t1, dt, record_every):
         if (step + 1) % record_every == 0 or step == nsteps - 1:
             times.append(t)
             states.append(u.copy())
-    return times, states, {"accepted": nsteps, "rejected": 0, "nfev": 4 * nsteps * (Pu is None)}
+    return times, states, {"accepted": nsteps, "rejected": 0, "nfev": 4 * nsteps}
 
 
-def _rk4_matrix(A, dt):
-    """The one-step matrix of RK4 for f(t, u) = A u, sparse when A is."""
-    P = eye = sp.identity(A.shape[0], format="csr") if sp.issparse(A) else np.eye(A.shape[0])
-    for k in (4, 3, 2, 1):
-        P = eye + (dt / k) * (A @ P)
-    return P
-
-
-def _integrate_solver(f, u, t0, t1, rtol, t_eval, max_steps):
+def _integrate_solver(f, u, t0, t1, rtol, t_eval):
     global _lsoda_running
     if t_eval is None:
         times = t_eval = np.array([t0, t1])
@@ -284,7 +273,7 @@ def _integrate_solver(f, u, t0, t1, rtol, t_eval, max_steps):
             warnings.simplefilter("ignore", ODEintWarning)
             ys, info = odeint(rhs, u, times, Dfun=None if f.jac is None else jac,
                               rtol=rtol, atol=rtol, tfirst=True, full_output=True,
-                              mxstep=max_steps)
+                              mxstep=MAX_RECORD_STEPS)
     finally:
         _lsoda_running = False
     message = info["message"]
@@ -314,32 +303,22 @@ def _integrate_solver(f, u, t0, t1, rtol, t_eval, max_steps):
     raise StiffnessError(f"LSODA stopped near t={t:.6g}: {message}")
 
 
-def simulate_flow(f, u0, t_span, dt, record_every=1, t_eval=None):
-    """Integrate by the simulation rule.  A field on a grid (a
-    semi-discretised PDE) runs fixed-step RK4 at ``dt``, its explicit
-    stability step, recording every ``record_every``-th step.  Any other
-    field runs LSODA at ``ODE_RTOL``, recorded at ``t_eval``, by
-    default at the times that RK4 run would record (``rk4_record_times``),
-    so ``dt`` sets only where it records."""
-    f = as_vector_field(f)
-    if f.grid is not None:
-        return integrate(f, u0, t_span, dt=dt, record_every=record_every)
-    if t_eval is None:
-        t_eval = rk4_record_times(*t_span, dt, record_every)
-    return integrate(f, u0, t_span, rtol=ODE_RTOL, t_eval=t_eval)
+def simulate_flow(f, u0, t_span, dt, record_every=1):
+    """Integrate a simulation: LSODA at ``ODE_RTOL``, recorded at the times
+    fixed-step RK4 at ``dt`` would record, every ``record_every``-th step
+    (``rk4_record_times``), so ``dt`` sets only where it records."""
+    return integrate(f, u0, t_span, rtol=ODE_RTOL,
+                     t_eval=rk4_record_times(*t_span, dt, record_every))
 
 
 def integrator_entry(trajs):
-    """A report's ``integrator`` entry for runs of one method and tolerance:
-    the method, its rtol, and each count the runs carry summed over
-    ``trajs`` (steps and right-hand-side evaluations, and for LSODA its
-    Jacobians and the records it reached on BDF too)."""
+    """A report's ``integrator`` entry for LSODA runs of one tolerance: the
+    method, its rtol, and each count the runs carry (steps, right-hand-side
+    evaluations, Jacobians and the records reached on BDF) summed over
+    ``trajs``."""
     stats = [traj.stats for traj in trajs]
-    if "method" in stats[0]:
-        return {"method": stats[0]["method"], "rtol": stats[0]["rtol"],
-                **{k: sum(s[k] for s in stats) for k in _SOLVER_COUNTS}}
-    return {"method": "RK4", "rtol": None, "steps": sum(s["accepted"] for s in stats),
-            "nfev": sum(s["nfev"] for s in stats)}
+    return {"method": stats[0]["method"], "rtol": stats[0]["rtol"],
+            **{k: sum(s[k] for s in stats) for k in _SOLVER_COUNTS}}
 
 
 # a pair separation w below this, relative to 1 + ||u||, follows the
@@ -351,11 +330,10 @@ def _variational(f, u0, du0, t_span, dt, record_every, pair=False):
     """Co-integrate the state u, a tangent perturbation du with d(du)/dt =
     Df_t(u) du and, with ``pair``, the separation w = u2 - u of the
     trajectory u2 from u0 + du0, as one augmented field run by
-    ``simulate_flow``.  Off the grid du and w are carried as a direction d
-    and a log magnitude s (x = e^s d / |d|), so the solver's absolute
-    tolerance bounds their relative error however far they decay; fixed-step
-    RK4, linear in them, carries them as they are.  Returns the trajectory
-    of u and, per carried vector, its unit directions and log magnitudes."""
+    ``simulate_flow``.  du and w are carried as a direction d and a log
+    magnitude s (x = e^s d / |d|), so the solver's absolute tolerance bounds
+    their relative error however far they decay.  Returns the trajectory of
+    u and, per carried vector, its unit directions and log magnitudes."""
     f = as_vector_field(f)
     u = np.array(u0, dtype=float).reshape(-1)
     du = np.array(du0, dtype=float).reshape(-1)
@@ -366,7 +344,6 @@ def _variational(f, u0, du0, t_span, dt, record_every, pair=False):
         raise ContractViolation("du0 must be nonzero")
     n = u.shape[0]
     blocks = [n + k * (n + 1) for k in range(2 if pair else 1)]
-    polar = f.grid is None
 
     def rhs(t, z):
         x = z[:n]
@@ -374,24 +351,22 @@ def _variational(f, u0, du0, t_span, dt, record_every, pair=False):
         out = [fx]
         for b in blocks:
             d, mag = z[b:b + n], np.exp(z[b + n])          # inf: the pair diverged
-            if b == n or (polar and mag <= _PAIR_LINEAR * (1.0 + math.sqrt(x @ x))):
+            if b == n or mag <= _PAIR_LINEAR * (1.0 + math.sqrt(x @ x)):
                 h = J @ d
             else:   # the pair's carried vector is c d; h is its rate of change over c
-                c = mag / math.sqrt(d @ d) if polar else 1.0
+                c = mag / math.sqrt(d @ d)
                 h = (f.eval(t, x + c * d) - fx) / c
-            g = (d @ h) / (d @ d) if polar else 0.0
+            g = (d @ h) / (d @ d)
             out += [h - g * d, [g]]
         return np.concatenate(out)
 
-    z0 = np.concatenate([u] + [np.r_[du / r, math.log(r)] if polar else np.r_[du, 0.0]
-                              for _ in blocks])
-    aug = VectorField(f=rhs, dim=z0.size, name=f.name + "_variational", grid=f.grid)
+    z0 = np.concatenate([u] + [np.r_[du / r, math.log(r)] for _ in blocks])
+    aug = VectorField(f=rhs, dim=z0.size, name=f.name + "_variational")
     traj = simulate_flow(aug, z0, t_span, dt, record_every)
     out = []
     for b in blocks:
         d = traj.states[:, b:b + n]
-        norms = np.linalg.norm(d, axis=1)
-        out.append((d / norms[:, None], traj.states[:, b + n] if polar else np.log(norms)))
+        out.append((d / np.linalg.norm(d, axis=1)[:, None], traj.states[:, b + n]))
     return Trajectory(traj.times, traj.states[:, :n], stats=traj.stats), out
 
 
@@ -506,11 +481,7 @@ def mle_estimate(f, u0, t_span, renorm_interval, p=2.0, seed=0):
     every ``renorm_interval`` for as many whole intervals as fit in t_span
     (``ContractViolation`` when none does).  The perturbation is carried as
     a direction and a log magnitude, so one run needs no renormalization,
-    and one that decays below the smallest float still counts.  Fields on a
-    grid are refused: fixed-step RK4 carries the perturbation unscaled."""
-    f = as_vector_field(f)
-    if f.grid is not None:
-        raise ContractViolation("mle_estimate needs a field off the grid")
+    and one that decays below the smallest float still counts."""
     u = np.array(u0, dtype=float).reshape(-1)
     rng = np.random.default_rng(seed)
     du = rng.standard_normal(u.shape[0])

@@ -6,7 +6,7 @@ Each certifier evaluates its hypotheses numerically on sampled states and,
 when a simulation check is requested, cross-checks the certified decay
 quantity against trajectories from random initial conditions, each one
 integrated by ``simulate`` (the temporal-symmetry check calls
-``flows.simulate_flow`` itself, to record a period apart).
+``flows.integrate`` itself, to record a period apart).
 """
 
 import math
@@ -17,13 +17,13 @@ import scipy.linalg as sla
 
 from .errors import ContractViolation, NumericalError
 from .flows import (ODE_RTOL, VectorField, as_vector_field, fd_jacobian, fit_decay_rate,
-                    integrator_entry, rk4_steps, simulate_flow)
+                    integrate, integrator_entry, simulate_flow)
 from .measures import as_matrix, inverse, nonlinear_rate
 from .reporting import Check, verdict
 from .sampling import read as read_samples
 from .sip import L2
 from .sip import norm as sip_norm
-from .weights import WeightFamily, jacobian_of_map, projection_complement
+from .weights import jacobian_of_map, projection_complement
 
 RESIDUAL_TOL = 1e-8
 _RATE_TOL = 1e-12          # certified means rate < -_RATE_TOL
@@ -192,8 +192,7 @@ class SimCheck:
 
 def simulate(f, u0, sim):
     """One simulation of a cross-check over (0, sim.t_end) by
-    ``flows.simulate_flow``: fixed-step RK4 at ``sim.dt`` for a field on a
-    grid, LSODA at ``ODE_RTOL`` otherwise, recorded at the times
+    ``flows.simulate_flow``: LSODA at ``ODE_RTOL``, recorded at the times
     RK4 at ``sim.dt`` would record, every ``sim.record_every``-th step."""
     return simulate_flow(f, u0, (0.0, sim.t_end), sim.dt, sim.record_every)
 
@@ -214,8 +213,8 @@ def _sim_initial_conditions(sim, dim, base=None):
 
 def _decay_cross_check(f, sim, dim, quantity, lam, base_ic=None):
     """Simulate n_ic trajectories and fit the decay exponent of the series
-    ``quantity(states)`` (one value per recorded state) above the adaptive
-    solver's error floor (fixed-step RK4 has none); the slowest fit must not
+    ``quantity(states)`` (one value per recorded state) above the
+    simulation's error floor; the slowest fit must not
     be slower than lam + 0.1 |lam| (``simulated_decay``; a nan fit fails).
     Returns the summary and the trajectories."""
     fits = []
@@ -223,7 +222,7 @@ def _decay_cross_check(f, sim, dim, quantity, lam, base_ic=None):
     for u0 in _sim_initial_conditions(sim, dim, base=base_ic):
         traj = simulate(f, u0, sim)
         series = quantity(traj.states)
-        floor = _error_floor(traj.states) if "method" in traj.stats else 0.0
+        floor = _error_floor(traj.states)
         slope, info = fit_decay_rate(traj.times, series, floor=floor)
         fits.append({"fitted": slope, "points": info.get("points", 0), "floor": floor})
         trajs.append(traj)
@@ -259,38 +258,18 @@ def check_subspace_invariance(f, proj, sampler):
             "passed": check.passed}
 
 
-def _compose_outer_weight(outer, inner):
-    """Weight acting as outer @ inner(t, u)."""
-
-    def mat(t, u, n):
-        return outer @ inner.matrix(t, u, n)
-
-    def dmat(t, u, n):
-        d = inner.dmatrix_dt(t, u, n)
-        return None if d is None else outer @ d
-
-    return WeightFamily(
-        kind="outer_projected", bound_b=np.inf, invertible=False,
-        time_varying=inner.time_varying, _matrix=mat,
-        _dmat=dmat if inner.time_varying else None,
-    )
-
-
-def certify_subspace_contraction(f, proj, spec=L2, *, sampler,
-                                 inner_theta=None, sim=None, grid=None, seed=0):
+def certify_subspace_contraction(f, proj, spec=L2, *, sampler, sim=None, grid=None,
+                                 seed=0):
     """Certificate of exponential contraction to im(P): invariance of the
-    subspace plus a negative rate in the Q-weighted (semi)norm.  With an
-    inner weight the certificate is asymptotic rather than uniform."""
+    subspace plus a negative rate in the Q-weighted (semi)norm."""
     f = as_vector_field(f)
     samples = read_samples(sampler)
     inv = check_subspace_invariance(f, proj, samples)
-    weight = _compose_outer_weight(proj.Q, inner_theta) if inner_theta is not None \
-        else projection_complement(proj.P)
-    rate = nonlinear_rate(f, weight, spec=spec, sampler=samples, grid=grid, seed=seed)
+    rate = nonlinear_rate(f, projection_complement(proj.P), spec=spec, sampler=samples,
+                          grid=grid, seed=seed)
     rate_check = Check.lt("subspace_rate", rate.value, -_RATE_TOL)
     report = {
         "certificate": "decay of the off-subspace component ||Q u(t)||",
-        "asymptotic": inner_theta is not None,
         "rate": rate,
         "checks": [inv["check"], rate_check],
         "invariance": inv,
@@ -408,9 +387,10 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
     """Residuals of f(t, u) = f(t + tau, u); with a negative contraction
     rate (``periodic_limit``) this certifies convergence to a tau-periodic
     solution, checked by the geometric decay of ||u(t + (m+1) tau) -
-    u(t + m tau)||: the largest ratio of successive differences must be
-    below 1 (inf when none is resolved).  Only the ratios whose newer
-    difference is above the simulation's error floor, 100 ODE_RTOL
+    u(t + m tau)||, recorded by LSODA at ``ODE_RTOL`` at t = m tau exactly
+    for m = 0 .. max(3, t_end / tau) + 1: the largest ratio of successive
+    differences must be below 1 (inf when none is resolved).  Only the
+    ratios whose newer difference is above the simulation's error floor, 100 ODE_RTOL
     (1 + max ||u||), are checked: below it the differences are integration
     error, which does not repeat from one period to the next."""
     if tau is None or tau <= 0:
@@ -430,16 +410,8 @@ def check_temporal_symmetry(f, tau, sampler, sim=None, rate=None):
             raise ContractViolation("temporal-symmetry simulation needs f.dim")
         u0 = _sim_initial_conditions(sim, f.dim)[0]
         n_periods = max(3, int(sim.t_end / tau))
-        # RK4 on a grid records every round(tau / dt) steps, a period apart
-        # only when that is the whole number of steps it takes per period;
-        # off the grid the solver records at t = m tau exactly
-        every = max(1, int(round(tau / sim.dt)))
-        if (f.grid is not None
-                and rk4_steps(0.0, (n_periods + 1) * tau, sim.dt)[0] != (n_periods + 1) * every):
-            raise ContractViolation(f"tau / dt = {tau / sim.dt:.6g} is not a whole number "
-                                    "of RK4 steps, so snapshots would not be a period apart")
-        traj = simulate_flow(f, u0, (0.0, (n_periods + 1) * tau), sim.dt, every,
-                             t_eval=tau * np.arange(n_periods + 2))
+        traj = integrate(f, u0, (0.0, (n_periods + 1) * tau), rtol=ODE_RTOL,
+                         t_eval=tau * np.arange(n_periods + 2))
         snaps = traj.states[1:]
         diffs = np.array([np.linalg.norm(snaps[m + 1] - snaps[m])
                           for m in range(len(snaps) - 1)])

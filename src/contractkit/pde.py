@@ -3,14 +3,14 @@ reaction-diffusion homogenization, nonlinear Poisson fixed points, Sobolev
 rates, and vanishing one-sided-Lipschitz (viscosity-like) limits."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractViolation, DimensionError
 from .flows import (ODE_RTOL, VectorField, fit_decay_rate, integrate, integrator_entry,
-                    matvec, rk4_record_times, rk4_steps)
+                    matvec, rk4_steps, simulate_flow)
 from .geometry import Projector, check_subspace_invariance
 from .grids import Grid, derivative_matrix_1d
 from .measures import mu, nonlinear_rate, weighted_rate
@@ -95,9 +95,8 @@ def _block_diag(blocks):
 
 def heat_field(disc, alpha=1.0):
     lap = alpha * disc.laplacian
-    fld = VectorField(f=lambda t, u, lap_u=matvec(lap): lap_u(u), jac=lambda t, u: lap,
-                      dim=disc.npoints, name=f"heat(alpha={alpha})", grid=disc.grid, matrix=lap)
-    return fld
+    return VectorField(f=lambda t, u, lap_u=matvec(lap): lap_u(u), jac=lambda t, u: lap,
+                       dim=disc.npoints, name=f"heat(alpha={alpha})", grid=disc.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +161,15 @@ def reaction_diffusion_field(disc, alphas, reaction):
     def f(t, z):
         return diffuse(z) + reaction.fn(z.reshape(m, npts)).ravel()
 
-    # diffusion's COO entries, plus the reaction's on the diagonal of each block (i, j)
-    D = diffusion.tocoo()
+    # the dense diffusion matrix, plus the reaction on the diagonal of each block (i, j)
+    D = diffusion.toarray()
     i, j, k = np.indices((m, m, npts)).reshape(3, -1)
-    rows, cols = np.r_[D.row, i * npts + k], np.r_[D.col, j * npts + k]
+    rows, cols = i * npts + k, j * npts + k
 
     def jac(t, z):
-        vals = reaction.jac(z.reshape(m, npts)).ravel()
-        return sp.csc_matrix((np.r_[D.data, vals], (rows, cols)), shape=D.shape)
+        J = D.copy()
+        J[rows, cols] += reaction.jac(z.reshape(m, npts)).ravel()
+        return J
 
     return VectorField(f=f, jac=jac, dim=m * npts,
                        name=f"reaction_diffusion({reaction.name})", grid=disc.grid)
@@ -186,6 +186,12 @@ _POISSON_N_INIT = 3        # Poisson: gradient flows from this many random state
 _POISSON_T_MAX = 400.0     # ... stacked as one run this long
 _N_TEST = 10               # vanishing limit: weak-form test functions, and
 _N_RATE_SAMPLES = 6        # ... states sampled per eps for the rate
+
+
+def _record_every(t_end, dt):
+    """The step count between records that gives about ``_N_OUT`` records
+    of fixed-step RK4 at ``dt`` over (0, t_end)."""
+    return max(1, rk4_steps(0.0, t_end, dt)[0] // _N_OUT)
 
 
 def heat_zero_flux_experiment(n, alpha, t_end, seed, dims):
@@ -205,10 +211,9 @@ def heat_zero_flux_experiment(n, alpha, t_end, seed, dims):
     lam_formula = alpha * neumann_second_eigenvalue(n, disc.h)
 
     u0 = rng.standard_normal(npts)
+    # recorded where fixed-step RK4 at the explicit stability step would record
     dt = 0.2 * disc.h**2 / alpha
-    nsteps, _ = rk4_steps(0.0, t_end, dt)
-    rec = max(1, nsteps // _N_OUT)
-    traj = integrate(fld, u0, (0.0, t_end), dt=dt, record_every=rec)
+    traj = simulate_flow(fld, u0, (0.0, t_end), dt, _record_every(t_end, dt))
     qnorm = sip_norm(proj.q_rows(traj.states), L2, disc.grid, rows=True)
     mass = np.array([float(np.mean(u)) for u in traj.states])
     # the certificate predicts the asymptotic rate: fit the last half of the
@@ -284,12 +289,9 @@ def reaction_diffusion_experiment(n, alphas, reaction, t_end, seed, amplitude):
     coupled = nonlinear_rate(fld, full_weight, spec=L2, sampler=samples, grid=None)
 
     u0 = sample_state()
-    # recorded on the output grid of the fixed-step RK4 reference run, whose
-    # step is the explicit stability limit
-    dt_ref = 0.2 * disc.h**2 / max(float(np.max(alphas)), 1e-12)
-    nsteps, _ = rk4_steps(0.0, t_end, dt_ref)
-    times = rk4_record_times(0.0, t_end, dt_ref, max(1, nsteps // _N_OUT))
-    traj = integrate(fld, u0, (0.0, times[-1]), rtol=ODE_RTOL, t_eval=times)
+    # recorded where fixed-step RK4 at the explicit stability step would record
+    dt = 0.2 * disc.h**2 / max(float(np.max(alphas)), 1e-12)
+    traj = simulate_flow(fld, u0, (0.0, t_end), dt, _record_every(t_end, dt))
     qnorm = sip_norm(proj_full.q_rows(traj.states), L2, disc.grid, rows=True)
     fitted, fit_info = fit_decay_rate(traj.times, qnorm)
     final_ratio = float(qnorm[-1] / qnorm[0])
@@ -321,8 +323,14 @@ def poisson_gradient_flow(disc, fn, dfn, copies=1):
     """u_t = Lap u + f(u), whose equilibria solve the Poisson problem; on
     ``copies`` stacked states, u_t = kron(I, Lap) u + f(u)."""
     lap = _block_diag([disc.laplacian] * copies)
-    return VectorField(f=lambda t, u, lap_u=matvec(lap): lap_u(u) + fn(u),
-                       jac=lambda t, u: sp.csc_matrix(lap + sp.diags(dfn(u))),
+    dense, diag = lap.toarray(), np.diag_indices(lap.shape[0])
+
+    def jac(t, u):
+        J = dense.copy()
+        J[diag] += dfn(u)
+        return J
+
+    return VectorField(f=lambda t, u, lap_u=matvec(lap): lap_u(u) + fn(u), jac=jac,
                        dim=copies * disc.npoints, name="poisson_gradient_flow",
                        grid=disc.grid)
 

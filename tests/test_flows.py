@@ -1,7 +1,7 @@
 """Integrators, variational dynamics, growth bounds, and Lyapunov
 exponent estimation."""
 
-import dataclasses
+import time
 import warnings
 
 import numpy as np
@@ -75,10 +75,10 @@ class TestIntegrate:
         assert err.value.last_state is not None
         assert np.all(np.isfinite(err.value.last_state))
 
-    def test_step_budget_stiffness_error(self):
+    def test_step_budget_stiffness_error(self, monkeypatch):
+        monkeypatch.setattr(flows, "MAX_RECORD_STEPS", 200)
         with pytest.raises(StiffnessError):
-            integrate(lambda t, u: -1e6 * u, [1.0], (0.0, 10.0), rtol=1e-12,
-                      max_steps=200)
+            integrate(lambda t, u: -1e6 * u, [1.0], (0.0, 10.0), rtol=1e-12)
 
     def test_times_strictly_increasing_and_span(self):
         traj = integrate(lambda t, u: -u, [1.0], (0.0, 0.7), dt=1e-2, record_every=3)
@@ -190,15 +190,16 @@ class TestSolverPath:
         np.testing.assert_allclose(traj.states, [sla.expm(t * A) @ [1.0, 1.0] for t in t_eval],
                                    rtol=1e-6, atol=1e-8)
 
-    def test_nonstiff_step_budget_stiffness_error(self):
+    def test_nonstiff_step_budget_stiffness_error(self, monkeypatch):
+        monkeypatch.setattr(flows, "MAX_RECORD_STEPS", 5)
         with pytest.raises(StiffnessError, match="Excess work"):
-            integrate(lambda t, u: -u, [1.0], (0.0, 10.0), rtol=1e-12, max_steps=5)
+            integrate(lambda t, u: -u, [1.0], (0.0, 10.0), rtol=1e-12)
 
-    def test_step_budget_bounds_the_steps_between_records(self):
+    def test_step_budget_bounds_the_steps_between_records(self, monkeypatch):
         # about 270 steps in all, fewer than 100 between any two records
+        monkeypatch.setattr(flows, "MAX_RECORD_STEPS", 100)
         t_eval = np.linspace(1.0, 10.0, 10)
-        traj = integrate(lambda t, u: -u, [1.0], (0.0, 10.0), rtol=1e-12, max_steps=100,
-                         t_eval=t_eval)
+        traj = integrate(lambda t, u: -u, [1.0], (0.0, 10.0), rtol=1e-12, t_eval=t_eval)
         assert traj.stats["steps"] > 100
         np.testing.assert_allclose(traj.states[:, 0], np.exp(-t_eval), rtol=0, atol=1e-11)
 
@@ -230,19 +231,22 @@ class TestSolverPath:
         with pytest.raises(ContractViolation, match="record_every"):
             integrate(fld, [1.0, 0.0], (0.0, 3.0), rtol=1e-10, record_every=5)
 
-    def test_step_budget_stiffness_error(self):
+    def test_step_budget_stiffness_error(self, monkeypatch):
+        monkeypatch.setattr(flows, "MAX_RECORD_STEPS", 5)
         with pytest.raises(StiffnessError, match="Excess work"):
-            integrate(lambda t, u: -1e6 * u, [1.0], (0.0, 10.0), rtol=1e-12, max_steps=5)
+            integrate(lambda t, u: -1e6 * u, [1.0], (0.0, 10.0), rtol=1e-12)
 
     @JAC_CASES
     def test_step_underflow_stiffness_error(self, with_jac):
         # f jumps by 1e20 at t = 0.5: no step above the spacing of t passes
         # the error test there, and LSODA, whose t + h then equals t, creeps
-        # until the step budget runs out
+        # until the step budget runs out, a fraction of a second at its size
         fld = _field(lambda t, u: -u if t <= 0.5 else np.full_like(u, 1e20),
                      lambda t, u: np.array([[-1.0 if t <= 0.5 else 0.0]]), with_jac)
+        start = time.perf_counter()
         with pytest.raises(StiffnessError, match="Excess work.*"):
-            integrate(fld, [2.0], (0.0, 1.0), rtol=1e-6, max_steps=10_000)
+            integrate(fld, [2.0], (0.0, 1.0), rtol=1e-6)
+        assert time.perf_counter() - start < 10.0
 
     @JAC_CASES
     def test_divergence_error_keeps_last_state(self, with_jac):
@@ -335,11 +339,10 @@ class TestSolverPath:
                                        "bdf_records"}
             assert traj.stats["method"] == "LSODA" and traj.stats["rtol"] == 1e-6
             assert traj.stats["nfev"] >= traj.stats["steps"] > 0
-        fixed = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), dt=0.1)
-        assert fixed.stats == {"accepted": 10, "rejected": 0, "nfev": 40}
-        # a linear field's step is its one-step matrix: no evaluations of f
-        linear = integrate(linear_field(-np.eye(1)), [1.0], (0.0, 1.0), dt=0.1)
-        assert linear.stats == {"accepted": 10, "rejected": 0, "nfev": 0}
+        # a fixed step makes four evaluations of f, a linear field's too
+        for fld in (lambda t, u: -u, linear_field(-np.eye(1))):
+            fixed = integrate(fld, [1.0], (0.0, 1.0), dt=0.1)
+            assert fixed.stats == {"accepted": 10, "rejected": 0, "nfev": 40}
 
     def test_integrator_entry_reports_the_run_it_is_given(self):
         traj = integrate(linear_field(self.STIFF), [1.0, 1.0], (0.0, 1.0), rtol=1e-8)
@@ -422,8 +425,9 @@ class TestRK4Grid:
 
 
 def _linear_cases():
-    """(field, stable dt) per linear field: heat on 1-D periodic, Neumann and
-    Dirichlet grids and a 2-D periodic grid, a dense and a sparse matrix."""
+    """(field, A, stable dt) per linear field f(t, u) = A u: heat on 1-D
+    periodic, Neumann and Dirichlet grids and a 2-D periodic grid, a dense
+    and a sparse matrix."""
     rng = np.random.default_rng(3)
     cases = {}
     for boundary in ("periodic", "neumann", "dirichlet"):
@@ -435,15 +439,32 @@ def _linear_cases():
     cases["dense"] = (linear_field(-B @ B.T / 6 - np.eye(6) + (C - C.T) / 2), 0.05)
     S = sp.random(40, 40, density=0.1, random_state=1, format="csr")
     cases["sparse"] = (linear_field(S - 3.0 * sp.identity(40, format="csr")), 0.05)
-    return cases
+    return {name: (fld, _dense(fld.jacobian(0.0, np.zeros(fld.dim))), dt)
+            for name, (fld, dt) in cases.items()}
+
+
+def _dense(A):
+    return A.toarray() if sp.issparse(A) else np.asarray(A)
 
 
 LINEAR_CASES = _linear_cases()
 
 
-def _four_stage(fld):
-    """The same field without its matrix: RK4 takes its four stages."""
-    return dataclasses.replace(fld, matrix=None)
+def _one_step_matrix(A, dt):
+    """RK4's one-step matrix for f(t, u) = A u, the degree-4 Taylor
+    polynomial of exp(dt A): I + dt A (I + dt A/2 (I + dt A/3 (I + dt A/4)))."""
+    P = eye = np.eye(A.shape[0])
+    for k in (4, 3, 2, 1):
+        P = eye + (dt / k) * (A @ P)
+    return P
+
+
+def _matrix_steps(P, u0, nsteps):
+    """u0 and its nsteps products by P, one row each."""
+    states = [u0]
+    for _ in range(nsteps):
+        states.append(P @ states[-1])
+    return np.array(states)
 
 
 def _csr_cases():
@@ -507,84 +528,73 @@ class TestMatvec:
 
 
 class TestRK4OneStepMatrix:
+    """Fixed-step RK4, which the vanishing-viscosity scheme runs, takes four
+    evaluations of f per step; for a linear field that step is one product
+    by its one-step matrix, the oracle here."""
+
     @pytest.mark.parametrize("name", list(LINEAR_CASES))
     @pytest.mark.parametrize("nsteps", [1, 640])
     def test_matrix_step_is_the_four_stage_step(self, name, nsteps):
-        fld, dt = LINEAR_CASES[name]
-        assert fld.matrix is not None
+        fld, A, dt = LINEAR_CASES[name]
         u0 = np.random.default_rng(nsteps).standard_normal(fld.dim)
         span = (0.0, nsteps * dt)
+        assert rk4_steps(*span, dt) == (nsteps, pytest.approx(dt, rel=1e-15))
         got = integrate(fld, u0, span, dt=dt, record_every=64)
-        want = integrate(_four_stage(fld), u0, span, dt=dt, record_every=64)
-        assert np.array_equal(got.times, want.times)
-        assert (np.max(np.abs(got.states - want.states))
-                <= 1e-13 * np.max(np.abs(want.states)))
-        assert got.stats["nfev"] == 0 and want.stats["nfev"] == 4 * nsteps
+        want = _matrix_steps(_one_step_matrix(A, rk4_steps(*span, dt)[1]), u0, nsteps)
+        want = want[np.unique(np.r_[0:nsteps + 1:64, nsteps])]
+        assert np.array_equal(got.times, rk4_record_times(*span, dt, 64))
+        assert np.max(np.abs(got.states - want)) <= 1e-13 * np.max(np.abs(want))
+        assert got.stats["nfev"] == 4 * nsteps
 
-    @pytest.mark.parametrize("matrix", [True, False])
-    def test_one_step_call_per_accepted_step(self, monkeypatch, matrix):
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_one_step_call_per_accepted_step(self, monkeypatch, linear):
         calls = []
         step = flows._rk4_step
 
-        def counted(f, t, u, dt, Pu=None):
-            calls.append(Pu is not None)
-            return step(f, t, u, dt, Pu)
+        def counted(f, t, u, dt):
+            calls.append(t)
+            return step(f, t, u, dt)
 
         monkeypatch.setattr(flows, "_rk4_step", counted)
-        fld, dt = LINEAR_CASES["neumann"]
-        fld = fld if matrix else _four_stage(fld)
-        traj = integrate(fld, np.ones(fld.dim), (0.0, 37 * dt), dt=dt, record_every=5)
-        assert calls == [matrix] * traj.stats["accepted"] and len(calls) == 37
-        calls.clear()
-        traj = integrate(lambda t, u: -u**3, [1.0], (0.0, 1.0), dt=0.1)
-        assert calls == [False] * traj.stats["accepted"] and len(calls) == 10
+        if linear:
+            fld, _, dt = LINEAR_CASES["neumann"]
+            traj = integrate(fld, np.ones(fld.dim), (0.0, 37 * dt), dt=dt, record_every=5)
+            assert len(calls) == 37
+        else:
+            traj = integrate(lambda t, u: -u**3, [1.0], (0.0, 1.0), dt=0.1)
+            assert len(calls) == 10
+        assert len(calls) == traj.stats["accepted"] and traj.stats["rejected"] == 0
 
-    def test_heat_run_is_repeated_one_step_products(self, monkeypatch):
-        # n = 16 periodic heat, as in the symmetry and subspace configs: each
-        # step is one _rk4_step call, equal to P @ u by scipy's own dispatch
+    def test_heat_run_is_repeated_one_step_products(self):
+        # n = 16 periodic heat at its explicit stability step, 500 steps
         disc = pde.build_discretization(16, boundary="periodic")
         fld = pde.heat_field(disc)
         span = (0.0, 500 * 0.2 * disc.h**2)
         nsteps, dt = rk4_steps(*span, 0.2 * disc.h**2)
         assert nsteps == 500
-        calls = []
-        step = flows._rk4_step
-
-        def counted(f, t, u, dt, Pu=None):
-            calls.append(Pu is not None)
-            return step(f, t, u, dt, Pu)
-
-        monkeypatch.setattr(flows, "_rk4_step", counted)
         u = np.random.default_rng(16).standard_normal(16)
         traj = integrate(fld, u, span, dt=0.2 * disc.h**2)
-        P = flows._rk4_matrix(fld.matrix, dt)
-        want = [u]
-        for _ in range(nsteps):
-            want.append(P @ want[-1])
-        assert calls == [True] * nsteps
-        assert _same_bits(traj.states, np.array(want))
+        want = _matrix_steps(_one_step_matrix(disc.laplacian.toarray(), dt), u, nsteps)
+        assert np.max(np.abs(traj.states - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name", list(LINEAR_CASES))
     def test_both_steps_diverge_together(self, name):
         # an unstable dt for a field scaled to spectral radius 1: the four
-        # stages' f values then stay below the state they build, so both
-        # paths overflow in the same step (f values |A| times larger than
-        # the state can overflow a step sooner on the four-stage path)
-        fld, _ = LINEAR_CASES[name]
-        A = fld.matrix.toarray() if sp.issparse(fld.matrix) else fld.matrix
-        fld = linear_field(fld.matrix / np.max(np.abs(np.linalg.eigvals(A))))
-        u0 = np.random.default_rng(4).standard_normal(fld.dim)
-        errs = []
-        for f in (fld, _four_stage(fld)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(DivergenceError) as err:
-                    integrate(f, u0, (0.0, 1e9), dt=1e3)
-            errs.append(err.value)
-        got, want = errs
-        assert got.t == want.t
-        assert np.all(np.isfinite(got.last_state)) and np.all(np.isfinite(want.last_state))
-        assert (np.max(np.abs(got.last_state - want.last_state))
-                <= 1e-13 * np.max(np.abs(want.last_state)))
+        # stages' f values then stay below the state they build, so the
+        # stages overflow in the step in which the matrix products do
+        _, A, _ = LINEAR_CASES[name]
+        A = A / np.max(np.abs(np.linalg.eigvals(A)))
+        P = _one_step_matrix(A, 1e3)
+        u0 = np.random.default_rng(4).standard_normal(A.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                integrate(linear_field(A), u0, (0.0, 1e9), dt=1e3)
+            u, k = u0, 0
+            while np.isfinite(P @ u).all():
+                u, k = P @ u, k + 1
+        assert err.value.t == pytest.approx(1e3 * (k + 1), rel=1e-15)
+        assert np.all(np.isfinite(err.value.last_state))
+        assert np.max(np.abs(err.value.last_state - u)) <= 1e-13 * np.max(np.abs(u))
 
 
 class TestVariational:
@@ -833,7 +843,9 @@ class TestVariationalSolverPath:
         with pytest.raises(ContractViolation):
             integrate_variational(linear_field(SHEAR), np.ones(2), np.zeros(2), (0.0, 1.0), 0.1)
 
-    def test_grid_field_runs_rk4(self):
+    def test_grid_field_runs_lsoda(self):
+        # a field on a grid takes the one simulation path: LSODA, recorded
+        # where RK4 at its stability step would record
         from contractkit.pde import build_discretization, heat_field
 
         disc = build_discretization(16, boundary="neumann")
@@ -842,12 +854,12 @@ class TestVariationalSolverPath:
         rng = np.random.default_rng(4)
         u0, du0 = rng.standard_normal(16), rng.standard_normal(16)
         traj = integrate_variational(fld, u0, du0, (0.0, 0.05), dt, record_every=5)
-        assert "method" not in traj.stats
-        assert traj.stats["accepted"] == rk4_steps(0.0, 0.05, dt)[0]
+        assert traj.stats["method"] == "LSODA" and traj.stats["rtol"] == ODE_RTOL
         assert np.array_equal(traj.times, rk4_record_times(0.0, 0.05, dt, 5))
         L = fld.jacobian(0.0, u0).toarray()
-        np.testing.assert_allclose(traj.perturbations[-1], sla.expm(0.05 * L) @ du0,
-                                   atol=1e-6)
+        for t, u, du in zip(traj.times, traj.states, traj.perturbations):
+            np.testing.assert_allclose(u, sla.expm(t * L) @ u0, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(du, sla.expm(t * L) @ du0, rtol=0, atol=1e-10)
 
 
 class TestMLE:
@@ -912,12 +924,21 @@ class TestMLE:
         with pytest.raises(ContractViolation, match="longer than the run"):
             mle_estimate(np.diag([-1.0, -2.0]), np.zeros(2), (0.0, 40.0), 100.0)
 
-    def test_grid_field_refused(self):
-        from contractkit.pde import build_discretization, heat_field
+    def test_grid_field_matches_expm(self):
+        # the Dirichlet heat field: every mode decays, the slowest at minus
+        # the discrete Poincare constant
+        from contractkit.pde import build_discretization, dirichlet_poincare_constant, heat_field
 
-        disc = build_discretization(8, boundary="neumann")
-        with pytest.raises(ContractViolation, match="off the grid"):
-            mle_estimate(heat_field(disc, 1.0), np.zeros(8), (0.0, 1.0), 0.5)
+        disc = build_discretization(8, boundary="dirichlet")
+        est = mle_estimate(heat_field(disc, 1.0), np.zeros(8), (0.0, 2.0), 0.1, seed=3)
+        du0 = np.random.default_rng(3).standard_normal(8)
+        L = disc.laplacian.toarray()
+        exact = [np.log(np.linalg.norm(sla.expm(t * L) @ du0) / np.linalg.norm(du0)) / t
+                 for t in est.times]
+        assert len(est.times) == 20 and est.integrator["method"] == "LSODA"
+        np.testing.assert_allclose(est.history, exact, rtol=0, atol=1e-9)
+        # log(|e^{tL} du0| / |du0|) / t tends to the slowest rate like 1 / t
+        assert est.value == pytest.approx(-dirichlet_poincare_constant(8, disc.h), rel=0.1)
 
 
 class TestFitDecay:

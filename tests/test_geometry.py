@@ -3,9 +3,10 @@ and phase-locking."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.optimize import brentq
 
-from contractkit import geometry, sampling, systems, weights
+from contractkit import geometry, sampling, systems
 from contractkit.errors import ContractViolation
 from contractkit.flows import (
     VectorField,
@@ -13,8 +14,6 @@ from contractkit.flows import (
     integrate,
     linear_field,
     rk4_record_times,
-    rk4_steps,
-    simulate_flow,
 )
 from contractkit.geometry import (
     ODE_RTOL,
@@ -131,11 +130,34 @@ class TestSubspaceContraction:
         assert rep["rate"].value == pytest.approx(neumann_second_eigenvalue(16, disc.h),
                                                   rel=1e-10)
         assert rep["sim"]["check"].passed
-        # a field on a grid keeps fixed-step RK4 at its stability step; the
-        # heat field is linear, so each step is its one-step matrix, no f
-        nsteps = rk4_steps(0.0, 0.5, sim.dt)[0]
-        assert rep["sim"]["integrator"] == {"method": "RK4", "rtol": None,
-                                            "steps": 3 * nsteps, "nfev": 0}
+        # a field on a grid takes the one simulation path, LSODA
+        entry = rep["sim"]["integrator"]
+        assert entry["method"] == "LSODA" and entry["rtol"] == ODE_RTOL
+        assert entry["nfev"] >= entry["steps"] > 0
+        # each fit reads the decay above the solver's error floor
+        assert all(0.0 < fit["floor"] < 1e-8 for fit in rep["sim"]["fits"])
+
+    def test_heat_cross_check_trajectory_matches_expm(self, monkeypatch):
+        # the sim trajectories record exactly where RK4 at the stability
+        # step would, and match the matrix exponential to 1e-9
+        runs = []
+
+        def spy(*args):
+            runs.append((args[1], simulate(*args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(geometry, "simulate", spy)
+        disc = build_discretization(16, boundary="neumann")
+        sim = SimCheck(t_end=0.5, dt=0.2 * disc.h**2, n_ic=3, seed=5, record_every=5)
+        certify_subspace_contraction(heat_field(disc, 1.0), Projector.mean(16), spec=L2,
+                                     sampler=sampling.gaussian_samples(6, 16, seed=4),
+                                     sim=sim, grid=disc.grid)
+        assert len(runs) == 3
+        L = disc.laplacian.toarray()
+        for u0, traj in runs:
+            assert np.array_equal(traj.times, rk4_record_times(0.0, 0.5, sim.dt, 5))
+            exact = np.array([sla.expm(t * L) @ u0 for t in traj.times])
+            assert np.max(np.abs(traj.states - exact)) <= 1e-9
 
     def test_identity_dynamics_not_certified(self):
         fld = VectorField(f=lambda t, u: u, jac=lambda t, u: np.eye(6), dim=6)
@@ -172,15 +194,15 @@ class TestSubspaceContraction:
             certify_subspace_contraction(fld, Projector(np.eye(4)), spec=L2,
                                          sampler=sampling.gaussian_samples(2, 4, seed=0))
 
-    def test_inner_weight_gives_asymptotic_variant(self):
+    def test_heat_certified_without_sim(self):
+        # the certificate is uniform in the mean-complement seminorm
         disc = build_discretization(8, boundary="neumann")
-        fld = heat_field(disc, 1.0)
         rep = certify_subspace_contraction(
-            fld, Projector.mean(8), spec=L2,
-            sampler=sampling.gaussian_samples(4, 8, seed=7),
-            inner_theta=weights.identity(), grid=disc.grid)
-        assert rep["asymptotic"]
-        assert rep["certified"]
+            heat_field(disc, 1.0), Projector.mean(8), spec=L2,
+            sampler=sampling.gaussian_samples(4, 8, seed=7), grid=disc.grid)
+        assert rep["certified"] and "sim" not in rep and "asymptotic" not in rep
+        assert rep["rate"].value == pytest.approx(neumann_second_eigenvalue(8, disc.h),
+                                                  rel=1e-10)
 
 
 class TestManifold:
@@ -340,16 +362,20 @@ class TestTemporalSymmetry:
         # snapshots differ by a factor e^{-tau} each period
         assert np.allclose(ratios[1:4], np.exp(-1.0), rtol=0.05)
 
-    @pytest.mark.parametrize("dt", [0.3, 0.07])
-    def test_snapshots_a_period_apart_off_the_step_grid(self, monkeypatch, dt):
-        # 1 / dt is no whole number of steps; the snapshots are still at m tau
+    def _spy(self, monkeypatch):
         runs = []
 
         def spy(*args, **kwargs):
-            runs.append(simulate_flow(*args, **kwargs))
+            runs.append(integrate(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(geometry, "simulate_flow", spy)
+        monkeypatch.setattr(geometry, "integrate", spy)
+        return runs
+
+    @pytest.mark.parametrize("dt", [0.3, 0.07])
+    def test_snapshots_a_period_apart_off_the_step_grid(self, monkeypatch, dt):
+        # 1 / dt is no whole number of steps; the snapshots are still at m tau
+        runs = self._spy(monkeypatch)
         sim = SimCheck(t_end=8.0, dt=dt, n_ic=1, seed=18)
         rep = check_temporal_symmetry(self._forced(), 1.0,
                                       sampling.gaussian_samples(5, 1, seed=19,
@@ -358,8 +384,13 @@ class TestTemporalSymmetry:
         assert np.array_equal(runs[0].times, np.arange(10.0))
         assert rep["sim"]["geometric_decay"].passed
 
-    def _rk4_simulate(self, f, u0, t_span, dt, record_every=1, t_eval=None):
-        return integrate(f, u0, t_span, dt=dt, record_every=record_every)
+    def _rk4_integrate(self, f, u0, t_span, rtol, t_eval):
+        # RK4 at the sim's step 1e-3, recorded every tau = 1, its stats in the
+        # keys of an integrator entry
+        traj = integrate(f, u0, t_span, dt=1e-3, record_every=1000)
+        traj.stats = {"method": "RK4", "rtol": None, "steps": traj.stats["accepted"],
+                      "nfev": traj.stats["nfev"], "njev": 0, "bdf_records": 0}
+        return traj
 
     @pytest.mark.parametrize("t_end", [15.0, 30.0, 40.0])
     def test_long_run_verdict_matches_rk4(self, monkeypatch, t_end):
@@ -368,7 +399,7 @@ class TestTemporalSymmetry:
         rate = RateEstimate(-1.0, "eigen")
         rep = check_temporal_symmetry(self._forced(), 1.0, sampler, sim=sim, rate=rate)
         assert rep["sim"]["integrator"]["method"] == "LSODA"
-        monkeypatch.setattr(geometry, "simulate_flow", self._rk4_simulate)
+        monkeypatch.setattr(geometry, "integrate", self._rk4_integrate)
         ref = check_temporal_symmetry(self._forced(), 1.0, sampler, sim=sim, rate=rate)
         assert ref["sim"]["integrator"]["method"] == "RK4"
         assert rep["sim"]["geometric_decay"].passed and ref["sim"]["geometric_decay"].passed
@@ -378,31 +409,27 @@ class TestTemporalSymmetry:
             # ratios reach 1
             assert np.max(rep["sim"]["decay_ratios"]) >= 1.0
 
-    def test_grid_field_refuses_snapshots_off_the_period(self):
-        # autonomous periodic heat: any tau is a symmetry, but RK4 at dt
-        # takes 50.5 steps per tau = 0.0505, so no record is a period apart
+    def test_grid_field_snapshots_any_period_apart(self, monkeypatch):
+        # autonomous periodic heat: any tau is a symmetry; tau = 0.0505 is
+        # 50.5 steps of 1e-3, and the snapshots are still a period apart
+        runs = self._spy(monkeypatch)
         disc = build_discretization(16, boundary="periodic")
         sampler = sampling.gaussian_samples(3, 16, seed=21, t_range=(0.0, 1.0))
         sim = SimCheck(t_end=0.2, dt=1e-3, n_ic=1, seed=22)
-        with pytest.raises(ContractViolation, match="whole number"):
-            check_temporal_symmetry(heat_field(disc, 1.0), 0.0505, sampler, sim=sim,
-                                    rate=RateEstimate(-1.0, "eigen"))
+        rep = check_temporal_symmetry(heat_field(disc, 1.0), 0.0505, sampler, sim=sim,
+                                      rate=RateEstimate(-1.0, "eigen"))
+        assert np.array_equal(runs[0].times, 0.0505 * np.arange(5))
+        assert rep["passed"] and rep["sim"]["geometric_decay"].passed
 
     def test_grid_field_snapshots_a_period_apart(self, monkeypatch):
-        runs = []
-
-        def spy(*args, **kwargs):
-            runs.append(simulate_flow(*args, **kwargs))
-            return runs[-1]
-
-        monkeypatch.setattr(geometry, "simulate_flow", spy)
+        runs = self._spy(monkeypatch)
         disc = build_discretization(16, boundary="periodic")
         sampler = sampling.gaussian_samples(3, 16, seed=21, t_range=(0.0, 1.0))
         sim = SimCheck(t_end=0.2, dt=1e-3, n_ic=1, seed=22)
         rep = check_temporal_symmetry(heat_field(disc, 1.0), 0.05, sampler, sim=sim,
                                       rate=RateEstimate(-1.0, "eigen"))
-        assert runs[0].stats["accepted"] == 250
-        np.testing.assert_allclose(runs[0].times, 0.05 * np.arange(6), rtol=0, atol=1e-12)
+        assert runs[0].stats["method"] == "LSODA"
+        assert np.array_equal(runs[0].times, 0.05 * np.arange(6))
         assert rep["passed"] and rep["sim"]["geometric_decay"].passed
         # the off-mean part decays by e^{lambda_2 tau} each period
         lam2 = -2.0 / disc.h**2 * (1.0 - np.cos(2.0 * np.pi / 16))

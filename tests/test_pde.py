@@ -5,11 +5,13 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from contractkit import cli, flows, pde, sampling
 from contractkit.errors import ContractViolation
-from contractkit.flows import ODE_RTOL, fd_jacobian, integrate, linear_field, rk4_record_times
+from contractkit.flows import (ODE_RTOL, fd_jacobian, integrate, linear_field, rk4_record_times,
+                               simulate_flow)
 from contractkit.reporting import checks_in
 from contractkit.sip import L2, NormSpec, norm
 
@@ -265,14 +267,16 @@ class TestGridFields:
         assert np.max(np.abs(J - fd_jacobian(fld.eval, 0.0, z))) <= 1e-6 * np.max(np.abs(J))
 
     @staticmethod
-    def _dense_reaction_diffusion_jacobian(disc, alphas, reaction, z):
-        # the dense construction the sparse Jacobian replaces: the diffusion
-        # matrix, plus the (i, j) species coupling on the diagonal of block (i, j)
+    def _sparse_reaction_diffusion_jacobian(disc, alphas, reaction, z):
+        # the sparse construction: the diffusion matrix's COO entries, plus
+        # the (i, j) species coupling on the diagonal of block (i, j)
         m, npts = reaction.n_species, disc.npoints
-        J = sp.kron(sp.diags(np.atleast_1d(alphas)), disc.laplacian).toarray()
+        D = sp.kron(sp.diags(np.broadcast_to(alphas, (m,))), disc.laplacian).tocoo()
         i, j, k = np.indices((m, m, npts)).reshape(3, -1)
-        J[i * npts + k, j * npts + k] += reaction.jac(z.reshape(m, npts)).ravel()
-        return J
+        vals = reaction.jac(z.reshape(m, npts)).ravel()
+        return sp.csc_matrix((np.r_[D.data, vals],
+                              (np.r_[D.row, i * npts + k], np.r_[D.col, j * npts + k])),
+                             shape=D.shape)
 
     @pytest.mark.parametrize("species,n", [(1, 16), (2, 64)])
     def test_reaction_diffusion_jacobian_is_the_dense_one_sparse(self, species, n):
@@ -283,18 +287,28 @@ class TestGridFields:
         else:
             alphas, r = [1e-3, 0.1], pde.brusselator_reaction(a=1.0, b=1.8)
             z = (r.steady_state[:, None] + 0.3 * self.rng.standard_normal((2, n))).ravel()
-        J = pde.reaction_diffusion_field(disc, alphas, r).jacobian(0.0, z)
-        assert sp.issparse(J) and J.format == "csc"
-        assert np.array_equal(J.toarray(), self._dense_reaction_diffusion_jacobian(
-            disc, alphas, r, z))
+        fld = pde.reaction_diffusion_field(disc, alphas, r)
+        J = fld.jacobian(0.0, z)
+        # dense, with the bits of the sparse construction
+        assert isinstance(J, np.ndarray)
+        assert np.array_equal(J, self._sparse_reaction_diffusion_jacobian(
+            disc, alphas, r, z).toarray())
+        # each call copies the stored diffusion matrix
+        J[:] = np.nan
+        assert np.array_equal(fld.jacobian(0.0, z), self._sparse_reaction_diffusion_jacobian(
+            disc, alphas, r, z).toarray())
 
     def test_poisson_jacobian_is_the_dense_one_sparse(self):
         disc = pde.build_discretization(32, boundary="dirichlet")
         fn, dfn = pde.sine_reaction(5.0)
         u = self.rng.standard_normal(32)
-        J = pde.poisson_gradient_flow(disc, fn, dfn).jacobian(0.0, u)
-        assert sp.issparse(J) and J.format == "csc"
-        assert np.array_equal(J.toarray(), disc.laplacian.toarray() + np.diag(dfn(u)))
+        fld = pde.poisson_gradient_flow(disc, fn, dfn)
+        J = fld.jacobian(0.0, u)
+        # dense, with the bits of the sparse sum
+        assert isinstance(J, np.ndarray)
+        assert np.array_equal(J, (disc.laplacian + sp.diags(dfn(u))).toarray())
+        J[:] = np.nan
+        assert np.array_equal(fld.jacobian(0.0, u), disc.laplacian.toarray() + np.diag(dfn(u)))
 
 
 class TestHeatExperiment:
@@ -316,6 +330,28 @@ class TestHeatExperiment:
         (check,) = [c for c in rep["checks"] if c.name == "fitted_decay_within_2pct"]
         assert check.passed
         assert check.value <= 1e-4
+
+    def test_records_match_expm(self, monkeypatch):
+        # the records of the experiment's run, at the times fixed-step RK4 at
+        # the stability step would record, are e^{t alpha L} u0 to 1e-9
+        runs = []
+
+        def spy(fld, u0, *args):
+            runs.append((np.array(u0), simulate_flow(fld, u0, *args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(pde, "simulate_flow", spy)
+        rep, series = pde.heat_zero_flux_experiment(n=16, alpha=0.7, t_end=0.5, seed=3,
+                                                    dims=1)
+        ((u0, traj),) = runs
+        disc = pde.build_discretization(16, boundary="neumann")
+        dt = 0.2 * disc.h**2 / 0.7
+        assert np.array_equal(traj.times, rk4_record_times(0.0, 0.5, dt, 2))
+        assert np.array_equal(series["decay"][1][0], traj.times)
+        L = 0.7 * disc.laplacian.toarray()
+        exact = np.array([sla.expm(t * L) @ u0 for t in traj.times])
+        assert np.max(np.abs(traj.states - exact)) <= 1e-9
+        assert rep["mass_drift"] <= 1e-13
 
     def test_constant_initial_state_stays_flat(self):
         disc = pde.build_discretization(16, boundary="neumann")
@@ -387,17 +423,17 @@ class TestReactionDiffusion:
 
         runs = []
 
-        def spy(fld, u0, t_span, **kwargs):
-            runs.append((fld, np.array(u0), integrate(fld, u0, t_span, **kwargs)))
+        def spy(fld, u0, *args):
+            runs.append((fld, np.array(u0), simulate_flow(fld, u0, *args)))
             return runs[-1][2]
 
-        monkeypatch.setattr(pde, "integrate", spy)
+        monkeypatch.setattr(pde, "simulate_flow", spy)
         pde.reaction_diffusion_experiment(n=16, alphas=0.5, reaction=pde.allen_cahn_reaction(),
                                           t_end=6.0, seed=0, amplitude=0.05)
         ((fld, u0, traj),) = runs
         ref = solve_ivp(fld.eval, (0.0, traj.times[-1]), u0, method="Radau", rtol=1e-13,
                         atol=1e-13, t_eval=traj.times,
-                        jac=lambda t, u: fld.jacobian(t, u).toarray())
+                        jac=fld.jacobian)
         assert np.max(np.abs(traj.states - ref.y.T)) <= 3.9e-9
 
     def test_report_names_the_integrator(self):
@@ -463,9 +499,7 @@ class TestPoisson:
         assert np.array_equal(stacked.eval(0.0, z),
                               np.concatenate([one.eval(0.0, u) for u in us]))
         J = stacked.jacobian(0.0, z)
-        assert sp.issparse(J) and J.format == "csc"
-        assert np.array_equal(J.toarray(),
-                              sp.block_diag([one.jacobian(0.0, u) for u in us]).toarray())
+        assert np.array_equal(J, sla.block_diag(*[one.jacobian(0.0, u) for u in us]))
 
     def test_single_initial_state(self):
         # the experiment stacks _POISSON_N_INIT flows; one flow alone, run as
@@ -583,9 +617,9 @@ class TestStackedFamily:
         calls = []
         step = flows._rk4_step
 
-        def counted(f, t, u, dt, Pu=None):
+        def counted(f, t, u, dt):
             calls.append(u.size)
-            return step(f, t, u, dt, Pu)
+            return step(f, t, u, dt)
 
         monkeypatch.setattr(flows, "_rk4_step", counted)
         name, seed, _, params = cli.parse_config(os.path.join(CONFIG_DIR, "vanishing_osl.cfg"))

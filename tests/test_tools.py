@@ -97,15 +97,62 @@ def test_numeric_changes_per_column_and_per_key(tmp_path):
     ]
 
 
+def _count_pairs(lines):
+    """The "name=default" pairs of ``module:name(...)`` lines, the commas
+    inside a default's own brackets left out."""
+    assert lines and all(re.fullmatch(r"\w+:\w+\(.+\)", line) for line in lines)
+    count = 0
+    for line in lines:
+        inner, depth, top = line[line.index("(") + 1:-1], 0, [""]
+        for ch in inner:
+            depth += (ch in "([{") - (ch in ")]}")
+            if ch == "," and depth == 0:
+                top.append("")
+            else:
+                top[-1] += ch
+        count += sum(bool(re.match(r"\s*\w+=", pair)) for pair in top)
+    return count
+
+
 def test_src_stats_lists_every_optional_parameter():
     out = subprocess.run([sys.executable, os.path.join(REPO, "tools", "src_stats.py")],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stdout + out.stderr
-    table, listing = out.stdout.split("\n\n", 1)
-    total = int(re.search(r"^total\s+\d+\s+(\d+)$", table, re.MULTILINE).group(1))
-    lines = listing.splitlines()
-    assert lines and all(re.fullmatch(r"\w+:\w+\(.+\)", line) for line in lines)
-    # one "name=default" per optional parameter
-    params = sum(len(re.findall(r"(?:^|, )\w+=", line[line.index("(") + 1:-1]))
-                 for line in lines)
-    assert params == total
+    table, listing, fields = out.stdout.rstrip("\n").split("\n\n")
+    optional, defaulted = map(int, re.search(r"^total\s+\d+\s+(\d+)\s+(\d+)$", table,
+                                             re.MULTILINE).groups())
+    # one "name=default" per optional parameter, and per defaulted field
+    assert _count_pairs(listing.splitlines()) == optional
+    assert _count_pairs(fields.splitlines()) == defaulted
+    assert "flows:VectorField(jac=None, dim=None, name='', grid=None)" in fields.splitlines()
+
+
+def test_src_stats_counts_dataclass_fields_with_defaults(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "src_stats", os.path.join(REPO, "tools", "src_stats.py"))
+    src_stats = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_stats)
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 1\n"
+        "    z: dict = field(default_factory=dict)\n"
+        "    w: float = field(init=False)\n"
+        "    k: ClassVar[int] = 3\n\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class B:\n"
+        "    s: str = ''\n\n"
+        "class C:\n"
+        "    n: int = 5\n\n"
+        "def f(a, b=2, *, c=None):\n"
+        "    pass\n")
+    lines, defs, classes = src_stats.module_stats(str(path))
+    assert lines == 21
+    assert defs == [("f", [("b", "2"), ("c", "None")])]
+    assert classes == [("A", [("y", "1"), ("z", "field(default_factory=dict)")]),
+                       ("B", [("s", "''")])]
