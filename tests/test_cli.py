@@ -47,6 +47,20 @@ class TestParsing:
             cli.parse_config(write_cfg(tmp_path, cfg))
         assert err.value.field == "mystery"
 
+    @pytest.mark.parametrize("kind", ["spatial", "temporal"])
+    def test_symmetry_takes_no_step(self, tmp_path, capsys, kind):
+        # neither kind reads a step: the spatial run records at RK4's
+        # stability step, the temporal one at t = m tau
+        assert "dt" not in cli.EXPERIMENTS["symmetry"].params
+        cfg = (f"[experiment]\nname = symmetry\noutput_dir = {tmp_path / 'out'}\n\n"
+               f"[params]\nkind = {kind}\nt_end = 3\ndt = 1e-3\n")
+        path = write_cfg(tmp_path, cfg)
+        for command, head in (("run", "config error"), ("validate", "invalid")):
+            assert cli.main([command, path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"{head}: unknown key 'dt' in [params]")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = MEASURE_CFG.format(out=tmp_path) + "\n[extra]\nx = 1\n"
         with pytest.raises(ConfigError):

@@ -387,6 +387,121 @@ class TestSolverPath:
         assert out.stdout.strip() == "False"
 
 
+def _dense_jacobian(fld):
+    """fld with its Jacobian handed out dense: LSODA runs it dense."""
+    return VectorField(f=fld.f, jac=lambda t, u: fld.jacobian(t, u).toarray(), dim=fld.dim)
+
+
+class TestBandedSolver:
+    """A field whose Jacobian is sparse runs LSODA banded, in the order and
+    band read from the pattern of J(u0)."""
+
+    @staticmethod
+    def _burgers(n=256, eps=0.0125):
+        disc = pde.build_discretization(n, boundary="periodic")
+        return pde.burgers_field(disc, eps), np.sin(2.0 * np.pi * np.arange(n) / n)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The layouts the runs read from J(u0)."""
+        layouts = []
+
+        def spy(J):
+            layouts.append(band_layout(J))
+            return layouts[-1]
+
+        band_layout = flows.band_layout
+        monkeypatch.setattr(flows, "band_layout", spy)
+        return layouts
+
+    def test_tridiagonal_field_keeps_the_natural_order(self, monkeypatch):
+        layouts = self._spy(monkeypatch)
+        disc = pde.build_discretization(64, boundary="neumann")
+        integrate(pde.heat_field(disc), np.cos(np.pi * np.arange(64) / 64), (0.0, 0.01),
+                  rtol=ODE_RTOL)
+        assert layouts == [(None, 1, 1)]
+
+    def test_periodic_burgers_is_reordered_to_band_two(self):
+        fld, u0 = self._burgers()
+        perm, ml, mu = flows.band_layout(fld.jacobian(0.0, u0))
+        assert (ml, mu) == (2, 2)
+        assert np.array_equal(np.sort(perm), np.arange(256))
+
+    def test_scrambled_tridiagonal_is_unscrambled(self):
+        n = 64
+        A = pde.build_discretization(n, boundary="dirichlet").laplacian
+        s = np.random.default_rng(0).permutation(n)
+        perm, ml, mu = flows.band_layout(A[s][:, s])
+        assert perm is not None and (ml, mu) == (1, 1)
+
+    def test_pattern_with_no_narrow_band_runs_dense(self):
+        rng = np.random.default_rng(1)
+        A = sp.random(40, 40, density=0.3, random_state=rng, format="csr") - 5 * sp.identity(40)
+        assert flows.band_layout(A) is None
+        # a periodic 16-point field: band 5 in RCM's order, more than 16 / 4
+        disc = pde.build_discretization(16, boundary="periodic")
+        assert flows.band_layout(disc.laplacian) is None
+
+    def test_burgers_banded_matches_dense_run(self):
+        fld, u0 = self._burgers()
+        t_eval = np.linspace(0.0, 0.2, 11)
+        banded = integrate(fld, u0, (0.0, 0.2), rtol=ODE_RTOL, t_eval=t_eval)
+        dense = integrate(_dense_jacobian(fld), u0, (0.0, 0.2), rtol=ODE_RTOL, t_eval=t_eval)
+        assert banded.stats["njev"] >= 1 and banded.stats["bdf_records"] >= 1
+        assert np.max(np.abs(banded.states - dense.states)) <= 1e-10
+
+    def test_entries_outside_the_first_band_cost_no_accuracy(self, monkeypatch):
+        # J(u0) is tridiagonal, as u0[n // 2] = 0; later a coupling of row 0
+        # to the middle entry grows, which the band of J(u0) leaves out
+        layouts = self._spy(monkeypatch)
+        n = 64
+        L = pde.build_discretization(n, boundary="neumann").laplacian
+        c = 20.0
+
+        def f(t, u):
+            out = L @ u
+            out[0] += c * u[n // 2] ** 2
+            return out
+
+        def jac(t, u):
+            return L + sp.csr_matrix(([2 * c * u[n // 2]], ([0], [n // 2])), shape=(n, n))
+
+        fld = VectorField(f=f, jac=jac, dim=n)
+        u0 = np.cos(np.pi * (np.arange(n) + 0.5) / n) + 1.0
+        u0[n // 2] = 0.0
+        t_eval = np.linspace(0.0, 0.5, 6)
+        banded = integrate(fld, u0, (0.0, 0.5), rtol=ODE_RTOL, t_eval=t_eval)
+        assert layouts == [(None, 1, 1)]
+        assert fld.jacobian(0.5, banded.final_state).nnz == L.nnz + 1
+        dense = integrate(_dense_jacobian(fld), u0, (0.0, 0.5), rtol=ODE_RTOL, t_eval=t_eval)
+        assert banded.stats["bdf_records"] >= 1
+        assert np.max(np.abs(banded.states - dense.states)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_vector_field_evaluations_equal_nfev(self, monkeypatch, n):
+        # the reordered run evaluates f through VectorField.eval, once per nfev
+        fld, u0 = self._burgers(n)
+        calls = []
+        ev = VectorField.eval
+
+        def counted(self, t, u):
+            calls.append(u.size)
+            return ev(self, t, u)
+
+        monkeypatch.setattr(VectorField, "eval", counted)
+        traj = integrate(fld, u0, (0.0, 0.1), rtol=ODE_RTOL)
+        assert calls == [n] * traj.stats["nfev"]
+
+    def test_small_field_runs_dense_and_only_lsoda_calls_its_jacobian(self, monkeypatch):
+        layouts = self._spy(monkeypatch)
+        disc = pde.build_discretization(32, boundary="neumann")
+        calls = []
+        A = disc.laplacian
+        fld = VectorField(f=lambda t, u: A @ u, jac=lambda t, u: calls.append(t) or A, dim=32)
+        traj = integrate(fld, np.cos(np.pi * np.arange(32) / 32), (0.0, 0.5), rtol=ODE_RTOL)
+        assert layouts == [] and len(calls) == traj.stats["njev"] >= 1
+
+
 class TestRK4Grid:
     def test_steps(self):
         assert rk4_steps(0.0, 1.0, 0.1) == (10, 0.1)

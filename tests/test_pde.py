@@ -10,8 +10,8 @@ import scipy.sparse as sp
 
 from contractkit import cli, flows, pde, sampling
 from contractkit.errors import ContractViolation
-from contractkit.flows import (ODE_RTOL, fd_jacobian, integrate, linear_field, rk4_record_times,
-                               simulate_flow)
+from contractkit.flows import (ODE_RTOL, fd_jacobian, integrate, integrator_entry, linear_field,
+                               rk4_record_times, simulate_flow)
 from contractkit.reporting import checks_in
 from contractkit.sip import L2, NormSpec, norm
 
@@ -608,25 +608,8 @@ class TestStackedFamily:
         for eps, scheme in ((0.05, "centered"), (0.0, "upwind")):
             assert np.array_equal(fam.field(eps).eval(0.0, u),
                                   pde.burgers_field(disc, eps, scheme=scheme).eval(0.0, u))
-        assert np.array_equal(fam.field(0.05).jacobian(0.0, u),
-                              pde.burgers_field(disc, 0.05).jacobian(0.0, u))
-
-    def test_shipped_vanishing_osl_stacks_levels_of_one_step(self, monkeypatch):
-        # 17, 9, 7 and 7 substeps per record: the two levels of 7 run as one
-        # integration, and so does the translation-invariance pair
-        calls = []
-        step = flows._rk4_step
-
-        def counted(f, t, u, dt):
-            calls.append(u.size)
-            return step(f, t, u, dt)
-
-        monkeypatch.setattr(flows, "_rk4_step", counted)
-        name, seed, _, params = cli.parse_config(os.path.join(CONFIG_DIR, "vanishing_osl.cfg"))
-        rep, _ = cli.EXPERIMENTS[name].runner(params, seed)
-        assert sorted(rep["dt_per_eps"].values()) == [0.0025 / k for k in (17, 9, 7, 7)]
-        assert len(calls) == 6610
-        assert calls.count(512) == 200 * 7 + 10 and calls.count(256) == 200 * (17 + 9)
+        assert np.array_equal(fam.field(0.05).jacobian(0.0, u).toarray(),
+                              pde.burgers_field(disc, 0.05).jacobian(0.0, u).toarray())
 
 
 class TestRegularizedFamily:
@@ -637,10 +620,18 @@ class TestRegularizedFamily:
         fld = pde.burgers_field(disc, 0.05)
         D = derivative_matrix_1d(32, disc.h, "periodic")
         rng = np.random.default_rng(5)
+        patterns = []
         for _ in range(2):
             u = rng.standard_normal(32)
+            J = fld.jacobian(0.0, u)
             expect = (-(D @ sp.diags(u)) + 0.05 * disc.laplacian).toarray()
-            assert np.array_equal(fld.jacobian(0.0, u), expect)
+            assert sp.issparse(J) and J.format == "csr"
+            assert np.array_equal(J.toarray(), expect)
+            patterns.append((J.indptr, J.indices))
+        # one pattern, tridiagonal plus the two corners, whatever u is
+        for a, b in zip(*patterns):
+            assert np.array_equal(a, b)
+        assert patterns[0][1].size == 3 * 32
 
     def test_burgers_eps_residual_decreasing(self):
         fam = pde.burgers_family(n=64, eps_schedule=EPS_SCHEDULE)
@@ -728,6 +719,81 @@ class TestVanishingOSL:
             assert check.value == lam
         assert "uniform_rate_bound" not in above["hypotheses_failed"]
         assert "uniform_rate_bound" in below["hypotheses_failed"]
+
+    @staticmethod
+    def _shipped(monkeypatch):
+        """The shipped config's report, params and the runs of ``simulate_flow``."""
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(simulate_flow(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(pde, "simulate_flow", spy)
+        name, seed, _, params = cli.parse_config(os.path.join(CONFIG_DIR, "vanishing_osl.cfg"))
+        rep, _ = cli.EXPERIMENTS[name].runner(params, seed)
+        return rep, params, runs
+
+    def test_shipped_levels_run_alone_on_lsoda(self, monkeypatch):
+        # each eps > 0 level is one LSODA run of its own 256 unknowns, and the
+        # translation-invariance pair one more of 512: RK4 takes no step
+        calls = []
+        step = flows._rk4_step
+
+        def counted(f, t, u, dt):
+            calls.append(u.size)
+            return step(f, t, u, dt)
+
+        monkeypatch.setattr(flows, "_rk4_step", counted)
+        rep, params, runs = self._shipped(monkeypatch)
+        assert calls == []
+        assert [r.states.shape for r in runs] == [(201, 256)] * 4 + [(2, 512)]
+        assert [r.stats["method"] for r in runs] == ["LSODA"] * 5
+        assert list(rep["integrator_per_eps"]) == [str(e) for e in params["eps_schedule"]]
+        assert list(rep["integrator_per_eps"].values()) == [integrator_entry([r])
+                                                            for r in runs[:4]]
+        # the records of the RK4 grid of 17, 9, 7 and 7 substeps per output
+        # step, and the check parameters set by the stability steps
+        for r, k in zip(runs, (17, 9, 7, 7)):
+            assert np.array_equal(r.times, rk4_record_times(0.0, 0.5, 0.0025 / k, k))
+        assert runs[4].times[-1] == 10 * (0.0025 / 7)
+        assert rep["delta"] == 2 * (0.5 / 200)
+
+    def test_shipped_levels_match_a_radau_reference(self, monkeypatch):
+        from scipy.integrate import solve_ivp
+
+        _, params, runs = self._shipped(monkeypatch)
+        n = params["n"]
+        fam = pde.burgers_family(n, params["eps_schedule"])
+        u0 = np.sin(2.0 * np.pi * np.arange(n) / n)
+        for eps, run in zip(params["eps_schedule"], runs):
+            fld = fam.field(eps)
+            ref = solve_ivp(fld.eval, (0.0, params["t_end"]), u0, method="Radau",
+                            rtol=1e-13, atol=1e-13, jac=fld.jac, t_eval=run.times)
+            assert ref.success
+            assert np.max(np.abs(ref.y.T - run.states)) <= 1e-10, eps
+
+    def test_eps_zero_level_runs_rk4(self, monkeypatch):
+        # the upwind level has no Jacobian: RK4 at its advective step, 4 per
+        # output step here, and its translation pair 10 steps more
+        calls = []
+        step = flows._rk4_step
+
+        def counted(f, t, u, dt):
+            calls.append(u.size)
+            return step(f, t, u, dt)
+
+        monkeypatch.setattr(flows, "_rk4_step", counted)
+        monkeypatch.setattr(pde, "_N_OUT", 20)
+        fam = pde.burgers_family(n=64, eps_schedule=(0.08, 0.04, 0.02, 0.0))
+        x = np.arange(64) / 64
+        rep, _ = pde.vanishing_osl_experiment(fam, np.sin(2 * np.pi * x), p=2.0, t_end=0.1,
+                                              lambda_bound=None, seed=0)
+        runs = rep["integrator_per_eps"]
+        assert [runs[str(e)]["method"] for e in fam.eps_schedule] == ["LSODA"] * 3 + ["RK4"]
+        assert runs["0.0"]["accepted"] == 80 and runs["0.0"]["dt"] == 0.005 / 4
+        assert calls == [64] * 80 + [128] * 10
+        assert not rep["hypotheses_failed"]
 
     def test_weak_form_factors_match_dense_test_functions(self):
         rng = np.random.default_rng(4)

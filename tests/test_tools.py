@@ -34,6 +34,10 @@ def test_compare_configs_of_a_tree_with_itself_has_no_differences(tmp_path):
         out.stdout, re.MULTILINE).groups())
     configs = [f for f in os.listdir(os.path.join(REPO, "configs")) if f.endswith(".cfg")]
     assert runs == len(configs) and files > 0 and diffs == 0
+    # each config's wall seconds on both sides, one line each
+    walls = re.findall(r"^0/(\w+): wall \d+\.\d{3} s BASE, \d+\.\d{3} s NEW "
+                       r"\(one unpaired run each\)$", out.stdout, re.MULTILINE)
+    assert sorted(walls) == sorted(f[:-4] for f in configs)
 
 
 def _tiny_tree(root, matrix):
@@ -62,8 +66,12 @@ def test_compare_configs_removes_its_temporary_directory(tmp_path):
     assert re.search(r"^1 runs, \d+ files from BASE, [1-9]\d* difference\(s\); "
                      r"outputs removed$", out.stdout, re.MULTILINE)
     assert os.listdir(tmp) == []
-    # every file whose bytes differ is followed by its largest numeric changes
+    # the config's wall seconds head its differences, and every file whose
+    # bytes differ is followed by its largest numeric changes
     lines = out.stdout.splitlines()
+    assert re.fullmatch(r"0/measure: wall \d+\.\d{3} s BASE, \d+\.\d{3} s NEW "
+                        r"\(one unpaired run each\)", lines[0])
+    assert lines[1].startswith("0/measure/")
     for i, line in enumerate(lines):
         if line.endswith("bytes differ"):
             assert lines[i + 1].startswith("    ")

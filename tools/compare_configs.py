@@ -13,6 +13,9 @@ the names of the files written and the bytes of each file, prints every
 difference, and exits 1 if there is any, 0 otherwise.  Under each file whose
 bytes differ it prints the largest numeric change, absolute and relative: per
 column of a CSV, per key of ``report.json`` (a list of numbers is one key).
+Each seed and config is headed by its wall seconds on both sides: one
+unpaired run each, in a process that has run the configs before it, so a
+rough guide, not a timing.
 Without ``--work`` the runs go to a temporary directory, removed at the end.
 Uses the standard library only.
 """
@@ -27,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 
 def seeded_config(src_path, dst_path, seed):
@@ -41,7 +45,7 @@ def seeded_config(src_path, dst_path, seed):
 
 def run_tree(tree, out, seeds):
     """Child side: run every config of ``tree`` at every seed in this process
-    and write the exit codes to ``out/exit_codes.json``."""
+    and write the exit codes and wall seconds to ``out/runs.json``."""
     from contractkit import cli
 
     src = os.path.realpath(os.path.join(tree, "src"))
@@ -49,7 +53,7 @@ def run_tree(tree, out, seeds):
         raise SystemExit(f"imported {cli.__file__}, not the package under {src}")
     cfg_dir = os.path.join(tree, "configs")
     names = sorted(f[:-4] for f in os.listdir(cfg_dir) if f.endswith(".cfg"))
-    codes = {}
+    codes, wall = {}, {}
     for seed in seeds:
         for name in names:
             cfg = os.path.join(out, "cfg", str(seed), f"{name}.cfg")
@@ -57,14 +61,16 @@ def run_tree(tree, out, seeds):
             seeded_config(os.path.join(cfg_dir, f"{name}.cfg"), cfg, seed)
             os.environ["CONTRACTKIT_OUTPUT_DIR"] = os.path.join(out, "out", str(seed), name)
             sink = io.StringIO()
+            start = time.perf_counter()
             try:
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                     rc = cli.main(["run", cfg])
             except Exception as exc:  # a crash is an outcome to compare too
                 rc = f"{type(exc).__name__}: {exc}"
+            wall[f"{seed}/{name}"] = time.perf_counter() - start
             codes[f"{seed}/{name}"] = rc
-    with open(os.path.join(out, "exit_codes.json"), "w") as fh:
-        json.dump(codes, fh, indent=1, sort_keys=True)
+    with open(os.path.join(out, "runs.json"), "w") as fh:
+        json.dump({"codes": codes, "wall_s": wall}, fh, indent=1, sort_keys=True)
 
 
 def spawn(tree, out, seeds):
@@ -73,7 +79,7 @@ def spawn(tree, out, seeds):
     cmd = [sys.executable, os.path.abspath(__file__), "--run-tree",
            os.path.abspath(tree), out, *map(str, seeds)]
     subprocess.run(cmd, env=env, cwd=out, check=True)
-    with open(os.path.join(out, "exit_codes.json")) as fh:
+    with open(os.path.join(out, "runs.json")) as fh:
         return json.load(fh)
 
 
@@ -142,24 +148,32 @@ def _short(values):
 
 
 def compare(base_out, new_out, base_codes, new_codes):
-    diffs = []
-    for key in sorted(set(base_codes) | set(new_codes)):
+    """The differences per seed and config ("seed/name"): a line per exit
+    code or file that differs, each file's numeric changes indented under
+    it; and the number of files BASE wrote."""
+    diffs = {key: [] for key in sorted(set(base_codes) | set(new_codes))}
+    for key in diffs:
         a, b = base_codes.get(key, "not run"), new_codes.get(key, "not run")
         if a != b:
-            diffs.append(f"{key}: exit code {a} -> {b}")
+            diffs[key].append(f"{key}: exit code {a} -> {b}")
     fa = files_under(os.path.join(base_out, "out"))
     fb = files_under(os.path.join(new_out, "out"))
     for rel in sorted(set(fa) | set(fb)):
+        lines = diffs.setdefault("/".join(rel.split(os.sep)[:2]), [])
         if rel not in fb:
-            diffs.append(f"{rel}: written by BASE only")
+            lines.append(f"{rel}: written by BASE only")
         elif rel not in fa:
-            diffs.append(f"{rel}: written by NEW only")
+            lines.append(f"{rel}: written by NEW only")
         else:
             with open(fa[rel], "rb") as ha, open(fb[rel], "rb") as hb:
                 if ha.read() != hb.read():
-                    diffs.append(f"{rel}: bytes differ")
-                    diffs.extend(numeric_changes(fa[rel], fb[rel]))
+                    lines.append(f"{rel}: bytes differ")
+                    lines.extend(numeric_changes(fa[rel], fb[rel]))
     return diffs, len(fa)
+
+
+def _seconds(wall, key):
+    return f"{wall[key]:.3f} s" if key in wall else "not run"
 
 
 def main(argv=None):
@@ -182,17 +196,20 @@ def main(argv=None):
             out = os.path.join(os.path.abspath(work), label)
             os.makedirs(out, exist_ok=False)
             outs.append(out)
-        codes = [spawn(tree, out, args.seeds) for tree, out in zip((args.base, args.new), outs)]
-        diffs, nfiles = compare(*outs, *codes)
+        runs = [spawn(tree, out, args.seeds) for tree, out in zip((args.base, args.new), outs)]
+        diffs, nfiles = compare(*outs, *(r["codes"] for r in runs))
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
-    for line in diffs:
-        print(line)
-    ndiff = sum(not line.startswith("    ") for line in diffs)
-    print(f"{len(codes[0])} runs, {nfiles} files from BASE, {ndiff} difference(s); "
+    for key, lines in diffs.items():
+        print(f"{key}: wall {_seconds(runs[0]['wall_s'], key)} BASE, "
+              f"{_seconds(runs[1]['wall_s'], key)} NEW (one unpaired run each)")
+        for line in lines:
+            print(line)
+    ndiff = sum(not line.startswith("    ") for lines in diffs.values() for line in lines)
+    print(f"{len(runs[0]['codes'])} runs, {nfiles} files from BASE, {ndiff} difference(s); "
           f"outputs {'in ' + work if args.work else 'removed'}")
-    return 1 if diffs else 0
+    return 1 if ndiff else 0
 
 
 if __name__ == "__main__":
