@@ -252,7 +252,7 @@ def _run_symmetry(p, seed):
         u_inf = traj.final_state
         inv_res = max(float(np.linalg.norm(T @ u_inf - u_inf)) for T in shifts)
         inv_check = Check.leq("limit_state_invariance", inv_res, 1e-6)
-        rep["limit_invariance"] = inv_check
+        rep["limit_invariance"] = {"check": inv_check.name, "max_residual": inv_res}
         rep["checks"] = rep["checks"] + [inv_check]
         series = {"limit": (["time", "state_spread"], [traj.times, np.ptp(traj.states, axis=1)])}
         return verdict(rep), series

@@ -1,8 +1,8 @@
 """Trajectory and variational integration, growth-bound verification, and
 maximum-Lyapunov-exponent estimation.
 
-``integrate`` has two branches.  With a tolerance ``rtol`` it is one call of
-ODEPACK's LSODA (``scipy.integrate.odeint``, imported only on that branch),
+``integrate`` is the one integrator: one call of ODEPACK's LSODA
+(``scipy.integrate.odeint``, imported on the first run) at ``ODE_RTOL``,
 which runs the whole integration in compiled code, switches between Adams
 (non-stiff) and BDF (stiff) by itself, and interpolates its records from its
 own history at no extra evaluations of f.  BDF gets
@@ -10,19 +10,17 @@ own history at no extra evaluations of f.  BDF gets
 sparse with a narrow band, ``band_layout``), and differences f otherwise.  A
 failed run raises ``DivergenceError`` when f or the state neared overflow or
 LSODA's arithmetic met a non-finite value, and ``StiffnessError`` with
-LSODA's reason otherwise.  With a fixed step ``dt`` it runs classical RK4,
-which only the eps = 0 level of the vanishing-viscosity scheme uses.
-Each constant sparse product of an evaluation is ``matvec``: scipy's CSR
-kernel from the private ``scipy.sparse._sparsetools``, without scipy's
-per-call dispatch, pinned to ``A @ u`` bit for bit by a test.
+LSODA's reason otherwise.  Each constant sparse product of an evaluation is
+``matvec``: scipy's CSR kernel from the private ``scipy.sparse._sparsetools``,
+without scipy's per-call dispatch, pinned to ``A @ u`` bit for bit by a test.
 
 ``simulate_flow`` is the one simulation path: LSODA at ``ODE_RTOL``,
 recorded at the times fixed-step RK4 would record.  The simulation
-cross-checks of ``geometry``, the heat and reaction-diffusion experiments
-and the variational flows (``integrate_variational``,
-``verify_growth_bound`` and ``mle_estimate``, which carry a tangent
-perturbation, and a pair separation, with the state as one augmented field)
-all go through it.
+cross-checks of ``geometry``, the heat, reaction-diffusion and
+vanishing-viscosity experiments and the variational flows
+(``integrate_variational``, ``verify_growth_bound`` and ``mle_estimate``,
+which carry a tangent perturbation, and a pair separation, with the state
+as one augmented field) all go through it.
 """
 
 import math
@@ -133,7 +131,9 @@ class Trajectory:
 
 
 def _rk4_step(f, t, u, dt):
-    """One classical RK4 step."""
+    """One classical RK4 step.  No simulation of the package takes it: it is
+    the step of the tests' fixed-step reference integrator, and the
+    benchmark's tracer counts its calls."""
     h = 0.5 * dt
     k1 = f(t, u)
     k2 = f(t + h, u + h * k1)
@@ -145,19 +145,14 @@ def _rk4_step(f, t, u, dt):
     return np.add(u, acc, out=acc)
 
 
-def _check_finite(u, t, prev):
-    if not np.isfinite(u).all():
-        raise DivergenceError(f"state became non-finite at t={t:.6g}", t=t, last_state=prev)
-
-
-# the tolerance of every adaptive run
+# the tolerance of every integration
 ODE_RTOL = 1e-12
 # LSODA's step budget between two records.  No record interval of a shipped
 # config takes more than about 1,300 steps (Poisson's one interval to
 # t = 400); a run whose step underflows (t + h = t) creeps on until the
 # budget is spent, a fraction of a second at this size
 MAX_RECORD_STEPS = 100_000
-# the counts an adaptive run's stats carry
+# the counts a run's stats carry
 _SOLVER_COUNTS = ("steps", "nfev", "njev", "bdf_records")
 # |f| or |u| above which a failed run counts as divergence
 _NEAR_OVERFLOW = np.finfo(float).max / 2**10
@@ -175,74 +170,16 @@ def rk4_steps(t0, t1, dt):
     return nsteps, (t1 - t0) / nsteps
 
 
-def _check_record_every(record_every):
+def rk4_record_times(t0, t1, dt, record_every):
+    """The times fixed-step RK4 at ``dt`` records when it records every
+    ``record_every``-th step: t0, those steps and the last, which is exactly
+    t1."""
     if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
         raise ContractViolation(f"record_every must be an integer >= 1, got {record_every!r}")
-
-
-def rk4_record_times(t0, t1, dt, record_every):
-    """The times ``integrate(..., dt=dt, record_every=record_every)`` records:
-    t0, every ``record_every``-th step and the last, which is exactly t1."""
-    _check_record_every(record_every)
     nsteps, dt_eff = rk4_steps(t0, t1, dt)
     times = t0 + np.unique(np.r_[0:nsteps + 1:record_every, nsteps]) * dt_eff
     times[-1] = t1
     return times
-
-
-def integrate(f, u0, t_span, dt=None, rtol=None, record_every=1, t_eval=None):
-    """Integrate du/dt = f(t, u) over t_span.
-
-    Give exactly one of ``dt`` or ``rtol``.  ``dt`` runs fixed-step RK4
-    (local truncation error O(dt^5) per step), recording the initial state,
-    every ``record_every``-th step and the last; stats count its steps as
-    ``accepted``/``rejected`` and its ``nfev``.
-    ``rtol`` runs LSODA with absolute tolerance rtol too, recording exactly
-    the times ``t_eval`` (by default t0 and t1; ``record_every`` must be 1),
-    with at most ``MAX_RECORD_STEPS`` steps between two records; stats carry
-    ``method`` ("LSODA"), ``rtol``, ``steps``, ``nfev``, ``njev`` and
-    ``bdf_records``, the records LSODA reached on BDF.  A sparse J(u0) of at
-    least ``_BAND_MIN_DIM`` unknowns runs banded in ``band_layout``'s order;
-    LSODA uses J only in its corrector iteration, so a later entry outside
-    that band costs convergence, not accuracy.  An ``rtol`` run cannot start
-    inside the right-hand side of another (``ContractViolation``).
-    """
-    f = as_vector_field(f)
-    u = np.array(u0, dtype=float).reshape(-1)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ContractViolation("t_span must have t1 > t0")
-    if (dt is None) == (rtol is None):
-        raise ContractViolation("give exactly one of dt or rtol")
-    _check_record_every(record_every)
-    if dt is not None:
-        if t_eval is not None:
-            raise ContractViolation("t_eval needs the adaptive branch (rtol)")
-        times, states, stats = _integrate_rk4(f, u, t0, t1, dt, record_every)
-    else:
-        if record_every != 1:
-            raise ContractViolation("record_every needs the fixed-step branch (dt); "
-                                    "the adaptive branch records at t_eval")
-        times, states, stats = _integrate_solver(f, u, t0, t1, rtol, t_eval)
-    return Trajectory(np.asarray(times), np.asarray(states), stats=stats)
-
-
-def _integrate_rk4(f, u, t0, t1, dt, record_every):
-    if dt <= 0:
-        raise ContractViolation("dt must be positive")
-    nsteps, dt_eff = rk4_steps(t0, t1, dt)
-    times, states, t = [t0], [u.copy()], t0
-    for step in range(nsteps):
-        u_new = _rk4_step(f.eval, t, u, dt_eff)
-        _check_finite(u_new, t + dt_eff, u)
-        u = u_new
-        # exactly t1 after the last step, where t0 + nsteps * dt_eff may
-        # round one ulp past it
-        t = t1 if step == nsteps - 1 else t0 + (step + 1) * dt_eff
-        if (step + 1) % record_every == 0 or step == nsteps - 1:
-            times.append(t)
-            states.append(u.copy())
-    return times, states, {"accepted": nsteps, "rejected": 0, "nfev": 4 * nsteps}
 
 
 def _entries(J):
@@ -278,8 +215,24 @@ def band_layout(J):
     return best if 4 * (sum(best[1:]) + 1) <= n else None
 
 
-def _integrate_solver(f, u, t0, t1, rtol, t_eval):
+def integrate(f, u0, t_span, t_eval=None):
+    """Integrate du/dt = f(t, u) over t_span in one LSODA call at ``ODE_RTOL``
+    (absolute tolerance the same), recording exactly the times ``t_eval`` (by
+    default t0 and t1), with at most ``MAX_RECORD_STEPS`` steps between two
+    records.  Stats carry ``method`` ("LSODA"), ``rtol``, ``steps``,
+    ``nfev``, ``njev`` and ``bdf_records``, the records LSODA reached on BDF.
+    A sparse J(u0) of at least ``_BAND_MIN_DIM`` unknowns runs banded in
+    ``band_layout``'s order; LSODA uses J only in its corrector iteration, so
+    a later entry outside that band, or a kink of f where J is one element
+    of the Clarke Jacobian, costs convergence, not accuracy.  A run cannot
+    start inside the right-hand side of another (``ContractViolation``).
+    """
     global _lsoda_running
+    f = as_vector_field(f)
+    u = np.array(u0, dtype=float).reshape(-1)
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if t1 <= t0:
+        raise ContractViolation("t_span must have t1 > t0")
     if t_eval is None:
         times = t_eval = np.array([t0, t1])
     else:
@@ -291,8 +244,8 @@ def _integrate_solver(f, u, t0, t1, rtol, t_eval):
         # odeint's first row is u0 at its first time, which is t0
         times = t_eval if t_eval[0] == t0 else np.r_[t0, t_eval]
     if _lsoda_running:
-        raise ContractViolation("an rtol integration cannot run inside the right-hand "
-                                "side of another: LSODA keeps its state in global memory")
+        raise ContractViolation("an integration cannot run inside the right-hand side of "
+                                "another: LSODA keeps its state in global memory")
     from scipy.integrate import ODEintWarning, odeint
 
     J0 = None if f.jac is None or u.size < _BAND_MIN_DIM else f.jacobian(t0, u)
@@ -326,7 +279,7 @@ def _integrate_solver(f, u, t0, t1, rtol, t_eval):
             warnings.simplefilter("ignore", ODEintWarning)
             ys, info = odeint(rhs, u if perm is None else u[perm], times,
                               Dfun=None if f.jac is None else jac, ml=ml, mu=mu,
-                              rtol=rtol, atol=rtol, tfirst=True, full_output=True,
+                              rtol=ODE_RTOL, atol=ODE_RTOL, tfirst=True, full_output=True,
                               mxstep=MAX_RECORD_STEPS)
     finally:
         _lsoda_running = False
@@ -337,10 +290,10 @@ def _integrate_solver(f, u, t0, t1, rtol, t_eval):
         # LSODA steps on through nan: the first record that is not finite failed
         finite = np.isfinite(ys).all(axis=1)
         if finite.all():
-            return t_eval, ys[len(times) - len(t_eval):], {
-                "method": "LSODA", "rtol": rtol, "steps": int(info["nst"][-1]),
+            return Trajectory(t_eval, ys[len(times) - len(t_eval):], stats={
+                "method": "LSODA", "rtol": ODE_RTOL, "steps": int(info["nst"][-1]),
                 "nfev": int(info["nfe"][-1]), "njev": int(info["nje"][-1]),
-                "bdf_records": int(np.count_nonzero(info["mused"] == 2))}
+                "bdf_records": int(np.count_nonzero(info["mused"] == 2))})
         k = int(np.argmin(finite))
     else:
         # LSODA writes no row after a failure, nor the info of a row that
@@ -363,8 +316,7 @@ def simulate_flow(f, u0, t_span, dt, record_every=1):
     """Integrate a simulation: LSODA at ``ODE_RTOL``, recorded at the times
     fixed-step RK4 at ``dt`` would record, every ``record_every``-th step
     (``rk4_record_times``), so ``dt`` sets only where it records."""
-    return integrate(f, u0, t_span, rtol=ODE_RTOL,
-                     t_eval=rk4_record_times(*t_span, dt, record_every))
+    return integrate(f, u0, t_span, t_eval=rk4_record_times(*t_span, dt, record_every))
 
 
 def integrator_entry(trajs):

@@ -9,8 +9,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractViolation, DimensionError
-from .flows import (ODE_RTOL, VectorField, fit_decay_rate, integrate, integrator_entry,
-                    matvec, rk4_steps, simulate_flow)
+from .flows import (VectorField, fit_decay_rate, integrate, integrator_entry, matvec,
+                    rk4_steps, simulate_flow)
 from .geometry import _RATE_TOL, Projector, check_subspace_invariance
 from .grids import Grid, derivative_matrix_1d
 from .measures import mu, nonlinear_rate, weighted_rate
@@ -299,7 +299,8 @@ def reaction_diffusion_experiment(n, alphas, reaction, t_end, seed, amplitude):
     report = {
         "experiment": "reaction_diffusion",
         "n": n, "alphas": list(map(float, alphas)), "reaction": reaction.name,
-        "condition1": cond1, "species_rates": species_rates,
+        "condition1": {**cond1, "check": cond1["check"].name},
+        "species_rates": species_rates,
         "diffusion_strength": [float(a * mqd) for a in alphas],
         "lambda_certified": float(coupled.value),
         "coupled_rate": coupled,
@@ -353,8 +354,7 @@ def nonlinear_poisson_experiment(n, reaction, seed, refinement):
 
     # the gradient flows as one run of their stacked states
     fld = poisson_gradient_flow(disc, fn, dfn, _POISSON_N_INIT)
-    run = integrate(fld, rng.standard_normal(_POISSON_N_INIT * npts),
-                    (0.0, _POISSON_T_MAX), rtol=ODE_RTOL)
+    run = integrate(fld, rng.standard_normal(_POISSON_N_INIT * npts), (0.0, _POISSON_T_MAX))
     fixed_points = run.final_state.reshape(_POISSON_N_INIT, npts)
     resid = fld.eval(0.0, run.final_state).reshape(_POISSON_N_INIT, npts)
     max_resid = float(np.max(np.linalg.norm(resid, axis=1)))
@@ -409,41 +409,42 @@ def sobolev_rate(f, k, p, *, sampler, seed=0):
 
 @dataclass
 class RegularizedFamily:
-    """Family f_eps -> f as eps -> 0+, e.g. adding eps * Laplacian.
+    """Family f_eps -> f as eps -> 0+, e.g. adding eps * Laplacian:
+    ``field(eps)`` is the field at level eps."""
 
-    ``f_eps(*levels)`` is the field of len(levels) stacked copies of the
-    grid state, copy i at eps = levels[i], given levels that are all
-    positive or all zero; with one level it is the field at that eps."""
-
-    f_eps: object                    # eps levels -> VectorField of their copies
+    field: object                    # eps -> VectorField
     eps_schedule: tuple
     description: str = ""
     flux: object = None              # flux F(u) of the eps = 0 conservation law
     grid: Grid = None
 
-    def field(self, *eps):
-        return self.f_eps(*eps)
+
+def _upwind_faces(u):
+    """The two branches of the Godunov face flux of the convex flux u^2/2,
+    face_i = max(1/2 max(u_i, 0)^2, 1/2 min(u_{i+1}, 0)^2), and the
+    arguments max(u_i, 0) and min(u_{i+1}, 0) they square."""
+    a, b = np.maximum(u, 0.0), np.minimum(np.roll(u, -1), 0.0)
+    return 0.5 * a**2, 0.5 * b**2, a, b
 
 
 def _upwind_flux_difference(u, inv_h):
-    """Godunov flux difference of the convex flux u^2/2 (robust at eps = 0),
-    along the last axis."""
-    face = np.maximum(0.5 * np.maximum(u, 0.0) ** 2,
-                      0.5 * np.minimum(np.roll(u, -1, axis=-1), 0.0) ** 2)
-    return (face - np.roll(face, 1, axis=-1)) * inv_h
+    """Godunov flux difference of the convex flux u^2/2 (robust at eps = 0)."""
+    face = np.maximum(*_upwind_faces(u)[:2])
+    return (face - np.roll(face, 1)) * inv_h
 
 
 def burgers_field(disc, eps, scheme="centered"):
     """Viscous Burgers u_t = -(u^2/2)_x + eps u_xx in conservative form on a
-    periodic grid: centered face fluxes, or upwind (Godunov) ones.  A
-    sequence ``eps`` gives the field of its stacked copies, copy i at eps[i]."""
+    periodic grid: centered face fluxes, or upwind (Godunov) ones.  Either
+    Jacobian is one CSR matrix of one pattern, tridiagonal plus the two
+    corners: eps L plus the flux part, for the upwind flux the Clarke element
+    that takes the first branch of each face at a tie."""
     if disc.boundary != "periodic":
         raise ContractViolation("Burgers fields are built on periodic grids")
-    levels = np.atleast_1d(eps).tolist()
-    m = len(levels)
-    diffusion = _block_diag([e * disc.laplacian for e in levels])
+    L = disc.laplacian
+    diffusion = eps * L
     if scheme == "centered":
-        D = _block_diag([disc.gradients[0]] * m)
+        D = disc.gradients[0]
         Kx = matvec(sp.hstack([diffusion, -D], format="csr"))   # [eps L | -D] [u; u^2/2]
         f = lambda t, u: Kx(np.concatenate([u, 0.5 * u * u]))
         # J = diffusion - D diag(u) in the stored values of one pattern, the
@@ -457,25 +458,36 @@ def burgers_field(disc, eps, scheme="centered"):
                                  shape=P.shape)
     elif scheme == "upwind":
         inv_h, diffuse = 1.0 / disc.h, matvec(diffusion)
-        f = lambda t, u: (diffuse(u)
-                          - _upwind_flux_difference(u.reshape(m, -1), inv_h).ravel())
-        jac = None
+        f = lambda t, u: diffuse(u) - _upwind_flux_difference(u, inv_h)
+        # row i of the flux part is (face_{i-1} - face_i) / h, written into
+        # the stored values of L's pattern: its entries at columns i, i + 1
+        # and i - 1
+        rows, cols = L.nonzero()
+        dv, shift = eps * L.data, (cols - rows) % disc.n
+
+        def jac(t, u):
+            first, second, a, b = _upwind_faces(u)
+            wins = first >= second           # a tie takes the first branch
+            # d face_i / d u_i and d face_i / d u_{i+1}
+            dl, dr = np.where(wins, a, 0.0), np.where(wins, 0.0, b)
+            flux = np.where(shift == 0, np.roll(dr, 1)[rows] - dl[rows],
+                            np.where(shift == 1, -dr[rows], dl[cols]))
+            return sp.csr_matrix((dv + inv_h * flux, cols.copy(), L.indptr.copy()),
+                                 shape=L.shape)
     else:
         raise ContractViolation(f"unknown scheme {scheme!r}")
-    return VectorField(f=f, jac=jac, dim=m * disc.n,
-                       name=f"burgers(eps={eps},{scheme})", grid=disc.grid)
+    return VectorField(f=f, jac=jac, dim=disc.n, name=f"burgers(eps={eps},{scheme})",
+                       grid=disc.grid)
 
 
 def burgers_family(n, eps_schedule):
     """Viscous Burgers u_t + (u^2/2)_x = eps u_xx on the periodic unit
     interval; centered fluxes for eps > 0, upwind ones at eps = 0."""
     disc = build_discretization(n, dims=1, boundary="periodic")
-
-    def make(*eps):
-        return burgers_field(disc, eps, scheme="centered" if min(eps) > 0 else "upwind")
-
     return RegularizedFamily(
-        f_eps=make, eps_schedule=tuple(eps_schedule),
+        field=lambda eps: burgers_field(disc, eps,
+                                        scheme="centered" if eps > 0 else "upwind"),
+        eps_schedule=tuple(eps_schedule),
         description="viscous Burgers, centered flux, eps*Laplacian regularizer",
         flux=lambda u: 0.5 * u * u, grid=disc.grid,
     )
@@ -487,13 +499,13 @@ def advection_family(n, speed, eps_schedule):
     disc = build_discretization(n, dims=1, boundary="periodic")
     D = disc.gradients[0]
 
-    def make(*eps):
-        A = _block_diag([(-speed * D + e * disc.laplacian).tocsr() for e in eps])
+    def field(eps):
+        A = (-speed * D + eps * disc.laplacian).tocsr()
         return VectorField(f=lambda t, u, Au=matvec(A): Au(u), jac=lambda t, u: A,
                            dim=A.shape[0], name=f"advection(eps={eps})", grid=disc.grid)
 
     return RegularizedFamily(
-        f_eps=make, eps_schedule=tuple(eps_schedule),
+        field=field, eps_schedule=tuple(eps_schedule),
         description="linear advection, eps*Laplacian regularizer",
         flux=lambda u: speed * u, grid=disc.grid,
     )
@@ -557,12 +569,11 @@ def vanishing_osl_experiment(family, u0, p, t_end, lambda_bound, seed):
     continuity about the initial data; then verify that successive
     space-time L^p differences decrease (Cauchy trend) and that the
     extrapolated limit satisfies the conservation-law weak form against
-    smooth test functions.  Each eps > 0 level is one LSODA run of its own
-    (``simulate_flow``), and an eps = 0 level, which has no Jacobian, one
-    RK4 run at its explicit stability step; the shifted and unshifted states
-    of the translation check are one run of ``family.field(eps, eps)`` on
-    their level's integrator.  A ``lambda_bound`` of None declares no
-    uniform rate bound to check.
+    smooth test functions.  Each level, eps = 0 too, is one LSODA run of its
+    own (``simulate_flow``), recorded on the grid of RK4 at its explicit
+    stability step, and so are the shifted and the unshifted state of the
+    translation check.  A ``lambda_bound`` of None declares no uniform rate
+    bound to check.
     """
     eps_list = list(family.eps_schedule)
     if len(eps_list) < 4:
@@ -583,8 +594,9 @@ def vanishing_osl_experiment(family, u0, p, t_end, lambda_bound, seed):
     xs = np.arange(n) * h
     umax = float(np.max(np.abs(u0))) + 1.0
 
-    # the explicit stability step of each level, dt_out / substeps: the RK4
-    # step of an eps = 0 level, and the time scale of hypotheses 3 and 4
+    # the explicit stability step of each level, dt_out / substeps: its run
+    # records every substeps-th step, and it is the time scale of hypotheses
+    # 3 and 4
     dt_adv = 0.2 * h / umax
     substeps, dts = {}, {}
     for eps in eps_list:
@@ -592,21 +604,17 @@ def vanishing_osl_experiment(family, u0, p, t_end, lambda_bound, seed):
         substeps[eps] = max(1, int(math.ceil(dt_out / min(dt_adv, dt_diff))))
         dts[eps] = dt_out / substeps[eps]
 
-    def run(levels, u, t1, record_every):
-        """``family.field(*levels)`` from u over (0, t1), recorded every
-        ``record_every`` stability steps: LSODA at eps > 0, RK4 at eps = 0."""
-        fld, dt = family.field(*levels), dts[levels[0]]
-        if levels[0] > 0:
-            traj = simulate_flow(fld, u, (0.0, t1), dt, record_every)
-            return traj, integrator_entry([traj])
-        traj = integrate(fld, u, (0.0, t1), dt=dt, record_every=record_every)
-        return traj, {"method": "RK4", "dt": dt, **traj.stats}
+    def run(eps, u, t1, record_every):
+        """The level eps from u over (0, t1), recorded every ``record_every``
+        stability steps."""
+        return simulate_flow(family.field(eps), u, (0.0, t1), dts[eps], record_every)
 
     sols, rates, sup_norms, integrators = {}, {}, {}, {}
     for eps in eps_list:
-        traj, integrators[str(eps)] = run([eps], u0, t_end, substeps[eps])
+        traj = run(eps, u0, t_end, substeps[eps])
         if len(traj.times) != _N_OUT + 1:
             raise ContractViolation("output grid mismatch")
+        integrators[str(eps)] = integrator_entry([traj])
         sols[eps] = traj.states
         sup_norms[eps] = float(np.max(sip_norm(sols[eps], spec, grid, rows=True)))
         idx = np.linspace(0, _N_OUT, _N_RATE_SAMPLES, dtype=int)
@@ -628,9 +636,9 @@ def vanishing_osl_experiment(family, u0, p, t_end, lambda_bound, seed):
     # hypothesis 3: translation invariance (grid-shift spot check)
     shift = n // 3
     eps_chk = eps_list[-1]
-    pair = run([eps_chk, eps_chk], np.r_[np.roll(u0, shift), u0], 10 * dts[eps_chk],
-               10**9)[0].final_state
-    a, b = pair[:n], np.roll(pair[n:], shift)
+    a, b = (run(eps_chk, u, 10 * dts[eps_chk], 10**9).final_state
+            for u in (np.roll(u0, shift), u0))
+    b = np.roll(b, shift)
     shift_res = float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)))
     hyp3 = Check.leq("translation_invariance", shift_res, 1e-10)
 

@@ -229,8 +229,7 @@ def test_criterion_9_limit_cycle():
                                             sampler=band, sim=simS)
         assert repS["certified"]
         assert repS["sim"]["period"] == pytest.approx(period_plain, rel=0.01)
-        traj = flows.integrate(fld, np.linalg.solve(S, ics[0]), (0.0, 60.0),
-                               dt=5e-3, record_every=100)
+        traj = flows.integrate(fld, np.linalg.solve(S, ics[0]), (0.0, 60.0))
         assert np.linalg.norm(S @ traj.final_state) == pytest.approx(1.0, abs=1e-4)
 
 

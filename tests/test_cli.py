@@ -227,6 +227,9 @@ class TestShippedConfigs:
         checks = _json_checks(report["report"])
         failed = [c["name"] for c in checks if not c["passed"]]
         assert code == (2 if failed else 0), failed
+        # each check is written once; another key refers to it by name
+        names = [c["name"] for c in checks]
+        assert len(names) == len(set(names)), names
         if report["certified"] is None:
             assert not checks
         else:

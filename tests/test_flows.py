@@ -24,10 +24,12 @@ from contractkit.flows import (
     mle_estimate,
     rk4_record_times,
     rk4_steps,
+    simulate_flow,
     verify_growth_bound,
 )
 from contractkit.measures import weighted_rate
 from contractkit.sip import L2, NormSpec
+from rk4_reference import rk4
 
 SHEAR = np.array([[-1.0, 10.0], [0.0, -1.0]])
 
@@ -41,21 +43,22 @@ def _same_bits(a, b):
 
 class TestIntegrate:
     def test_scalar_exponential(self):
-        traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), dt=1e-3)
+        traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0))
         assert traj.final_state[0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
     def test_matrix_exponential_oracle(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((4, 4)) - 1.0 * np.eye(4)
         u0 = rng.standard_normal(4)
-        traj = integrate(linear_field(A), u0, (0.0, 1.0), dt=1e-3)
+        traj = integrate(linear_field(A), u0, (0.0, 1.0))
         expect = sla.expm(A) @ u0
         assert np.linalg.norm(traj.final_state - expect) <= 1e-6 * np.linalg.norm(expect)
 
     def test_fourth_order_convergence(self):
+        # of the tests' fixed-step reference
         errs = []
         for dt in (1e-2, 5e-3):
-            traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), dt=dt)
+            traj = rk4(lambda t, u: -u, [1.0], (0.0, 1.0), dt)
             errs.append(abs(traj.final_state[0] - np.exp(-1.0)))
         assert errs[0] / errs[1] >= 8.0
 
@@ -63,59 +66,49 @@ class TestIntegrate:
         rng = np.random.default_rng(1)
         A = rng.standard_normal((3, 3)) - 2 * np.eye(3)
         u0 = rng.standard_normal(3)
-        fixed = integrate(linear_field(A), u0, (0.0, 2.0), dt=1e-4)
-        adaptive = integrate(linear_field(A), u0, (0.0, 2.0), rtol=1e-10)
+        fixed = rk4(linear_field(A), u0, (0.0, 2.0), 1e-4)
+        adaptive = integrate(linear_field(A), u0, (0.0, 2.0))
         assert np.linalg.norm(fixed.final_state - adaptive.final_state) <= 1e-6
         assert adaptive.stats["steps"] > 0
 
     def test_divergence_error_keeps_last_state(self):
+        # of the tests' fixed-step reference; LSODA's is TestSolverPath's
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                integrate(lambda t, u: u**2, [2.0], (0.0, 5.0), dt=1e-2)
+                rk4(lambda t, u: u**2, [2.0], (0.0, 5.0), 1e-2)
         assert err.value.last_state is not None
         assert np.all(np.isfinite(err.value.last_state))
 
     def test_step_budget_stiffness_error(self, monkeypatch):
         monkeypatch.setattr(flows, "MAX_RECORD_STEPS", 200)
         with pytest.raises(StiffnessError):
-            integrate(lambda t, u: -1e6 * u, [1.0], (0.0, 10.0), rtol=1e-12)
+            integrate(lambda t, u: -1e6 * u, [1.0], (0.0, 10.0))
 
     def test_times_strictly_increasing_and_span(self):
-        traj = integrate(lambda t, u: -u, [1.0], (0.0, 0.7), dt=1e-2, record_every=3)
+        traj = simulate_flow(lambda t, u: -u, [1.0], (0.0, 0.7), 1e-2, 3)
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(0.7)
 
     def test_argument_validation(self):
         with pytest.raises(ContractViolation):
-            integrate(lambda t, u: -u, [1.0], (0.0, 1.0))
+            integrate(lambda t, u: -u, [1.0], (1.0, 0.5))
         with pytest.raises(ContractViolation):
-            integrate(lambda t, u: -u, [1.0], (0.0, 1.0), dt=1e-3, rtol=1e-6)
-        with pytest.raises(ContractViolation):
-            integrate(lambda t, u: -u, [1.0], (1.0, 0.5), dt=1e-3)
+            integrate(lambda t, u: -u, [1.0], (1.0, 1.0))
 
     @pytest.mark.parametrize("every", [0, -3, 2.5, np.int64(0)])
     def test_record_every_must_be_a_positive_integer(self, every):
         f = lambda t, u: -u
         with pytest.raises(ContractViolation, match="record_every"):
-            integrate(f, [1.0], (0.0, 1.0), dt=0.1, record_every=every)
-        with pytest.raises(ContractViolation, match="record_every"):
-            integrate(f, [1.0], (0.0, 1.0), rtol=1e-6, record_every=every)
+            simulate_flow(f, [1.0], (0.0, 1.0), 0.1, every)
         with pytest.raises(ContractViolation, match="record_every"):
             rk4_record_times(0.0, 1.0, 0.1, every)
 
     @pytest.mark.parametrize("every", [1, 3, np.int32(3), np.int64(4)])
     def test_record_every_takes_integers_numpy_ones_too(self, every):
-        traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), dt=0.1, record_every=every)
+        traj = simulate_flow(lambda t, u: -u, [1.0], (0.0, 1.0), 0.1, every)
         assert np.array_equal(traj.times, rk4_record_times(0.0, 1.0, 0.1, every))
         assert len(traj.times) == 1 + 10 // every + (10 % every != 0)
-        # the adaptive branch records at t_eval: record_every must be 1
-        if every == 1:
-            traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, record_every=every)
-            assert np.array_equal(traj.times, [0.0, 1.0])
-        else:
-            with pytest.raises(ContractViolation, match="record_every"):
-                integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, record_every=every)
 
 
 # Each failure contract runs on a field without a Jacobian, which LSODA
@@ -130,13 +123,13 @@ def _field(f, jac, with_jac):
 
 
 class TestSolverPath:
-    """The rtol branch: one LSODA call under the integrate contracts."""
+    """One LSODA call under the integrate contracts."""
 
     STIFF = np.array([[-1e5, 1.0], [0.0, -1.0]])
 
     def test_stiff_linear_matches_expm(self):
         u0 = np.array([1.0, 1.0])
-        traj = integrate(linear_field(self.STIFF), u0, (0.0, 5.0), rtol=1e-10)
+        traj = integrate(linear_field(self.STIFF), u0, (0.0, 5.0))
         expect = sla.expm(5.0 * self.STIFF) @ u0
         assert np.linalg.norm(traj.final_state - expect) <= 1e-7 * np.linalg.norm(expect)
         # explicit RK4 is stable only for dt <= 2.785 / 1e5
@@ -148,7 +141,7 @@ class TestSolverPath:
         A = np.array([[-0.3, 2.0], [-2.0, -0.3]])
         u0 = np.array([1.0, -0.5])
         t_eval = rk4_record_times(0.0, 6.0, 5e-3, 10)
-        traj = integrate(linear_field(A), u0, (0.0, 6.0), rtol=1e-10, t_eval=t_eval)
+        traj = integrate(linear_field(A), u0, (0.0, 6.0), t_eval=t_eval)
         assert np.array_equal(traj.times, t_eval)
         expect = np.array([sla.expm(t * A) @ u0 for t in t_eval])
         assert np.max(np.abs(traj.states - expect)) <= 1e-9
@@ -163,7 +156,7 @@ class TestSolverPath:
         fld = VectorField(f=lambda t, u: -u, jac=jac, dim=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = integrate(fld, [1.0], (0.0, 1.0), rtol=1e-8)
+            traj = integrate(fld, [1.0], (0.0, 1.0))
         assert traj.final_state[0] == pytest.approx(np.exp(-1.0), rel=1e-7)
         assert traj.stats["njev"] == 0 and traj.stats["bdf_records"] == 0
 
@@ -182,7 +175,7 @@ class TestSolverPath:
 
         fld = VectorField(f=f, jac=jac if with_jac else None, dim=2)
         t_eval = np.linspace(0.5, 5.0, 10)
-        traj = integrate(fld, [1.0, 1.0], (0.0, 5.0), rtol=1e-10, t_eval=t_eval)
+        traj = integrate(fld, [1.0, 1.0], (0.0, 5.0), t_eval=t_eval)
         assert traj.stats["bdf_records"] == 10 and traj.stats["njev"] >= 1
         # with no Jacobian LSODA differences f: njev counts those, nfev their calls
         assert calls["jac"] == (traj.stats["njev"] if with_jac else 0)
@@ -193,48 +186,41 @@ class TestSolverPath:
     def test_nonstiff_step_budget_stiffness_error(self, monkeypatch):
         monkeypatch.setattr(flows, "MAX_RECORD_STEPS", 5)
         with pytest.raises(StiffnessError, match="Excess work"):
-            integrate(lambda t, u: -u, [1.0], (0.0, 10.0), rtol=1e-12)
+            integrate(lambda t, u: -u, [1.0], (0.0, 10.0))
 
     def test_step_budget_bounds_the_steps_between_records(self, monkeypatch):
         # about 270 steps in all, fewer than 100 between any two records
         monkeypatch.setattr(flows, "MAX_RECORD_STEPS", 100)
         t_eval = np.linspace(1.0, 10.0, 10)
-        traj = integrate(lambda t, u: -u, [1.0], (0.0, 10.0), rtol=1e-12, t_eval=t_eval)
+        traj = integrate(lambda t, u: -u, [1.0], (0.0, 10.0), t_eval=t_eval)
         assert traj.stats["steps"] > 100
         np.testing.assert_allclose(traj.states[:, 0], np.exp(-t_eval), rtol=0, atol=1e-11)
 
     def test_t_eval_times_exact(self):
         t_eval = np.array([0.0, 0.1, 0.25, 1.0 / 3.0, 0.9, 1.0])
         for fld in (lambda t, u: -u, linear_field(-np.eye(1))):
-            traj = integrate(fld, [1.0], (0.0, 1.0), rtol=1e-10, t_eval=t_eval)
+            traj = integrate(fld, [1.0], (0.0, 1.0), t_eval=t_eval)
             assert np.array_equal(traj.times, t_eval)
             np.testing.assert_allclose(traj.states[:, 0], np.exp(-t_eval), rtol=1e-8)
-        inner = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-10, t_eval=[0.5])
+        inner = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), t_eval=[0.5])
         assert np.array_equal(inner.times, [0.5])
 
     def test_t_eval_validation(self):
-        with pytest.raises(ContractViolation):
-            integrate(lambda t, u: -u, [1.0], (0.0, 1.0), dt=1e-2, t_eval=[0.5])
         for bad in ([0.5, 0.5], [0.0, 2.0], [-0.1, 0.5], [], [0.0]):
             with pytest.raises(ContractViolation):
-                integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, t_eval=bad)
-        for every in (2, 5):
-            with pytest.raises(ContractViolation, match="record_every"):
-                integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-6, record_every=every)
+                integrate(lambda t, u: -u, [1.0], (0.0, 1.0), t_eval=bad)
 
     def test_record_every(self):
-        # without t_eval the adaptive branch records the initial and the last state
+        # without t_eval a run records the initial and the last state
         fld = linear_field(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        traj = integrate(fld, [1.0, 0.0], (0.0, 3.0), rtol=1e-10)
+        traj = integrate(fld, [1.0, 0.0], (0.0, 3.0))
         assert np.array_equal(traj.times, [0.0, 3.0]) and traj.stats["steps"] > 1
         np.testing.assert_allclose(traj.final_state, [np.cos(3.0), -np.sin(3.0)], atol=1e-9)
-        with pytest.raises(ContractViolation, match="record_every"):
-            integrate(fld, [1.0, 0.0], (0.0, 3.0), rtol=1e-10, record_every=5)
 
     def test_step_budget_stiffness_error(self, monkeypatch):
         monkeypatch.setattr(flows, "MAX_RECORD_STEPS", 5)
         with pytest.raises(StiffnessError, match="Excess work"):
-            integrate(lambda t, u: -1e6 * u, [1.0], (0.0, 10.0), rtol=1e-12)
+            integrate(lambda t, u: -1e6 * u, [1.0], (0.0, 10.0))
 
     @JAC_CASES
     def test_step_underflow_stiffness_error(self, with_jac):
@@ -245,7 +231,7 @@ class TestSolverPath:
                      lambda t, u: np.array([[-1.0 if t <= 0.5 else 0.0]]), with_jac)
         start = time.perf_counter()
         with pytest.raises(StiffnessError, match="Excess work.*"):
-            integrate(fld, [2.0], (0.0, 1.0), rtol=1e-6)
+            integrate(fld, [2.0], (0.0, 1.0))
         assert time.perf_counter() - start < 10.0
 
     @JAC_CASES
@@ -253,7 +239,7 @@ class TestSolverPath:
         fld = _field(lambda t, u: 1000.0 * u, lambda t, u: np.array([[1000.0]]), with_jac)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                integrate(fld, [1.0], (0.0, 1.0), rtol=1e-6)
+                integrate(fld, [1.0], (0.0, 1.0))
         state = err.value.last_state
         assert state is not None and np.all(np.isfinite(state))
         assert state[0] > 1e300
@@ -267,7 +253,7 @@ class TestSolverPath:
             return -u
 
         with pytest.raises(ValueError, match="broken right-hand side"):
-            integrate(f, [1.0], (0.0, 1.0), rtol=1e-6)
+            integrate(f, [1.0], (0.0, 1.0))
 
     @JAC_CASES
     def test_overflow_in_trial_stages_only_is_divergence(self, with_jac):
@@ -284,7 +270,7 @@ class TestSolverPath:
         fld = _field(f, lambda t, u: -np.eye(1), with_jac)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                integrate(fld, [1.0], (0.0, 1.0), rtol=1e-8)
+                integrate(fld, [1.0], (0.0, 1.0))
         state, t = err.value.last_state, err.value.t
         assert 0.49 < t <= 0.5
         assert np.all(np.isfinite(state))
@@ -299,7 +285,7 @@ class TestSolverPath:
         t_eval = np.linspace(0.1, 1.0, 10)
         with np.errstate(invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                integrate(f, [1.0], (0.0, 1.0), rtol=1e-6, t_eval=t_eval)
+                integrate(f, [1.0], (0.0, 1.0), t_eval=t_eval)
         assert err.value.t in t_eval and err.value.t <= 0.5
         assert err.value.last_state[0] == pytest.approx(np.exp(-err.value.t), rel=1e-5)
 
@@ -308,46 +294,42 @@ class TestSolverPath:
         # right after a successful one on the same grid must report the state
         # it reached, not a row of the earlier run
         t_eval = np.linspace(0.05, 1.0, 20)
-        integrate(lambda t, u: -3.0 * u, [7.0], (0.0, 1.0), rtol=1e-10, t_eval=t_eval)
+        integrate(lambda t, u: -3.0 * u, [7.0], (0.0, 1.0), t_eval=t_eval)
 
         def f(t, u):
             return -u if t <= 0.5 else np.full_like(u, np.inf)
 
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                integrate(f, [1.0], (0.0, 1.0), rtol=1e-10, t_eval=t_eval)
+                integrate(f, [1.0], (0.0, 1.0), t_eval=t_eval)
         assert 0.45 < err.value.t <= 0.5
         assert err.value.last_state[0] == pytest.approx(np.exp(-err.value.t), rel=1e-8)
 
     def test_nested_adaptive_run_refused(self):
-        # LSODA keeps its state in global memory: an rtol run inside the
+        # LSODA keeps its state in global memory: a run inside the
         # right-hand side of another would corrupt it
         def f(t, u):
-            integrate(lambda s, v: -v, [1.0], (0.0, 0.1), rtol=1e-8)
+            integrate(lambda s, v: -v, [1.0], (0.0, 0.1))
             return -u
 
         with pytest.raises(ContractViolation, match="inside the right-hand side"):
-            integrate(f, [1.0], (0.0, 1.0), rtol=1e-8)
+            integrate(f, [1.0], (0.0, 1.0))
         # the refusal leaves nothing behind
-        traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0), rtol=1e-10)
+        traj = integrate(lambda t, u: -u, [1.0], (0.0, 1.0))
         assert traj.final_state[0] == pytest.approx(np.exp(-1.0), rel=1e-9)
 
     def test_stats_keys(self):
         for fld, u0 in ((lambda t, u: -u, [1.0]), (linear_field(self.STIFF), [1.0, 1.0])):
-            traj = integrate(fld, u0, (0.0, 1.0), rtol=1e-6)
+            traj = integrate(fld, u0, (0.0, 1.0))
             assert set(traj.stats) == {"method", "rtol", "steps", "nfev", "njev",
                                        "bdf_records"}
-            assert traj.stats["method"] == "LSODA" and traj.stats["rtol"] == 1e-6
+            assert traj.stats["method"] == "LSODA" and traj.stats["rtol"] == ODE_RTOL
             assert traj.stats["nfev"] >= traj.stats["steps"] > 0
-        # a fixed step makes four evaluations of f, a linear field's too
-        for fld in (lambda t, u: -u, linear_field(-np.eye(1))):
-            fixed = integrate(fld, [1.0], (0.0, 1.0), dt=0.1)
-            assert fixed.stats == {"accepted": 10, "rejected": 0, "nfev": 40}
 
     def test_integrator_entry_reports_the_run_it_is_given(self):
-        traj = integrate(linear_field(self.STIFF), [1.0, 1.0], (0.0, 1.0), rtol=1e-8)
+        traj = integrate(linear_field(self.STIFF), [1.0, 1.0], (0.0, 1.0))
         entry = integrator_entry([traj, traj])
-        assert entry == {"method": "LSODA", "rtol": 1e-8,
+        assert entry == {"method": "LSODA", "rtol": ODE_RTOL,
                          **{k: 2 * traj.stats[k]
                             for k in ("steps", "nfev", "njev", "bdf_records")}}
         assert entry["njev"] >= 2 and entry["bdf_records"] == 2
@@ -364,8 +346,7 @@ class TestSolverPath:
             calls["jac"] += 1
             return A
 
-        traj = integrate(VectorField(f=f, jac=jac, dim=2), [1.0, 1.0], (0.0, 1.0),
-                         rtol=1e-6)
+        traj = integrate(VectorField(f=f, jac=jac, dim=2), [1.0, 1.0], (0.0, 1.0))
         assert calls["f"] == traj.stats["nfev"]
         assert calls["jac"] == traj.stats["njev"] >= 1
 
@@ -417,8 +398,7 @@ class TestBandedSolver:
     def test_tridiagonal_field_keeps_the_natural_order(self, monkeypatch):
         layouts = self._spy(monkeypatch)
         disc = pde.build_discretization(64, boundary="neumann")
-        integrate(pde.heat_field(disc), np.cos(np.pi * np.arange(64) / 64), (0.0, 0.01),
-                  rtol=ODE_RTOL)
+        integrate(pde.heat_field(disc), np.cos(np.pi * np.arange(64) / 64), (0.0, 0.01))
         assert layouts == [(None, 1, 1)]
 
     def test_periodic_burgers_is_reordered_to_band_two(self):
@@ -445,8 +425,8 @@ class TestBandedSolver:
     def test_burgers_banded_matches_dense_run(self):
         fld, u0 = self._burgers()
         t_eval = np.linspace(0.0, 0.2, 11)
-        banded = integrate(fld, u0, (0.0, 0.2), rtol=ODE_RTOL, t_eval=t_eval)
-        dense = integrate(_dense_jacobian(fld), u0, (0.0, 0.2), rtol=ODE_RTOL, t_eval=t_eval)
+        banded = integrate(fld, u0, (0.0, 0.2), t_eval=t_eval)
+        dense = integrate(_dense_jacobian(fld), u0, (0.0, 0.2), t_eval=t_eval)
         assert banded.stats["njev"] >= 1 and banded.stats["bdf_records"] >= 1
         assert np.max(np.abs(banded.states - dense.states)) <= 1e-10
 
@@ -470,10 +450,10 @@ class TestBandedSolver:
         u0 = np.cos(np.pi * (np.arange(n) + 0.5) / n) + 1.0
         u0[n // 2] = 0.0
         t_eval = np.linspace(0.0, 0.5, 6)
-        banded = integrate(fld, u0, (0.0, 0.5), rtol=ODE_RTOL, t_eval=t_eval)
+        banded = integrate(fld, u0, (0.0, 0.5), t_eval=t_eval)
         assert layouts == [(None, 1, 1)]
         assert fld.jacobian(0.5, banded.final_state).nnz == L.nnz + 1
-        dense = integrate(_dense_jacobian(fld), u0, (0.0, 0.5), rtol=ODE_RTOL, t_eval=t_eval)
+        dense = integrate(_dense_jacobian(fld), u0, (0.0, 0.5), t_eval=t_eval)
         assert banded.stats["bdf_records"] >= 1
         assert np.max(np.abs(banded.states - dense.states)) <= 1e-9
 
@@ -489,7 +469,7 @@ class TestBandedSolver:
             return ev(self, t, u)
 
         monkeypatch.setattr(VectorField, "eval", counted)
-        traj = integrate(fld, u0, (0.0, 0.1), rtol=ODE_RTOL)
+        traj = integrate(fld, u0, (0.0, 0.1))
         assert calls == [n] * traj.stats["nfev"]
 
     def test_small_field_runs_dense_and_only_lsoda_calls_its_jacobian(self, monkeypatch):
@@ -498,7 +478,7 @@ class TestBandedSolver:
         calls = []
         A = disc.laplacian
         fld = VectorField(f=lambda t, u: A @ u, jac=lambda t, u: calls.append(t) or A, dim=32)
-        traj = integrate(fld, np.cos(np.pi * np.arange(32) / 32), (0.0, 0.5), rtol=ODE_RTOL)
+        traj = integrate(fld, np.cos(np.pi * np.arange(32) / 32), (0.0, 0.5))
         assert layouts == [] and len(calls) == traj.stats["njev"] >= 1
 
 
@@ -510,12 +490,14 @@ class TestRK4Grid:
         assert rk4_steps(0.0, 1.0, 0.3) == (4, 0.25)
 
     def test_record_times_are_what_integrate_records(self):
+        # what fixed-step RK4 records, and where a simulation records
         f = lambda t, u: -u
         for t0, t1, dt, every in [(0.0, 1.0, 0.1, 3), (0.5, 2.0, 0.07, 4),
                                   (0.0, 2.1, 0.7, 1), (0.0, 1.0, 0.5, 200),
                                   (0.0, 15.0, 0.52, 1)]:
-            traj = integrate(f, [1.0], (t0, t1), dt=dt, record_every=every)
-            assert np.array_equal(rk4_record_times(t0, t1, dt, every), traj.times)
+            times = rk4_record_times(t0, t1, dt, every)
+            assert np.array_equal(times, rk4(f, [1.0], (t0, t1), dt, every).times)
+            assert np.array_equal(times, simulate_flow(f, [1.0], (t0, t1), dt, every).times)
 
     def test_constant_field_keeps_its_array(self):
         # the field returns the same array at every stage; the step must not
@@ -523,8 +505,7 @@ class TestRK4Grid:
         c = np.array([0.5, -2.0, 3.0])
         keep = c.copy()
         u0 = np.array([1.0, 0.0, -1.0])
-        traj = integrate(VectorField(f=lambda t, u: c, dim=3, grid=object()), u0,
-                         (0.0, 2.0), dt=0.25)
+        traj = rk4(VectorField(f=lambda t, u: c, dim=3, grid=object()), u0, (0.0, 2.0), 0.25)
         assert np.array_equal(c, keep)
         np.testing.assert_allclose(traj.final_state, u0 + 2.0 * c, rtol=0, atol=1e-14)
         np.testing.assert_allclose(traj.states, u0 + traj.times[:, None] * c,
@@ -534,7 +515,8 @@ class TestRK4Grid:
         # 29 steps of fl(15 / 29) add up to 15 + 2^-49
         assert 29 * (15.0 / 29) > 15.0
         assert rk4_record_times(0.0, 15.0, 0.52, 1)[-1] == 15.0
-        assert integrate(lambda t, u: -u, [1.0], (0.0, 15.0), dt=0.52).times[-1] == 15.0
+        assert rk4(lambda t, u: -u, [1.0], (0.0, 15.0), 0.52).times[-1] == 15.0
+        assert simulate_flow(lambda t, u: -u, [1.0], (0.0, 15.0), 0.52).times[-1] == 15.0
         traj = integrate_variational(lambda t, u: -u, [1.0], [1.0], (0.0, 15.0), 0.52)
         assert traj.times[-1] == 15.0
 
@@ -585,7 +567,7 @@ def _matrix_steps(P, u0, nsteps):
 def _csr_cases():
     """Sparse matrices with the layouts scipy's CSR kernel meets: int32 and
     int64 indices, unsorted column indices with duplicate entries, empty
-    rows, and a rectangular matrix (the shape of two-level Burgers' K)."""
+    rows, and a rectangular matrix (the n x 2n shape of Burgers' [eps L | -D])."""
     rng = np.random.default_rng(19)
     cases = {"int32": sp.random(30, 30, density=0.2, format="csr", random_state=rng)}
     A = cases["int32"].copy()
@@ -643,7 +625,7 @@ class TestMatvec:
 
 
 class TestRK4OneStepMatrix:
-    """Fixed-step RK4, which the vanishing-viscosity scheme runs, takes four
+    """Fixed-step RK4, the tests' reference integrator, takes four
     evaluations of f per step; for a linear field that step is one product
     by its one-step matrix, the oracle here."""
 
@@ -654,7 +636,7 @@ class TestRK4OneStepMatrix:
         u0 = np.random.default_rng(nsteps).standard_normal(fld.dim)
         span = (0.0, nsteps * dt)
         assert rk4_steps(*span, dt) == (nsteps, pytest.approx(dt, rel=1e-15))
-        got = integrate(fld, u0, span, dt=dt, record_every=64)
+        got = rk4(fld, u0, span, dt, 64)
         want = _matrix_steps(_one_step_matrix(A, rk4_steps(*span, dt)[1]), u0, nsteps)
         want = want[np.unique(np.r_[0:nsteps + 1:64, nsteps])]
         assert np.array_equal(got.times, rk4_record_times(*span, dt, 64))
@@ -673,10 +655,10 @@ class TestRK4OneStepMatrix:
         monkeypatch.setattr(flows, "_rk4_step", counted)
         if linear:
             fld, _, dt = LINEAR_CASES["neumann"]
-            traj = integrate(fld, np.ones(fld.dim), (0.0, 37 * dt), dt=dt, record_every=5)
+            traj = rk4(fld, np.ones(fld.dim), (0.0, 37 * dt), dt, 5)
             assert len(calls) == 37
         else:
-            traj = integrate(lambda t, u: -u**3, [1.0], (0.0, 1.0), dt=0.1)
+            traj = rk4(lambda t, u: -u**3, [1.0], (0.0, 1.0), 0.1)
             assert len(calls) == 10
         assert len(calls) == traj.stats["accepted"] and traj.stats["rejected"] == 0
 
@@ -688,7 +670,7 @@ class TestRK4OneStepMatrix:
         nsteps, dt = rk4_steps(*span, 0.2 * disc.h**2)
         assert nsteps == 500
         u = np.random.default_rng(16).standard_normal(16)
-        traj = integrate(fld, u, span, dt=0.2 * disc.h**2)
+        traj = rk4(fld, u, span, 0.2 * disc.h**2)
         want = _matrix_steps(_one_step_matrix(disc.laplacian.toarray(), dt), u, nsteps)
         assert np.max(np.abs(traj.states - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -703,7 +685,7 @@ class TestRK4OneStepMatrix:
         u0 = np.random.default_rng(4).standard_normal(A.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                integrate(linear_field(A), u0, (0.0, 1e9), dt=1e3)
+                rk4(linear_field(A), u0, (0.0, 1e9), 1e3)
             u, k = u0, 0
             while np.isfinite(P @ u).all():
                 u, k = P @ u, k + 1
@@ -911,8 +893,7 @@ class TestVariationalSolverPath:
         def aug(t, z):
             return np.concatenate([f.eval(t, z[:2]), f.jacobian(t, z[:2]) @ z[2:]])
 
-        ref = integrate(aug, np.concatenate([u0, du0]), (0.0, 2.0), dt=1e-4,
-                        record_every=1000)
+        ref = rk4(aug, np.concatenate([u0, du0]), (0.0, 2.0), 1e-4, 1000)
         np.testing.assert_allclose(traj.times, ref.times, rtol=0, atol=1e-12)
         assert np.max(np.abs(traj.states - ref.states[:, :2])) <= 1e-8
         assert np.max(np.abs(traj.perturbations - ref.states[:, 2:])) <= 1e-8
@@ -940,7 +921,7 @@ class TestVariationalSolverPath:
         rep = verify_growth_bound(f, weights.identity(), L2, u0, du0, (0.0, 20.0), 1e-2)
         assert rep["integrator"]["steps"] < 500
         assert rep["max_pair_ratio"] <= 1.0 and rep["pair_distances"][-1] < 1e-12
-        ref = [integrate(f, u, (0.0, 20.0), dt=1e-3, record_every=10).states[:, 0]
+        ref = [rk4(f, u, (0.0, 20.0), 1e-3, 10).states[:, 0]
                for u in (u0, u0 + du0)]
         sep = np.abs(ref[1] - ref[0])
         big = sep > 1e-8

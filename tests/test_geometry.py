@@ -39,6 +39,7 @@ from contractkit.measures import RateEstimate, nonlinear_rate, weighted_rate
 from contractkit.pde import build_discretization, heat_field, neumann_second_eigenvalue
 from contractkit.reporting import checks_in, verdict
 from contractkit.sip import L2
+from rk4_reference import rk4
 
 
 def rotation_field():
@@ -384,10 +385,10 @@ class TestTemporalSymmetry:
         assert np.array_equal(runs[0].times, np.arange(10.0))
         assert rep["sim"]["geometric_decay"].passed
 
-    def _rk4_integrate(self, f, u0, t_span, rtol, t_eval):
+    def _rk4_integrate(self, f, u0, t_span, t_eval):
         # RK4 at the sim's step 1e-3, recorded every tau = 1, its stats in the
         # keys of an integrator entry
-        traj = integrate(f, u0, t_span, dt=1e-3, record_every=1000)
+        traj = rk4(f, u0, t_span, 1e-3, 1000)
         traj.stats = {"method": "RK4", "rtol": None, "steps": traj.stats["accepted"],
                       "nfev": traj.stats["nfev"], "njev": 0, "bdf_records": 0}
         return traj
@@ -496,7 +497,7 @@ class TestLimitCycle:
         assert rep["certified"]
         assert rep["sim"]["period"] == pytest.approx(2.0 * np.pi, rel=0.01)
         # the u-space attractor is the sheared loop: h(u) ends on the circle
-        traj = integrate(fld, ics[0], (0.0, 60.0), dt=5e-3, record_every=100)
+        traj = rk4(fld, ics[0], (0.0, 60.0), 5e-3, 100)
         v_end = S @ traj.final_state
         assert np.linalg.norm(v_end) == pytest.approx(1.0, abs=1e-4)
 
@@ -509,7 +510,7 @@ class TestLimitCycle:
                                                   sampler=band_sampler(seed=22), sim=sim,
                                                   seed=0)
         assert np.array_equal(traj.times, rk4_record_times(0.0, 60.0, 5e-3, 10))
-        ref = integrate(fld, ics[0], (0.0, 60.0), dt=5e-3, record_every=10)
+        ref = rk4(fld, ics[0], (0.0, 60.0), 5e-3, 10)
         assert np.max(np.abs(traj.states - ref.states)) <= 1e-8
         entry = rep["sim"]["integrator"]
         assert entry["method"] == "LSODA" and entry["rtol"] == ODE_RTOL
@@ -664,7 +665,7 @@ class TestPhaseLocking:
         (traj,) = runs
         assert np.array_equal(traj.times, rk4_record_times(0.0, 20.0, 2e-3, 25))
         u0 = geometry._sim_initial_conditions(sim, 6)[0]
-        ref = integrate(fld, u0, (0.0, 20.0), dt=2e-3, record_every=25)
+        ref = rk4(fld, u0, (0.0, 20.0), 2e-3, 25)
         assert np.max(np.abs(traj.states - ref.states)) <= 1e-8
         assert rep["sim"]["integrator"] == {"method": "LSODA", "rtol": ODE_RTOL,
                                             "steps": traj.stats["steps"],

@@ -14,6 +14,7 @@ from contractkit.flows import (ODE_RTOL, fd_jacobian, integrate, integrator_entr
                                rk4_record_times, simulate_flow)
 from contractkit.reporting import checks_in
 from contractkit.sip import L2, NormSpec, norm
+from rk4_reference import rk4
 
 
 class TestDiscretization:
@@ -128,20 +129,15 @@ def _sparse_product_cases():
                       lambda u: lap3 @ u + fn(u), 96),
         "linear_sparse": (linear_field(S), lambda u: S @ u, 40),
     }
-    for levels in ((0.03,), (0.03, 0.01)):
-        m = len(levels)
-        diffusion = pde._block_diag([e * lap for e in levels])
-        K = sp.hstack([diffusion, -pde._block_diag([D] * m)], format="csr")
-        cases[f"burgers_centered_{m}"] = (
-            pde.burgers_field(per, levels), lambda u, K=K: K @ np.concatenate([u, 0.5 * u * u]),
-            64 * m)
-        cases[f"burgers_upwind_{m}"] = (
-            pde.burgers_field(per, levels, scheme="upwind"),
-            lambda u, diffusion=diffusion, m=m: diffusion @ u - pde._upwind_flux_difference(
-                u.reshape(m, -1), 1.0 / per.h).ravel(), 64 * m)
-    A = pde._block_diag([(-1.0 * D + e * lap).tocsr() for e in (0.1, 0.05)])
-    cases["advection_2"] = (pde.advection_family(64, 1.0, EPS_SCHEDULE).field(0.1, 0.05),
-                            lambda u: A @ u, 128)
+    K = sp.hstack([0.03 * lap, -D], format="csr")
+    cases["burgers_centered_1"] = (pde.burgers_field(per, 0.03),
+                                   lambda u: K @ np.concatenate([u, 0.5 * u * u]), 64)
+    cases["burgers_upwind_1"] = (
+        pde.burgers_field(per, 0.03, scheme="upwind"),
+        lambda u: (0.03 * lap) @ u - pde._upwind_flux_difference(u, 1.0 / per.h), 64)
+    A = (-1.0 * D + 0.1 * lap).tocsr()
+    cases["advection_1"] = (pde.advection_family(64, 1.0, EPS_SCHEDULE).field(0.1),
+                            lambda u: A @ u, 64)
     return cases
 
 
@@ -356,8 +352,7 @@ class TestHeatExperiment:
     def test_constant_initial_state_stays_flat(self):
         disc = pde.build_discretization(16, boundary="neumann")
         fld = pde.heat_field(disc, 1.0)
-        traj = integrate(fld, np.full(16, 3.0), (0.0, 0.3), dt=0.2 * disc.h**2,
-                         record_every=50)
+        traj = simulate_flow(fld, np.full(16, 3.0), (0.0, 0.3), 0.2 * disc.h**2, 50)
         from contractkit.geometry import Projector
 
         Q = Projector.mean(16).Q
@@ -410,8 +405,8 @@ class TestReactionDiffusion:
         u0 = (np.repeat(r.steady_state[:, None], 16, axis=1)
               + 0.05 * rng.standard_normal((2, 16))).reshape(-1)
         t_end, dt, every = 10.0, 0.2 * disc.h**2 / 0.1, 25
-        ref = integrate(fld, u0, (0.0, t_end), dt=dt, record_every=every)
-        traj = integrate(fld, u0, (0.0, ref.times[-1]), rtol=ODE_RTOL, t_eval=ref.times)
+        ref = rk4(fld, u0, (0.0, t_end), dt, every)
+        traj = integrate(fld, u0, (0.0, ref.times[-1]), t_eval=ref.times)
         assert np.array_equal(traj.times, ref.times)
         # relative to the state's scale; most of the gap is RK4's own error
         # in the fast initial transient
@@ -512,8 +507,8 @@ class TestPoisson:
         disc = pde.build_discretization(16, boundary="dirichlet")
         fld = pde.poisson_gradient_flow(disc, *pde.sine_reaction(5.0))
         rng = np.random.default_rng(0)
-        ends = [integrate(fld, rng.standard_normal(16), (0.0, pde._POISSON_T_MAX),
-                          rtol=ODE_RTOL).final_state for _ in range(2)]
+        ends = [integrate(fld, rng.standard_normal(16), (0.0, pde._POISSON_T_MAX)).final_state
+                for _ in range(2)]
         assert max(np.linalg.norm(fld.eval(0.0, u)) for u in ends) <= 1e-8
         assert np.linalg.norm(ends[0] - ends[1]) <= 1e-8
 
@@ -569,50 +564,22 @@ class TestSobolevRate:
 
 
 def _diffusion_family(disc, op, diffusivity):
-    """Regularized family whose level eps is u_t = diffusivity(eps) op u:
-    f_eps(*levels) is block diagonal, one block per level."""
-    def f_eps(*levels):
-        return linear_field(sp.block_diag([diffusivity(e) * op for e in levels], format="csr"))
-
-    return pde.RegularizedFamily(f_eps=f_eps, eps_schedule=(0.1, 0.05, 0.025, 0.0125),
-                                 grid=disc.grid)
+    """Regularized family whose level eps is u_t = diffusivity(eps) op u."""
+    return pde.RegularizedFamily(field=lambda e: linear_field((diffusivity(e) * op).tocsr()),
+                                 eps_schedule=(0.1, 0.05, 0.025, 0.0125), grid=disc.grid)
 
 
-class TestStackedFamily:
-    """field(e1, e2) runs its two copies with the arithmetic of one-level runs."""
-
-    @pytest.mark.parametrize("family,levels", [
-        (lambda: pde.burgers_family(64, EPS_SCHEDULE), (0.025, 0.0125)),
-        (lambda: pde.burgers_family(64, EPS_SCHEDULE), (0.0, 0.0)),
-        (lambda: pde.advection_family(64, 1.0, EPS_SCHEDULE), (0.05, 0.025)),
-    ], ids=["burgers_centered", "burgers_upwind", "advection"])
-    def test_copies_match_one_level_runs_bit_for_bit(self, family, levels):
-        fam = family()
-        x = np.arange(64) / 64
-        # the copies meet where one is 0 and the other -1, so a flux that
-        # leaks across the seam shows
-        u0s = [np.sin(2 * np.pi * x), -np.cos(2 * np.pi * x)]
-        fld = fam.field(*levels)
-        assert fld.dim == 128
-        stacked = integrate(fld, np.concatenate(u0s), (0.0, 0.05), dt=2e-4,
-                            record_every=25)
-        for i, (eps, u0) in enumerate(zip(levels, u0s)):
-            one = integrate(fam.field(eps), u0, (0.0, 0.05), dt=2e-4, record_every=25)
-            assert np.array_equal(stacked.times, one.times)
-            assert np.array_equal(stacked.states[:, 64 * i:64 * (i + 1)], one.states)
-
+class TestRegularizedFamily:
     def test_one_level_burgers_is_burgers_field(self):
         fam = pde.burgers_family(n=64, eps_schedule=(0.1, 0.05, 0.01, 0.0))
         disc = pde.build_discretization(64, boundary="periodic")
         u = np.random.default_rng(6).standard_normal(64)
         for eps, scheme in ((0.05, "centered"), (0.0, "upwind")):
-            assert np.array_equal(fam.field(eps).eval(0.0, u),
-                                  pde.burgers_field(disc, eps, scheme=scheme).eval(0.0, u))
-        assert np.array_equal(fam.field(0.05).jacobian(0.0, u).toarray(),
-                              pde.burgers_field(disc, 0.05).jacobian(0.0, u).toarray())
+            fld, want = fam.field(eps), pde.burgers_field(disc, eps, scheme=scheme)
+            assert np.array_equal(fld.eval(0.0, u), want.eval(0.0, u))
+            assert np.array_equal(fld.jacobian(0.0, u).toarray(),
+                                  want.jacobian(0.0, u).toarray())
 
-
-class TestRegularizedFamily:
     def test_burgers_jacobian_formula(self):
         from contractkit.grids import derivative_matrix_1d
 
@@ -632,6 +599,55 @@ class TestRegularizedFamily:
         for a, b in zip(*patterns):
             assert np.array_equal(a, b)
         assert patterns[0][1].size == 3 * 32
+
+    def test_upwind_jacobian_matches_central_differences(self):
+        disc = pde.build_discretization(256, boundary="periodic")
+        fld = pde.burgers_field(disc, 0.0, scheme="upwind")
+        u = np.random.default_rng(11).standard_normal(256)
+        # the state lies at least 1e-4 from every kink of the upwind flux:
+        # u_i = 0, and the ties max(u_i, 0) = -min(u_{i+1}, 0) > 0
+        a, b = np.maximum(u, 0.0), np.minimum(np.roll(u, -1), 0.0)
+        assert np.min(np.abs(u)) > 1e-4 and np.min(np.abs(a + b)[(a > 0) & (b < 0)]) > 1e-4
+        J = fld.jacobian(0.0, u)
+        assert sp.issparse(J) and J.format == "csr"
+        # the difference step, about 2.5e-7, crosses no kink
+        assert np.max(np.abs(J.toarray() - fd_jacobian(fld.eval, 0.0, u))) <= 1e-6
+
+    def test_upwind_jacobian_takes_the_first_branch_at_a_tie(self):
+        # face 9 ties at 1/2 with both branches nonzero: raising u_9 or
+        # u_10 leaves the first branch winning, so the Jacobian's columns 9
+        # and 10 are the forward differences of f
+        disc = pde.build_discretization(64, boundary="periodic")
+        fld = pde.burgers_field(disc, 0.0, scheme="upwind")
+        u = 0.5 + 0.1 * np.sin(2 * np.pi * np.arange(64) / 64)
+        u[9], u[10] = 1.0, -1.0
+        J = fld.jacobian(0.0, u).toarray()
+        h = 1e-7
+        for j in (9, 10):
+            e = np.zeros(64)
+            e[j] = h
+            forward = (fld.eval(0.0, u + e) - fld.eval(0.0, u)) / h
+            assert np.max(np.abs(J[:, j] - forward)) <= 1e-6 * np.max(np.abs(J))
+        assert J[9, 10] == 0.0 and J[9, 9] == -1.0 / disc.h
+
+    def test_upwind_jacobian_has_one_pattern_and_band_two(self):
+        disc = pde.build_discretization(256, boundary="periodic")
+        fld = pde.burgers_field(disc, 0.0, scheme="upwind")
+        rng = np.random.default_rng(12)
+        Js = [fld.jacobian(0.0, u) for u in (rng.standard_normal(256), np.zeros(256))]
+        # tridiagonal plus the two corners, stored whatever u is
+        for J in Js:
+            assert np.array_equal(J.indptr, disc.laplacian.indptr)
+            assert np.array_equal(J.indices, disc.laplacian.indices)
+        assert flows.band_layout(Js[0])[1:] == (2, 2)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.003])
+    def test_upwind_jacobian_is_eps_laplacian_plus_the_flux_part(self, eps):
+        disc = pde.build_discretization(64, boundary="periodic")
+        u = np.random.default_rng(13).standard_normal(64)
+        flux_part = pde.burgers_field(disc, 0.0, scheme="upwind").jacobian(0.0, u)
+        J = pde.burgers_field(disc, eps, scheme="upwind").jacobian(0.0, u)
+        assert np.array_equal(J.toarray(), (eps * disc.laplacian + flux_part).toarray())
 
     def test_burgers_eps_residual_decreasing(self):
         fam = pde.burgers_family(n=64, eps_schedule=EPS_SCHEDULE)
@@ -657,8 +673,8 @@ class TestRegularizedFamily:
         assert shift.passed
 
     def test_translation_invariance_fails_for_diffusion_varying_in_space(self, monkeypatch):
-        # u_t = eps c(x) u_xx does not commute with grid shifts: the stacked
-        # shifted and unshifted pair must tell
+        # u_t = eps c(x) u_xx does not commute with grid shifts: the runs of
+        # the shifted and the unshifted state must tell
         monkeypatch.setattr(pde, "_N_OUT", 20)
         disc = pde.build_discretization(32, boundary="periodic")
         x = np.arange(32) / 32
@@ -680,10 +696,7 @@ class TestRegularizedFamily:
         t_end = 0.25
         errs = []
         for eps in fam.eps_schedule:
-            disc_h = 1.0 / n
-            dt = min(0.2 * disc_h / 2.0, disc_h**2 / (2 * eps))
-            traj = integrate(fam.field(eps), u0, (0.0, t_end), dt=dt,
-                             record_every=10**9)
+            traj = integrate(fam.field(eps), u0, (0.0, t_end))
             shift = int(round(1.0 * t_end * n))  # exact transport on the grid
             exact = np.roll(u0, shift)
             errs.append(np.linalg.norm(traj.final_state - exact) / np.linalg.norm(exact))
@@ -735,8 +748,8 @@ class TestVanishingOSL:
         return rep, params, runs
 
     def test_shipped_levels_run_alone_on_lsoda(self, monkeypatch):
-        # each eps > 0 level is one LSODA run of its own 256 unknowns, and the
-        # translation-invariance pair one more of 512: RK4 takes no step
+        # each level is one LSODA run of its own 256 unknowns, and so is each
+        # state of the translation-invariance pair: RK4 takes no step
         calls = []
         step = flows._rk4_step
 
@@ -747,8 +760,8 @@ class TestVanishingOSL:
         monkeypatch.setattr(flows, "_rk4_step", counted)
         rep, params, runs = self._shipped(monkeypatch)
         assert calls == []
-        assert [r.states.shape for r in runs] == [(201, 256)] * 4 + [(2, 512)]
-        assert [r.stats["method"] for r in runs] == ["LSODA"] * 5
+        assert [r.states.shape for r in runs] == [(201, 256)] * 4 + [(2, 256)] * 2
+        assert [r.stats["method"] for r in runs] == ["LSODA"] * 6
         assert list(rep["integrator_per_eps"]) == [str(e) for e in params["eps_schedule"]]
         assert list(rep["integrator_per_eps"].values()) == [integrator_entry([r])
                                                             for r in runs[:4]]
@@ -756,7 +769,7 @@ class TestVanishingOSL:
         # step, and the check parameters set by the stability steps
         for r, k in zip(runs, (17, 9, 7, 7)):
             assert np.array_equal(r.times, rk4_record_times(0.0, 0.5, 0.0025 / k, k))
-        assert runs[4].times[-1] == 10 * (0.0025 / 7)
+        assert runs[4].times[-1] == runs[5].times[-1] == 10 * (0.0025 / 7)
         assert rep["delta"] == 2 * (0.5 / 200)
 
     def test_shipped_levels_match_a_radau_reference(self, monkeypatch):
@@ -773,26 +786,32 @@ class TestVanishingOSL:
             assert ref.success
             assert np.max(np.abs(ref.y.T - run.states)) <= 1e-10, eps
 
-    def test_eps_zero_level_runs_rk4(self, monkeypatch):
-        # the upwind level has no Jacobian: RK4 at its advective step, 4 per
-        # output step here, and its translation pair 10 steps more
-        calls = []
-        step = flows._rk4_step
+    def test_eps_zero_level_matches_a_dop853_reference(self, monkeypatch):
+        # the upwind level runs on LSODA with its Clarke Jacobian, banded,
+        # through the shock that forms near t = 1 / (2 pi); 2.2e-10 is the
+        # error of the fixed-step RK4 run it replaced
+        from scipy.integrate import solve_ivp
 
-        def counted(f, t, u, dt):
-            calls.append(u.size)
-            return step(f, t, u, dt)
+        runs = []
 
-        monkeypatch.setattr(flows, "_rk4_step", counted)
-        monkeypatch.setattr(pde, "_N_OUT", 20)
-        fam = pde.burgers_family(n=64, eps_schedule=(0.08, 0.04, 0.02, 0.0))
-        x = np.arange(64) / 64
-        rep, _ = pde.vanishing_osl_experiment(fam, np.sin(2 * np.pi * x), p=2.0, t_end=0.1,
-                                              lambda_bound=None, seed=0)
-        runs = rep["integrator_per_eps"]
-        assert [runs[str(e)]["method"] for e in fam.eps_schedule] == ["LSODA"] * 3 + ["RK4"]
-        assert runs["0.0"]["accepted"] == 80 and runs["0.0"]["dt"] == 0.005 / 4
-        assert calls == [64] * 80 + [128] * 10
+        def spy(*args, **kwargs):
+            runs.append(simulate_flow(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(pde, "simulate_flow", spy)
+        fam = pde.burgers_family(n=256, eps_schedule=(0.05, 0.025, 0.0125, 0.0))
+        u0 = np.sin(2 * np.pi * np.arange(256) / 256)
+        rep, _ = pde.vanishing_osl_experiment(fam, u0, p=2.0, t_end=0.5, lambda_bound=None,
+                                              seed=0)
+        entry = rep["integrator_per_eps"]["0.0"]
+        assert entry == integrator_entry([runs[3]]) and entry["method"] == "LSODA"
+        assert entry["njev"] >= 1 and entry["bdf_records"] >= 1
+        assert [r.states.shape for r in runs] == [(201, 256)] * 4 + [(2, 256)] * 2
+        fld = fam.field(0.0)
+        ref = solve_ivp(fld.eval, (0.0, 0.5), u0, method="DOP853", rtol=1e-13, atol=1e-13,
+                        t_eval=runs[3].times)
+        assert ref.success
+        assert np.max(np.abs(ref.y.T - runs[3].states)) <= 2.2e-10
         assert not rep["hypotheses_failed"]
 
     def test_weak_form_factors_match_dense_test_functions(self):

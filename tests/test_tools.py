@@ -135,6 +135,17 @@ def test_src_stats_lists_every_optional_parameter():
     assert "flows:VectorField(jac=None, dim=None, name='', grid=None)" in fields.splitlines()
 
 
+def test_src_stats_ends_quietly_when_its_reader_stops():
+    # as under "| head": the read end of the pipe is closed before the
+    # script writes, so its first write or its flush meets a broken pipe
+    proc = subprocess.Popen([sys.executable, os.path.join(REPO, "tools", "src_stats.py")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 def test_src_stats_counts_dataclass_fields_with_defaults(tmp_path):
     spec = importlib.util.spec_from_file_location(
         "src_stats", os.path.join(REPO, "tools", "src_stats.py"))

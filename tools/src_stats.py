@@ -17,12 +17,14 @@ After the table, one line per ``def`` that has optional parameters lists
 them as ``module:function(name=default, ...)``, and after a blank line, one
 line per dataclass with defaulted fields lists them as
 ``module:Class(name=default, ...)``, so a diff of two trees' output names
-the defaults that changed.  Uses the standard library only.
+the defaults that changed.  A reader that stops early (``| head``) ends the
+script quietly, with exit code 0.  Uses the standard library only.
 """
 
 import argparse
 import ast
 import os
+import sys
 
 
 def _optional(args):
@@ -113,4 +115,10 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered nowhere, so that the
+        # flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
